@@ -1,21 +1,31 @@
-"""Compensated summation and mergeable moment accumulators.
+"""Compensated summation.
 
 Site sums run over up to ~1e6 terms and the oracle tolerances sit at 1e-9
 relative, so plain left-to-right accumulation is not good enough.  Float
 arrays are reduced blockwise (numpy pairwise summation inside each block)
 and the block sums are combined with ``math.fsum``, which rounds the exact
 result once.  Exact (object/integer) arrays fall back to Python's exact
-integer arithmetic.
+integer arithmetic.  A sum that overflows, or that meets infinities of both
+signs, raises :class:`NumericOverflowError`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericOverflowError
+
 _BLOCK = 256
+
+
+def fsum(values) -> float:
+    """``math.fsum`` that reports overflow as :class:`NumericOverflowError`."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        raise NumericOverflowError(f"compensated sum is not finite: {exc}") from exc
 
 
 def compensated_sum(values) -> float:
@@ -26,54 +36,6 @@ def compensated_sum(values) -> float:
     if arr.size == 0:
         return 0.0
     if arr.size <= _BLOCK:
-        return math.fsum(arr.tolist())
+        return fsum(arr.tolist())
     cuts = np.arange(0, arr.size, _BLOCK)
-    return math.fsum(np.add.reduceat(arr, cuts).tolist())
-
-
-@dataclass
-class MomentAccumulator:
-    """Count / mean / centered cross-product accumulator for vector samples.
-
-    ``m2`` holds the sum of outer products of centered samples, so
-    ``m2 / (count - 1)`` is the sample covariance.  Merging two accumulators
-    uses the parallel (Chan) update and is exact up to float rounding, which
-    makes a reduction over fixed trial blocks independent of how the blocks
-    were scheduled.
-    """
-
-    count: int
-    mean: np.ndarray
-    m2: np.ndarray
-
-    @classmethod
-    def from_samples(cls, block: np.ndarray) -> "MomentAccumulator":
-        block = np.atleast_2d(np.asarray(block, dtype=float))
-        mean = block.mean(axis=0)
-        centered = block - mean
-        return cls(count=block.shape[0], mean=mean, m2=centered.T @ centered)
-
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * (other.count / n)
-        m2 = self.m2 + other.m2 + np.outer(delta, delta) * (self.count * other.count / n)
-        return MomentAccumulator(count=n, mean=mean, m2=m2)
-
-    def covariance(self, ddof: int = 1) -> np.ndarray:
-        if self.count <= ddof:
-            raise ValueError("not enough samples for the requested ddof")
-        cov = self.m2 / (self.count - ddof)
-        return 0.5 * (cov + cov.T)
-
-
-def fold_pairwise(accumulators: list[MomentAccumulator]) -> MomentAccumulator:
-    """Merge accumulators along a fixed binary tree (adjacent pairs per pass)."""
-    if not accumulators:
-        raise ValueError("nothing to fold")
-    level = list(accumulators)
-    while len(level) > 1:
-        nxt = [level[i].merge(level[i + 1]) if i + 1 < len(level) else level[i]
-               for i in range(0, len(level), 2)]
-        level = nxt
-    return level[0]
+    return fsum(np.add.reduceat(arr, cuts).tolist())

@@ -19,13 +19,12 @@ through direct banded matrix powering.
 from __future__ import annotations
 
 import json
-import math
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import compensated_sum
+from .accumulate import compensated_sum, fsum
 from .errors import InvalidArgumentError, NumericOverflowError, TriTraceError
 
 DEFAULT_K_MAX = 16
@@ -268,39 +267,49 @@ def _classify_path(path: list[int]) -> tuple[int, tuple[int, ...], tuple[int, ..
     return span, tuple(c // 2 for c in half), tuple(loops)
 
 
-def _power(cache: dict, base: np.ndarray, exponent: int) -> np.ndarray:
-    # Repeated multiplication: entries may be negative or zero and exponents
-    # never exceed k/2, so exp/log tricks buy nothing.
-    arr = cache.get(exponent)
-    if arr is None:
-        arr = _power(cache, base, exponent - 1) * base
-        cache[exponent] = arr
-    return arr
+class _Powers(dict):
+    """Powers of one slot array keyed by exponent, ``{1: base}`` at the start.
+
+    A missing power is built as ``self[e - 1] * base`` and kept: entries may
+    be negative or zero and exponents never exceed k/2, so repeated
+    multiplication beats exp/log tricks.
+    """
+
+    def __missing__(self, exponent: int) -> np.ndarray:
+        arr = self[exponent - 1] * self[1]
+        self[exponent] = arr
+        return arr
 
 
-def _expansion_terms(matrix: TridiagonalMatrix, k: int, types) -> list:
-    n = matrix.n
-    if n < k // 2 + 1:
-        raise InvalidArgumentError(f"dimension {n} too small for power {k}")
-    if not types or any(t.k != k for t in types):
-        raise InvalidArgumentError("type table does not match the requested power")
-    ab = matrix.sub * matrix.sup
-    diag = matrix.diag
-    ab_pows: dict = {1: ab}
-    d_pows: dict = {1: diag}
-    totals = []
-    for t in types:
-        cnt = n - t.span
-        acc = None
-        for j, m in enumerate(t.half_edges):
-            f = _power(ab_pows, ab, m)[j:j + cnt]
+def slot_powers(ab: np.ndarray, diag: np.ndarray) -> tuple[dict, dict]:
+    """Power caches ``({1: ab}, {1: diag})`` for :func:`class_product`.
+
+    Higher powers are filled in on first use and shared by every class and
+    every power evaluated from the same caches.
+    """
+    return _Powers({1: ab}), _Powers({1: diag})
+
+
+def class_product(pows: tuple[dict, dict], t: CircuitType, start: int, width: int):
+    """Windowed entry product of one class at ``width`` consecutive left ends.
+
+    Slot ``s`` of the result is
+    ``prod_j ab[start+s+j]^half_edges[j] * prod_h diag[start+s+h]^loops[h]``,
+    with edge factors first, then the nonzero loop factors.  Slots run along
+    the last axis, so 1-d diagonals and ``(replicas, slots)`` window arrays
+    share this code.  The caller checks that every slot lies inside the
+    arrays; the result may be a view into the caches and must not be written.
+    """
+    ab_pows, d_pows = pows
+    acc = None
+    for j, m in enumerate(t.half_edges, start):
+        f = ab_pows[m][..., j:j + width]
+        acc = f if acc is None else acc * f
+    for h, e in enumerate(t.loops, start):
+        if e:
+            f = d_pows[e][..., h:h + width]
             acc = f if acc is None else acc * f
-        for j, e in enumerate(t.loops):
-            if e:
-                f = _power(d_pows, diag, e)[j:j + cnt]
-                acc = f if acc is None else acc * f
-        totals.append(t.count * compensated_sum(acc))
-    return totals
+    return acc
 
 
 def trace_power_expansion(matrix: TridiagonalMatrix, k: int, types) -> float:
@@ -310,11 +319,18 @@ def trace_power_expansion(matrix: TridiagonalMatrix, k: int, types) -> float:
     and class sums use compensated accumulation.  Exact-entry matrices
     (object dtype) are summed in exact integer arithmetic.
     """
+    n = matrix.n
+    if n < k // 2 + 1:
+        raise InvalidArgumentError(f"dimension {n} too small for power {k}")
+    if not types or any(t.k != k for t in types):
+        raise InvalidArgumentError("type table does not match the requested power")
     with np.errstate(over="ignore", invalid="ignore"):
-        totals = _expansion_terms(matrix, k, types)
+        pows = slot_powers(matrix.sub * matrix.sup, matrix.diag)
+        totals = [t.count * compensated_sum(class_product(pows, t, 0, n - t.span))
+                  for t in types]
     if matrix.is_exact:
         return sum(totals)
-    result = math.fsum(totals)
+    result = fsum(totals)
     if not np.isfinite(result):
         raise NumericOverflowError("trace expansion overflowed to a non-finite value")
     return result
@@ -393,26 +409,12 @@ def trace_power_direct(matrix: TridiagonalMatrix, k: int,
 
 def traces_for_k_list(matrix: TridiagonalMatrix, k_list) -> np.ndarray:
     """Expansion traces for several powers of one matrix, sharing power caches."""
-    out = np.empty(len(k_list))
-    ab = matrix.sub * matrix.sup
-    diag = matrix.diag
-    ab_pows: dict = {1: ab}
-    d_pows: dict = {1: diag}
     n = matrix.n
-    for pos, k in enumerate(k_list):
-        totals = []
-        for t in enumerate_types(k):
-            cnt = n - t.span
-            acc = None
-            for j, m in enumerate(t.half_edges):
-                f = _power(ab_pows, ab, m)[j:j + cnt]
-                acc = f if acc is None else acc * f
-            for j, e in enumerate(t.loops):
-                if e:
-                    f = _power(d_pows, diag, e)[j:j + cnt]
-                    acc = f if acc is None else acc * f
-            totals.append(t.count * compensated_sum(acc))
-        out[pos] = math.fsum(totals)
+    pows = slot_powers(matrix.sub * matrix.sup, matrix.diag)
+    out = np.array([
+        fsum([t.count * compensated_sum(class_product(pows, t, 0, n - t.span))
+              for t in enumerate_types(k)])
+        for k in k_list])
     if not np.all(np.isfinite(out)):
         raise NumericOverflowError("trace expansion overflowed to a non-finite value")
     return out

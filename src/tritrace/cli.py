@@ -33,12 +33,17 @@ from .circuits import (
     trace_power_direct,
     trace_power_expansion,
     types_as_json_lines,
-    types_from_json_lines,
 )
 from .deviations import cramer_rate_k1, mdp_check
 from .ensembles import EnsembleSpec, EntryLaw, sample_matrix
-from .errors import ConfigError, DegenerateTargetError, TriTraceError
-from .stats import covariance_target, mc_traces, normality_report
+from .errors import ConfigError, TriTraceError
+from .stats import (
+    covariance_target,
+    growth_exponents,
+    mc_traces,
+    normality_report,
+    sample_covariance,
+)
 
 DEFAULT_SEED = 0x5EED
 COMMANDS = ("types", "trace", "simulate", "clt", "cov", "mdp", "cramer", "dump-sample")
@@ -285,35 +290,6 @@ def matrix_from_csv(path: str) -> TridiagonalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Type-table disk cache
-
-
-def _cache_dir() -> Path:
-    env = os.environ.get("TRITRACE_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "tritrace"
-
-
-def cached_types(k: int):
-    path = _cache_dir() / f"types_k{k}.jsonl"
-    if path.exists():
-        try:
-            types = types_from_json_lines(path.read_text(encoding="utf-8"))
-            if types and all(t.k == k for t in types):
-                return types
-        except (ValueError, KeyError, TriTraceError):
-            pass  # stale or corrupt cache entries are recomputed
-    types = enumerate_types(k)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(types_as_json_lines(types), encoding="utf-8")
-    except OSError:
-        pass  # cache is best-effort
-    return types
-
-
-# ---------------------------------------------------------------------------
 # Commands
 
 
@@ -327,7 +303,7 @@ def _cmd_types(config: RunConfig) -> int:
     k = config.extras.get("k") or (config.k_list[0] if config.k_list else None)
     if k is None:
         raise ConfigError("types: missing k")
-    types = cached_types(int(k))
+    types = enumerate_types(int(k))
     print(f"power {k}: {len(types)} circuit types")
     print(f"{'l':>3} {'m':>18} {'n':>22} {'count':>8}")
     for t in types:
@@ -388,13 +364,10 @@ def _cmd_clt(config: RunConfig) -> int:
     _require(config, "ensemble", "k_list", "n", "trials")
     alpha = config.extras.get("alpha")
     epsilon = config.extras.get("epsilon")
-    spec = config.ensemble
-    if alpha is None or epsilon is None:
-        alpha, epsilon = spec.default_growth
-    samples = mc_traces(spec, config.n, config.k_list, config.trials, config.master_seed,
-                        alpha, epsilon, workers=config.workers)
+    samples = mc_traces(config.ensemble, config.n, config.k_list, config.trials,
+                        config.master_seed, alpha, epsilon, workers=config.workers)
     target = _clt_target(config)
-    exponents = [alpha * k + 0.5 - epsilon for k in config.k_list]
+    exponents = growth_exponents(config.ensemble, config.k_list, alpha, epsilon)
     report = normality_report(samples, target, k_list=config.k_list, n=config.n,
                               scaling_exponents=exponents)
     results = {
@@ -414,17 +387,11 @@ def _cmd_clt(config: RunConfig) -> int:
 
 def _cmd_cov(config: RunConfig) -> int:
     _require(config, "ensemble", "k_list", "n", "trials")
-    spec = config.ensemble
-    samples = mc_traces(spec, config.n, config.k_list, config.trials, config.master_seed,
-                        config.extras.get("alpha"), config.extras.get("epsilon"),
-                        workers=config.workers)
+    samples = mc_traces(config.ensemble, config.n, config.k_list, config.trials,
+                        config.master_seed, config.extras.get("alpha"),
+                        config.extras.get("epsilon"), workers=config.workers)
     target = _clt_target(config)
-    centered = samples - samples.mean(axis=0)
-    emp = (centered.T @ centered) / (samples.shape[0] - 1)
-    emp = 0.5 * (emp + emp.T)
-    se = np.sqrt(np.maximum(
-        np.einsum("ti,tj->ij", centered ** 2, centered ** 2) / samples.shape[0] - emp ** 2,
-        0.0) / samples.shape[0])
+    emp, se = sample_covariance(samples)
     tol = config.extras.get("tolerance", 0.10)
     k_arr = np.array(config.k_list)
     mixed = (k_arr[:, None] % 2) != (k_arr[None, :] % 2)
@@ -578,9 +545,6 @@ def main(argv=None) -> int:
     try:
         config = build_config(args)
         return run(config)
-    except DegenerateTargetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except TriTraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

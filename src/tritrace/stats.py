@@ -18,8 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .accumulate import MomentAccumulator, compensated_sum, fold_pairwise
-from .circuits import enumerate_types, trace_power_expansion, traces_for_k_list
+from .accumulate import compensated_sum
+from .circuits import (
+    class_product,
+    enumerate_types,
+    slot_powers,
+    trace_power_expansion,
+    traces_for_k_list,
+)
 from .ensembles import (
     EnsembleSpec,
     EntryWindow,
@@ -60,39 +66,19 @@ def dependence_range(k: int, symmetric: bool) -> DependenceRange:
 
 
 def _summand_block(a: np.ndarray, d: np.ndarray, b: np.ndarray, first_index: int,
-                   sites, k: int, types) -> np.ndarray:
+                   sites: range, k: int, types) -> np.ndarray:
     """Per-site summands over batched windows: (replicas, len(sites))."""
-    f = first_index
-    ab = a[:, 1:] * b[:, :-1] if a.shape[1] > 1 else np.empty((a.shape[0], 0))
+    if not (isinstance(sites, range) and sites.step == 1 and len(sites)):
+        raise InvalidArgumentError("sites must be a non-empty range of consecutive indices")
+    base = sites[0] - first_index
+    width = len(sites)
+    if base < 0 or base + width - 1 + k // 2 > d.shape[1] - 1:
+        raise InvalidArgumentError("window too short for requested site")
     # ab[:, t] = a_{f+t} * b_{f+t}: the a-slot of site s holds a_{s-1}
-    out = np.zeros((a.shape[0], len(sites)))
-    ab_pows: dict = {1: ab}
-    d_pows: dict = {1: d}
-
-    def powered(cache, base, e):
-        arr = cache.get(e)
-        if arr is None:
-            arr = powered(cache, base, e - 1) * base
-            cache[e] = arr
-        return arr
-
-    L = d.shape[1]
-    for pos, i in enumerate(sites):
-        base = i - f
-        if base < 0 or base + k // 2 > L - 1:
-            raise InvalidArgumentError("window too short for requested site")
-        vals = np.zeros(a.shape[0])
-        for t in types:
-            term = None
-            for j, m in enumerate(t.half_edges):
-                fcol = powered(ab_pows, ab, m)[:, base + j]
-                term = fcol if term is None else term * fcol
-            for j, e in enumerate(t.loops):
-                if e:
-                    fcol = powered(d_pows, d, e)[:, base + j]
-                    term = fcol if term is None else term * fcol
-            vals = vals + t.count * term
-        out[:, pos] = vals
+    pows = slot_powers(a[:, 1:] * b[:, :-1], d)
+    out = np.zeros((d.shape[0], width))
+    for t in types:
+        out += t.count * class_product(pows, t, base, width)
     return out
 
 
@@ -103,11 +89,11 @@ def site_summand(window: EntryWindow, i: int, k: int, types) -> float:
     a = window.a[None, :]
     d = window.d[None, :]
     b = window.b[None, :]
-    return float(_summand_block(a, d, b, window.first_index, [i], k, types)[0, 0])
+    return float(_summand_block(a, d, b, window.first_index, range(i, i + 1), k, types)[0, 0])
 
 
 def summand_sites(window_arrays, first_index: int, sites, k: int) -> np.ndarray:
-    """Batched ``X_{k,i}`` over windows; thin public wrapper for estimators."""
+    """Batched ``X_{k,i}`` over windows at a range of consecutive ``sites``."""
     a, d, b = window_arrays
     return _summand_block(a, d, b, first_index, sites, k, enumerate_types(k))
 
@@ -156,9 +142,17 @@ def _raw_traces(spec, n, k_list, trials, master_seed, workers) -> np.ndarray:
     return raw
 
 
-def _scaling(n: int, k_list, alpha: float, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    exponents = np.array([alpha * k + 0.5 - epsilon for k in k_list])
-    return exponents, np.power(float(n), -exponents)
+def growth_exponents(spec: EnsembleSpec, k_list, alpha: float | None = None,
+                     epsilon: float | None = None) -> list[float]:
+    """Scaling exponents ``alpha*k + 1/2 - epsilon`` for each power.
+
+    Whichever of ``alpha`` and ``epsilon`` is None takes its value from the
+    spec's default growth; a given value is always kept.
+    """
+    da, de = spec.default_growth
+    alpha = da if alpha is None else alpha
+    epsilon = de if epsilon is None else epsilon
+    return [alpha * k + 0.5 - epsilon for k in k_list]
 
 
 def mc_traces(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
@@ -180,69 +174,13 @@ def mc_traces(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
         raise InvalidArgumentError("k_list must be non-empty")
     if n < max(k_list) // 2 + 1:
         raise InvalidArgumentError("n too small for the largest requested power")
-    if alpha is None or epsilon is None:
-        da, de = spec.default_growth
-        alpha = da if alpha is None else alpha
-        epsilon = de if epsilon is None else epsilon
+    exponents = growth_exponents(spec, k_list, alpha, epsilon)
     raw = _raw_traces(spec, n, k_list, trials, master_seed, workers)
     centers = np.empty(len(k_list))
     for j, k in enumerate(k_list):
         exact = exact_trace_mean(spec, n, k)
         centers[j] = raw[:, j].mean() if exact is None else exact
-    _, scale = _scaling(n, k_list, alpha, epsilon)
-    return (raw - centers) * scale
-
-
-@dataclass(frozen=True)
-class TraceMoments:
-    """Streaming reduction of scaled centered traces to moment accumulators."""
-
-    k_list: tuple[int, ...]
-    trials: int
-    n: int
-    scaling_exponents: tuple[float, ...]
-    mean: np.ndarray
-    covariance: np.ndarray
-
-
-def mc_trace_moments(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
-                     alpha: float | None = None, epsilon: float | None = None, *,
-                     workers: int = 1) -> TraceMoments:
-    """Like :func:`mc_traces` but retains only moment accumulators.
-
-    Blocks of :data:`TRIAL_BLOCK` trials are reduced to (count, mean, M2)
-    accumulators and merged along a fixed pairwise tree, so the reduction is
-    associative and the result does not depend on the worker count.
-    """
-    k_list = tuple(int(k) for k in k_list)
-    if alpha is None or epsilon is None:
-        da, de = spec.default_growth
-        alpha = da if alpha is None else alpha
-        epsilon = de if epsilon is None else epsilon
-    ranges = _block_ranges(trials)
-    if workers <= 1 or len(ranges) == 1:
-        accs = [MomentAccumulator.from_samples(_trace_block(spec, n, k_list, master_seed, lo, hi))
-                for lo, hi in ranges]
-    else:
-        accs = [None] * len(ranges)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_moment_block, spec, n, k_list, master_seed, lo, hi): idx
-                       for idx, (lo, hi) in enumerate(ranges)}
-            for fut, idx in futures.items():
-                accs[idx] = fut.result()
-    acc = fold_pairwise(accs)
-    exponents, scale = _scaling(n, k_list, alpha, epsilon)
-    mean = np.empty(len(k_list))
-    for j, k in enumerate(k_list):
-        exact = exact_trace_mean(spec, n, k)
-        mean[j] = 0.0 if exact is None else (acc.mean[j] - exact) * scale[j]
-    cov = acc.covariance() * np.outer(scale, scale)
-    return TraceMoments(k_list=k_list, trials=acc.count, n=n,
-                        scaling_exponents=tuple(exponents), mean=mean, covariance=cov)
-
-
-def _moment_block(spec, n, k_list, master_seed, lo, hi) -> MomentAccumulator:
-    return MomentAccumulator.from_samples(_trace_block(spec, n, k_list, master_seed, lo, hi))
+    return (raw - centers) * np.power(float(n), -np.array(exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -363,56 +301,43 @@ def _iid_mc_matrix(k_list, spec: EnsembleSpec, replicas: int, seed) -> np.ndarra
     return out
 
 
-def lambda_target(k_i: int, k_j: int, regime: str, *, beta: float | None = None,
-                  a: float | None = None, var_eta: float | None = None,
-                  var_zeta: float | None = None, alpha: float | None = None,
-                  epsilon: float | None = None, spec: EnsembleSpec | None = None,
-                  replicas: int | None = None, seed=None) -> float:
-    """Limiting covariance of standardized traces for powers (k_i, k_j).
+def covariance_target(k_list, regime: str, *, beta: float | None = None,
+                      a: float | None = None, var_eta: float | None = None,
+                      var_zeta: float | None = None, alpha: float | None = None,
+                      epsilon: float | None = None, spec: EnsembleSpec | None = None,
+                      replicas: int | None = None, seed=None) -> CovarianceTarget:
+    """Limiting covariance matrix of standardized traces over ``k_list``.
 
-    ``regime`` selects the evaluation route: the closed β-ensemble form, the
-    symmetric degenerate-limit closed form, or a windowed Monte Carlo for
-    i.i.d.-type entries.
+    ``regime`` selects the evaluation route: the closed β-ensemble form
+    (``beta``), the symmetric degenerate-limit closed form (``a``,
+    ``var_eta``, ``var_zeta``, ``alpha``, ``epsilon``), or a windowed Monte
+    Carlo for i.i.d.-type entries (``spec``, ``replicas``, ``seed``).
     """
-    if k_i < 1 or k_j < 1:
+    k_list = tuple(int(k) for k in k_list)
+    if not k_list or min(k_list) < 1:
         raise InvalidArgumentError("powers must be >= 1")
     if regime == "beta_hermite":
         if beta is None or beta <= 0:
             raise InvalidArgumentError("beta_hermite regime requires beta > 0")
-        return _beta_hermite_entry(k_i, k_j, beta)
-    if regime == "symmetric_degenerate":
-        if None in (a, var_eta, var_zeta, alpha, epsilon):
-            raise InvalidArgumentError("symmetric_degenerate regime parameters incomplete")
-        return _symmetric_degenerate_entry(k_i, k_j, a, var_eta, var_zeta, alpha, epsilon)
-    if regime == "iid_mc":
-        if spec is None or replicas is None:
-            raise InvalidArgumentError("iid_mc regime requires spec and replicas")
-        mat = _iid_mc_matrix((k_i,) if k_i == k_j else (k_i, k_j), spec, replicas, seed)
-        return float(mat[0, 0]) if k_i == k_j else float(mat[0, 1])
-    raise InvalidArgumentError(f"unknown regime {regime!r}")
-
-
-def covariance_target(k_list, regime: str, **params) -> CovarianceTarget:
-    """Assemble the full covariance-target matrix over ``k_list``."""
-    k_list = tuple(int(k) for k in k_list)
-    if regime == "beta_hermite":
-        beta = params["beta"]
         value = np.array([[_beta_hermite_entry(ki, kj, beta) for kj in k_list] for ki in k_list])
         detail = tuple(tuple(
             "zero by parity" if (ki % 2) != (kj % 2) else "beta ensemble closed form"
             for kj in k_list) for ki in k_list)
         return CovarianceTarget(source="beta_hermite_formula", value=value, detail=detail)
     if regime == "symmetric_degenerate":
-        value = np.array([[_symmetric_degenerate_entry(
-            ki, kj, params["a"], params["var_eta"], params["var_zeta"],
-            params["alpha"], params["epsilon"]) for kj in k_list] for ki in k_list])
+        if None in (a, var_eta, var_zeta, alpha, epsilon):
+            raise InvalidArgumentError("symmetric_degenerate regime parameters incomplete")
+        value = np.array([[_symmetric_degenerate_entry(ki, kj, a, var_eta, var_zeta, alpha, epsilon)
+                           for kj in k_list] for ki in k_list])
         detail = tuple(tuple(
             "zero by parity" if (ki % 2) != (kj % 2) else "degenerate-limit closed form"
             for kj in k_list) for ki in k_list)
         return CovarianceTarget(source="symmetric_degenerate_formula", value=value, detail=detail)
     if regime == "iid_mc":
-        value = _iid_mc_matrix(k_list, params["spec"], params["replicas"], params.get("seed"))
-        detail = tuple(tuple(f"windowed MC, {params['replicas']} replicas" for _ in k_list)
+        if spec is None or replicas is None:
+            raise InvalidArgumentError("iid_mc regime requires spec and replicas")
+        value = _iid_mc_matrix(k_list, spec, replicas, seed)
+        detail = tuple(tuple(f"windowed MC, {replicas} replicas" for _ in k_list)
                        for _ in k_list)
         return CovarianceTarget(source="iid_window_formula", value=value, detail=detail)
     raise InvalidArgumentError(f"unknown regime {regime!r}")
@@ -500,6 +425,17 @@ def _jackknife_moment_ses(x: np.ndarray) -> tuple[float, float, float]:
     return jk_se(var_i), jk_se(skew_i), jk_se(kurt_i)
 
 
+def sample_covariance(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample covariance of ``(trials, r)`` samples and its entrywise standard error."""
+    trials = samples.shape[0]
+    centered = samples - samples.mean(axis=0)
+    cov = (centered.T @ centered) / (trials - 1)
+    cov = 0.5 * (cov + cov.T)
+    sq = centered ** 2
+    se = np.sqrt(np.maximum(np.einsum("ti,tj->ij", sq, sq) / trials - cov ** 2, 0.0) / trials)
+    return cov, se
+
+
 def normality_report(samples: np.ndarray, targets: CovarianceTarget, *, k_list,
                      n: int, scaling_exponents) -> MomentReport:
     """Moment and KS diagnostics of trace samples against Gaussian targets.
@@ -517,9 +453,7 @@ def normality_report(samples: np.ndarray, targets: CovarianceTarget, *, k_list,
     if r != len(k_list) or targets.value.shape != (r, r):
         raise InvalidArgumentError("samples, k_list and targets have inconsistent shapes")
 
-    centered = samples - samples.mean(axis=0)
-    cov = (centered.T @ centered) / (trials - 1)
-    cov = 0.5 * (cov + cov.T)
+    cov, cov_se = sample_covariance(samples)
     variance = tuple(float(v) for v in np.diag(cov))
 
     means, skews, kurts, ks = [], [], [], []
@@ -544,10 +478,6 @@ def normality_report(samples: np.ndarray, targets: CovarianceTarget, *, k_list,
         var_se.append(vse)
         skew_se.append(sse)
         kurt_se.append(kse)
-
-    z = centered
-    prod_var = np.einsum("ti,tj->ij", z ** 2, z ** 2) / trials - cov ** 2
-    cov_se = np.sqrt(np.maximum(prod_var, 0.0) / trials)
 
     return MomentReport(
         k_list=k_list, trials=trials, n=n,

@@ -1,7 +1,6 @@
 import itertools
 import math
 
-import pytest
 from hypothesis import HealthCheck, settings
 
 from tritrace.circuits import count_circuits_bruteforce
@@ -13,11 +12,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("tritrace")
-
-
-@pytest.fixture(autouse=True)
-def _isolated_type_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("TRITRACE_CACHE_DIR", str(tmp_path / "type-cache"))
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,22 @@ class TestTraceExpansion:
         with pytest.raises(NumericOverflowError):
             trace_power_expansion(m, 4, enumerate_types(4))
 
+    @pytest.mark.parametrize("m,k", [
+        # finite terms whose sum overflows
+        (TridiagonalMatrix(sub=np.ones(1), diag=np.full(2, 1e308), sup=np.ones(1)), 1),
+        # edge products of +inf and -inf in one class sum
+        (TridiagonalMatrix(sub=np.array([1e200, 1e200]), diag=np.ones(3),
+                           sup=np.array([1e200, -1e200])), 2),
+    ])
+    def test_sum_overflow_is_typed_on_every_route(self, m, k):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericOverflowError):
+                trace_power_expansion(m, k, enumerate_types(k))
+            with pytest.raises(NumericOverflowError):
+                circuits.traces_for_k_list(m, [k])
+            with pytest.raises(NumericOverflowError):
+                trace_power_direct(m, k)
+
 
 class TestTraceDirect:
     def test_identity_matrix(self):

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from tritrace import __version__
-from tritrace.circuits import enumerate_types
 from tritrace.cli import (
     DEFAULT_SEED,
     build_config,
-    cached_types,
     main,
     matrix_from_csv,
     matrix_to_csv_rows,
@@ -35,17 +33,6 @@ class TestTypesCommand:
         assert [r["count"] for r in records] == [1, 3, 3]
         assert all(r["k"] == 3 for r in records)
 
-    def test_disk_cache_roundtrip(self, tmp_path, monkeypatch, capsys):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("TRITRACE_CACHE_DIR", str(cache))
-        first = cached_types(5)
-        assert (cache / "types_k5.jsonl").exists()
-        again = cached_types(5)
-        assert again == first
-        # corrupt entries are recomputed rather than trusted
-        (cache / "types_k5.jsonl").write_text("not json\n")
-        assert cached_types(5) == enumerate_types(5)
-
 
 class TestTraceCommand:
     def test_two_routes_agree(self, capsys):
@@ -64,6 +51,12 @@ class TestTraceCommand:
         assert np.allclose(parsed.diag, matrix.diag)
         assert np.allclose(parsed.sub, matrix.sub)
         assert run_cli("trace", "--input", str(path), "--k", "4") == 0
+
+    def test_overflowing_sum_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("sub,diag,sup\n,1e308,1\n1,1e308,\n")
+        assert run_cli("trace", "--input", str(path), "--k", "1") == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestConfigHandling:
@@ -186,6 +179,18 @@ class TestStatisticalExitCodes:
                        "--seed", "2", "--output", str(path))
         assert code == 2
         assert "KS distance" in capsys.readouterr().err
+
+    def test_clt_keeps_a_lone_alpha(self, tmp_path):
+        # epsilon alone falls back to the model default (0 for Anderson)
+        path = tmp_path / "clt.json"
+        code = run_cli("clt", "--ensemble", "anderson", "--d-law", "gaussian(0,1)",
+                       "--k-list", "1,2", "--n", "128", "--trials", "256", "--alpha", "0.25",
+                       "--replicas", "2000", "--seed", "4", "--output", str(path))
+        assert code in (0, 2)
+        payload = json.loads(path.read_text())
+        assert payload["config"]["alpha"] == 0.25
+        assert payload["results"]["report"]["scaling_exponents"] == [0.25 * k + 0.5
+                                                                     for k in (1, 2)]
 
     def test_mdp_csv_and_exit(self, tmp_path):
         path = tmp_path / "mdp.csv"

@@ -24,8 +24,6 @@ from tritrace.stats import (
     dk_iid,
     exact_trace_mean,
     ks_distance_to_normal,
-    lambda_target,
-    mc_trace_moments,
     mc_traces,
     normality_report,
     site_summand,
@@ -105,17 +103,6 @@ class TestMcTraces:
         two = mc_traces(spec, 64, (1, 2), 2100, 5, alpha=0.0, epsilon=0.0, workers=2)
         assert np.array_equal(one, two)
 
-    def test_streaming_moments_match_raw(self):
-        spec = EnsembleSpec.birth_death_q()
-        samples = mc_traces(spec, 32, (1, 2), 3000, 17, alpha=0.0, epsilon=0.0)
-        moments = mc_trace_moments(spec, 32, (1, 2), 3000, 17, alpha=0.0, epsilon=0.0)
-        centered = samples - samples.mean(axis=0)
-        cov = centered.T @ centered / (samples.shape[0] - 1)
-        assert np.allclose(moments.covariance, cov, rtol=1e-10, atol=1e-12)
-        assert np.allclose(moments.mean, 0.0, atol=1e-10)
-        workers = mc_trace_moments(spec, 32, (1, 2), 3000, 17, alpha=0.0, epsilon=0.0, workers=2)
-        assert np.array_equal(moments.covariance, workers.covariance)
-
     def test_validation(self):
         spec = EnsembleSpec.anderson()
         with pytest.raises(InvalidArgumentError):
@@ -192,51 +179,63 @@ class TestModelVarianceOracles:
 
 
 class TestLambdaTarget:
+    """Entries of the limiting covariance Lambda(k_i, k_j) from covariance_target."""
+
     def test_beta_ensemble_values(self):
-        assert lambda_target(2, 2, "beta_hermite", beta=2.0) == pytest.approx(2.0)
-        assert lambda_target(1, 2, "beta_hermite", beta=0.7) == 0.0
-        assert lambda_target(1, 1, "beta_hermite", beta=1.0) == pytest.approx(2.0)
-        assert lambda_target(1, 3, "beta_hermite", beta=2.0) == pytest.approx(3.0)
-        assert lambda_target(4, 4, "beta_hermite", beta=2.0) == pytest.approx(36.0)
+        def entry(ki, kj, beta):
+            return covariance_target((ki, kj), "beta_hermite", beta=beta).value[0, 1]
+
+        assert covariance_target((2,), "beta_hermite", beta=2.0).value[0, 0] == pytest.approx(2.0)
+        assert entry(1, 2, 0.7) == 0.0
+        assert covariance_target((1,), "beta_hermite", beta=1.0).value[0, 0] == pytest.approx(2.0)
+        assert entry(1, 3, 2.0) == pytest.approx(3.0)
+        assert covariance_target((4,), "beta_hermite", beta=2.0).value[0, 0] == pytest.approx(36.0)
 
     def test_degenerate_limit_reproduces_beta_ensemble(self):
         # the growth limits of the beta ensemble: scale 1, off-diagonal
         # fluctuation variance 1/(2 beta), diagonal variance 2/beta
         beta = 1.7
-        for ki in range(1, 5):
-            for kj in range(1, 5):
-                closed = lambda_target(ki, kj, "beta_hermite", beta=beta)
-                general = lambda_target(ki, kj, "symmetric_degenerate", a=1.0,
-                                        var_eta=1.0 / (2 * beta), var_zeta=2.0 / beta,
-                                        alpha=0.5, epsilon=0.5)
-                assert general == pytest.approx(closed, rel=1e-12)
+        powers = (1, 2, 3, 4)
+        closed = covariance_target(powers, "beta_hermite", beta=beta).value
+        general = covariance_target(powers, "symmetric_degenerate", a=1.0,
+                                    var_eta=1.0 / (2 * beta), var_zeta=2.0 / beta,
+                                    alpha=0.5, epsilon=0.5).value
+        for i in range(len(powers)):
+            for j in range(len(powers)):
+                assert general[i, j] == pytest.approx(closed[i, j], rel=1e-12)
 
     def test_odd_odd_below_critical_exponent_vanishes(self):
-        val = lambda_target(3, 3, "symmetric_degenerate", a=1.0, var_eta=0.3,
-                            var_zeta=0.9, alpha=0.5, epsilon=0.25)
+        val = covariance_target((3,), "symmetric_degenerate", a=1.0, var_eta=0.3,
+                                var_zeta=0.9, alpha=0.5, epsilon=0.25).value[0, 0]
         assert val == 0.0
 
     def test_parameter_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            lambda_target(2, 2, "beta_hermite")
-        with pytest.raises(InvalidArgumentError):
-            lambda_target(2, 2, "symmetric_degenerate", a=1.0, var_eta=1.0,
-                          var_zeta=1.0, alpha=0.5, epsilon=0.75)
-        with pytest.raises(InvalidArgumentError):
-            lambda_target(2, 2, "nonsense")
-        with pytest.raises(InvalidArgumentError):
-            lambda_target(0, 2, "beta_hermite", beta=1.0)
+        degenerate = dict(a=1.0, var_eta=1.0, var_zeta=1.0, alpha=0.5)
+        bad_calls = [
+            lambda: covariance_target((2,), "beta_hermite"),
+            lambda: covariance_target((2,), "beta_hermite", beta=0.0),
+            lambda: covariance_target((2,), "symmetric_degenerate", epsilon=0.75, **degenerate),
+            lambda: covariance_target((2,), "symmetric_degenerate", **degenerate),
+            lambda: covariance_target((2,), "iid_mc", replicas=100),
+            lambda: covariance_target((2,), "iid_mc", spec=EnsembleSpec.anderson()),
+            lambda: covariance_target((2,), "nonsense"),
+            lambda: covariance_target((0, 2), "beta_hermite", beta=1.0),
+        ]
+        for call in bad_calls:
+            with pytest.raises(InvalidArgumentError):
+                call()
 
     def test_iid_mc_diagonal_matches_dk(self):
         spec = EnsembleSpec.anderson()
-        val = lambda_target(3, 3, "iid_mc", spec=spec, replicas=200_000, seed=9)
+        val = covariance_target((3,), "iid_mc", spec=spec, replicas=200_000, seed=9).value[0, 0]
         assert val == pytest.approx(49.0, rel=0.05)
 
     def test_iid_mc_cross_power_against_exhaustive(self):
         # joint law of (X_{1,i}, X_{3,i}) for Rademacher disorder:
         # X_1 = d_i, X_3 = 4 d_i + 3 d_{i+1}, lag covariances included
         spec = EnsembleSpec.anderson()
-        val = lambda_target(1, 3, "iid_mc", spec=spec, replicas=400_000, seed=2)
+        val = covariance_target((1, 3), "iid_mc", spec=spec, replicas=400_000,
+                                seed=2).value[0, 1]
         # same-site: cov(d_2, 4d_2+3d_3) = 4; lag 1: cov(d_2, 4d_3+3d_4) = 0
         # and cov(d_3, 4d_2+3d_3) = 3; lag 2 terms vanish
         expected = 4.0 + 3.0
