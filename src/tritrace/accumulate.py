@@ -5,8 +5,8 @@ relative, so plain left-to-right accumulation is not good enough.  Float
 arrays are reduced blockwise (numpy pairwise summation inside each block)
 and the block sums are combined with ``math.fsum``, which rounds the exact
 result once.  Exact (object/integer) arrays fall back to Python's exact
-integer arithmetic.  A sum that overflows, or that meets infinities of both
-signs, raises :class:`NumericOverflowError`.
+integer arithmetic.  A float sum whose result is not finite (it overflowed,
+or its terms held an infinity or NaN) raises :class:`NumericOverflowError`.
 """
 
 from __future__ import annotations
@@ -21,11 +21,14 @@ _BLOCK = 256
 
 
 def fsum(values) -> float:
-    """``math.fsum`` that reports overflow as :class:`NumericOverflowError`."""
+    """``math.fsum`` that raises :class:`NumericOverflowError` unless the sum is finite."""
     try:
-        return math.fsum(values)
+        total = math.fsum(values)
     except (OverflowError, ValueError) as exc:
         raise NumericOverflowError(f"compensated sum is not finite: {exc}") from exc
+    if not math.isfinite(total):
+        raise NumericOverflowError(f"compensated sum is not finite: {total}")
+    return total
 
 
 def compensated_sum(values) -> float:

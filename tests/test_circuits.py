@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import central_trinomial
 from tritrace import circuits
+from tritrace.accumulate import compensated_sum
 from tritrace.circuits import (
+    BANDED_MIN_K,
     CircuitType,
     TridiagonalMatrix,
     count_circuits_bruteforce,
@@ -12,8 +16,8 @@ from tritrace.circuits import (
     trace_power_direct,
     trace_power_expansion,
     types_as_json_lines,
-    types_from_json_lines,
 )
+from tritrace.ensembles import EnsembleSpec, sample_matrix
 from tritrace.errors import InvalidArgumentError, NumericOverflowError
 
 
@@ -134,8 +138,9 @@ class TestTypeEnumeration:
 
     def test_json_lines_roundtrip(self):
         types = enumerate_types(5)
-        again = types_from_json_lines(types_as_json_lines(types))
-        assert again == types
+        records = [json.loads(line) for line in types_as_json_lines(types).splitlines()]
+        assert records == [{"k": t.k, "l": t.span, "m": list(t.half_edges),
+                            "n": list(t.loops), "count": t.count} for t in types]
 
 
 def ones_matrix(n, dtype=float):
@@ -206,7 +211,31 @@ class TestTraceExpansion:
                 trace_power_direct(m, k)
 
 
+class TestCompensatedSum:
+    @pytest.mark.parametrize("values", [
+        [np.inf, -np.inf] * 150,   # blockwise path: the pair meets inside one block sum
+        [np.inf] * 10,             # math.fsum path
+    ])
+    def test_non_finite_sum_is_an_error(self, values):
+        with pytest.raises(NumericOverflowError):
+            compensated_sum(values)
+
+
 class TestTraceDirect:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_exact_integer_matches_dense_power(self, n):
+        # distinct, signed, non-symmetric entries; at n <= 3 the band of the
+        # half powers is wider than the matrix
+        values = [(-1) ** v * v for v in range(2, 3 * n)]
+        m = TridiagonalMatrix(sub=np.array(values[n:2 * n - 1], dtype=object),
+                              diag=np.array(values[:n], dtype=object),
+                              sup=np.array(values[2 * n - 1:], dtype=object))
+        for k in range(1, 13):
+            got = trace_power_direct(m, k)
+            assert isinstance(got, int)
+            # object-dtype dense power: Python integer arithmetic throughout
+            assert got == np.trace(np.linalg.matrix_power(m.to_dense(), k))
+
     def test_identity_matrix(self):
         m = TridiagonalMatrix(sub=np.zeros(6), diag=np.ones(7), sup=np.zeros(6))
         for k in (1, 2, 5):
@@ -264,3 +293,37 @@ class TestOracleEquivalence:
         batch = circuits.traces_for_k_list(m, (1, 2, 3, 4, 5))
         singles = [trace_power_expansion(m, k, enumerate_types(k)) for k in (1, 2, 3, 4, 5)]
         assert np.allclose(batch, singles, rtol=0, atol=0)
+
+
+class TestMonteCarloRoute:
+    """``traces_for_k_list`` against the independent expansion oracle."""
+
+    @pytest.fixture(params=[
+        (model, n) for model in ("beta_hermite", "hatano_nelson") for n in (8, 64, 1000)],
+        ids=lambda p: f"{p[0]}-n{p[1]}")
+    def matrix(self, request):
+        model, n = request.param
+        spec = (EnsembleSpec.beta_hermite(2.0) if model == "beta_hermite"
+                else EnsembleSpec.hatano_nelson())
+        return sample_matrix(spec, n, 20 + n)
+
+    def test_matches_expansion_at_every_power(self, matrix):
+        for k in range(1, 13):
+            got = circuits.traces_for_k_list(matrix, [k])[0]
+            want = trace_power_expansion(matrix, k, enumerate_types(k))
+            if k < BANDED_MIN_K:
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+    def test_mixed_list_equals_single_calls(self, matrix):
+        ks = (12, 1, 8, 3, 9, 4, 11, 7)
+        batch = circuits.traces_for_k_list(matrix, ks)
+        singles = [circuits.traces_for_k_list(matrix, [k])[0] for k in ks]
+        np.testing.assert_allclose(batch, singles, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("k_list", [[0], [17], [8, 17], [12, 0], [8, 9.0], [True]])
+    def test_power_validation(self, k_list):
+        m = ones_matrix(20)
+        with pytest.raises(InvalidArgumentError):
+            circuits.traces_for_k_list(m, k_list)
