@@ -13,8 +13,9 @@ short sum of windowed entry products:
 
 This module builds the class tables exactly, provides a brute-force walk
 oracle for them, and evaluates traces both through the expansion and
-through banded matrix powering.  The two routes are independent oracles for
-each other; Monte Carlo traces take whichever is cheaper for each power.
+through banded matrix powering.  These two routes are independent oracles
+for each other.  Monte Carlo traces take, for each power, whichever of the
+expansion and a separate half-power banded kernel is cheaper.
 """
 
 from __future__ import annotations
@@ -343,13 +344,19 @@ def trace_power_expansion(matrix: TridiagonalMatrix, k: int, types) -> float:
 
 
 def _power_stacks(matrix: TridiagonalMatrix, p_max: int) -> list[np.ndarray]:
-    """Diagonal stacks of ``M^0 .. M^p_max`` (``p_max >= 1``), one banded pass.
+    """Diagonal stacks of ``S^0 .. S^p_max`` (``p_max >= 1``), one banded pass.
+
+    ``S`` has the diagonal of ``M``, ones above it and the edge products
+    ``sub*sup`` below it.  Every closed walk crosses each edge as often up as
+    down, so ``trace(S^k) = trace(M^k)`` for every ``k``; like the expansion,
+    the stacks then never form a power of ``sub`` or ``sup`` alone, which
+    could overflow or underflow when the two are very unequal.
 
     Stack ``j`` has shape ``(2j+1, n + 2*p_max)``: row ``j + o`` holds
-    ``M^j[c-o, c]`` in column ``p_max + c``, and every other slot is zero,
+    ``S^j[c-o, c]`` in column ``p_max + c``, and every other slot is zero,
     including rows with ``|o| >= n`` when the band is wider than the matrix.
-    Column ``c`` of ``M^j M`` mixes columns ``c-1, c, c+1`` of ``M^j``, each
-    scaled by one entry of ``M`` chosen by the source column.  So each step
+    Column ``c`` of ``S^j S`` mixes columns ``c-1, c, c+1`` of ``S^j``, each
+    scaled by one entry of ``S`` chosen by the source column.  So each step
     is three whole-stack products, each added at a fixed shift of the
     flattened stack; entries a shift carries across a row end fall on zero
     padding.  The ``p_max`` zero columns on each side also let
@@ -359,9 +366,9 @@ def _power_stacks(matrix: TridiagonalMatrix, p_max: int) -> list[np.ndarray]:
     width = n + 2 * pad
     dtype = object if matrix.is_exact else float
     to_left, stay, to_right = (np.zeros(width, dtype=dtype) for _ in range(3))
-    to_left[pad + 1:pad + n] = matrix.sub     # M[s, s-1] feeds column s-1
-    stay[pad:pad + n] = matrix.diag           # M[s, s]
-    to_right[pad:pad + n - 1] = matrix.sup    # M[s, s+1] feeds column s+1
+    to_left[pad + 1:pad + n] = matrix.sub * matrix.sup  # S[s, s-1] feeds column s-1
+    stay[pad:pad + n] = matrix.diag                     # S[s, s]
+    to_right[pad:pad + n - 1] = 1                       # S[s, s+1] feeds column s+1
     stack = np.zeros((1, width), dtype=dtype)
     stack[0, pad:pad + n] = 1
     stacks = [stack]
@@ -382,10 +389,10 @@ def _power_stacks(matrix: TridiagonalMatrix, p_max: int) -> list[np.ndarray]:
 
 
 def _banded_trace(stacks: list[np.ndarray], k: int):
-    """``trace(M^k) = sum_{r,c} (M^p)_{rc} (M^q)_{cr}``, ``p = ceil(k/2)``, ``q = floor(k/2)``.
+    """``trace(S^k) = sum_{r,c} (S^p)_{rc} (S^q)_{cr}``, ``p = ceil(k/2)``, ``q = floor(k/2)``.
 
     ``stacks`` comes from :func:`_power_stacks` with ``p_max >= p``.  The
-    ``M^q`` factor is read row-indexed (row ``q + o`` holds ``M^q[r, r+o]`` at
+    ``S^q`` factor is read row-indexed (row ``q + o`` holds ``S^q[r, r+o]`` at
     column ``r``): on the flattened stack that is a row stride one longer
     than the stack's, and it stays inside the stack because ``q <= p_max``.
     Both factors then line up elementwise and one compensated sum gives the
@@ -395,31 +402,78 @@ def _banded_trace(stacks: list[np.ndarray], k: int):
     pad = len(stacks) - 1
     width = stacks[0].shape[1]
     n = width - 2 * pad
-    col = stacks[p][p - q:p + q + 1, pad:pad + n]                # M^p[c-o, c]
+    col = stacks[p][p - q:p + q + 1, pad:pad + n]                # S^p[c-o, c]
     flat = stacks[q].ravel()[pad - q:]
-    row = as_strided(flat, shape=(2 * q + 1, n),                 # M^q[r, r+o]
+    row = as_strided(flat, shape=(2 * q + 1, n),                 # S^q[r, r+o]
                      strides=((width + 1) * flat.itemsize, flat.itemsize), writeable=False)
     with np.errstate(over="ignore", invalid="ignore"):
         return compensated_sum((col * row[::-1]).ravel())
 
 
+def _shifted(vec: np.ndarray, s: int, zero: np.ndarray) -> np.ndarray:
+    # w[r] = vec[r+s], zero-padded outside [0, n)
+    n = vec.shape[0]
+    if s == 0:
+        return vec
+    w = zero.copy()
+    if s > 0:
+        if s < n:
+            w[:n - s] = vec[s:]
+    else:
+        if -s < n:
+            w[-s:] = vec[:n + s]
+    return w
+
+
 def trace_power_direct(matrix: TridiagonalMatrix, k: int,
                        dense_check_max: int = DENSE_CHECK_MAX) -> float:
-    """Evaluate trace(M^k) by banded matrix powering.
+    """Evaluate trace(M^k) by repeated banded multiplication.
 
-    Builds the half powers ``M^1 .. M^ceil(k/2)`` as diagonal stacks and
-    pairs ``M^ceil(k/2)`` with ``M^floor(k/2)``, at O(n k^2) cost and with no
-    dense n-by-n array.  For small matrices (n <= dense_check_max, float
-    entries) a dense matrix power is computed as a second cross-check.
-    Exact-entry matrices (object dtype) are powered in exact integer
-    arithmetic.
+    The j-th power is kept as its min(j, n-1) nonzero diagonals, so the cost
+    is O(n k^2) and no dense n-by-n array is built.  For small matrices
+    (n <= dense_check_max, float entries) a dense matrix power is computed
+    as a second cross-check.  This is the reference the other routes are
+    checked against, so it shares no code with the Monte Carlo kernel
+    (:func:`_power_stacks`).
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
+    n = matrix.n
+    exact = matrix.is_exact
     if k == 1:
-        return compensated_sum(matrix.diag)
-    total = _banded_trace(_power_stacks(matrix, (k + 1) // 2), k)
-    if not matrix.is_exact and matrix.n <= dense_check_max:
+        total = compensated_sum(matrix.diag)
+        return total if exact else float(total)
+
+    zero = np.full(n, 0, dtype=object) if exact else np.zeros(n)
+    # Row-indexed padded diagonals of the tridiagonal factor.
+    q_up = zero.copy()
+    q_up[:n - 1] = matrix.sup      # q_up[r] = M[r, r+1]
+    q_dg = zero.copy()
+    q_dg[:] = matrix.diag
+    q_dn = zero.copy()
+    q_dn[1:] = matrix.sub          # q_dn[r] = M[r, r-1]
+
+    power = {0: q_dg.copy(), 1: q_up.copy(), -1: q_dn.copy()}
+    width = 1
+    for _ in range(k - 1):
+        width = min(width + 1, n - 1)
+        nxt = {}
+        for off in range(-width, width + 1):
+            acc = None
+            for src, q in ((off - 1, q_up), (off, q_dg), (off + 1, q_dn)):
+                prev = power.get(src)
+                if prev is None:
+                    continue
+                term = prev * _shifted(q, src, zero)
+                acc = term if acc is None else acc + term
+            nxt[off] = acc
+        power = nxt
+
+    total = compensated_sum(power[0])
+    if exact:
+        return total
+    total = float(total)
+    if n <= dense_check_max:
         dense = np.trace(np.linalg.matrix_power(matrix.to_dense(), k))
         if abs(dense - total) > 1e-8 * (1.0 + abs(dense)):
             raise TriTraceError(

@@ -17,7 +17,7 @@ from tritrace.circuits import (
     trace_power_expansion,
     types_as_json_lines,
 )
-from tritrace.ensembles import EnsembleSpec, sample_matrix
+from tritrace.ensembles import EnsembleSpec, EntryLaw, sample_matrix
 from tritrace.errors import InvalidArgumentError, NumericOverflowError
 
 
@@ -200,6 +200,9 @@ class TestTraceExpansion:
         # edge products of +inf and -inf in one class sum
         (TridiagonalMatrix(sub=np.array([1e200, 1e200]), diag=np.ones(3),
                            sup=np.array([1e200, -1e200])), 2),
+        # k >= BANDED_MIN_K: traces_for_k_list takes the half-power banded kernel
+        (TridiagonalMatrix(sub=np.full(9, 1e40), diag=np.full(10, 1e40),
+                           sup=np.full(9, 1e40)), 8),
     ])
     def test_sum_overflow_is_typed_on_every_route(self, m, k):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -217,25 +220,11 @@ class TestCompensatedSum:
         [np.inf] * 10,             # math.fsum path
     ])
     def test_non_finite_sum_is_an_error(self, values):
-        with pytest.raises(NumericOverflowError):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError):
             compensated_sum(values)
 
 
 class TestTraceDirect:
-    @pytest.mark.parametrize("n", [1, 2, 3, 7])
-    def test_exact_integer_matches_dense_power(self, n):
-        # distinct, signed, non-symmetric entries; at n <= 3 the band of the
-        # half powers is wider than the matrix
-        values = [(-1) ** v * v for v in range(2, 3 * n)]
-        m = TridiagonalMatrix(sub=np.array(values[n:2 * n - 1], dtype=object),
-                              diag=np.array(values[:n], dtype=object),
-                              sup=np.array(values[2 * n - 1:], dtype=object))
-        for k in range(1, 13):
-            got = trace_power_direct(m, k)
-            assert isinstance(got, int)
-            # object-dtype dense power: Python integer arithmetic throughout
-            assert got == np.trace(np.linalg.matrix_power(m.to_dense(), k))
-
     def test_identity_matrix(self):
         m = TridiagonalMatrix(sub=np.zeros(6), diag=np.ones(7), sup=np.zeros(6))
         for k in (1, 2, 5):
@@ -321,6 +310,34 @@ class TestMonteCarloRoute:
         batch = circuits.traces_for_k_list(matrix, ks)
         singles = [circuits.traces_for_k_list(matrix, [k])[0] for k in ks]
         np.testing.assert_allclose(batch, singles, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_unequal_off_diagonals_do_not_overflow(self, n):
+        # sub*sup == 1, so every trace is finite, but sup^6 alone overflows
+        # and sub^6 alone underflows
+        spec = EnsembleSpec.hatano_nelson(a_law=EntryLaw.constant(1e60),
+                                          b_law=EntryLaw.constant(1e-60))
+        m = sample_matrix(spec, n, 31)
+        got = circuits.traces_for_k_list(m, range(BANDED_MIN_K, 13))
+        for k, value in zip(range(BANDED_MIN_K, 13), got):
+            want = trace_power_expansion(m, k, enumerate_types(k))
+            assert abs(value - want) <= 1e-9 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_exact_integer_kernel_matches_dense_power(self, n):
+        # distinct, signed, non-symmetric entries; at n <= 3 the band of the
+        # half powers is wider than the matrix
+        values = [(-1) ** v * v for v in range(2, 3 * n)]
+        m = TridiagonalMatrix(sub=np.array(values[n:2 * n - 1], dtype=object),
+                              diag=np.array(values[:n], dtype=object),
+                              sup=np.array(values[2 * n - 1:], dtype=object))
+        stacks = circuits._power_stacks(m, 6)
+        for k in range(1, 13):
+            # object-dtype dense power: Python integer arithmetic throughout
+            want = np.trace(np.linalg.matrix_power(m.to_dense(), k))
+            for got in (circuits._banded_trace(stacks, k), trace_power_direct(m, k)):
+                assert isinstance(got, int)
+                assert got == want
 
     @pytest.mark.parametrize("k_list", [[0], [17], [8, 17], [12, 0], [8, 9.0], [True]])
     def test_power_validation(self, k_list):
