@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .accumulate import compensated_sum, fsum
+from .accumulate import compensated_sum, compensated_sum_rows, fsum
 from .errors import InvalidArgumentError, TriTraceError
 
 DEFAULT_K_MAX = 16
@@ -343,14 +343,21 @@ def trace_power_expansion(matrix: TridiagonalMatrix, k: int, types) -> float:
     return sum(totals) if matrix.is_exact else fsum(totals)
 
 
-def _power_stacks(matrix: TridiagonalMatrix, p_max: int) -> list[np.ndarray]:
+def _work_size(n: int, p_max: int) -> int:
+    """Entries of the workspace :func:`_power_stacks` needs: its scratch
+    stack and stacks ``1 .. p_max``."""
+    return (2 * p_max - 1 + (p_max + 2) * p_max) * (n + 2 * p_max)
+
+
+def _power_stacks(ab: np.ndarray, diag: np.ndarray, p_max: int,
+                  work: np.ndarray) -> list[np.ndarray]:
     """Diagonal stacks of ``S^0 .. S^p_max`` (``p_max >= 1``), one banded pass.
 
-    ``S`` has the diagonal of ``M``, ones above it and the edge products
-    ``sub*sup`` below it.  Every closed walk crosses each edge as often up as
-    down, so ``trace(S^k) = trace(M^k)`` for every ``k``; like the expansion,
-    the stacks then never form a power of ``sub`` or ``sup`` alone, which
-    could overflow or underflow when the two are very unequal.
+    ``S`` has the diagonal ``diag`` of ``M``, ones above it and the edge
+    products ``ab = sub*sup`` below it.  Every closed walk crosses each edge
+    as often up as down, so ``trace(S^k) = trace(M^k)`` for every ``k``; like
+    the expansion, the stacks then never form a power of ``sub`` or ``sup``
+    alone, which could overflow or underflow when the two are very unequal.
 
     Stack ``j`` has shape ``(2j+1, n + 2*p_max)``: row ``j + o`` holds
     ``S^j[c-o, c]`` in column ``p_max + c``, and every other slot is zero,
@@ -361,23 +368,27 @@ def _power_stacks(matrix: TridiagonalMatrix, p_max: int) -> list[np.ndarray]:
     flattened stack; entries a shift carries across a row end fall on zero
     padding.  The ``p_max`` zero columns on each side also let
     :func:`_banded_trace` read a stack row-indexed.
+
+    Stacks ``1 .. p_max`` are views into ``work`` (``_work_size(n, p_max)``
+    entries of the stacks' dtype), which is overwritten.
     """
-    n, pad = matrix.n, p_max
+    n, pad = diag.shape[0], p_max
     width = n + 2 * pad
-    dtype = object if matrix.is_exact else float
+    dtype = work.dtype
     to_left, stay, to_right = (np.zeros(width, dtype=dtype) for _ in range(3))
-    to_left[pad + 1:pad + n] = matrix.sub * matrix.sup  # S[s, s-1] feeds column s-1
-    stay[pad:pad + n] = matrix.diag                     # S[s, s]
-    to_right[pad:pad + n - 1] = 1                       # S[s, s+1] feeds column s+1
+    to_left[pad + 1:pad + n] = ab        # S[s, s-1] feeds column s-1
+    stay[pad:pad + n] = diag             # S[s, s]
+    to_right[pad:pad + n - 1] = 1        # S[s, s+1] feeds column s+1
     stack = np.zeros((1, width), dtype=dtype)
     stack[0, pad:pad + n] = 1
     stacks = [stack]
-    scratch = np.empty((2 * p_max - 1) * width, dtype=dtype)
+    scratch, store = work[:(2 * p_max - 1) * width], work[(2 * p_max - 1) * width:]
+    store.fill(0)
     with np.errstate(over="ignore", invalid="ignore"):  # the trace sum reports it
         for _ in range(p_max):
             size = stack.size
             term = scratch[:size].reshape(stack.shape)
-            flat = np.zeros(size + 2 * width, dtype=dtype)
+            flat, store = store[:size + 2 * width], store[size + 2 * width:]
             np.multiply(stack, stay, out=flat[width:width + size].reshape(stack.shape))
             np.multiply(stack, to_right, out=term)
             flat[2 * width + 1:] += scratch[:size - 1]    # one row down, one column right
@@ -408,6 +419,24 @@ def _banded_trace(stacks: list[np.ndarray], k: int):
                      strides=((width + 1) * flat.itemsize, flat.itemsize), writeable=False)
     with np.errstate(over="ignore", invalid="ignore"):
         return compensated_sum((col * row[::-1]).ravel())
+
+
+def _banded_traces(ab: np.ndarray, diag: np.ndarray, k_list: list[int]) -> list[list]:
+    """:func:`_banded_trace` of each row of ``ab`` and ``diag`` at each power.
+
+    The rows share one workspace for their stacks.  Allocating the stacks
+    afresh for every matrix made the allocator hand the memory back and
+    fault it in again, up to 20k page faults in a 144-trial beta-Hermite
+    n=1000 run, depending on the heap's layout.
+    """
+    p_max = (max(k_list) + 1) // 2
+    work = np.empty(_work_size(diag.shape[1], p_max),
+                    dtype=object if diag.dtype == object else float)
+    out = []
+    for a, d in zip(ab, diag):
+        stacks = _power_stacks(a, d, p_max, work)
+        out.append([_banded_trace(stacks, k) for k in k_list])
+    return out
 
 
 def _shifted(vec: np.ndarray, s: int, zero: np.ndarray) -> np.ndarray:
@@ -481,23 +510,35 @@ def trace_power_direct(matrix: TridiagonalMatrix, k: int,
     return total
 
 
-def traces_for_k_list(matrix: TridiagonalMatrix, k_list) -> np.ndarray:
-    """Traces of several powers of one matrix, each by its cheaper route.
+def traces_for_rows(ab: np.ndarray, diag: np.ndarray, k_list) -> np.ndarray:
+    """Traces of several powers of many matrices, each power by its cheaper route.
 
-    Powers below :data:`BANDED_MIN_K` use the class expansion and share its
-    power caches; higher powers share one set of banded half-power stacks.
+    Row ``r`` of the ``(rows, n-1)`` edge products ``ab = sub*sup`` and the
+    ``(rows, n)`` diagonals ``diag`` is one matrix; the result is
+    ``(rows, len(k_list))``.  Powers below :data:`BANDED_MIN_K` use the class
+    expansion over all rows at once and share its power caches; higher powers
+    share one set of banded half-power stacks per row.  Each value is
+    bitwise the one a lone row would give.
     """
     k_list = [_checked_power(k, DEFAULT_K_MAX) for k in k_list]
-    n = matrix.n
-    high = [k for k in k_list if k >= BANDED_MIN_K]
+    rows, n = diag.shape
+    out = np.empty((rows, len(k_list)))
+    high = [j for j, k in enumerate(k_list) if k >= BANDED_MIN_K]
     if high:
-        stacks = _power_stacks(matrix, (max(high) + 1) // 2)
-    pows = slot_powers(matrix.sub * matrix.sup, matrix.diag)
-    return np.array([
-        _banded_trace(stacks, k) if k >= BANDED_MIN_K else
-        fsum([t.count * compensated_sum(class_product(pows, t, 0, n - t.span))
-              for t in enumerate_types(k)])
-        for k in k_list])
+        out[:, high] = _banded_traces(ab, diag, [k_list[j] for j in high])
+    pows = slot_powers(ab, diag)
+    for j, k in enumerate(k_list):
+        if k < BANDED_MIN_K:
+            totals = [[t.count * s for s in
+                       compensated_sum_rows(class_product(pows, t, 0, n - t.span))]
+                      for t in enumerate_types(k)]
+            out[:, j] = [fsum(row) for row in zip(*totals)]
+    return out
+
+
+def traces_for_k_list(matrix: TridiagonalMatrix, k_list) -> np.ndarray:
+    """Traces of several powers of one matrix: :func:`traces_for_rows` on one row."""
+    return traces_for_rows((matrix.sub * matrix.sup)[None, :], matrix.diag[None, :], k_list)[0]
 
 
 def types_as_json_lines(types) -> str:

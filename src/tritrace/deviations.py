@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .ensembles import EnsembleSpec, EntryLaw
 from .errors import DegenerateRateError, InvalidArgumentError
@@ -108,7 +107,7 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
             tail = float(np.mean(np.abs(s) >= delta)) if delta > 0 else 1.0
             predicted = delta ** 2 / (2.0 * dk.value)
             flags = []
-            predicted_tail = 2.0 * (1.0 - ndtr(delta / sd)) if delta > 0 else 1.0
+            predicted_tail = math.erfc(delta / (sd * math.sqrt(2.0))) if delta > 0 else 1.0
             if predicted_tail * trials < MIN_EXPECTED_TAIL_COUNT:
                 flags.append("low-count")
             if tail == 0.0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,6 +49,9 @@ class EntryLaw:
     def uniform(cls, lo: float, hi: float) -> "EntryLaw":
         if not hi > lo:
             raise InvalidArgumentError("uniform law needs hi > lo")
+        if not math.isfinite(hi - lo):
+            # numpy cannot draw on an infinitely wide interval
+            raise InvalidArgumentError("uniform law needs a finite width hi - lo")
         return cls("uniform", (float(lo), float(hi)))
 
     @classmethod
@@ -439,57 +443,82 @@ def _streams(seed, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
+def _rekeyed_streams(gens: list[np.random.Generator], master_seed: int, trial_index: int,
+                     count: int) -> list[np.random.Generator]:
+    """``_streams(trial_seed_sequence(master_seed, trial_index), count)``, drawn
+    from the reused generators ``gens`` (extended as needed).
+
+    Philox is counter-based: child ``i`` of the trial's seed sequence is the
+    key ``SeedSequence(master_seed, spawn_key=(trial_index, i))`` generates,
+    with the counter and output buffer at zero.  Setting exactly that state
+    reproduces the child stream without building a new generator.
+    """
+    while len(gens) < count:
+        gens.append(np.random.Generator(np.random.Philox(0)))
+    entropy = int(master_seed) & 0xFFFFFFFFFFFFFFFF
+    for i, gen in enumerate(gens[:count]):
+        key = np.random.SeedSequence(entropy, spawn_key=(int(trial_index), i)) \
+            .generate_state(2, np.uint64)
+        gen.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": key},
+            "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gens[:count]
+
+
 # ---------------------------------------------------------------------------
 # Matrix sampling
 
 
-def sample_matrix(spec: EnsembleSpec, n: int, seed) -> TridiagonalMatrix:
-    """Draw one n-by-n realization; a deterministic function of (spec, n, seed)."""
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+def _draw_matrix(spec: EnsembleSpec, n: int,
+                 streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sub, diag, sup)`` of one n-by-n realization; ``streams(count)``
+    returns the realization's first ``count`` generators."""
     model = spec.model
     if model == "anderson":
-        (rng,) = _streams(seed, 1)
+        (rng,) = streams(1)
         d = spec.d_law.sample(rng, n)
         off = np.full(n - 1, -1.0)
-        return TridiagonalMatrix(sub=off, diag=d, sup=off.copy())
+        return off, d, off
 
     if model == "beta_hermite":
-        rng_a, rng_d = _streams(seed, 2)
+        rng_a, rng_d = streams(2)
         idx = np.arange(1, n, dtype=float)
         gam = rng_a.gamma(shape=idx * spec.beta / 2.0, scale=2.0)
         a = np.sqrt(gam / spec.beta)
         d = rng_d.normal(0.0, math.sqrt(2.0 / spec.beta), n)
-        return TridiagonalMatrix(sub=a, diag=d, sup=a.copy())
+        return a, d, a
 
     if model in ("hatano_nelson", "generic_iid"):
         if spec.symmetric:
-            rng_s, rng_d = _streams(seed, 2)
+            rng_s, rng_d = streams(2)
             s = spec.a_law.sample(rng_s, n - 1)
             d = spec.d_law.sample(rng_d, n)
-            return TridiagonalMatrix(sub=s, diag=d, sup=s.copy())
-        rng_a, rng_d, rng_b = _streams(seed, 3)
+            return s, d, s
+        rng_a, rng_d, rng_b = streams(3)
         a = spec.a_law.sample(rng_a, n - 1)
         d = spec.d_law.sample(rng_d, n)
         b = spec.b_law.sample(rng_b, n - 1)
-        return TridiagonalMatrix(sub=a, diag=d, sup=b)
+        return a, d, b
 
     if model == "birth_death_q":
         if spec.symmetric:
-            (rng_s,) = _streams(seed, 1)
+            (rng_s,) = streams(1)
             s = spec.a_law.sample(rng_s, n)       # s[i] = a_{i+1} = b_{i+1}
             a_prev = np.concatenate(([0.0], s[:n - 1]))
             d = -(a_prev + s)
-            return TridiagonalMatrix(sub=s[:n - 1], diag=d, sup=s[:n - 1].copy())
-        rng_a, rng_b = _streams(seed, 2)
+            return s[:n - 1], d, s[:n - 1]
+        rng_a, rng_b = streams(2)
         a = spec.a_law.sample(rng_a, n - 1)
         b = spec.b_law.sample(rng_b, n)           # b_n enters d_n through the sequence rule
         a_prev = np.concatenate(([0.0], a))
         d = -(a_prev + b)
-        return TridiagonalMatrix(sub=a, diag=d, sup=b[:n - 1])
+        return a, d, b[:n - 1]
 
     if model == "birth_death_kernel":
-        (rng,) = _streams(seed, 1)
+        (rng,) = streams(1)
         if spec.kernel_variant == "v":
             v = spec.kernel_law.sample(rng, max(n - 2, 0))   # V_2 .. V_{n-1}
             sup = np.concatenate(([1.0], v))                  # b_1 = 1
@@ -502,9 +531,46 @@ def sample_matrix(spec: EnsembleSpec, n: int, seed) -> TridiagonalMatrix:
         a_prev = np.concatenate(([0.0], sub))
         b_full = np.concatenate((sup, [0.0]))                 # kernel boundary: b_n = 0
         d = 1.0 - a_prev - b_full
-        return TridiagonalMatrix(sub=sub, diag=d, sup=sup)
+        return sub, d, sup
 
     raise InvalidArgumentError(f"unknown model {model!r}")  # pragma: no cover
+
+
+def sample_matrix(spec: EnsembleSpec, n: int, seed) -> TridiagonalMatrix:
+    """Draw one n-by-n realization; a deterministic function of (spec, n, seed)."""
+    if n < 2:
+        raise InvalidArgumentError("n must be >= 2")
+    sub, diag, sup = _draw_matrix(spec, n, partial(_streams, seed))
+    return TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
+
+
+def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: range,
+                         rows: int):
+    """The matrices of Monte Carlo ``trials``, ``rows`` trials at a time.
+
+    Yields ``(chunk, sub, diag, sup)``: ``chunk`` is the sub-range of trials
+    and row ``r`` of the ``(len(chunk), n-1)``, ``(len(chunk), n)`` and
+    ``(len(chunk), n-1)`` arrays holds the diagonals of
+    ``sample_matrix(spec, n, trial_seed_sequence(master_seed, chunk[r]))``,
+    bit for bit.  One generator per stream index serves every trial, and
+    every chunk is written into the same three buffers, so a chunk must be
+    used before the next one is requested.  Non-finite entries raise
+    :class:`InvalidArgumentError`, as in :class:`TridiagonalMatrix`.
+    """
+    if n < 2:
+        raise InvalidArgumentError("n must be >= 2")
+    gens: list[np.random.Generator] = []
+    size = min(rows, len(trials))
+    buffers = np.empty((size, n - 1)), np.empty((size, n)), np.empty((size, n - 1))
+    for start in range(trials.start, trials.stop, rows):
+        chunk = range(start, min(start + rows, trials.stop))
+        sub, diag, sup = (buf[:len(chunk)] for buf in buffers)
+        for r, t in enumerate(chunk):
+            sub[r], diag[r], sup[r] = _draw_matrix(
+                spec, n, partial(_rekeyed_streams, gens, master_seed, t))
+        if not (np.isfinite(sub).all() and np.isfinite(diag).all() and np.isfinite(sup).all()):
+            raise InvalidArgumentError("matrix entries must be finite")
+        yield chunk, sub, diag, sup
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import central_trinomial
 from tritrace import circuits
-from tritrace.accumulate import compensated_sum
+from tritrace.accumulate import compensated_sum, compensated_sum_rows
 from tritrace.circuits import (
     BANDED_MIN_K,
     CircuitType,
@@ -223,6 +224,26 @@ class TestCompensatedSum:
         with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError):
             compensated_sum(values)
 
+    @pytest.mark.parametrize("width", [0, 1, 255, 256, 257, 700, 1000])
+    def test_rows_match_one_row_at_a_time(self, width):
+        rng = np.random.default_rng(width)
+        base = rng.standard_normal((9, width + 5)) * 10.0 ** rng.integers(-12, 12, width + 5)
+        rows = base[:, 2:2 + width]  # strided, as class products are
+        # the per-row reference: fsum of 256-wide numpy block sums
+        want = [math.fsum(np.add.reduceat(row, np.arange(0, width, 256)).tolist()
+                          if width > 256 else row.tolist()) for row in rows]
+        got = compensated_sum_rows(rows)
+        np.testing.assert_array_equal(got, want)
+        assert [compensated_sum(row) for row in rows] == want
+
+    @pytest.mark.parametrize("bad", [
+        [np.inf], [np.nan], [np.inf, -np.inf] * 150, [1e308] * 300])
+    def test_non_finite_row_is_an_error(self, bad):
+        rows = np.ones((3, len(bad)))
+        rows[1] = bad
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericOverflowError):
+            compensated_sum_rows(rows)
+
 
 class TestTraceDirect:
     def test_identity_matrix(self):
@@ -331,11 +352,12 @@ class TestMonteCarloRoute:
         m = TridiagonalMatrix(sub=np.array(values[n:2 * n - 1], dtype=object),
                               diag=np.array(values[:n], dtype=object),
                               sup=np.array(values[2 * n - 1:], dtype=object))
-        stacks = circuits._power_stacks(m, 6)
+        banded = circuits._banded_traces((m.sub * m.sup)[None, :], m.diag[None, :],
+                                         range(1, 13))[0]
         for k in range(1, 13):
             # object-dtype dense power: Python integer arithmetic throughout
             want = np.trace(np.linalg.matrix_power(m.to_dense(), k))
-            for got in (circuits._banded_trace(stacks, k), trace_power_direct(m, k)):
+            for got in (banded[k - 1], trace_power_direct(m, k)):
                 assert isinstance(got, int)
                 assert got == want
 

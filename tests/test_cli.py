@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tritrace
 from tritrace import __version__
 from tritrace.cli import (
     DEFAULT_SEED,
@@ -221,3 +226,14 @@ class TestDeterminism:
         first = path.read_bytes()
         assert run_cli(*base, "--workers", "2") == 0
         assert path.read_bytes() == first
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is only needed for the KS distance and is imported there
+    src = str(Path(tritrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, tritrace.cli; "
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

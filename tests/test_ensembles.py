@@ -50,7 +50,8 @@ class TestEntryLaw:
         assert EntryLaw.parse(str(law)) == law
 
     def test_parse_rejects_garbage(self):
-        for text in ("", "nosuch(1)", "uniform(2,1)", "rademacher(3)", "uniform(1)"):
+        for text in ("", "nosuch(1)", "uniform(2,1)", "rademacher(3)", "uniform(1)",
+                     "uniform(-1e308,1e308)"):
             with pytest.raises(InvalidArgumentError):
                 EntryLaw.parse(text)
 

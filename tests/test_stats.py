@@ -6,12 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import exhaustive_dk, naive_summand
 from tritrace import stats
-from tritrace.circuits import count_circuits_bruteforce, enumerate_types, trace_power_expansion
+from tritrace.circuits import (
+    count_circuits_bruteforce,
+    enumerate_types,
+    trace_power_expansion,
+    traces_for_k_list,
+)
 from tritrace.ensembles import (
     EnsembleSpec,
     EntryLaw,
     EntryWindow,
+    sample_matrix,
     sample_window,
+    trial_seed_sequence,
     window_to_matrix,
 )
 from tritrace.errors import DegenerateTargetError, InvalidArgumentError
@@ -79,7 +86,46 @@ class TestSiteSummand:
         assert site_summand(w, first, k, enumerate_types(k)) == pytest.approx(expected, rel=1e-12)
 
 
+# Every model and variant, with each of the five entry laws somewhere.
+ROW_SPECS = {
+    "anderson-rademacher": EnsembleSpec.anderson(),
+    "anderson-bernoulli": EnsembleSpec.anderson(EntryLaw.bernoulli(0.3, -2.0, 5.0)),
+    "beta_hermite": EnsembleSpec.beta_hermite(2.0),
+    "hatano_nelson-uniform": EnsembleSpec.hatano_nelson(),
+    "generic_iid": EnsembleSpec.generic_iid(EntryLaw.constant(0.7), EntryLaw.gaussian(0.5, 1.5),
+                                            EntryLaw.uniform(-1.0, 2.0)),
+    "generic_iid-symmetric": EnsembleSpec.generic_iid(EntryLaw.gaussian(0.0, 1.0),
+                                                      EntryLaw.rademacher(), symmetric=True),
+    "birth_death_q": EnsembleSpec.birth_death_q(),
+    "birth_death_q-symmetric": EnsembleSpec.birth_death_q(symmetric=True),
+    "kernel-v": EnsembleSpec.birth_death_kernel(),
+    "kernel-conductance": EnsembleSpec.birth_death_kernel(variant="conductance"),
+}
+
+
 class TestMcTraces:
+    @pytest.mark.parametrize("n", [2, 3, 256, 257, 1000])
+    @pytest.mark.parametrize("name", ROW_SPECS)
+    def test_row_chunks_match_per_trial_path(self, name, n):
+        # k spans both routes; the trial range starts off zero and, from n=256
+        # on, spans two row chunks
+        spec = ROW_SPECS[name]
+        k_list = [k for k in (1, 4, 7, 8, 12) if k // 2 + 1 <= n]
+        lo, hi = 5, (25 if n == 1000 else 75)
+        got = stats._trace_block(spec, n, k_list, 41, lo, hi)
+        want = [traces_for_k_list(sample_matrix(spec, n, trial_seed_sequence(41, t)), k_list)
+                for t in range(lo, hi)]
+        np.testing.assert_array_equal(got, want)
+
+    def test_non_finite_draw_is_an_error_on_both_paths(self):
+        # sigma * z overflows to +-inf for |z| > 1.8
+        spec = EnsembleSpec.generic_iid(EntryLaw.constant(1.0), EntryLaw.gaussian(0.0, 1e308),
+                                        symmetric=True)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            sample_matrix(spec, 200, trial_seed_sequence(5, 0))
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            mc_traces(spec, 200, (1,), 4, 5)
+
     def test_zero_diagonal_anderson_is_surely_zero(self):
         spec = EnsembleSpec.anderson(EntryLaw.constant(0.0))
         samples = mc_traces(spec, 50, (1,), 64, 3, alpha=0.0, epsilon=0.0)
@@ -336,9 +382,8 @@ class TestBoundaryTerms:
                 for j, e in enumerate(loops):
                     term *= d_map[i + j] ** e
                 tail += term
-        x = stats.summand_sites((window.a[None, :], window.d[None, :], window.b[None, :]),
-                                1, range(1, n + 1), k)[0]
-        gap = math.fsum(x.tolist()) - trace_power_expansion(matrix, k, enumerate_types(k))
+        x = [site_summand(window, i, k, enumerate_types(k)) for i in range(1, n + 1)]
+        gap = math.fsum(x) - trace_power_expansion(matrix, k, enumerate_types(k))
         assert gap == pytest.approx(tail, rel=1e-9, abs=1e-9)
 
     def test_gap_bound_and_no_growth(self):
