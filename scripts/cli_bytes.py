@@ -34,7 +34,9 @@ BDQ = ["--ensemble", "birth_death_q"]
 BDQ_SYM = ["--ensemble", "birth_death_q", "--symmetric", "true"]
 
 # Sizes cross the 1024-trial blocks the workers share out; n reaches both
-# sides of the 256-term summation block, and k both trace routes.
+# sides of the 256-term summation block, and k both trace routes.  Odd n with
+# Rademacher entries draws an odd number of signs from one stream, so the
+# half word a raw-word draw must leave buffered decides the bytes.
 COMMANDS = {
     "simulate-beta-4.8.12": ["simulate", *BETA2, "--k-list", "4,8,12", "--n", "300",
                              "--trials", "1100"],
@@ -56,6 +58,12 @@ COMMANDS = {
                                    "--a-law", "gaussian(0,1)", "--d-law", "bernoulli(0.3,-2,5)",
                                    "--symmetric", "true", "--k-list", "1,4,8", "--n", "64",
                                    "--trials", "1100"],
+    "simulate-anderson-odd": ["simulate", *ANDERSON, "--k-list", "1,2,3,4", "--n", "401",
+                              "--trials", "1100"],
+    "simulate-generic-rademacher": ["simulate", "--ensemble", "generic_iid",
+                                    "--a-law", "uniform(0.5,1.5)", "--d-law", "rademacher",
+                                    "--b-law", "gaussian(0,1)", "--k-list", "1,2,4,8",
+                                    "--n", "257", "--trials", "1100"],
     "clt-anderson": ["clt", *ANDERSON, "--k-list", "1,3", "--n", "1000", "--trials", "2100",
                      "--replicas", "20000"],
     "clt-beta": ["clt", *BETA2, "--k-list", "1,2,8", "--n", "300", "--trials", "1500"],

@@ -107,7 +107,7 @@ class EntryLaw:
         if self.kind == "gaussian":
             return rng.normal(self.params[0], self.params[1], size)
         if self.kind == "rademacher":
-            return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
+            return _rademacher(rng, size)
         raise InvalidArgumentError(f"unknown law kind: {self.kind!r}")  # pragma: no cover
 
     @property
@@ -207,6 +207,33 @@ class EntryLaw:
             m = max(x0, x1)
             return m + math.log((1 - p) * math.exp(x0 - m) + p * math.exp(x1 - m))
         raise InvalidArgumentError(f"unknown law kind: {self.kind!r}")  # pragma: no cover
+
+
+def _rademacher(rng: np.random.Generator, size) -> np.ndarray:
+    """``rng.integers(0, 2, size) * 2.0 - 1.0`` bit for bit, from raw Philox words.
+
+    For a range of two, ``integers`` (Lemire's multiply-shift method) never
+    rejects: each draw is the top bit of one 32-bit word.  Philox serves
+    32-bit words as the low, then the high half of a 64-bit word and keeps an
+    unused high half in ``has_uint32``/``uinteger``.  So the signs are the top
+    bits of both halves of raw words.  A half word buffered on entry and the
+    last sign of an odd remainder are drawn by ``integers`` itself, which
+    leaves the generator in the state a plain ``integers`` call would.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.Philox):
+        return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
+    out = np.empty(size)
+    flat = out.reshape(-1)
+    head = bits.state["has_uint32"] if flat.size else 0
+    if head:
+        flat[0] = rng.integers(0, 2) * 2.0 - 1.0
+    pairs = (flat.size - head) // 2
+    words = bits.random_raw(pairs).astype("<u8", copy=False).view("<u4")
+    np.subtract(2 * (words >> 31), 1.0, out=flat[head:head + 2 * pairs])
+    if flat.size > head + 2 * pairs:
+        flat[-1] = rng.integers(0, 2) * 2.0 - 1.0
+    return out
 
 
 @dataclass(frozen=True)
@@ -426,16 +453,25 @@ class EnsembleSpec:
 # Seeding
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# Trial indices are one 32-bit spawn word each; larger ones would take two.
+MAX_TRIALS = 1 << 32
+
+
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(int(seed) & 0xFFFFFFFFFFFFFFFF)
+    return np.random.SeedSequence(int(seed) & _MASK64)
 
 
 def trial_seed_sequence(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     """Keyed hash of (master_seed, trial_index); distinct trials never share a stream."""
-    return np.random.SeedSequence(int(master_seed) & 0xFFFFFFFFFFFFFFFF,
-                                  spawn_key=(int(trial_index),))
+    return np.random.SeedSequence(int(master_seed) & _MASK64, spawn_key=(int(trial_index),))
 
 
 def _streams(seed, count: int) -> list[np.random.Generator]:
@@ -443,29 +479,51 @@ def _streams(seed, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(child)) for child in children]
 
 
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's ``hashmix`` on uint32 arrays; returns the hashed words
+    and the next hash constant."""
+    const_next = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(const_next)
+    return value ^ (value >> np.uint32(16)), const_next
 
 
-def _rekeyed_streams(gens: list[np.random.Generator], master_seed: int, trial_index: int,
-                     count: int) -> list[np.random.Generator]:
-    """``_streams(trial_seed_sequence(master_seed, trial_index), count)``, drawn
-    from the reused generators ``gens`` (extended as needed).
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> np.uint32(16))
 
-    Philox is counter-based: child ``i`` of the trial's seed sequence is the
-    key ``SeedSequence(master_seed, spawn_key=(trial_index, i))`` generates,
-    with the counter and output buffer at zero.  Setting exactly that state
-    reproduces the child stream without building a new generator.
+
+def _trial_keys(master_seed: int, trials: range, count: int) -> np.ndarray:
+    """Philox keys of streams ``0 .. count-1`` of the consecutive ``trials``:
+    ``keys[r, i]`` is
+    ``SeedSequence(master_seed, spawn_key=(trials[r], i)).generate_state(2, uint64)``.
+
+    That seed sequence hashes ``master_seed`` into a pool of four words, then
+    mixes in the spawn words ``t`` and ``i``.  The first part is the pool of
+    ``SeedSequence(master_seed)`` for every trial, and the hash constants do
+    not depend on the data (the pool step leaves them at
+    ``INIT_A * MULT_A**16``), so the spawn words of a whole range are mixed
+    in with array operations.
     """
-    while len(gens) < count:
-        gens.append(np.random.Generator(np.random.Philox(0)))
-    entropy = int(master_seed) & 0xFFFFFFFFFFFFFFFF
-    for i, gen in enumerate(gens[:count]):
-        key = np.random.SeedSequence(entropy, spawn_key=(int(trial_index), i)) \
-            .generate_state(2, np.uint64)
-        gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": _ZERO_WORDS, "key": key},
-            "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return gens[:count]
+    if len(trials) and not 0 <= trials.start < trials.stop <= MAX_TRIALS:
+        raise InvalidArgumentError(f"trial indices must lie in [0, 2**32), got {trials}")
+    pool = np.random.SeedSequence(int(master_seed) & _MASK64).pool[None, None, :]
+    const = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32
+    spawn_words = (np.arange(trials.start, trials.stop, dtype=np.int64)
+                   .astype(np.uint32)[:, None, None],
+                   np.arange(count, dtype=np.uint32)[None, :, None])
+    for word in spawn_words:
+        hashed = []
+        for _ in range(4):
+            h, const = _hashmix(word, const)
+            hashed.append(h)
+        pool = _mix(pool, np.concatenate(hashed, axis=2))
+    # generate_state(2, uint64): four uint32 words, paired little-endian
+    const, state = _INIT_B, []
+    for j in range(4):
+        h, const = _hashmix(pool[..., j], const, _MULT_B)
+        state.append(h.astype(np.uint64))
+    return np.stack((state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -555,19 +613,34 @@ def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: r
     bit for bit.  One generator per stream index serves every trial, and
     every chunk is written into the same three buffers, so a chunk must be
     used before the next one is requested.  Non-finite entries raise
-    :class:`InvalidArgumentError`, as in :class:`TridiagonalMatrix`.
+    :class:`InvalidArgumentError`, as in :class:`TridiagonalMatrix`, and so
+    do trial indices outside ``[0, 2**32)``.
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    gens: list[np.random.Generator] = []
+    # _draw_matrix asks for at most three streams per trial
+    keys = _trial_keys(master_seed, trials, 3).tolist()
+    gens = [np.random.Generator(np.random.Philox(0)) for _ in range(3)]
+    # Philox is counter-based: stream i of trial t is its key with the counter
+    # and output buffer at zero, so setting that state on a reused generator
+    # reproduces what a new generator would draw.
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def streams(trial_keys: list, count: int) -> list[np.random.Generator]:
+        for key, gen in zip(trial_keys[:count], gens):
+            state["state"]["key"] = key
+            gen.bit_generator.state = state
+        return gens[:count]
+
     size = min(rows, len(trials))
     buffers = np.empty((size, n - 1)), np.empty((size, n)), np.empty((size, n - 1))
     for start in range(trials.start, trials.stop, rows):
         chunk = range(start, min(start + rows, trials.stop))
         sub, diag, sup = (buf[:len(chunk)] for buf in buffers)
-        for r, t in enumerate(chunk):
+        for r in range(len(chunk)):
             sub[r], diag[r], sup[r] = _draw_matrix(
-                spec, n, partial(_rekeyed_streams, gens, master_seed, t))
+                spec, n, partial(streams, keys[start - trials.start + r]))
         if not (np.isfinite(sub).all() and np.isfinite(diag).all() and np.isfinite(sup).all()):
             raise InvalidArgumentError("matrix entries must be finite")
         yield chunk, sub, diag, sup

@@ -26,6 +26,7 @@ from .circuits import (
     traces_for_rows,
 )
 from .ensembles import (
+    MAX_TRIALS,
     EnsembleSpec,
     EntryWindow,
     sample_matrix_chunks,
@@ -172,6 +173,8 @@ def mc_traces(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
     k_list = tuple(int(k) for k in k_list)
     if trials < 2:
         raise InvalidArgumentError("trials must be >= 2")
+    if trials > MAX_TRIALS:
+        raise InvalidArgumentError("trials must be <= 2**32: trial indices are 32-bit spawn words")
     if not k_list:
         raise InvalidArgumentError("k_list must be non-empty")
     if n < max(k_list) // 2 + 1:

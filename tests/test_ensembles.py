@@ -8,6 +8,7 @@ from tritrace.ensembles import (
     EnsembleSpec,
     EntryLaw,
     EntryWindow,
+    _trial_keys,
     as_seed_sequence,
     sample_matrix,
     sample_window,
@@ -54,6 +55,24 @@ class TestEntryLaw:
                      "uniform(-1e308,1e308)"):
             with pytest.raises(InvalidArgumentError):
                 EntryLaw.parse(text)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 400, 401, (3, 5), (7, 9), (1, 401)])
+    def test_rademacher_raw_words_match_integers(self, size):
+        # the draw after the first starts on the half word an odd count leaves
+        law = EntryLaw.rademacher()
+        for seed in range(4):
+            got = np.random.Generator(np.random.Philox(seed))
+            want = np.random.Generator(np.random.Philox(seed))
+            for _ in range(3):
+                signs = law.sample(got, size)
+                assert signs.shape == np.empty(size).shape
+                np.testing.assert_array_equal(signs, want.integers(0, 2, size) * 2.0 - 1.0)
+                have, ref = got.bit_generator.state, want.bit_generator.state
+                assert have["has_uint32"] == ref["has_uint32"]
+                if ref["has_uint32"]:
+                    assert have["uinteger"] == ref["uinteger"]
+            np.testing.assert_array_equal(got.integers(0, 2**32, 5, dtype=np.uint32),
+                                          want.integers(0, 2**32, 5, dtype=np.uint32))
 
     def test_log_mgf_against_empirical(self):
         rng = np.random.default_rng(99)
@@ -266,3 +285,30 @@ class TestSeeding:
         a = np.random.Generator(np.random.Philox(trial_seed_sequence(master, trial))).random(3)
         b = np.random.Generator(np.random.Philox(trial_seed_sequence(master, trial))).random(3)
         assert np.array_equal(a, b)
+
+    @staticmethod
+    def _seed_sequence_keys(master, trials, count):
+        return np.array([[np.random.SeedSequence(master & 0xFFFFFFFFFFFFFFFF, spawn_key=(t, i))
+                          .generate_state(2, np.uint64) for i in range(count)] for t in trials])
+
+    @pytest.mark.parametrize("master", [0, 1, -3, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1])
+    def test_block_keys_match_seed_sequence(self, master):
+        for trials in (range(2048), range(2 ** 31, 2 ** 31 + 1), range(2 ** 32 - 1, 2 ** 32)):
+            keys = _trial_keys(master, trials, 3)
+            assert keys.dtype == np.uint64 and keys.shape == (len(trials), 3, 2)
+            np.testing.assert_array_equal(keys, self._seed_sequence_keys(master, trials, 3))
+
+    @given(st.integers(min_value=-2 ** 63, max_value=2 ** 64 - 1),
+           st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=0, max_value=5),
+           st.integers(min_value=1, max_value=3))
+    @settings(max_examples=50, deadline=None)
+    def test_block_keys_match_seed_sequence_hypothesis(self, master, start, length, count):
+        trials = range(start, min(start + length, 2 ** 32))
+        np.testing.assert_array_equal(_trial_keys(master, trials, count).reshape(-1, count, 2),
+                                      self._seed_sequence_keys(master, trials, count)
+                                      .reshape(-1, count, 2))
+
+    def test_block_keys_reject_indices_past_32_bits(self):
+        for trials in (range(2 ** 32, 2 ** 32 + 1), range(2 ** 32 - 1, 2 ** 32 + 1), range(-1, 2)):
+            with pytest.raises(InvalidArgumentError, match="2\\*\\*32"):
+                _trial_keys(5, trials, 1)

@@ -17,6 +17,7 @@ from tritrace.ensembles import (
     EntryLaw,
     EntryWindow,
     sample_matrix,
+    sample_matrix_chunks,
     sample_window,
     trial_seed_sequence,
     window_to_matrix,
@@ -116,6 +117,33 @@ class TestMcTraces:
         want = [traces_for_k_list(sample_matrix(spec, n, trial_seed_sequence(41, t)), k_list)
                 for t in range(lo, hi)]
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 257])
+    @pytest.mark.parametrize("name", ROW_SPECS)
+    def test_chunk_rows_match_sample_matrix(self, name, n):
+        spec = ROW_SPECS[name]
+        trials = range(5, 25)
+        seen = []
+        for chunk, sub, diag, sup in sample_matrix_chunks(spec, n, 41, trials, 7):
+            for r, t in enumerate(chunk):
+                matrix = sample_matrix(spec, n, trial_seed_sequence(41, t))
+                np.testing.assert_array_equal(sub[r], matrix.sub)
+                np.testing.assert_array_equal(diag[r], matrix.diag)
+                np.testing.assert_array_equal(sup[r], matrix.sup)
+            seen.extend(chunk)
+        assert seen == list(trials)
+
+    def test_trial_indices_must_fit_32_bits(self):
+        spec = ROW_SPECS["generic_iid-symmetric"]
+        last = range(2 ** 32 - 2, 2 ** 32)
+        ((chunk, sub, diag, sup),) = sample_matrix_chunks(spec, 5, 9, last, 4)
+        for r, t in enumerate(last):
+            matrix = sample_matrix(spec, 5, trial_seed_sequence(9, t))
+            np.testing.assert_array_equal(diag[r], matrix.diag)
+        with pytest.raises(InvalidArgumentError, match="2\\*\\*32"):
+            next(sample_matrix_chunks(spec, 5, 9, range(2 ** 32 - 1, 2 ** 32 + 1), 4))
+        with pytest.raises(InvalidArgumentError, match="2\\*\\*32"):
+            mc_traces(spec, 5, (1,), 2 ** 32 + 1, 9)
 
     def test_non_finite_draw_is_an_error_on_both_paths(self):
         # sigma * z overflows to +-inf for |z| > 1.8
