@@ -86,6 +86,12 @@ COMMANDS = {
     "dump-hatano": ["dump-sample", *HATANO, "--n", "20"],
     "dump-bdq": ["dump-sample", *BDQ, "--n", "20"],
     "dump-bdq-symmetric": ["dump-sample", *BDQ_SYM, "--n", "20"],
+    "dump-kernel-v": ["dump-sample", "--ensemble", "birth_death_kernel", "--n", "20"],
+    "dump-kernel-conductance": ["dump-sample", "--ensemble", "birth_death_kernel",
+                                "--kernel-variant", "conductance", "--n", "20"],
+    "dump-generic-rademacher": ["dump-sample", "--ensemble", "generic_iid",
+                                "--a-law", "rademacher", "--d-law", "rademacher",
+                                "--b-law", "rademacher", "--n", "21"],
 }
 
 

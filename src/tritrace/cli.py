@@ -105,12 +105,17 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in str(text).replace(" ", "").split(",") if tok)
+def _convert(key: str, conv, value):
+    """``conv(value)``, with a malformed value reported as a :class:`ConfigError`."""
+    try:
+        return conv(value)
+    except ValueError as exc:
+        raise ConfigError(f"malformed value for {key}: {value!r}") from exc
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in str(text).replace(" ", "").split(",") if tok)
+def _parse_list(conv):
+    """Parser of a comma-separated list of ``conv`` values."""
+    return lambda text: tuple(conv(tok) for tok in str(text).replace(" ", "").split(",") if tok)
 
 
 def _parse_bool(text) -> bool:
@@ -139,7 +144,7 @@ def spec_from_mapping(m: dict) -> EnsembleSpec:
     if model == "beta_hermite":
         if "beta" not in m:
             raise ConfigError("beta_hermite requires a beta key")
-        return EnsembleSpec.beta_hermite(float(m["beta"]))
+        return EnsembleSpec.beta_hermite(_convert("beta", float, m["beta"]))
     if model == "hatano_nelson":
         return EnsembleSpec.hatano_nelson(a_law=law("a_law"), d_law=law("d_law"),
                                           b_law=law("b_law"))
@@ -165,7 +170,7 @@ def _resolve_workers(value) -> int:
         value = os.environ.get("TRITRACE_WORKERS", "1")
     if str(value).strip().lower() == "auto":
         return os.cpu_count() or 1
-    workers = int(value)
+    workers = _convert("workers", int, value)
     if workers < 1:
         raise ConfigError("workers must be >= 1 or 'auto'")
     return workers
@@ -198,7 +203,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     def pick(key, conv, default=None):
         if key not in merged or merged[key] is None:
             return default
-        return conv(merged[key])
+        return _convert(key, conv, merged[key])
 
     extras = {}
     for key, conv in (("alpha", float), ("epsilon", float), ("replicas", int),
@@ -206,18 +211,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                       ("x_max", float), ("points", int), ("t_max", float),
                       ("input", str), ("k", int)):
         if key in merged and merged[key] is not None:
-            extras[key] = conv(merged[key])
+            extras[key] = _convert(key, conv, merged[key])
 
     return RunConfig(
         command=args.command,
         ensemble=spec,
-        k_list=pick("k_list", _parse_int_list),
+        k_list=pick("k_list", _parse_list(int)),
         n=pick("n", int),
-        n_list=pick("n_list", _parse_int_list),
+        n_list=pick("n_list", _parse_list(int)),
         trials=pick("trials", int),
         master_seed=pick("master_seed", int, pick("seed", int, DEFAULT_SEED)),
         nu=pick("nu", float),
-        delta_list=pick("delta_list", _parse_float_list),
+        delta_list=pick("delta_list", _parse_list(float)),
         output_path=pick("output", str),
         output_format=pick("format", str, "json"),
         workers=_resolve_workers(merged.get("workers")),
@@ -278,11 +283,12 @@ def matrix_from_csv(path: str) -> TridiagonalMatrix:
     for idx, row in enumerate(rows):
         if len(row) < 2:
             raise ConfigError(f"matrix row {idx + 1} malformed: {row!r}")
+        where = f"matrix row {idx + 1}"
         if idx > 0:
-            sub.append(float(row[0]))
-        diag.append(float(row[1]))
+            sub.append(_convert(where, float, row[0]))
+        diag.append(_convert(where, float, row[1]))
         if len(row) > 2 and row[2].strip() != "":
-            sup.append(float(row[2]))
+            sup.append(_convert(where, float, row[2]))
     n = len(diag)
     if len(sup) != n - 1 or len(sub) != n - 1:
         raise ConfigError("matrix CSV has inconsistent column lengths")

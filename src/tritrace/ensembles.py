@@ -7,10 +7,16 @@ run is reproducible regardless of scheduling.
 
 Index conventions follow the matrix layout: site ``i`` (1-based) owns the
 triple ``(a_{i-1}, d_i, b_i)`` of sub-, main- and super-diagonal entries,
-with ``a_0 = 0``.  For coupled models the diagonal entry of the last site is
-built from the untruncated entry sequence (``d_n`` uses the sequence value
-``b_n``, even though the matrix itself stores no ``b_n``), so windowed and
-matrix-based evaluations of site products agree exactly.
+with ``a_0 = 0``.  One sampler draws the sites of windows and matrices, and
+it never draws an entry the left boundary fixes.  So an n-by-n realization
+is the first n sites of the window from site 1 with the same seed:
+``sample_matrix(spec, n, seed)`` equals
+``window_to_matrix(sample_window(spec, 1, L, seed), n)`` bit for bit for
+every ``L >= n``.  Only the birth-death kernel's matrix differs, in its last
+row: its reflecting right boundary sets ``a_{n-1} = 1`` and ``d_n = 0``.
+For coupled models the diagonal entry of the last site is built from the
+untruncated entry sequence (``d_n`` uses the sequence value ``b_n``, even
+though the matrix itself stores no ``b_n``).
 """
 
 from __future__ import annotations
@@ -76,7 +82,10 @@ class EntryLaw:
         if not m:
             raise InvalidArgumentError(f"unparseable law: {text!r}")
         kind, args = m.group(1), m.group(2)
-        params = tuple(float(x) for x in args.split(",")) if args else ()
+        try:
+            params = tuple(float(x) for x in args.split(",")) if args else ()
+        except ValueError as exc:
+            raise InvalidArgumentError(f"non-numeric law parameter: {text!r}") from exc
         ctors = {"constant": cls.constant, "uniform": cls.uniform,
                  "bernoulli": cls.bernoulli, "gaussian": cls.gaussian}
         if kind == "rademacher":
@@ -209,7 +218,7 @@ class EntryLaw:
         raise InvalidArgumentError(f"unknown law kind: {self.kind!r}")  # pragma: no cover
 
 
-def _rademacher(rng: np.random.Generator, size) -> np.ndarray:
+def _rademacher(rng: np.random.Generator, size, fresh: bool = False) -> np.ndarray:
     """``rng.integers(0, 2, size) * 2.0 - 1.0`` bit for bit, from raw Philox words.
 
     For a range of two, ``integers`` (Lemire's multiply-shift method) never
@@ -219,13 +228,15 @@ def _rademacher(rng: np.random.Generator, size) -> np.ndarray:
     bits of both halves of raw words.  A half word buffered on entry and the
     last sign of an odd remainder are drawn by ``integers`` itself, which
     leaves the generator in the state a plain ``integers`` call would.
+    ``fresh`` promises that the generator has not drawn yet, so nothing is
+    buffered and the (slow) state read is skipped.
     """
     bits = rng.bit_generator
     if not isinstance(bits, np.random.Philox):
         return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
     out = np.empty(size)
     flat = out.reshape(-1)
-    head = bits.state["has_uint32"] if flat.size else 0
+    head = 0 if fresh or not flat.size else bits.state["has_uint32"]
     if head:
         flat[0] = rng.integers(0, 2) * 2.0 - 1.0
     pairs = (flat.size - head) // 2
@@ -403,7 +414,8 @@ class EnsembleSpec:
 
     @property
     def window_matrix_consistent(self) -> bool:
-        """True when a length-n matrix is exactly the first n sites of a window."""
+        """True when an n-by-n matrix is exactly the first n sites of the
+        window from site 1; the kernel's matrix reflects at site n."""
         return self.model != "birth_death_kernel"
 
     @property
@@ -424,15 +436,9 @@ class EnsembleSpec:
             return 1.0, absmax(self.d_law)
         if self.model == "birth_death_kernel":
             return 1.0, 1.0
-        if self.model == "birth_death_q":
-            am = absmax(self.a_law)
-            bm = absmax(self.b_law) if self.b_law is not None else am
-            return am * bm, am + bm
-        if self.model == "hatano_nelson":
-            return absmax(self.a_law) * absmax(self.b_law), absmax(self.d_law)
         am = absmax(self.a_law)
         bm = absmax(self.b_law) if self.b_law is not None else am
-        return am * bm, absmax(self.d_law)
+        return am * bm, (am + bm if self.model == "birth_death_q" else absmax(self.d_law))
 
     def describe(self) -> dict:
         """Flat, deterministic key/value form for provenance headers."""
@@ -475,8 +481,12 @@ def trial_seed_sequence(master_seed: int, trial_index: int) -> np.random.SeedSeq
 
 
 def _streams(seed, count: int) -> list[np.random.Generator]:
-    children = as_seed_sequence(seed).spawn(count)
-    return [np.random.Generator(np.random.Philox(child)) for child in children]
+    """Generators of the first ``count`` children of ``seed``, built as
+    ``spawn`` builds them but without advancing a caller's sequence."""
+    ss = as_seed_sequence(seed)
+    return [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)))
+        for i in range(count)]
 
 
 def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
@@ -527,78 +537,95 @@ def _trial_keys(master_seed: int, trials: range, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Matrix sampling
+# Site sampling
 
 
-def _draw_matrix(spec: EnsembleSpec, n: int,
-                 streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(sub, diag, sup)`` of one n-by-n realization; ``streams(count)``
-    returns the realization's first ``count`` generators."""
+def _draw(law: EntryLaw, rng: np.random.Generator, size) -> np.ndarray:
+    """``law.sample(rng, size)`` from a generator that has not drawn yet, so
+    no half word is buffered and a Rademacher draw need not read its state."""
+    if law.kind == "rademacher":
+        return _rademacher(rng, size, fresh=True)
+    return law.sample(rng, size)
+
+
+def _sample_sites(spec: EnsembleSpec, first_index: int, length: int, rows: int,
+                  streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot arrays ``(a, d, b)``, each ``(rows, length)``, of the sites
+    ``first_index .. first_index + length - 1`` in the layout of
+    :class:`EntryWindow`; ``streams(count)`` returns ``count`` generators
+    that have not drawn yet.  ``a`` and ``b`` may share memory.
+
+    No entry the left boundary fixes is drawn: not ``a_0 = 0`` (entry 0 of
+    a shared off-diagonal stream), nor the ``V_1`` or ``U_0`` behind the
+    kernel's ``b_1 = 1``.  So each stream of a window from site 1 starts at
+    the first entry an n-by-n matrix draws, and one row of ``n`` sites holds
+    exactly that matrix's draws.
+    """
+    f, shape = first_index, (rows, length)
+    skip = int(f == 1)  # entries fixed at the left boundary, one per stream
+
+    def fixed_head(value: float, drawn: np.ndarray) -> np.ndarray:
+        return np.concatenate((np.full((rows, 1), value), drawn), axis=1) if skip else drawn
+
     model = spec.model
     if model == "anderson":
         (rng,) = streams(1)
-        d = spec.d_law.sample(rng, n)
-        off = np.full(n - 1, -1.0)
-        return off, d, off
+        off = np.full((rows, length + 1), -1.0)    # column t -> a_{f-1+t} = b_{f-1+t}
+        off[:, :skip] = 0.0                         # a_0 = 0
+        return off[:, :length], _draw(spec.d_law, rng, shape), off[:, 1:]
 
     if model == "beta_hermite":
         rng_a, rng_d = streams(2)
-        idx = np.arange(1, n, dtype=float)
-        gam = rng_a.gamma(shape=idx * spec.beta / 2.0, scale=2.0)
-        a = np.sqrt(gam / spec.beta)
-        d = rng_d.normal(0.0, math.sqrt(2.0 / spec.beta), n)
-        return a, d, a
+        # numpy's gamma is exactly 0 at shape 0 and draws nothing for it: a_0 = 0
+        idx = np.arange(f - 1, f + length, dtype=float)
+        gam = rng_a.gamma(shape=idx * spec.beta / 2.0, scale=2.0, size=(rows, idx.size))
+        off = np.sqrt(gam / spec.beta)          # column t -> a_{f-1+t} = b_{f-1+t}
+        d = rng_d.normal(0.0, math.sqrt(2.0 / spec.beta), shape)
+        return off[:, :length], d, off[:, 1:]
 
-    if model in ("hatano_nelson", "generic_iid"):
-        if spec.symmetric:
-            rng_s, rng_d = streams(2)
-            s = spec.a_law.sample(rng_s, n - 1)
-            d = spec.d_law.sample(rng_d, n)
-            return s, d, s
-        rng_a, rng_d, rng_b = streams(3)
-        a = spec.a_law.sample(rng_a, n - 1)
-        d = spec.d_law.sample(rng_d, n)
-        b = spec.b_law.sample(rng_b, n - 1)
-        return a, d, b
-
-    if model == "birth_death_q":
-        if spec.symmetric:
-            (rng_s,) = streams(1)
-            s = spec.a_law.sample(rng_s, n)       # s[i] = a_{i+1} = b_{i+1}
-            a_prev = np.concatenate(([0.0], s[:n - 1]))
-            d = -(a_prev + s)
-            return s[:n - 1], d, s[:n - 1]
-        rng_a, rng_b = streams(2)
-        a = spec.a_law.sample(rng_a, n - 1)
-        b = spec.b_law.sample(rng_b, n)           # b_n enters d_n through the sequence rule
-        a_prev = np.concatenate(([0.0], a))
-        d = -(a_prev + b)
-        return a, d, b[:n - 1]
+    if model in ("hatano_nelson", "generic_iid", "birth_death_q"):
+        # Streams in order: a (one stream s_i = a_i = b_i when symmetric);
+        # d, unless the coupling d_i = -(a_{i-1} + b_i) fixes it; b, unless
+        # symmetric.  Column t of the a draws -> a_{f-1+t}.
+        coupled, sym = model == "birth_death_q", int(spec.symmetric)
+        rngs = iter(streams(3 - coupled - sym))
+        a = fixed_head(0.0, _draw(spec.a_law, next(rngs), (rows, length + sym - skip)))
+        d = None if coupled else _draw(spec.d_law, next(rngs), shape)
+        if sym:
+            a, b = a[:, :length], a[:, 1:]
+        else:
+            b = _draw(spec.b_law, next(rngs), shape)
+        return a, (-(a + b) if coupled else d), b
 
     if model == "birth_death_kernel":
         (rng,) = streams(1)
         if spec.kernel_variant == "v":
-            v = spec.kernel_law.sample(rng, max(n - 2, 0))   # V_2 .. V_{n-1}
-            sup = np.concatenate(([1.0], v))                  # b_1 = 1
-            sub = np.concatenate((1.0 - v, [1.0]))            # a_j = 1 - V_{j+1}; a_{n-1} = 1
+            b = _draw(spec.kernel_law, rng, (rows, length - skip))        # b_i = V_i
         else:
-            u = spec.kernel_law.sample(rng, n - 1)            # conductances U_1 .. U_{n-1}
-            ratio = u[1:] / (u[1:] + u[:-1])                  # b_i for i = 2 .. n-1
-            sup = np.concatenate(([1.0], ratio))
-            sub = np.concatenate((1.0 - ratio, [1.0]))
-        a_prev = np.concatenate(([0.0], sub))
-        b_full = np.concatenate((sup, [0.0]))                 # kernel boundary: b_n = 0
-        d = 1.0 - a_prev - b_full
-        return sub, d, sup
+            u = _draw(spec.kernel_law, rng, (rows, length + 1 - skip))    # conductances
+            b = u[:, 1:] / (u[:, 1:] + u[:, :-1])                         # b_i = U_i/(U_i+U_{i-1})
+        b = fixed_head(1.0, b)                                            # b_1 = 1
+        a = 1.0 - b                                                       # a_{i-1} = 1 - b_i
+        return a, 1.0 - a - b, b
 
     raise InvalidArgumentError(f"unknown model {model!r}")  # pragma: no cover
+
+
+def _matrix_rows(spec: EnsembleSpec, n: int,
+                 streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sub, diag, sup)`` of one n-by-n realization: sites ``1 .. n`` of a
+    window, with the birth-death kernel's reflecting right boundary."""
+    a, d, b = _sample_sites(spec, 1, n, 1, streams)
+    if spec.model == "birth_death_kernel":
+        a[0, -1], d[0, -1] = 1.0, 0.0     # a_{n-1} = 1 and b_n = 0, so d_n = 0
+    return a[0, 1:], d[0], b[0, :-1]
 
 
 def sample_matrix(spec: EnsembleSpec, n: int, seed) -> TridiagonalMatrix:
     """Draw one n-by-n realization; a deterministic function of (spec, n, seed)."""
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    sub, diag, sup = _draw_matrix(spec, n, partial(_streams, seed))
+    sub, diag, sup = _matrix_rows(spec, n, partial(_streams, seed))
     return TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
 
 
@@ -618,7 +645,7 @@ def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: r
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    # _draw_matrix asks for at most three streams per trial
+    # _sample_sites asks for at most three streams per trial
     keys = _trial_keys(master_seed, trials, 3).tolist()
     gens = [np.random.Generator(np.random.Philox(0)) for _ in range(3)]
     # Philox is counter-based: stream i of trial t is its key with the counter
@@ -639,7 +666,7 @@ def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: r
         chunk = range(start, min(start + rows, trials.stop))
         sub, diag, sup = (buf[:len(chunk)] for buf in buffers)
         for r in range(len(chunk)):
-            sub[r], diag[r], sup[r] = _draw_matrix(
+            sub[r], diag[r], sup[r] = _matrix_rows(
                 spec, n, partial(streams, keys[start - trials.start + r]))
         if not (np.isfinite(sub).all() and np.isfinite(diag).all() and np.isfinite(sup).all()):
             raise InvalidArgumentError("matrix entries must be finite")
@@ -652,102 +679,23 @@ def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: r
 
 def sample_window_arrays(spec: EnsembleSpec, first_index: int, length: int,
                          count: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` independent windows as (count, length) slot arrays (a, d, b)."""
+    """``count`` independent windows as (count, length) slot arrays (a, d, b);
+    ``a`` and ``b`` may share memory."""
     if length < 1:
         raise InvalidArgumentError("length must be >= 1")
     if first_index < 1:
         raise InvalidArgumentError("first_index must be >= 1")
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
-    f, L, R = first_index, length, count
-    model = spec.model
-    shape = (R, L)
-
-    if model == "anderson":
-        (rng,) = _streams(seed, 1)
-        d = spec.d_law.sample(rng, shape)
-        a = np.full(shape, -1.0)
-        b = np.full(shape, -1.0)
-        if f == 1:
-            a[:, 0] = 0.0
-        return a, d, b
-
-    if model == "beta_hermite":
-        rng_a, rng_d = _streams(seed, 2)
-        # one draw of a_i for i in [max(1, f-1), f+L-1] serves both slots
-        lo = max(1, f - 1)
-        idx = np.arange(lo, f + L, dtype=float)
-        gam = rng_a.gamma(shape=np.broadcast_to(idx * spec.beta / 2.0, (R, idx.size)),
-                          scale=2.0)
-        avals = np.sqrt(gam / spec.beta)           # column t -> a_{lo+t}
-        d = rng_d.normal(0.0, math.sqrt(2.0 / spec.beta), shape)
-
-        def a_at(i: int) -> np.ndarray:
-            if i == 0:
-                return np.zeros(R)
-            return avals[:, i - lo]
-
-        a = np.stack([a_at(f - 1 + t) for t in range(L)], axis=1)
-        b = np.stack([a_at(f + t) for t in range(L)], axis=1)
-        return a, d, b
-
-    if model in ("hatano_nelson", "generic_iid"):
-        if spec.symmetric:
-            rng_s, rng_d = _streams(seed, 2)
-            s = spec.a_law.sample(rng_s, (R, L + 1))   # column t -> entry index f-1+t
-            d = spec.d_law.sample(rng_d, shape)
-            a = s[:, :L].copy()
-            b = s[:, 1:].copy()
-            if f == 1:
-                a[:, 0] = 0.0
-            return a, d, b
-        rng_a, rng_d, rng_b = _streams(seed, 3)
-        a = spec.a_law.sample(rng_a, shape)
-        d = spec.d_law.sample(rng_d, shape)
-        b = spec.b_law.sample(rng_b, shape)
-        if f == 1:
-            a[:, 0] = 0.0
-        return a, d, b
-
-    if model == "birth_death_q":
-        if spec.symmetric:
-            (rng_s,) = _streams(seed, 1)
-            s = spec.a_law.sample(rng_s, (R, L + 1))
-            a = s[:, :L].copy()
-            b = s[:, 1:].copy()
-        else:
-            rng_a, rng_b = _streams(seed, 2)
-            a = spec.a_law.sample(rng_a, shape)
-            b = spec.b_law.sample(rng_b, shape)
-        if f == 1:
-            a[:, 0] = 0.0
-        d = -(a + b)
-        return a, d, b
-
-    if model == "birth_death_kernel":
-        (rng,) = _streams(seed, 1)
-        if spec.kernel_variant == "v":
-            v = spec.kernel_law.sample(rng, shape)     # column t -> V_{f+t}
-            b = v.copy()
-            a = 1.0 - v
-        else:
-            u = spec.kernel_law.sample(rng, (R, L + 1))  # column t -> U_{f-1+t}
-            b = u[:, 1:] / (u[:, 1:] + u[:, :-1])        # b_{f+t}
-            a = 1.0 - b                                   # a_{f+t-1}
-        sites = f + np.arange(L)
-        left = sites == 1
-        if np.any(left):
-            b[:, left] = 1.0
-            a[:, left] = 0.0
-        d = 1.0 - a - b
-        return a, d, b
-
-    raise InvalidArgumentError(f"unknown model {model!r}")  # pragma: no cover
+    return _sample_sites(spec, first_index, length, count, partial(_streams, seed))
 
 
 def sample_window(spec: EnsembleSpec, first_index: int, length: int, seed) -> EntryWindow:
-    """Draw one window; marginal law matches the same slice of ``sample_matrix``
-    for i.i.d.-type specs (away from the right boundary)."""
+    """Draw one window.  From ``first_index = 1`` its first n sites are the
+    draws of ``sample_matrix(spec, n, seed)``, bit for bit, which
+    :func:`window_to_matrix` recovers, except in the birth-death kernel's
+    reflected last row.  From later sites the marginal law matches the same
+    slice of ``sample_matrix`` for i.i.d.-type specs."""
     a, d, b = sample_window_arrays(spec, first_index, length, 1, seed)
     return EntryWindow(first_index=first_index, a=a[0], d=d[0], b=b[0])
 

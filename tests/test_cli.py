@@ -111,6 +111,22 @@ class TestConfigHandling:
         with pytest.raises(Exception):
             build_config(parser.parse_args(["types", "--k", "3"]))
 
+    @pytest.mark.parametrize("extra, config_text, bad", [
+        (["--n", "8", "--k-list", "1,x"], None, "1,x"),
+        (["--k-list", "1"], "[run]\nn = abc\n", "abc"),
+        (["--n", "8", "--k-list", "1", "--workers", "two"], None, "two"),
+        (["--n", "8", "--k-list", "1", "--d-law", "uniform(a,b)"], None, "uniform(a,b)"),
+    ], ids=["k-list", "config-n", "workers", "d-law"])
+    def test_malformed_number_is_a_typed_error(self, tmp_path, capsys, extra, config_text, bad):
+        argv = ["simulate", "--ensemble", "anderson", "--trials", "3", *extra]
+        if config_text is not None:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(config_text)
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(bad) in err
+
 
 class TestOutputs:
     def test_dump_sample_layout(self, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,22 @@ from tritrace.ensembles import (
     window_to_matrix,
 )
 from tritrace.errors import InvalidArgumentError
+
+RADEMACHER = EntryLaw.rademacher()
+# one spec per sampling branch; the non-symmetric Rademacher spec draws odd
+# sign counts at odd n
+SPECS = {
+    "anderson": EnsembleSpec.anderson(),
+    "beta_hermite": EnsembleSpec.beta_hermite(2.0),
+    "hatano_nelson": EnsembleSpec.hatano_nelson(),
+    "generic_iid": EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, RADEMACHER),
+    "generic_iid-symmetric": EnsembleSpec.generic_iid(
+        EntryLaw.gaussian(0.0, 1.0), EntryLaw.bernoulli(0.3, -2.0, 5.0), symmetric=True),
+    "birth_death_q": EnsembleSpec.birth_death_q(),
+    "birth_death_q-symmetric": EnsembleSpec.birth_death_q(symmetric=True),
+    "birth_death_kernel-v": EnsembleSpec.birth_death_kernel(),
+    "birth_death_kernel-conductance": EnsembleSpec.birth_death_kernel(variant="conductance"),
+}
 
 LAWS = [
     EntryLaw.constant(0.7),
@@ -258,6 +275,29 @@ class TestSampleWindow:
         with pytest.raises(InvalidArgumentError):
             EntryWindow(first_index=1, a=np.ones(3), d=np.ones(3), b=np.ones(3))
 
+    @pytest.mark.parametrize("name", [k for k, v in SPECS.items() if v.window_matrix_consistent])
+    @pytest.mark.parametrize("n", [2, 3, 17, 400, 401])
+    def test_matrix_is_head_of_window_bitwise(self, name, n):
+        spec = SPECS[name]
+        for seed in (0, 5, trial_seed_sequence(7, 3)):
+            m = sample_matrix(spec, n, seed)
+            w = window_to_matrix(sample_window(spec, 1, n + 3, seed), n)
+            for part in ("sub", "diag", "sup"):
+                assert getattr(w, part).tobytes() == getattr(m, part).tobytes(), part
+
+    @pytest.mark.parametrize("variant", ["v", "conductance"])
+    @pytest.mark.parametrize("n", [2, 3, 17, 400])
+    def test_kernel_matrix_is_head_of_window_but_last_row(self, variant, n):
+        spec = EnsembleSpec.birth_death_kernel(variant=variant)
+        for seed in (0, 5):
+            m = sample_matrix(spec, n, seed)
+            w = window_to_matrix(sample_window(spec, 1, n + 3, seed), n)
+            assert w.sup.tobytes() == m.sup.tobytes()
+            assert w.sub[:-1].tobytes() == m.sub[:-1].tobytes()
+            assert w.diag[:-1].tobytes() == m.diag[:-1].tobytes()
+            # reflecting right boundary: a_{n-1} = 1 and b_n = 0 in the matrix only
+            assert (m.sub[-1], m.diag[-1]) == (1.0, 0.0)
+
     def test_window_to_matrix_roundtrip(self):
         spec = EnsembleSpec.birth_death_q()
         w = sample_window(spec, 1, 12, 77)
@@ -270,11 +310,51 @@ class TestSampleWindow:
             window_to_matrix(sample_window(spec, 2, 12, 77), 8)
 
 
+# sha256 of sample_matrix(spec, 17, 20240611) and of the first_index=2
+# windows sample_window_arrays(spec, 2, 9, 3, 20240611), taken under numpy 2.4.6
+DRAW_DIGESTS = {
+    "anderson": "6f00579d6324feccb944a74ce5d8847462217960be0fb16fea248b2be25e582a",
+    "beta_hermite": "62278c80becb9465358b2f0042deeb84ffb396b3f41b9f05c2ab32dc71e334e4",
+    "hatano_nelson": "3dc99219a61fc7a770616e8d3b36ee693beaa68e9027031fc0c2be95ee65faa1",
+    "generic_iid": "ff4bcb21c7636f294bbc1188d8b184f80a7228f96869c2354ebec83d1911e322",
+    "generic_iid-symmetric": "7c801410cc3da94c77b2ef8d71b72639561c1608e0a81a2adca181d53d6ba7c9",
+    "birth_death_q": "5b8a9c8f0ef1015c7ae48ff3aff65c3fb364e6ff386900d91d0b8aedfe04bb42",
+    "birth_death_q-symmetric": "da6bd3fb2e95224baae397e1a161bf5f1ba8d6b657af32310e29f2949e8dc195",
+    "birth_death_kernel-v": "68d1aae9f616a2f6ba04a29e05129a418324fc4b9c2ca2fdd4bbc692111de11f",
+    "birth_death_kernel-conductance":
+        "19c8e006aa29ee1fe97ec8a8c79601f9616e7b6fcc85a7081c31112afeb86860",
+}
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_seeded_draws_are_pinned(name):
+    spec = SPECS[name]
+    digest = hashlib.sha256()
+    m = sample_matrix(spec, 17, 20240611)
+    for arr in (m.sub, m.diag, m.sup, *sample_window_arrays(spec, 2, 9, 3, 20240611)):
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == DRAW_DIGESTS[name], (
+        f"seeded draws of {name} changed under numpy {np.__version__}; "
+        "the digests were taken under numpy 2.4.6")
+
+
 class TestSeeding:
     def test_trial_streams_distinct(self):
         g1 = np.random.Generator(np.random.Philox(trial_seed_sequence(5, 0)))
         g2 = np.random.Generator(np.random.Philox(trial_seed_sequence(5, 1)))
         assert not np.array_equal(g1.random(8), g2.random(8))
+
+    def test_reused_seed_sequence_gives_same_draws(self):
+        spec = SPECS["hatano_nelson"]
+        ss = trial_seed_sequence(7, 3)
+        first, again = sample_matrix(spec, 6, ss), sample_matrix(spec, 6, ss)
+        fresh = sample_matrix(spec, 6, trial_seed_sequence(7, 3))
+        for part in ("sub", "diag", "sup"):
+            assert np.array_equal(getattr(first, part), getattr(again, part))
+            assert np.array_equal(getattr(first, part), getattr(fresh, part))
+        w1, w2 = sample_window(spec, 2, 6, ss), sample_window(spec, 2, 6, ss)
+        assert np.array_equal(w1.a, w2.a) and np.array_equal(w1.b, w2.b)
+        assert ss.n_children_spawned == 0
 
     def test_negative_master_seed_accepted(self):
         assert as_seed_sequence(-3).entropy == ((-3) & 0xFFFFFFFFFFFFFFFF)
