@@ -64,6 +64,11 @@ COMMANDS = {
                                     "--a-law", "uniform(0.5,1.5)", "--d-law", "rademacher",
                                     "--b-law", "gaussian(0,1)", "--k-list", "1,2,4,8",
                                     "--n", "257", "--trials", "1100"],
+    "simulate-generic-bernoulli-half": ["simulate", "--ensemble", "generic_iid",
+                                        "--a-law", "uniform(0.5,1.5)",
+                                        "--d-law", "bernoulli(0.5,-1,3)",
+                                        "--b-law", "bernoulli(0.5,1,2)", "--k-list", "1,2,4",
+                                        "--n", "129", "--trials", "1100"],
     "clt-anderson": ["clt", *ANDERSON, "--k-list", "1,3", "--n", "1000", "--trials", "2100",
                      "--replicas", "20000"],
     "clt-beta": ["clt", *BETA2, "--k-list", "1,2,8", "--n", "300", "--trials", "1500"],

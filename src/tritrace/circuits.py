@@ -344,9 +344,10 @@ def trace_power_expansion(matrix: TridiagonalMatrix, k: int, types) -> float:
 
 
 def _work_size(n: int, p_max: int) -> int:
-    """Entries of the workspace :func:`_power_stacks` needs: its scratch
-    stack and stacks ``1 .. p_max``."""
-    return (2 * p_max - 1 + (p_max + 2) * p_max) * (n + 2 * p_max)
+    """Entries of the workspace :func:`_power_stacks` needs, its scratch
+    stack and stacks ``1 .. p_max``, then room at the end for the product
+    :func:`_banded_trace` sums."""
+    return (2 * p_max - 1 + (p_max + 2) * p_max) * (n + 2 * p_max) + (2 * p_max + 1) * n
 
 
 def _power_stacks(ab: np.ndarray, diag: np.ndarray, p_max: int,
@@ -382,7 +383,9 @@ def _power_stacks(ab: np.ndarray, diag: np.ndarray, p_max: int,
     stack = np.zeros((1, width), dtype=dtype)
     stack[0, pad:pad + n] = 1
     stacks = [stack]
-    scratch, store = work[:(2 * p_max - 1) * width], work[(2 * p_max - 1) * width:]
+    scratch = work[:(2 * p_max - 1) * width]
+    # the end of work holds _banded_trace's product
+    store = work[(2 * p_max - 1) * width:work.size - (2 * p_max + 1) * n]
     store.fill(0)
     with np.errstate(over="ignore", invalid="ignore"):  # the trace sum reports it
         for _ in range(p_max):
@@ -399,15 +402,15 @@ def _power_stacks(ab: np.ndarray, diag: np.ndarray, p_max: int,
     return stacks
 
 
-def _banded_trace(stacks: list[np.ndarray], k: int):
+def _banded_trace(stacks: list[np.ndarray], k: int, work: np.ndarray):
     """``trace(S^k) = sum_{r,c} (S^p)_{rc} (S^q)_{cr}``, ``p = ceil(k/2)``, ``q = floor(k/2)``.
 
     ``stacks`` comes from :func:`_power_stacks` with ``p_max >= p``.  The
     ``S^q`` factor is read row-indexed (row ``q + o`` holds ``S^q[r, r+o]`` at
     column ``r``): on the flattened stack that is a row stride one longer
     than the stack's, and it stays inside the stack because ``q <= p_max``.
-    Both factors then line up elementwise and one compensated sum gives the
-    trace.
+    Both factors then line up elementwise, their product goes to the end of
+    the stacks' workspace ``work``, and one compensated sum gives the trace.
     """
     p, q = (k + 1) // 2, k // 2
     pad = len(stacks) - 1
@@ -417,17 +420,19 @@ def _banded_trace(stacks: list[np.ndarray], k: int):
     flat = stacks[q].ravel()[pad - q:]
     row = as_strided(flat, shape=(2 * q + 1, n),                 # S^q[r, r+o]
                      strides=((width + 1) * flat.itemsize, flat.itemsize), writeable=False)
+    prod = work[work.size - (2 * q + 1) * n:]
     with np.errstate(over="ignore", invalid="ignore"):
-        return compensated_sum((col * row[::-1]).ravel())
+        np.multiply(col, row[::-1], out=prod.reshape(2 * q + 1, n))
+        return compensated_sum(prod)
 
 
 def _banded_traces(ab: np.ndarray, diag: np.ndarray, k_list: list[int]) -> list[list]:
     """:func:`_banded_trace` of each row of ``ab`` and ``diag`` at each power.
 
-    The rows share one workspace for their stacks.  Allocating the stacks
-    afresh for every matrix made the allocator hand the memory back and
-    fault it in again, up to 20k page faults in a 144-trial beta-Hermite
-    n=1000 run, depending on the heap's layout.
+    The rows share one workspace for their stacks and products.  Allocating
+    the stacks afresh for every matrix made the allocator hand the memory
+    back and fault it in again, up to 20k page faults in a 144-trial
+    beta-Hermite n=1000 run, depending on the heap's layout.
     """
     p_max = (max(k_list) + 1) // 2
     work = np.empty(_work_size(diag.shape[1], p_max),
@@ -435,7 +440,7 @@ def _banded_traces(ab: np.ndarray, diag: np.ndarray, k_list: list[int]) -> list[
     out = []
     for a, d in zip(ab, diag):
         stacks = _power_stacks(a, d, p_max, work)
-        out.append([_banded_trace(stacks, k) for k in k_list])
+        out.append([_banded_trace(stacks, k, work) for k in k_list])
     return out
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -49,28 +48,31 @@ class EntryLaw:
     # -- constructors -------------------------------------------------
     @classmethod
     def constant(cls, c: float) -> "EntryLaw":
-        return cls("constant", (float(c),))
+        return cls("constant", _finite("constant", c))
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "EntryLaw":
+        lo, hi = _finite("uniform", lo, hi)
         if not hi > lo:
             raise InvalidArgumentError("uniform law needs hi > lo")
         if not math.isfinite(hi - lo):
             # numpy cannot draw on an infinitely wide interval
             raise InvalidArgumentError("uniform law needs a finite width hi - lo")
-        return cls("uniform", (float(lo), float(hi)))
+        return cls("uniform", (lo, hi))
 
     @classmethod
     def bernoulli(cls, p: float, v0: float, v1: float) -> "EntryLaw":
-        if not 0.0 <= p <= 1.0:
+        params = _finite("bernoulli", p, v0, v1)
+        if not 0.0 <= params[0] <= 1.0:
             raise InvalidArgumentError("bernoulli p outside [0, 1]")
-        return cls("bernoulli", (float(p), float(v0), float(v1)))
+        return cls("bernoulli", params)
 
     @classmethod
     def gaussian(cls, mu: float, sigma: float) -> "EntryLaw":
-        if sigma < 0:
+        params = _finite("gaussian", mu, sigma)
+        if params[1] < 0:
             raise InvalidArgumentError("gaussian sigma must be >= 0")
-        return cls("gaussian", (float(mu), float(sigma)))
+        return cls("gaussian", params)
 
     @classmethod
     def rademacher(cls) -> "EntryLaw":
@@ -218,6 +220,13 @@ class EntryLaw:
         raise InvalidArgumentError(f"unknown law kind: {self.kind!r}")  # pragma: no cover
 
 
+def _finite(kind: str, *params: float) -> tuple[float, ...]:
+    values = tuple(float(p) for p in params)
+    if not all(map(math.isfinite, values)):
+        raise InvalidArgumentError(f"{kind} law parameters must be finite, got {values}")
+    return values
+
+
 def _rademacher(rng: np.random.Generator, size, fresh: bool = False) -> np.ndarray:
     """``rng.integers(0, 2, size) * 2.0 - 1.0`` bit for bit, from raw Philox words.
 
@@ -225,11 +234,15 @@ def _rademacher(rng: np.random.Generator, size, fresh: bool = False) -> np.ndarr
     rejects: each draw is the top bit of one 32-bit word.  Philox serves
     32-bit words as the low, then the high half of a 64-bit word and keeps an
     unused high half in ``has_uint32``/``uinteger``.  So the signs are the top
-    bits of both halves of raw words.  A half word buffered on entry and the
-    last sign of an odd remainder are drawn by ``integers`` itself, which
-    leaves the generator in the state a plain ``integers`` call would.
-    ``fresh`` promises that the generator has not drawn yet, so nothing is
-    buffered and the (slow) state read is skipped.
+    bits of both halves of raw words (:func:`_signs`).  A half word buffered
+    on entry and the last sign of an odd remainder are drawn by ``integers``
+    itself, which leaves the generator in the state a plain ``integers`` call
+    would.  ``fresh`` promises that the generator has not drawn yet, so
+    nothing is buffered and the (slow) state read is skipped.  Monte Carlo
+    rows take their signs from :class:`_RowDraws` instead: a row is a fresh
+    stream, so its ``w`` signs are the halves of its first ``ceil(w/2)`` raw
+    words (an odd last sign is the low half ``integers`` would draw), and
+    the words of a whole chunk are transformed at once.
     """
     bits = rng.bit_generator
     if not isinstance(bits, np.random.Philox):
@@ -240,11 +253,19 @@ def _rademacher(rng: np.random.Generator, size, fresh: bool = False) -> np.ndarr
     if head:
         flat[0] = rng.integers(0, 2) * 2.0 - 1.0
     pairs = (flat.size - head) // 2
-    words = bits.random_raw(pairs).astype("<u8", copy=False).view("<u4")
-    np.subtract(2 * (words >> 31), 1.0, out=flat[head:head + 2 * pairs])
+    _signs(bits.random_raw(pairs).astype("<u8", copy=False).view("<u4"),
+           flat[head:head + 2 * pairs])
     if flat.size > head + 2 * pairs:
         flat[-1] = rng.integers(0, 2) * 2.0 - 1.0
     return out
+
+
+def _signs(words: np.ndarray, out: np.ndarray) -> None:
+    """Write ``2 * bit - 1.0`` for the top bit of each 32-bit word into ``out``;
+    ``words`` is overwritten."""
+    np.right_shift(words, 31, out=words)
+    np.multiply(words, 2.0, out=out)
+    out -= 1.0
 
 
 @dataclass(frozen=True)
@@ -480,13 +501,12 @@ def trial_seed_sequence(master_seed: int, trial_index: int) -> np.random.SeedSeq
     return np.random.SeedSequence(int(master_seed) & _MASK64, spawn_key=(int(trial_index),))
 
 
-def _streams(seed, count: int) -> list[np.random.Generator]:
-    """Generators of the first ``count`` children of ``seed``, built as
-    ``spawn`` builds them but without advancing a caller's sequence."""
+def _child(seed, i: int) -> np.random.SeedSequence:
+    """Child ``i`` of ``seed``, built as ``spawn`` builds it but without
+    advancing a caller's sequence."""
     ss = as_seed_sequence(seed)
-    return [np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        ss.entropy, spawn_key=ss.spawn_key + (i,), pool_size=ss.pool_size)))
-        for i in range(count)]
+    return np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                  pool_size=ss.pool_size)
 
 
 def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
@@ -540,20 +560,114 @@ def _trial_keys(master_seed: int, trials: range, count: int) -> np.ndarray:
 # Site sampling
 
 
-def _draw(law: EntryLaw, rng: np.random.Generator, size) -> np.ndarray:
-    """``law.sample(rng, size)`` from a generator that has not drawn yet, so
-    no half word is buffered and a Rademacher draw need not read its state."""
+def _draw(law, rng: np.random.Generator, size) -> np.ndarray:
+    """``law.sample(rng, size)``, or ``law(rng, size)`` for a plain sampling
+    function, from a generator that has not drawn yet, so no half word is
+    buffered and a Rademacher draw need not read its state."""
+    if not isinstance(law, EntryLaw):
+        return law(rng, size)
     if law.kind == "rademacher":
         return _rademacher(rng, size, fresh=True)
     return law.sample(rng, size)
 
 
+def _window_draws(seed, rows: int):
+    """Draw hook of :func:`_sample_sites` for windows and single matrices:
+    stream ``i`` is one generator, child ``i`` of ``seed``, that draws the
+    whole array."""
+    ss = as_seed_sequence(seed)
+
+    def draw(slot: int, law, width: int, head: float | None = None) -> np.ndarray:
+        if law is None or getattr(law, "kind", None) == "constant":   # nothing to draw
+            out = np.empty((rows, width)) if law is None else np.full((rows, width), law.params[0])
+            if head is not None:
+                out[:, 0] = head
+            return out
+        drawn = _draw(law, np.random.Generator(np.random.Philox(_child(ss, slot))),
+                      (rows, width - (head is not None)))
+        return drawn if head is None else np.concatenate((np.full((rows, 1), head), drawn), axis=1)
+    return draw
+
+
+class _RowDraws:
+    """Draw hook of :func:`_sample_sites` for rows that are fresh streams:
+    stream ``i`` of row ``r`` is Philox keyed ``keys[r, i]`` from counter zero.
+
+    One generator is re-keyed for each row and draws it into a buffer; the
+    transform to entries then runs once for all rows.  A Rademacher row keeps
+    the ``ceil(width / 2)`` raw words whose 32-bit halves give its signs, a
+    Bernoulli row its ``random()`` values, and a constant row draws nothing.
+    Each slot has one buffer of ``size`` rows, reused by every call.  Set
+    ``keys``, a ``(rows, streams, 2)`` array with ``rows <= size``, before
+    each chunk.
+    """
+
+    def __init__(self, size: int):
+        self.size, self.keys, self.bufs = size, None, {}
+        self.gen = np.random.Generator(np.random.Philox(0))
+        # Philox is counter-based: a key with the counter and output buffer at
+        # zero, set on the reused generator, draws what a new one would.
+        self.fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+                      "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def _buffer(self, slot: int, width: int, dtype=float) -> np.ndarray:
+        buf = self.bufs.get((slot, dtype))
+        if buf is None:   # a slot's width is the same for every chunk
+            buf = self.bufs[slot, dtype] = np.empty((self.size, width), dtype)
+        return buf[:len(self.keys)]
+
+    def _rows(self, i: int):
+        """The generator, keyed in turn for stream ``i`` of each row."""
+        bits, fresh = self.gen.bit_generator, self.fresh
+        for key in self.keys[:, i].tolist():
+            fresh["state"]["key"] = key
+            bits.state = fresh
+            yield self.gen
+
+    def __call__(self, slot: int, law, width: int, head: float | None = None) -> np.ndarray:
+        out = self._buffer(slot, width)
+        h = int(head is not None)
+        if h:
+            out[:, 0] = head
+        dest, kind = out[:, h:], getattr(law, "kind", None)
+        if kind == "constant":
+            dest.fill(law.params[0])
+        elif kind == "rademacher":
+            words = self._buffer(slot, (width - h + 1) // 2, "<u8")
+            for r, gen in enumerate(self._rows(slot)):
+                words[r] = gen.bit_generator.random_raw(words.shape[1])
+            _signs(words.view("<u4")[:, :width - h], dest)
+        elif kind == "bernoulli":
+            for r, gen in enumerate(self._rows(slot)):
+                gen.random(out=dest[r])
+            p, v0, v1 = law.params
+            hit = dest < p
+            dest.fill(v0)
+            np.copyto(dest, v1, where=hit)
+        elif law is not None:
+            sample = law.sample if kind else law
+            for r, gen in enumerate(self._rows(slot)):
+                dest[r] = sample(gen, width - h)
+        return out
+
+
+_ANDERSON_OFF = EntryLaw.constant(-1.0)   # Anderson's off-diagonal entries
+
+
 def _sample_sites(spec: EnsembleSpec, first_index: int, length: int, rows: int,
-                  streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slot arrays ``(a, d, b)``, each ``(rows, length)``, of the sites
     ``first_index .. first_index + length - 1`` in the layout of
-    :class:`EntryWindow`; ``streams(count)`` returns ``count`` generators
-    that have not drawn yet.  ``a`` and ``b`` may share memory.
+    :class:`EntryWindow`.  ``a`` and ``b`` may share memory.
+
+    ``draw(slot, law, width, head)`` returns a ``(rows, width)`` array: the
+    draws of ``law`` (an :class:`EntryLaw` or a function ``(rng, size)``)
+    from stream ``slot`` of every row, after a first column fixed to
+    ``head`` unless that is None.  With ``law`` None nothing is drawn and the
+    array is scratch space.  Constant laws draw nothing either, so their
+    slots and scratch slots are any slot no stream of the model uses.  The
+    array may be the hook's own, overwritten by its next call for the slot.
+    :func:`_window_draws` and :class:`_RowDraws` are the two hooks.
 
     No entry the left boundary fixes is drawn: not ``a_0 = 0`` (entry 0 of
     a shared off-diagonal stream), nor the ``V_1`` or ``U_0`` behind the
@@ -561,26 +675,23 @@ def _sample_sites(spec: EnsembleSpec, first_index: int, length: int, rows: int,
     the first entry an n-by-n matrix draws, and one row of ``n`` sites holds
     exactly that matrix's draws.
     """
-    f, shape = first_index, (rows, length)
+    f = first_index
     skip = int(f == 1)  # entries fixed at the left boundary, one per stream
-
-    def fixed_head(value: float, drawn: np.ndarray) -> np.ndarray:
-        return np.concatenate((np.full((rows, 1), value), drawn), axis=1) if skip else drawn
+    a0, b1 = (0.0, 1.0) if skip else (None, None)   # their values, as head columns
 
     model = spec.model
     if model == "anderson":
-        (rng,) = streams(1)
-        off = np.full((rows, length + 1), -1.0)    # column t -> a_{f-1+t} = b_{f-1+t}
-        off[:, :skip] = 0.0                         # a_0 = 0
-        return off[:, :length], _draw(spec.d_law, rng, shape), off[:, 1:]
+        off = draw(1, _ANDERSON_OFF, length + 1, a0)  # column t -> a_{f-1+t} = b_{f-1+t}
+        return off[:, :length], draw(0, spec.d_law, length), off[:, 1:]
 
     if model == "beta_hermite":
-        rng_a, rng_d = streams(2)
         # numpy's gamma is exactly 0 at shape 0 and draws nothing for it: a_0 = 0
-        idx = np.arange(f - 1, f + length, dtype=float)
-        gam = rng_a.gamma(shape=idx * spec.beta / 2.0, scale=2.0, size=(rows, idx.size))
-        off = np.sqrt(gam / spec.beta)          # column t -> a_{f-1+t} = b_{f-1+t}
-        d = rng_d.normal(0.0, math.sqrt(2.0 / spec.beta), shape)
+        shape = np.arange(f - 1, f + length, dtype=float) * spec.beta / 2.0
+        off = draw(0, lambda rng, size: rng.gamma(shape=shape, scale=2.0, size=size), length + 1)
+        np.divide(off, spec.beta, out=off)
+        np.sqrt(off, out=off)                   # column t -> a_{f-1+t} = b_{f-1+t}
+        sd = math.sqrt(2.0 / spec.beta)
+        d = draw(1, lambda rng, size: rng.normal(0.0, sd, size), length)
         return off[:, :length], d, off[:, 1:]
 
     if model in ("hatano_nelson", "generic_iid", "birth_death_q"):
@@ -588,45 +699,53 @@ def _sample_sites(spec: EnsembleSpec, first_index: int, length: int, rows: int,
         # d, unless the coupling d_i = -(a_{i-1} + b_i) fixes it; b, unless
         # symmetric.  Column t of the a draws -> a_{f-1+t}.
         coupled, sym = model == "birth_death_q", int(spec.symmetric)
-        rngs = iter(streams(3 - coupled - sym))
-        a = fixed_head(0.0, _draw(spec.a_law, next(rngs), (rows, length + sym - skip)))
-        d = None if coupled else _draw(spec.d_law, next(rngs), shape)
-        if sym:
-            a, b = a[:, :length], a[:, 1:]
+        a = draw(0, spec.a_law, length + sym, a0)
+        b = a[:, 1:] if sym else draw(2 - coupled, spec.b_law, length)
+        a = a[:, :length]
+        if coupled:
+            d = np.add(a, b, out=draw(3, None, length))
+            np.negative(d, out=d)
         else:
-            b = _draw(spec.b_law, next(rngs), shape)
-        return a, (-(a + b) if coupled else d), b
+            d = draw(1, spec.d_law, length)
+        return a, d, b
 
     if model == "birth_death_kernel":
-        (rng,) = streams(1)
         if spec.kernel_variant == "v":
-            b = _draw(spec.kernel_law, rng, (rows, length - skip))        # b_i = V_i
+            b = draw(0, spec.kernel_law, length, b1)                       # b_i = V_i
         else:
-            u = _draw(spec.kernel_law, rng, (rows, length + 1 - skip))    # conductances
-            b = u[:, 1:] / (u[:, 1:] + u[:, :-1])                         # b_i = U_i/(U_i+U_{i-1})
-        b = fixed_head(1.0, b)                                            # b_1 = 1
-        a = 1.0 - b                                                       # a_{i-1} = 1 - b_i
-        return a, 1.0 - a - b, b
+            u = draw(0, spec.kernel_law, length + 1 - skip)                 # conductances
+            b = draw(1, None, length, b1)
+            ratio = b[:, skip:]                                             # b_i = U_i/(U_i+U_{i-1})
+            np.divide(u[:, 1:], np.add(u[:, 1:], u[:, :-1], out=ratio), out=ratio)
+        a = np.subtract(1.0, b, out=draw(2, None, length))                # a_{i-1} = 1 - b_i
+        d = np.subtract(1.0, a, out=draw(3, None, length))
+        d -= b                                                             # 1 - a - b
+        return a, d, b
 
     raise InvalidArgumentError(f"unknown model {model!r}")  # pragma: no cover
 
 
-def _matrix_rows(spec: EnsembleSpec, n: int,
-                 streams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(sub, diag, sup)`` of one n-by-n realization: sites ``1 .. n`` of a
-    window, with the birth-death kernel's reflecting right boundary."""
-    a, d, b = _sample_sites(spec, 1, n, 1, streams)
+def _matrix_rows(spec: EnsembleSpec, n: int, rows: int,
+                 draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sub, diag, sup)`` of ``rows`` n-by-n realizations, as views of the
+    hook's arrays: sites ``1 .. n`` of a window, with the birth-death
+    kernel's reflecting right boundary."""
+    a, d, b = _sample_sites(spec, 1, n, rows, draw)
     if spec.model == "birth_death_kernel":
-        a[0, -1], d[0, -1] = 1.0, 0.0     # a_{n-1} = 1 and b_n = 0, so d_n = 0
-    return a[0, 1:], d[0], b[0, :-1]
+        a[:, -1], d[:, -1] = 1.0, 0.0     # a_{n-1} = 1 and b_n = 0, so d_n = 0
+    return a[:, 1:], d, b[:, :-1]
 
 
 def sample_matrix(spec: EnsembleSpec, n: int, seed) -> TridiagonalMatrix:
-    """Draw one n-by-n realization; a deterministic function of (spec, n, seed)."""
+    """Draw one n-by-n realization; a deterministic function of (spec, n, seed).
+
+    It draws each stream with one generator call, as a window does, not
+    through the per-row hook of :func:`sample_matrix_chunks`, so comparing
+    the two checks one draw route against the other."""
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    sub, diag, sup = _matrix_rows(spec, n, partial(_streams, seed))
-    return TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
+    sub, diag, sup = _matrix_rows(spec, n, 1, _window_draws(seed, 1))
+    return TridiagonalMatrix(sub=sub[0], diag=diag[0], sup=sup[0])
 
 
 def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: range,
@@ -637,37 +756,22 @@ def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: r
     and row ``r`` of the ``(len(chunk), n-1)``, ``(len(chunk), n)`` and
     ``(len(chunk), n-1)`` arrays holds the diagonals of
     ``sample_matrix(spec, n, trial_seed_sequence(master_seed, chunk[r]))``,
-    bit for bit.  One generator per stream index serves every trial, and
-    every chunk is written into the same three buffers, so a chunk must be
-    used before the next one is requested.  Non-finite entries raise
+    bit for bit.  The site sampler runs once per chunk: it re-keys one
+    generator for each trial's stream and draws the row into a chunk buffer,
+    then transforms the whole chunk (:class:`_RowDraws`).  The arrays are
+    views of buffers that every chunk reuses, so a chunk must be used before
+    the next one is requested.  Non-finite entries raise
     :class:`InvalidArgumentError`, as in :class:`TridiagonalMatrix`, and so
     do trial indices outside ``[0, 2**32)``.
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    # _sample_sites asks for at most three streams per trial
-    keys = _trial_keys(master_seed, trials, 3).tolist()
-    gens = [np.random.Generator(np.random.Philox(0)) for _ in range(3)]
-    # Philox is counter-based: stream i of trial t is its key with the counter
-    # and output buffer at zero, so setting that state on a reused generator
-    # reproduces what a new generator would draw.
-    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
-             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-    def streams(trial_keys: list, count: int) -> list[np.random.Generator]:
-        for key, gen in zip(trial_keys[:count], gens):
-            state["state"]["key"] = key
-            gen.bit_generator.state = state
-        return gens[:count]
-
-    size = min(rows, len(trials))
-    buffers = np.empty((size, n - 1)), np.empty((size, n)), np.empty((size, n - 1))
+    keys = _trial_keys(master_seed, trials, 3)
+    draw = _RowDraws(min(rows, len(trials)))
     for start in range(trials.start, trials.stop, rows):
         chunk = range(start, min(start + rows, trials.stop))
-        sub, diag, sup = (buf[:len(chunk)] for buf in buffers)
-        for r in range(len(chunk)):
-            sub[r], diag[r], sup[r] = _matrix_rows(
-                spec, n, partial(streams, keys[start - trials.start + r]))
+        draw.keys = keys[start - trials.start:chunk.stop - trials.start]
+        sub, diag, sup = _matrix_rows(spec, n, len(chunk), draw)
         if not (np.isfinite(sub).all() and np.isfinite(diag).all() and np.isfinite(sup).all()):
             raise InvalidArgumentError("matrix entries must be finite")
         yield chunk, sub, diag, sup
@@ -687,7 +791,7 @@ def sample_window_arrays(spec: EnsembleSpec, first_index: int, length: int,
         raise InvalidArgumentError("first_index must be >= 1")
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
-    return _sample_sites(spec, first_index, length, count, partial(_streams, seed))
+    return _sample_sites(spec, first_index, length, count, _window_draws(seed, count))
 
 
 def sample_window(spec: EnsembleSpec, first_index: int, length: int, seed) -> EntryWindow:

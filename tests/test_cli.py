@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,17 @@ class TestConfigHandling:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(bad) in err
+
+    def test_non_finite_law_parameter_is_named(self, capsys):
+        # this law once reached dk_iid, which warned, and failed as a matrix error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("mdp", "--ensemble", "anderson", "--d-law", "bernoulli(0.5,inf,1)",
+                           "--n", "10", "--trials", "30", "--k", "1", "--nu", "0.5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bernoulli law parameters must be finite"), err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestOutputs:

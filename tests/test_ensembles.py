@@ -73,6 +73,14 @@ class TestEntryLaw:
             with pytest.raises(InvalidArgumentError):
                 EntryLaw.parse(text)
 
+    @pytest.mark.parametrize("text", ["gaussian(0,nan)", "constant(inf)", "bernoulli(0.5,inf,1)",
+                                      "uniform(-inf,0)", "bernoulli(nan,0,1)"])
+    def test_non_finite_parameters_are_rejected(self, text):
+        # bernoulli(0.5,inf,1) once became a "bounded" law with support (1, inf)
+        kind = text.split("(")[0]
+        with pytest.raises(InvalidArgumentError, match=f"{kind} law parameters must be finite"):
+            EntryLaw.parse(text)
+
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 400, 401, (3, 5), (7, 9), (1, 401)])
     def test_rademacher_raw_words_match_integers(self, size):
         # the draw after the first starts on the half word an odd count leaves

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import exhaustive_dk, naive_summand
 from tritrace import stats
@@ -104,6 +104,19 @@ ROW_SPECS = {
 }
 
 
+def assert_chunks_match_sample_matrix(spec, n, trials, rows):
+    seen = []
+    for chunk, sub, diag, sup in sample_matrix_chunks(spec, n, 41, trials, rows):
+        assert len(chunk) <= rows and diag.shape == (len(chunk), n)
+        for r, t in enumerate(chunk):
+            matrix = sample_matrix(spec, n, trial_seed_sequence(41, t))
+            np.testing.assert_array_equal(sub[r], matrix.sub)
+            np.testing.assert_array_equal(diag[r], matrix.diag)
+            np.testing.assert_array_equal(sup[r], matrix.sup)
+        seen.extend(chunk)
+    assert seen == list(trials)
+
+
 class TestMcTraces:
     @pytest.mark.parametrize("n", [2, 3, 256, 257, 1000])
     @pytest.mark.parametrize("name", ROW_SPECS)
@@ -121,17 +134,32 @@ class TestMcTraces:
     @pytest.mark.parametrize("n", [2, 3, 257])
     @pytest.mark.parametrize("name", ROW_SPECS)
     def test_chunk_rows_match_sample_matrix(self, name, n):
-        spec = ROW_SPECS[name]
-        trials = range(5, 25)
-        seen = []
-        for chunk, sub, diag, sup in sample_matrix_chunks(spec, n, 41, trials, 7):
-            for r, t in enumerate(chunk):
-                matrix = sample_matrix(spec, n, trial_seed_sequence(41, t))
-                np.testing.assert_array_equal(sub[r], matrix.sub)
-                np.testing.assert_array_equal(diag[r], matrix.diag)
-                np.testing.assert_array_equal(sup[r], matrix.sup)
-            seen.extend(chunk)
-        assert seen == list(trials)
+        assert_chunks_match_sample_matrix(ROW_SPECS[name], n, range(5, 25), 7)
+
+    @pytest.mark.parametrize("name", ROW_SPECS)
+    @settings(max_examples=12, deadline=None)
+    @given(lo=st.integers(0, 2 ** 32 - 64), count=st.integers(1, 24), rows=st.integers(1, 30),
+           n=st.integers(2, 41))
+    @example(lo=0, count=5, rows=1, n=2)        # one trial per chunk
+    @example(lo=3, count=4, rows=9, n=17)       # one chunk, larger than the range
+    @example(lo=7, count=10, rows=4, n=16)      # the last chunk is short
+    def test_chunk_rows_match_sample_matrix_hypothesis(self, name, lo, count, rows, n):
+        assert_chunks_match_sample_matrix(ROW_SPECS[name], n, range(lo, lo + count), rows)
+
+    def test_next_chunk_reuses_the_buffers(self):
+        # a chunk's arrays are only valid until the next chunk is requested;
+        # a caller that keeps one must copy it
+        spec = ROW_SPECS["anderson-rademacher"]
+        chunks = sample_matrix_chunks(spec, 9, 41, range(8), 4)
+        _, _, first, _ = next(chunks)
+        kept = first.copy()
+        _, _, second, _ = next(chunks)
+        assert np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+        assert not np.array_equal(kept, second)
+        for r in range(4):
+            np.testing.assert_array_equal(
+                kept[r], sample_matrix(spec, 9, trial_seed_sequence(41, r)).diag)
 
     def test_trial_indices_must_fit_32_bits(self):
         spec = ROW_SPECS["generic_iid-symmetric"]
