@@ -594,9 +594,10 @@ class _RowDraws:
     stream ``i`` of row ``r`` is Philox keyed ``keys[r, i]`` from counter zero.
 
     One generator is re-keyed for each row and draws it into a buffer; the
-    transform to entries then runs once for all rows.  A Rademacher row keeps
-    the ``ceil(width / 2)`` raw words whose 32-bit halves give its signs, a
-    Bernoulli row its ``random()`` values, and a constant row draws nothing.
+    Rademacher transform then runs once for all rows: a row keeps the
+    ``ceil(width / 2)`` raw words whose 32-bit halves give its signs.  A
+    constant row draws nothing; any other law draws each row with its own
+    sampler.
     Each slot has one buffer of ``size`` rows, reused by every call.  Set
     ``keys``, a ``(rows, streams, 2)`` array with ``rows <= size``, before
     each chunk.
@@ -637,13 +638,6 @@ class _RowDraws:
             for r, gen in enumerate(self._rows(slot)):
                 words[r] = gen.bit_generator.random_raw(words.shape[1])
             _signs(words.view("<u4")[:, :width - h], dest)
-        elif kind == "bernoulli":
-            for r, gen in enumerate(self._rows(slot)):
-                gen.random(out=dest[r])
-            p, v0, v1 = law.params
-            hit = dest < p
-            dest.fill(v0)
-            np.copyto(dest, v1, where=hit)
         elif law is not None:
             sample = law.sample if kind else law
             for r, gen in enumerate(self._rows(slot)):

@@ -97,6 +97,13 @@ ROW_SPECS = {
                                             EntryLaw.uniform(-1.0, 2.0)),
     "generic_iid-symmetric": EnsembleSpec.generic_iid(EntryLaw.gaussian(0.0, 1.0),
                                                       EntryLaw.rademacher(), symmetric=True),
+    # Rademacher and Bernoulli on the slot whose first column is a_0 = 0
+    "generic_iid-rademacher-a": EnsembleSpec.generic_iid(EntryLaw.rademacher(),
+                                                         EntryLaw.uniform(-1.0, 1.0),
+                                                         EntryLaw.gaussian(0.0, 1.0)),
+    "generic_iid-symmetric-rademacher-a": EnsembleSpec.generic_iid(
+        EntryLaw.rademacher(), EntryLaw.gaussian(0.0, 1.0), symmetric=True),
+    "hatano_nelson-bernoulli-a": EnsembleSpec.hatano_nelson(EntryLaw.bernoulli(0.4, 0.5, 1.5)),
     "birth_death_q": EnsembleSpec.birth_death_q(),
     "birth_death_q-symmetric": EnsembleSpec.birth_death_q(symmetric=True),
     "kernel-v": EnsembleSpec.birth_death_kernel(),
