@@ -35,8 +35,10 @@ BDQ_SYM = ["--ensemble", "birth_death_q", "--symmetric", "true"]
 
 # Sizes cross the 1024-trial blocks the workers share out; n reaches both
 # sides of the 256-term summation block, and k both trace routes.  Odd n with
-# Rademacher entries draws an odd number of signs from one stream, so the
-# half word a raw-word draw must leave buffered decides the bytes.
+# Rademacher entries draws an odd number of signs from one stream, so its
+# last sign is the low half of a raw word.
+# `cov-generic-laws` draws Gaussian, Rademacher and Bernoulli windows; its odd
+# replica count gives the Rademacher window an odd sign count behind one key.
 COMMANDS = {
     "simulate-beta-4.8.12": ["simulate", *BETA2, "--k-list", "4,8,12", "--n", "300",
                              "--trials", "1100"],
@@ -78,6 +80,10 @@ COMMANDS = {
     "cov-beta": ["cov", *BETA2, "--k-list", "1,2,3,4,8", "--n", "200", "--trials", "1200"],
     "cov-hatano": ["cov", *HATANO, "--k-list", "1,2,9", "--n", "100", "--trials", "1200",
                    "--replicas", "20000"],
+    "cov-generic-laws": ["cov", "--ensemble", "generic_iid", "--a-law", "gaussian(0,1)",
+                         "--d-law", "rademacher", "--b-law", "bernoulli(0.3,-2,5)",
+                         "--k-list", "1,2,3", "--n", "64", "--trials", "1100",
+                         "--replicas", "20001"],
     "mdp-anderson-k3": ["mdp", *ANDERSON, "--k", "3", "--nu", "0.5", "--n", "100",
                         "--trials", "3000"],
     "mdp-anderson-k1": ["mdp", *ANDERSON, "--k", "1", "--nu", "0.5", "--n", "400",

@@ -95,7 +95,7 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
@@ -275,9 +275,12 @@ def matrix_to_csv_rows(matrix: TridiagonalMatrix):
 
 def matrix_from_csv(path: str) -> TridiagonalMatrix:
     sub, diag, sup = [], [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh)
-                if row and not row[0].lstrip().startswith("#")]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh)
+                    if row and not row[0].lstrip().startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read matrix CSV: {exc}") from exc
     if rows and rows[0][:2] == ["sub", "diag"]:
         rows = rows[1:]
     for idx, row in enumerate(rows):
@@ -305,11 +308,24 @@ def _require(config: RunConfig, *keys: str) -> None:
         raise ConfigError(f"{config.command}: missing required keys {missing}")
 
 
+def _first_given(config: RunConfig, what: str, *values):
+    """The first of ``values`` that is not None, so that an explicit 0 reaches
+    validation instead of falling back to the next option."""
+    for value in values:
+        if value is not None:
+            return value
+    raise ConfigError(f"{config.command}: missing {what}")
+
+
+def _power(config: RunConfig) -> int:
+    """``--k``, else the first power of ``--k-list``."""
+    return int(_first_given(config, "k", config.extras.get("k"),
+                            config.k_list[0] if config.k_list else None))
+
+
 def _cmd_types(config: RunConfig) -> int:
-    k = config.extras.get("k") or (config.k_list[0] if config.k_list else None)
-    if k is None:
-        raise ConfigError("types: missing k")
-    types = enumerate_types(int(k))
+    k = _power(config)
+    types = enumerate_types(k)
     print(f"power {k}: {len(types)} circuit types")
     print(f"{'l':>3} {'m':>18} {'n':>22} {'count':>8}")
     for t in types:
@@ -320,10 +336,7 @@ def _cmd_types(config: RunConfig) -> int:
 
 
 def _cmd_trace(config: RunConfig) -> int:
-    k = config.extras.get("k") or (config.k_list[0] if config.k_list else None)
-    if k is None:
-        raise ConfigError("trace: missing k")
-    k = int(k)
+    k = _power(config)
     if config.extras.get("input"):
         matrix = matrix_from_csv(config.extras["input"])
     else:
@@ -425,13 +438,10 @@ def _cmd_cov(config: RunConfig) -> int:
 
 def _cmd_mdp(config: RunConfig) -> int:
     _require(config, "ensemble", "nu", "trials")
-    k = config.extras.get("k") or (config.k_list[0] if config.k_list else None)
-    if k is None:
-        raise ConfigError("mdp: missing k")
-    n_list = config.n_list or ((config.n,) if config.n else None)
-    if not n_list:
-        raise ConfigError("mdp: missing n or n_list")
-    estimates = mdp_check(config.ensemble, int(k), config.nu, n_list, config.delta_list,
+    k = _power(config)
+    n_list = _first_given(config, "n or n_list", config.n_list,
+                          None if config.n is None else (config.n,))
+    estimates = mdp_check(config.ensemble, k, config.nu, n_list, config.delta_list,
                           config.trials, config.master_seed, workers=config.workers)
     header = ["n", "nu", "delta", "tail_prob", "empirical_rate", "predicted_rate",
               "trials", "flags"]
@@ -462,6 +472,8 @@ def _cmd_cramer(config: RunConfig) -> int:
     x_min = config.extras.get("x_min", lo)
     x_max = config.extras.get("x_max", hi)
     points = config.extras.get("points", 101)
+    if points < 1:
+        raise ConfigError(f"cramer: points must be >= 1, got {points}")
     grid = np.linspace(x_min, x_max, points)
     result = cramer_rate_k1(law, grid, t_max=config.extras.get("t_max", 50.0))
     rows = [[_fmt(x), _fmt(i)] for x, i in zip(result.grid, result.rate)]

@@ -86,6 +86,9 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
         raise InvalidArgumentError("nu must lie in (0, 1)")
     if trials < 2:
         raise InvalidArgumentError("trials must be >= 2")
+    n_list = tuple(n_list)
+    if not n_list or min(n_list) < 2:
+        raise InvalidArgumentError(f"matrix sizes must be >= 2, got n_list={n_list}")
     dk = dk_iid(spec, k, dk_replicas, master_seed)
     if dk.value < 1e-12:
         raise DegenerateRateError(

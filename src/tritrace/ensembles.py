@@ -3,7 +3,10 @@
 A model is described declaratively by an :class:`EnsembleSpec`; realizations
 are pure functions of ``(spec, shape, seed)`` built on the counter-based
 Philox generator, so per-trial streams never share state and a Monte Carlo
-run is reproducible regardless of scheduling.
+run is reproducible regardless of scheduling.  Every draw goes through one
+hook, :class:`_Draws`: each stream of a segment of rows is one Philox stream
+from counter zero that draws the segment row-major.  A window is one segment
+per stream; a Monte Carlo chunk is one segment per trial.
 
 Index conventions follow the matrix layout: site ``i`` (1-based) owns the
 triple ``(a_{i-1}, d_i, b_i)`` of sub-, main- and super-diagonal entries,
@@ -118,7 +121,7 @@ class EntryLaw:
         if self.kind == "gaussian":
             return rng.normal(self.params[0], self.params[1], size)
         if self.kind == "rademacher":
-            return _rademacher(rng, size)
+            return rng.integers(0, 2, size) * 2.0 - 1.0
         raise InvalidArgumentError(f"unknown law kind: {self.kind!r}")  # pragma: no cover
 
     @property
@@ -225,39 +228,6 @@ def _finite(kind: str, *params: float) -> tuple[float, ...]:
     if not all(map(math.isfinite, values)):
         raise InvalidArgumentError(f"{kind} law parameters must be finite, got {values}")
     return values
-
-
-def _rademacher(rng: np.random.Generator, size, fresh: bool = False) -> np.ndarray:
-    """``rng.integers(0, 2, size) * 2.0 - 1.0`` bit for bit, from raw Philox words.
-
-    For a range of two, ``integers`` (Lemire's multiply-shift method) never
-    rejects: each draw is the top bit of one 32-bit word.  Philox serves
-    32-bit words as the low, then the high half of a 64-bit word and keeps an
-    unused high half in ``has_uint32``/``uinteger``.  So the signs are the top
-    bits of both halves of raw words (:func:`_signs`).  A half word buffered
-    on entry and the last sign of an odd remainder are drawn by ``integers``
-    itself, which leaves the generator in the state a plain ``integers`` call
-    would.  ``fresh`` promises that the generator has not drawn yet, so
-    nothing is buffered and the (slow) state read is skipped.  Monte Carlo
-    rows take their signs from :class:`_RowDraws` instead: a row is a fresh
-    stream, so its ``w`` signs are the halves of its first ``ceil(w/2)`` raw
-    words (an odd last sign is the low half ``integers`` would draw), and
-    the words of a whole chunk are transformed at once.
-    """
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.Philox):
-        return rng.integers(0, 2, size).astype(float) * 2.0 - 1.0
-    out = np.empty(size)
-    flat = out.reshape(-1)
-    head = 0 if fresh or not flat.size else bits.state["has_uint32"]
-    if head:
-        flat[0] = rng.integers(0, 2) * 2.0 - 1.0
-    pairs = (flat.size - head) // 2
-    _signs(bits.random_raw(pairs).astype("<u8", copy=False).view("<u4"),
-           flat[head:head + 2 * pairs])
-    if flat.size > head + 2 * pairs:
-        flat[-1] = rng.integers(0, 2) * 2.0 - 1.0
-    return out
 
 
 def _signs(words: np.ndarray, out: np.ndarray) -> None:
@@ -560,108 +530,106 @@ def _trial_keys(master_seed: int, trials: range, count: int) -> np.ndarray:
 # Site sampling
 
 
-def _draw(law, rng: np.random.Generator, size) -> np.ndarray:
-    """``law.sample(rng, size)``, or ``law(rng, size)`` for a plain sampling
-    function, from a generator that has not drawn yet, so no half word is
-    buffered and a Rademacher draw need not read its state."""
-    if not isinstance(law, EntryLaw):
-        return law(rng, size)
-    if law.kind == "rademacher":
-        return _rademacher(rng, size, fresh=True)
-    return law.sample(rng, size)
+class _Draws:
+    """Draw hook of :func:`_sample_sites`: a window is one segment of rows, a
+    Monte Carlo chunk one segment per trial.
 
+    The rows split evenly into segments, and ``keys(i)`` gives the Philox key
+    of stream ``i`` in each segment, a ``(segments, 2)`` array.  A segment's
+    stream starts at counter zero and draws the segment's entries of a slot
+    row-major with the law's sampler.  Keys are asked for only for streams
+    that draw: a constant law draws nothing.  One generator is re-keyed for
+    every segment.
 
-def _window_draws(seed, rows: int):
-    """Draw hook of :func:`_sample_sites` for windows and single matrices:
-    stream ``i`` is one generator, child ``i`` of ``seed``, that draws the
-    whole array."""
-    ss = as_seed_sequence(seed)
+    Rademacher signs bypass the sampler.  ``integers(0, 2)`` never rejects:
+    each sign is the top bit of one 32-bit word, and Philox serves the low,
+    then the high half of each raw word.  So the ``w`` signs that
+    :meth:`EntryLaw.sample` would draw from a fresh stream are the halves of
+    its first ``ceil(w / 2)`` raw words, and :func:`_signs` transforms the
+    words of all segments at once.
 
-    def draw(slot: int, law, width: int, head: float | None = None) -> np.ndarray:
-        if law is None or getattr(law, "kind", None) == "constant":   # nothing to draw
-            out = np.empty((rows, width)) if law is None else np.full((rows, width), law.params[0])
-            if head is not None:
-                out[:, 0] = head
-            return out
-        drawn = _draw(law, np.random.Generator(np.random.Philox(_child(ss, slot))),
-                      (rows, width - (head is not None)))
-        return drawn if head is None else np.concatenate((np.full((rows, 1), head), drawn), axis=1)
-    return draw
-
-
-class _RowDraws:
-    """Draw hook of :func:`_sample_sites` for rows that are fresh streams:
-    stream ``i`` of row ``r`` is Philox keyed ``keys[r, i]`` from counter zero.
-
-    One generator is re-keyed for each row and draws it into a buffer; the
-    Rademacher transform then runs once for all rows: a row keeps the
-    ``ceil(width / 2)`` raw words whose 32-bit halves give its signs.  A
-    constant row draws nothing; any other law draws each row with its own
-    sampler.
-    Each slot has one buffer of ``size`` rows, reused by every call.  Set
-    ``keys``, a ``(rows, streams, 2)`` array with ``rows <= size``, before
-    each chunk.
+    Each slot has one buffer, allocated at the first call's ``rows`` and
+    reused by every later call, so an array is overwritten by the next call
+    for its slot.  Set ``rows`` (at most the first call's) and ``keys``
+    before each chunk.
     """
 
-    def __init__(self, size: int):
-        self.size, self.keys, self.bufs = size, None, {}
-        self.gen = np.random.Generator(np.random.Philox(0))
+    def __init__(self, rows: int, keys=None, seed=0):
+        self.rows, self.keys, self.bufs, self.gen = rows, keys, {}, None
+        self.seed = seed   # builds the generator; every segment re-keys it before drawing
         # Philox is counter-based: a key with the counter and output buffer at
         # zero, set on the reused generator, draws what a new one would.
         self.fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def _buffer(self, slot: int, width: int, dtype=float) -> np.ndarray:
+    def _buffer(self, slot: int, shape: tuple[int, int], dtype=float) -> np.ndarray:
         buf = self.bufs.get((slot, dtype))
-        if buf is None:   # a slot's width is the same for every chunk
-            buf = self.bufs[slot, dtype] = np.empty((self.size, width), dtype)
-        return buf[:len(self.keys)]
+        if buf is None:   # a slot's width is the same for every call
+            buf = self.bufs[slot, dtype] = np.empty(shape, dtype)
+        return buf[:shape[0]]
 
-    def _rows(self, i: int):
-        """The generator, keyed in turn for stream ``i`` of each row."""
+    def _segments(self, keys: np.ndarray):
+        """The generator, keyed in turn for each segment."""
+        if self.gen is None:
+            self.gen = np.random.Generator(np.random.Philox(self.seed))
         bits, fresh = self.gen.bit_generator, self.fresh
-        for key in self.keys[:, i].tolist():
+        for key in keys.tolist():
             fresh["state"]["key"] = key
             bits.state = fresh
             yield self.gen
 
     def __call__(self, slot: int, law, width: int, head: float | None = None) -> np.ndarray:
-        out = self._buffer(slot, width)
+        out = self._buffer(slot, (self.rows, width))
         h = int(head is not None)
         if h:
             out[:, 0] = head
-        dest, kind = out[:, h:], getattr(law, "kind", None)
+        kind = getattr(law, "kind", None)
         if kind == "constant":
-            dest.fill(law.params[0])
-        elif kind == "rademacher":
-            words = self._buffer(slot, (width - h + 1) // 2, "<u8")
-            for r, gen in enumerate(self._rows(slot)):
-                words[r] = gen.bit_generator.random_raw(words.shape[1])
-            _signs(words.view("<u4")[:, :width - h], dest)
+            out[:, h:] = law.params[0]
         elif law is not None:
-            sample = law.sample if kind else law
-            for r, gen in enumerate(self._rows(slot)):
-                dest[r] = sample(gen, width - h)
+            keys = self.keys(slot)
+            dest = out[:, h:].reshape(len(keys), self.rows // len(keys), width - h)
+            if kind == "rademacher":
+                signs = dest[0].size
+                words = self._buffer(slot, (len(keys), (signs + 1) // 2), "<u8")
+                for s, gen in enumerate(self._segments(keys)):
+                    words[s] = gen.bit_generator.random_raw(words.shape[1])
+                _signs(words.view("<u4")[:, :signs].reshape(dest.shape), dest)
+            else:
+                sample = law.sample if kind else law
+                for s, gen in enumerate(self._segments(keys)):
+                    dest[s] = sample(gen, dest.shape[1:])
         return out
+
+
+def _window_draws(seed, rows: int) -> _Draws:
+    """The hook of ``rows`` windows, one segment: stream ``i`` is child ``i``
+    of ``seed``."""
+    ss = as_seed_sequence(seed)
+    # generate_state(2, uint64) is generate_state(4) paired little-endian; a
+    # generator seeded by a built sequence is quicker to build than by an int
+    return _Draws(rows, lambda i: _child(ss, i).generate_state(4).view("<u8")[None], ss)
 
 
 _ANDERSON_OFF = EntryLaw.constant(-1.0)   # Anderson's off-diagonal entries
 
 
-def _sample_sites(spec: EnsembleSpec, first_index: int, length: int, rows: int,
-                  draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slot arrays ``(a, d, b)``, each ``(rows, length)``, of the sites
+def _sample_sites(spec: EnsembleSpec, first_index: int, length: int,
+                  draw: _Draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slot arrays ``(a, d, b)``, each ``(draw.rows, length)``, of the sites
     ``first_index .. first_index + length - 1`` in the layout of
     :class:`EntryWindow`.  ``a`` and ``b`` may share memory.
 
     ``draw(slot, law, width, head)`` returns a ``(rows, width)`` array: the
     draws of ``law`` (an :class:`EntryLaw` or a function ``(rng, size)``)
-    from stream ``slot`` of every row, after a first column fixed to
-    ``head`` unless that is None.  With ``law`` None nothing is drawn and the
-    array is scratch space.  Constant laws draw nothing either, so their
-    slots and scratch slots are any slot no stream of the model uses.  The
-    array may be the hook's own, overwritten by its next call for the slot.
-    :func:`_window_draws` and :class:`_RowDraws` are the two hooks.
+    from stream ``slot``, after a first column fixed to ``head`` unless that
+    is None.  With ``law`` None nothing is drawn and the array is scratch
+    space.  Constant laws draw nothing either, so their slots and scratch
+    slots are any slot no stream of the model uses.  The array is the hook's
+    own, overwritten by its next call for the slot.  The one hook,
+    :class:`_Draws`, serves windows as one segment of rows and Monte Carlo
+    chunks as one segment per trial; a segment's stream draws its rows
+    row-major.
 
     No entry the left boundary fixes is drawn: not ``a_0 = 0`` (entry 0 of
     a shared off-diagonal stream), nor the ``V_1`` or ``U_0`` behind the
@@ -719,12 +687,12 @@ def _sample_sites(spec: EnsembleSpec, first_index: int, length: int, rows: int,
     raise InvalidArgumentError(f"unknown model {model!r}")  # pragma: no cover
 
 
-def _matrix_rows(spec: EnsembleSpec, n: int, rows: int,
-                 draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(sub, diag, sup)`` of ``rows`` n-by-n realizations, as views of the
-    hook's arrays: sites ``1 .. n`` of a window, with the birth-death
+def _matrix_rows(spec: EnsembleSpec, n: int,
+                 draw: _Draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(sub, diag, sup)`` of ``draw.rows`` n-by-n realizations, as views of
+    the hook's arrays: sites ``1 .. n`` of a window, with the birth-death
     kernel's reflecting right boundary."""
-    a, d, b = _sample_sites(spec, 1, n, rows, draw)
+    a, d, b = _sample_sites(spec, 1, n, draw)
     if spec.model == "birth_death_kernel":
         a[:, -1], d[:, -1] = 1.0, 0.0     # a_{n-1} = 1 and b_n = 0, so d_n = 0
     return a[:, 1:], d, b[:, :-1]
@@ -733,12 +701,14 @@ def _matrix_rows(spec: EnsembleSpec, n: int, rows: int,
 def sample_matrix(spec: EnsembleSpec, n: int, seed) -> TridiagonalMatrix:
     """Draw one n-by-n realization; a deterministic function of (spec, n, seed).
 
-    It draws each stream with one generator call, as a window does, not
-    through the per-row hook of :func:`sample_matrix_chunks`, so comparing
-    the two checks one draw route against the other."""
+    It is a one-row window hook's single segment, keyed by the children of
+    ``seed``.  :func:`sample_matrix_chunks` draws through the same hook with
+    one segment per trial and keys from :func:`_trial_keys`, so comparing
+    the two checks two segmentings and two key derivations, not two draw
+    routes."""
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
-    sub, diag, sup = _matrix_rows(spec, n, 1, _window_draws(seed, 1))
+    sub, diag, sup = _matrix_rows(spec, n, _window_draws(seed, 1))
     return TridiagonalMatrix(sub=sub[0], diag=diag[0], sup=sup[0])
 
 
@@ -750,25 +720,26 @@ def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: r
     and row ``r`` of the ``(len(chunk), n-1)``, ``(len(chunk), n)`` and
     ``(len(chunk), n-1)`` arrays holds the diagonals of
     ``sample_matrix(spec, n, trial_seed_sequence(master_seed, chunk[r]))``,
-    bit for bit.  The site sampler runs once per chunk: it re-keys one
-    generator for each trial's stream and draws the row into a chunk buffer,
-    then transforms the whole chunk (:class:`_RowDraws`).  The arrays are
-    views of buffers that every chunk reuses, so a chunk must be used before
-    the next one is requested.  Non-finite entries raise
-    :class:`InvalidArgumentError`, as in :class:`TridiagonalMatrix`, and so
-    do trial indices outside ``[0, 2**32)``.
+    bit for bit.  The site sampler runs once per chunk, through a hook with
+    one segment per trial (:class:`_Draws`): it re-keys one generator for
+    each trial's stream and draws the row into a chunk buffer, then
+    transforms the whole chunk.  The arrays are views of buffers that every
+    chunk reuses, so a chunk must be used before the next one is requested.
+    Non-finite entries raise :class:`InvalidArgumentError`, as in
+    :class:`TridiagonalMatrix`, and so do trial indices outside
+    ``[0, 2**32)``.
     """
     if n < 2:
         raise InvalidArgumentError("n must be >= 2")
     keys = _trial_keys(master_seed, trials, 3)
-    draw = _RowDraws(min(rows, len(trials)))
-    for start in range(trials.start, trials.stop, rows):
-        chunk = range(start, min(start + rows, trials.stop))
-        draw.keys = keys[start - trials.start:chunk.stop - trials.start]
-        sub, diag, sup = _matrix_rows(spec, n, len(chunk), draw)
+    draw = _Draws(rows)
+    for lo in range(0, len(trials), rows):
+        block = keys[lo:lo + rows]
+        draw.rows, draw.keys = len(block), lambda i, block=block: block[:, i]
+        sub, diag, sup = _matrix_rows(spec, n, draw)
         if not (np.isfinite(sub).all() and np.isfinite(diag).all() and np.isfinite(sup).all()):
             raise InvalidArgumentError("matrix entries must be finite")
-        yield chunk, sub, diag, sup
+        yield trials[lo:lo + rows], sub, diag, sup
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +756,7 @@ def sample_window_arrays(spec: EnsembleSpec, first_index: int, length: int,
         raise InvalidArgumentError("first_index must be >= 1")
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
-    return _sample_sites(spec, first_index, length, count, _window_draws(seed, count))
+    return _sample_sites(spec, first_index, length, _window_draws(seed, count))
 
 
 def sample_window(spec: EnsembleSpec, first_index: int, length: int, seed) -> EntryWindow:

@@ -139,6 +139,42 @@ class TestConfigHandling:
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["types", "--k", "0"], "k=0 outside [1, 16]"),
+        (["trace", "--k", "0", "--k-list", "3", "--ensemble", "anderson", "--n", "10"],
+         "k=0 outside [1, 16]"),
+        (["mdp", "--ensemble", "anderson", "--k", "0", "--k-list", "1", "--n", "10",
+          "--nu", "0.5", "--trials", "30"], "k must be >= 1"),
+        (["mdp", "--ensemble", "anderson", "--k", "1", "--n", "0", "--nu", "0.5",
+          "--trials", "30"], "matrix sizes must be >= 2, got n_list=(0,)"),
+        (["types"], "types: missing k"),
+        (["mdp", "--ensemble", "anderson", "--k", "1", "--nu", "0.5", "--trials", "30"],
+         "mdp: missing n or n_list"),
+    ], ids=["types-k0", "trace-k0", "mdp-k0", "mdp-n0", "types-no-k", "mdp-no-n"])
+    def test_zero_is_validated_and_absence_reported(self, capsys, argv, message):
+        # a given 0 once fell back to --k-list or read as missing
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+
+    @pytest.mark.parametrize("command", ["trace-input", "config"])
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe,1,2\n"], ids=["missing", "not-utf8"])
+    def test_unreadable_input_file_is_a_typed_error(self, tmp_path, capsys, command, content):
+        path = tmp_path / "in.csv"
+        if content is not None:
+            path.write_bytes(content)
+        argv = (["trace", "--input", str(path), "--k", "2"] if command == "trace-input"
+                else ["clt", "--config", str(path)])
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read"), err
+
+    @pytest.mark.parametrize("points", ["-1", "0"])
+    def test_cramer_rejects_fewer_than_one_point(self, capsys, points):
+        assert run_cli("cramer", "--law", "rademacher", "--points", points) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cramer: points must be >= 1, got {points}"), err
+
 
 class TestOutputs:
     def test_dump_sample_layout(self, tmp_path):

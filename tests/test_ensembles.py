@@ -9,6 +9,7 @@ from tritrace.ensembles import (
     EnsembleSpec,
     EntryLaw,
     EntryWindow,
+    _Draws,
     _trial_keys,
     as_seed_sequence,
     sample_matrix,
@@ -83,6 +84,8 @@ class TestEntryLaw:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 400, 401, (3, 5), (7, 9), (1, 401)])
     def test_rademacher_raw_words_match_integers(self, size):
+        # EntryLaw.sample is the integers(0, 2) definition that the draw hook's
+        # raw-word signs are pinned against (test_hook_signs_match_integers);
         # the draw after the first starts on the half word an odd count leaves
         law = EntryLaw.rademacher()
         for seed in range(4):
@@ -344,6 +347,27 @@ def test_seeded_draws_are_pinned(name):
     assert digest.hexdigest() == DRAW_DIGESTS[name], (
         f"seeded draws of {name} changed under numpy {np.__version__}; "
         "the digests were taken under numpy 2.4.6")
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 401])
+@pytest.mark.parametrize("segments,rows", [(1, 1), (1, 5), (4, 4), (2, 6)])
+@pytest.mark.parametrize("head", [None, 0.0])
+def test_hook_signs_match_integers(width, segments, rows, head):
+    # Each segment's stream draws the signs of its rows row-major, as
+    # integers(0, 2) on a fresh generator would; (2, 6) has three rows a
+    # segment, so odd widths give odd sign counts behind one key.
+    keys = np.random.default_rng(width).integers(0, 2 ** 64, (segments, 3, 2), dtype=np.uint64)
+    draw = _Draws(rows, lambda i: keys[:, i])
+    h = int(head is not None)
+    out = draw(2, RADEMACHER, width + h, head)
+    assert out.shape == (rows, width + h)
+    if h:
+        assert (out[:, 0] == head).all()
+    per = rows // segments
+    for s in range(segments):
+        gen = np.random.Generator(np.random.Philox(key=keys[s, 2]))
+        np.testing.assert_array_equal(out[s * per:(s + 1) * per, h:],
+                                      gen.integers(0, 2, (per, width)) * 2.0 - 1.0)
 
 
 class TestSeeding:
