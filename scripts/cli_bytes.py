@@ -39,6 +39,7 @@ BDQ_SYM = ["--ensemble", "birth_death_q", "--symmetric", "true"]
 # last sign is the low half of a raw word.
 # `cov-generic-laws` draws Gaussian, Rademacher and Bernoulli windows; its odd
 # replica count gives the Rademacher window an odd sign count behind one key.
+# `types-12` and `types-16` pin the class tables at the largest powers.
 COMMANDS = {
     "simulate-beta-4.8.12": ["simulate", *BETA2, "--k-list", "4,8,12", "--n", "300",
                              "--trials", "1100"],
@@ -92,6 +93,8 @@ COMMANDS = {
     "trace-beta": ["trace", *BETA2, "--k", "12", "--n", "60"],
     "types-5": ["types", "--k", "5"],
     "types-8": ["types", "--k", "8"],
+    "types-12": ["types", "--k", "12"],
+    "types-16": ["types", "--k", "16"],
     "dump-anderson": ["dump-sample", *ANDERSON, "--n", "20"],
     "dump-beta": ["dump-sample", *BETA2, "--n", "20"],
     "dump-hatano": ["dump-sample", *HATANO, "--n", "20"],

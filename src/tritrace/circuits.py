@@ -11,11 +11,12 @@ short sum of windowed entry products:
                  count * sum_i prod_j (sub_{i+j} sup_{i+j})^{edge_j}
                                * prod_j diag_{i+j}^{loop_j}
 
-This module builds the class tables exactly, provides a brute-force walk
-oracle for them, and evaluates traces both through the expansion and
-through banded matrix powering.  These two routes are independent oracles
-for each other.  Monte Carlo traces take, for each power, whichever of the
-expansion and a separate half-power banded kernel is cheaper.
+This module builds the class tables from a closed form, provides a
+brute-force walk oracle for them, and evaluates traces both through the
+expansion and through banded matrix powering, two routes that are
+independent oracles for each other.  Monte Carlo traces take, for each
+power, whichever of the expansion and a separate half-power banded kernel
+is cheaper.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -134,63 +136,29 @@ _TYPE_TABLE: dict[int, tuple[CircuitType, ...]] = {}
 _TYPE_LOCK = threading.Lock()
 
 
-def _bump(items: tuple, key: int) -> tuple:
-    d = dict(items)
-    d[key] = d.get(key, 0) + 1
-    return tuple(sorted(d.items()))
+def _compositions(total: int, parts: int, low: int):
+    """Every tuple of ``parts`` integers ``>= low`` summing to ``total``."""
+    if parts == 1:
+        if total >= low:
+            yield (total,)
+        return
+    for head in range(low, total - low * (parts - 1) + 1):
+        for rest in _compositions(total - head, parts - 1, low):
+            yield (head,) + rest
 
 
-def _classify_profile(edges: tuple, loops: tuple) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Shift an edge/loop profile so its leftmost visited vertex is 0."""
-    verts = {0}
-    for e, _ in edges:
-        verts.add(e)
-        verts.add(e - 1)
-    for v, _ in loops:
-        verts.add(v)
-    lo, hi = min(verts), max(verts)
-    span = hi - lo
-    cross = dict(edges)
-    half = []
-    for j in range(span):
-        c = cross.get(lo + 1 + j, 0)
-        if c == 0 or c % 2:
-            raise TriTraceError("inconsistent walk profile")  # pragma: no cover
-        half.append(c // 2)
-    lp = dict(loops)
-    return span, tuple(half), tuple(lp.get(lo + h, 0) for h in range(span + 1))
-
-
-def _walk_class_counts(k: int) -> dict[tuple, int]:
-    """Count closed walks of length k from a fixed start, per translation class.
-
-    Walk prefixes that share (position, edge-traversal profile, loop profile)
-    are interchangeable for every possible continuation, so they are merged
-    and counted together; the result is an exact enumeration of all 3^k step
-    sequences without visiting them one by one.
-    """
-    states: dict[tuple, int] = {(0, (), ()): 1}
-    for step in range(k):
-        budget = k - step - 1  # steps left after taking the next one
-        nxt: dict[tuple, int] = {}
-        for (pos, edges, loops), ways in states.items():
-            if abs(pos) <= budget:
-                key = (pos, edges, _bump(loops, pos))
-                nxt[key] = nxt.get(key, 0) + ways
-            if abs(pos + 1) <= budget:
-                key = (pos + 1, _bump(edges, pos + 1), loops)
-                nxt[key] = nxt.get(key, 0) + ways
-            if abs(pos - 1) <= budget:
-                key = (pos - 1, _bump(edges, pos), loops)
-                nxt[key] = nxt.get(key, 0) + ways
-        states = nxt
-    out: dict[tuple, int] = {}
-    for (pos, edges, loops), ways in states.items():
-        if pos != 0:  # pragma: no cover - pruned already
-            continue
-        key = _classify_profile(edges, loops)
-        out[key] = out.get(key, 0) + ways
-    return out
+def _class_count(k: int, m: tuple[int, ...], loops: tuple[int, ...]) -> int:
+    """Closed walks of length ``k`` in the class ``(m, loops)`` with its leftmost
+    vertex fixed: the product formula of :func:`enumerate_types`."""
+    if not m:
+        return 1
+    padded = (0, *m, 0)    # m_0 .. m_{s+1}
+    count = k
+    for j in range(1, len(m)):
+        count *= comb(m[j - 1] + m[j] - 1, m[j])
+    for h, loop in enumerate(loops):
+        count *= comb(loop + padded[h] + padded[h + 1] - 1, loop)
+    return count // m[0]
 
 
 def _checked_power(k, k_max: int) -> int:
@@ -206,13 +174,31 @@ def _checked_power(k, k_max: int) -> int:
 def enumerate_types(k: int, k_max: int = DEFAULT_K_MAX) -> tuple[CircuitType, ...]:
     """Return every closed-walk class for power ``k`` with its multiplicity.
 
+    A class of span ``s >= 1`` is a composition ``m_1 .. m_s`` of an edge
+    total ``E`` in ``s .. k//2`` and a weak composition ``l_0 .. l_s`` of the
+    ``k - 2E`` loops; span 0 is the one class of ``k`` loops, with count 1.
+    With ``V_h = m_h + m_{h+1}`` (``m_0 = m_{s+1} = 0``) the count is
+
+        (k / m_1) * prod_{j=1}^{s-1} C(m_j + m_{j+1} - 1, m_{j+1})
+                  * prod_{h=0}^{s} C(l_h + V_h - 1, l_h).
+
+    A walk from vertex 0 is fixed by the order of each vertex's exits.  By
+    the BEST theorem on a path, every vertex ``h >= 1`` exits last towards
+    0, so it orders its ``m_{h+1}`` right exits and ``l_h`` loops among its
+    other ``V_h + l_h - 1``; vertex 0 orders ``l_0`` loops among all its
+    ``m_1 + l_0``.  Rotation pairs (walk from 0, exit from ``h``) with (walk
+    from ``h``, exit from 0), so with out-degrees ``d_h = V_h + l_h`` the
+    walks from ``h`` number ``d_h / d_0`` times those from 0, and
+    ``sum_h d_h = k``.
+
     Parameters
     ----------
     k : int
         Matrix power, ``1 <= k <= k_max``.
     k_max : int, optional
-        Safety cap; class tables and the walk state space grow quickly, so
-        going past the default 16 must be an explicit caller decision.
+        Safety cap; the number of classes and the cost of every trace through
+        them grow quickly with ``k`` (6,714 classes at k=16), so going past
+        the default 16 must be an explicit caller decision.
 
     Returns
     -------
@@ -225,10 +211,15 @@ def enumerate_types(k: int, k_max: int = DEFAULT_K_MAX) -> tuple[CircuitType, ..
         cached = _TYPE_TABLE.get(k)
     if cached is not None:
         return cached
-    counts = _walk_class_counts(k)
+    keys = [(0, (), (k,))]
+    for span in range(1, k // 2 + 1):
+        for edges in range(span, k // 2 + 1):
+            loop_sets = list(_compositions(k - 2 * edges, span + 1, 0))
+            keys.extend((span, m, loops)
+                        for m in _compositions(edges, span, 1) for loops in loop_sets)
     types = tuple(
-        CircuitType(k=k, span=span, half_edges=m, loops=lp, count=c)
-        for (span, m, lp), c in sorted(counts.items())
+        CircuitType(k=k, span=span, half_edges=m, loops=lp, count=_class_count(k, m, lp))
+        for span, m, lp in sorted(keys)
     )
     with _TYPE_LOCK:
         _TYPE_TABLE.setdefault(k, types)
@@ -520,9 +511,10 @@ def traces_for_rows(ab: np.ndarray, diag: np.ndarray, k_list) -> np.ndarray:
 
     Row ``r`` of the ``(rows, n-1)`` edge products ``ab = sub*sup`` and the
     ``(rows, n)`` diagonals ``diag`` is one matrix; the result is
-    ``(rows, len(k_list))``.  Powers below :data:`BANDED_MIN_K` use the class
-    expansion over all rows at once and share its power caches; higher powers
-    share one set of banded half-power stacks per row.  Each value is
+    ``(rows, len(k_list))``.  Only powers above 1 read ``ab``, so it may be
+    None when every power is 1.  Powers below :data:`BANDED_MIN_K` use the
+    class expansion over all rows at once and share its power caches; higher
+    powers share one set of banded half-power stacks per row.  Each value is
     bitwise the one a lone row would give.
     """
     k_list = [_checked_power(k, DEFAULT_K_MAX) for k in k_list]

@@ -520,40 +520,42 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tritrace",
         description="trace statistics of tridiagonal random matrices")
     parser.add_argument("--version", action="version", version=f"tritrace {__version__}")
+    # Every command takes the same flags: declare them once and share them.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value config file; flags override file keys")
+    common.add_argument("--output", help="output file path")
+    common.add_argument("--format", choices=("json", "csv"), dest="format")
+    common.add_argument("--workers", help="worker processes or 'auto'")
+    common.add_argument("--seed", dest="master_seed", type=int)
+    common.add_argument("--k", type=int)
+    common.add_argument("--k-list", dest="k_list")
+    common.add_argument("--n", type=int)
+    common.add_argument("--n-list", dest="n_list")
+    common.add_argument("--trials", type=int)
+    common.add_argument("--nu", type=float)
+    common.add_argument("--delta-list", dest="delta_list")
+    common.add_argument("--alpha", type=float)
+    common.add_argument("--epsilon", type=float)
+    common.add_argument("--replicas", type=int)
+    common.add_argument("--tolerance", type=float)
+    common.add_argument("--ensemble")
+    common.add_argument("--beta", type=float)
+    common.add_argument("--a-law", dest="a_law")
+    common.add_argument("--d-law", dest="d_law")
+    common.add_argument("--b-law", dest="b_law")
+    common.add_argument("--kernel-law", dest="kernel_law")
+    common.add_argument("--kernel-variant", dest="kernel_variant")
+    common.add_argument("--symmetric")
+    common.add_argument("--coupling")
+    common.add_argument("--input")
+    common.add_argument("--law")
+    common.add_argument("--x-min", dest="x_min", type=float)
+    common.add_argument("--x-max", dest="x_max", type=float)
+    common.add_argument("--points", type=int)
+    common.add_argument("--t-max", dest="t_max", type=float)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value config file; flags override file keys")
-        p.add_argument("--output", help="output file path")
-        p.add_argument("--format", choices=("json", "csv"), dest="format")
-        p.add_argument("--workers", help="worker processes or 'auto'")
-        p.add_argument("--seed", dest="master_seed", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--k-list", dest="k_list")
-        p.add_argument("--n", type=int)
-        p.add_argument("--n-list", dest="n_list")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--nu", type=float)
-        p.add_argument("--delta-list", dest="delta_list")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--replicas", type=int)
-        p.add_argument("--tolerance", type=float)
-        p.add_argument("--ensemble")
-        p.add_argument("--beta", type=float)
-        p.add_argument("--a-law", dest="a_law")
-        p.add_argument("--d-law", dest="d_law")
-        p.add_argument("--b-law", dest="b_law")
-        p.add_argument("--kernel-law", dest="kernel_law")
-        p.add_argument("--kernel-variant", dest="kernel_variant")
-        p.add_argument("--symmetric")
-        p.add_argument("--coupling")
-        p.add_argument("--input")
-        p.add_argument("--law")
-        p.add_argument("--x-min", dest="x_min", type=float)
-        p.add_argument("--x-max", dest="x_max", type=float)
-        p.add_argument("--points", type=int)
-        p.add_argument("--t-max", dest="t_max", type=float)
+        sub.add_parser(name, parents=[common])
     return parser
 
 

@@ -733,11 +733,13 @@ def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: r
         raise InvalidArgumentError("n must be >= 2")
     keys = _trial_keys(master_seed, trials, 3)
     draw = _Draws(rows)
+    fixed_off = spec.model == "anderson"   # off-diagonals are _ANDERSON_OFF, a finite constant
     for lo in range(0, len(trials), rows):
         block = keys[lo:lo + rows]
         draw.rows, draw.keys = len(block), lambda i, block=block: block[:, i]
         sub, diag, sup = _matrix_rows(spec, n, draw)
-        if not (np.isfinite(sub).all() and np.isfinite(diag).all() and np.isfinite(sup).all()):
+        if not (np.isfinite(diag).all()
+                and (fixed_off or (np.isfinite(sub).all() and np.isfinite(sup).all()))):
             raise InvalidArgumentError("matrix entries must be finite")
         yield trials[lo:lo + rows], sub, diag, sup
 

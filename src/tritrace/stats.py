@@ -119,9 +119,11 @@ def _trace_block(spec: EnsembleSpec, n: int, k_list, master_seed: int,
                  lo: int, hi: int) -> np.ndarray:
     """Raw traces of trials ``lo .. hi-1``, sampled and evaluated in row chunks."""
     out = np.empty((hi - lo, len(k_list)))
+    reads_edges = max(k_list) > 1   # k=1's one class reads only the diagonal
     chunks = sample_matrix_chunks(spec, n, master_seed, range(lo, hi), max(1, CHUNK_ENTRIES // n))
     for chunk, sub, diag, sup in chunks:
-        out[chunk.start - lo:chunk.stop - lo] = traces_for_rows(sub * sup, diag, k_list)
+        ab = sub * sup if reads_edges else None
+        out[chunk.start - lo:chunk.stop - lo] = traces_for_rows(ab, diag, k_list)
     return out
 
 

@@ -67,3 +67,61 @@ def exhaustive_dk(k, m_k, d_atoms, ab_value=1.0):
 def central_trinomial(k):
     """Closed walks of length k from a fixed vertex with steps in {-1, 0, 1}."""
     return sum(math.comb(k, 2 * j) * math.comb(2 * j, j) for j in range(k // 2 + 1))
+
+
+def _bump(items, key):
+    d = dict(items)
+    d[key] = d.get(key, 0) + 1
+    return tuple(sorted(d.items()))
+
+
+def _classify_profile(edges, loops):
+    """Shift an edge/loop profile so its leftmost visited vertex is 0."""
+    verts = {0}
+    for e, _ in edges:
+        verts.add(e)
+        verts.add(e - 1)
+    for v, _ in loops:
+        verts.add(v)
+    lo, hi = min(verts), max(verts)
+    span = hi - lo
+    cross = dict(edges)
+    half = []
+    for j in range(span):
+        c = cross.get(lo + 1 + j, 0)
+        assert c > 0 and c % 2 == 0, "inconsistent walk profile"
+        half.append(c // 2)
+    lp = dict(loops)
+    return span, tuple(half), tuple(lp.get(lo + h, 0) for h in range(span + 1))
+
+
+def walk_class_counts(k):
+    """Count closed walks of length k from a fixed start, per translation class.
+
+    Step-by-step oracle for the closed-form table of ``enumerate_types``:
+    walk prefixes that share (position, edge-traversal profile, loop profile)
+    are interchangeable for every possible continuation, so they are merged
+    and counted together; the result is an exact enumeration of all 3^k step
+    sequences without visiting them one by one.
+    """
+    states = {(0, (), ()): 1}
+    for step in range(k):
+        budget = k - step - 1  # steps left after taking the next one
+        nxt = {}
+        for (pos, edges, loops), ways in states.items():
+            if abs(pos) <= budget:
+                key = (pos, edges, _bump(loops, pos))
+                nxt[key] = nxt.get(key, 0) + ways
+            if abs(pos + 1) <= budget:
+                key = (pos + 1, _bump(edges, pos + 1), loops)
+                nxt[key] = nxt.get(key, 0) + ways
+            if abs(pos - 1) <= budget:
+                key = (pos - 1, _bump(edges, pos), loops)
+                nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    out = {}
+    for (pos, edges, loops), ways in states.items():
+        assert pos == 0, "open walk survived the budget pruning"
+        key = _classify_profile(edges, loops)
+        out[key] = out.get(key, 0) + ways
+    return out

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import central_trinomial
+from conftest import central_trinomial, walk_class_counts
 from tritrace import circuits
 from tritrace.accumulate import compensated_sum, compensated_sum_rows
 from tritrace.circuits import (
@@ -75,7 +75,11 @@ class TestTypeEnumeration:
     def test_bruteforce_oracle_matches(self, k):
         assert count_circuits_bruteforce(k) == table(k)
 
-    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_step_dp_oracle_matches(self, k):
+        assert table(k) == walk_class_counts(k)
+
+    @pytest.mark.parametrize("k", range(1, 17))
     def test_walk_count_conservation(self, k):
         assert sum(t.count for t in enumerate_types(k)) == central_trinomial(k)
 

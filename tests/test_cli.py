@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import tritrace
 from tritrace import __version__
 from tritrace.cli import (
+    COMMANDS,
     DEFAULT_SEED,
     build_config,
     main,
@@ -174,6 +176,27 @@ class TestConfigHandling:
         assert run_cli("cramer", "--law", "rademacher", "--points", points) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: cramer: points must be >= 1, got {points}"), err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_shared_flags_act_as_if_declared_per_command(self, command):
+        # The flags are declared once and shared by every command.  Rebuild the
+        # command with each flag declared on it directly, as a reference.
+        parser = main.__globals__["_build_parser"]()
+        shared = parser._subparsers._group_actions[0].choices[command]
+        ref = argparse.ArgumentParser(prog="tritrace", description=parser.description)
+        ref_cmd = ref.add_subparsers(dest="command", required=True).add_parser(command)
+        argv = [command]
+        for action in shared._actions:
+            if action.dest == "help":
+                continue
+            ref_cmd.add_argument(*action.option_strings, dest=action.dest, type=action.type,
+                                 choices=action.choices, help=action.help)
+            value = {int: "3", float: "0.5"}.get(action.type, "x")
+            argv += [action.option_strings[0], action.choices[0] if action.choices else value]
+        assert len(argv) == 1 + 2 * 31
+        assert shared.format_help() == ref_cmd.format_help()
+        assert vars(parser.parse_args(argv)) == vars(ref.parse_args(argv))
+        assert vars(parser.parse_args([command])) == vars(ref.parse_args([command]))
 
 
 class TestOutputs:
