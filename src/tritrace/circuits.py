@@ -356,9 +356,12 @@ def _power_stacks(ab: np.ndarray, diag: np.ndarray, p_max: int,
     including rows with ``|o| >= n`` when the band is wider than the matrix.
     Column ``c`` of ``S^j S`` mixes columns ``c-1, c, c+1`` of ``S^j``, each
     scaled by one entry of ``S`` chosen by the source column.  So each step
-    is three whole-stack products, each added at a fixed shift of the
+    is two whole-stack products and the stack itself (the entries of ``S``
+    above the diagonal are ones), each added at a fixed shift of the
     flattened stack; entries a shift carries across a row end fall on zero
-    padding.  The ``p_max`` zero columns on each side also let
+    padding.  The unscaled shift also carries column ``n-1``, which has no
+    column to its right, onto padding column ``n``, so that column is
+    zeroed after the step.  The ``p_max`` zero columns on each side also let
     :func:`_banded_trace` read a stack row-indexed.
 
     Stacks ``1 .. p_max`` are views into ``work`` (``_work_size(n, p_max)``
@@ -367,28 +370,28 @@ def _power_stacks(ab: np.ndarray, diag: np.ndarray, p_max: int,
     n, pad = diag.shape[0], p_max
     width = n + 2 * pad
     dtype = work.dtype
-    to_left, stay, to_right = (np.zeros(width, dtype=dtype) for _ in range(3))
+    to_left, stay = np.zeros(width, dtype=dtype), np.zeros(width, dtype=dtype)
     to_left[pad + 1:pad + n] = ab        # S[s, s-1] feeds column s-1
     stay[pad:pad + n] = diag             # S[s, s]
-    to_right[pad:pad + n - 1] = 1        # S[s, s+1] feeds column s+1
     stack = np.zeros((1, width), dtype=dtype)
     stack[0, pad:pad + n] = 1
     stacks = [stack]
     scratch = work[:(2 * p_max - 1) * width]
     # the end of work holds _banded_trace's product
     store = work[(2 * p_max - 1) * width:work.size - (2 * p_max + 1) * n]
-    store.fill(0)
     with np.errstate(over="ignore", invalid="ignore"):  # the trace sum reports it
         for _ in range(p_max):
             size = stack.size
             term = scratch[:size].reshape(stack.shape)
             flat, store = store[:size + 2 * width], store[size + 2 * width:]
+            flat[:width] = 0                              # the two rows the product
+            flat[width + size:] = 0                       # below leaves unwritten
             np.multiply(stack, stay, out=flat[width:width + size].reshape(stack.shape))
-            np.multiply(stack, to_right, out=term)
-            flat[2 * width + 1:] += scratch[:size - 1]    # one row down, one column right
+            flat[2 * width + 1:] += stack.ravel()[:size - 1]  # one row down, one column right
             np.multiply(stack, to_left, out=term)
             flat[:size - 1] += scratch[1:size]            # one column left
             stack = flat.reshape(-1, width)
+            stack[:, pad + n] = 0                         # column n-1 has no right neighbour
             stacks.append(stack)
     return stacks
 

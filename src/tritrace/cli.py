@@ -14,8 +14,8 @@ exceeded, 1 on any error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
+import gc
 import io
 import json
 import math
@@ -91,6 +91,8 @@ class RunConfig:
 
 
 def _read_config_file(path: str) -> dict[str, dict[str, str]]:
+    import configparser  # only --config reads one; keep it off the import path
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -169,6 +171,9 @@ def _resolve_workers(value) -> int:
     if value is None:
         value = os.environ.get("TRITRACE_WORKERS", "1")
     if str(value).strip().lower() == "auto":
+        # the CPUs this process may run on, which a cpuset or taskset narrows
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     workers = _convert("workers", int, value)
     if workers < 1:
@@ -560,6 +565,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # One run is one short process: freezing the import-time heap (numpy's,
+    # mostly) spares every later collection, the one at exit included, and
+    # forked workers from walking it.  Only cyclic garbage alive now is never freed.
+    gc.freeze()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

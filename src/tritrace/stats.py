@@ -12,7 +12,6 @@ against the Gaussian limit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,6 +137,9 @@ def _raw_traces(spec, n, k_list, trials, master_seed, workers) -> np.ndarray:
         for lo, hi in ranges:
             raw[lo:hi] = _trace_block(spec, n, k_list, master_seed, lo, hi)
         return raw
+    # the pool pulls in multiprocessing; only a run with workers pays for it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(_trace_block, spec, n, k_list, master_seed, lo, hi): lo
                    for lo, hi in ranges}

@@ -365,6 +365,35 @@ class TestMonteCarloRoute:
                 assert isinstance(got, int)
                 assert got == want
 
+    @pytest.mark.parametrize("n, p_max", [(2, 8), (3, 8), (9, 8), (1000, 6)])
+    def test_power_stacks_are_zero_off_the_band(self, n, p_max):
+        # each step adds the stack unscaled one column to the right and zeroes
+        # only padding column n, so any other stray slot would reach the traces;
+        # at n <= 9 the band of S^8 is wider than the matrix
+        rng = np.random.default_rng(n)
+        m = TridiagonalMatrix(sub=rng.normal(size=n - 1), diag=rng.normal(size=n),
+                              sup=rng.normal(size=n - 1))
+        ab = m.sub * m.sup
+        stacks = circuits._power_stacks(ab, m.diag, p_max,
+                                        np.empty(circuits._work_size(n, p_max)))
+        assert len(stacks) == p_max + 1
+        s = np.diag(m.diag) + np.diag(np.ones(n - 1), 1) + np.diag(ab, -1)
+        col = np.arange(n + 2 * p_max) - p_max            # the matrix column of each slot
+        for j, stack in enumerate(stacks):
+            assert stack.shape == (2 * j + 1, n + 2 * p_max)
+            o = np.arange(-j, j + 1)[:, None]               # row j + o holds S^j[c-o, c]
+            inside = (col >= 0) & (col < n) & (col - o >= 0) & (col - o < n)
+            assert np.all(stack[~inside] == 0)
+            if n <= 9:
+                rows, cols = np.nonzero(inside)
+                want = np.linalg.matrix_power(s, j)[col[cols] - (rows - j), col[cols]]
+                np.testing.assert_allclose(stack[rows, cols], want, rtol=1e-12, atol=1e-12)
+        ks = range(1, 2 * p_max + 1)
+        banded = circuits._banded_traces(ab[None, :], m.diag[None, :], ks)[0]
+        for k, got in zip(ks, banded):
+            want = trace_power_direct(m, k)
+            assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
     @pytest.mark.parametrize("k_list", [[0], [17], [8, 17], [12, 0], [8, 9.0], [True]])
     def test_power_validation(self, k_list):
         m = ones_matrix(20)

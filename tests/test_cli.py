@@ -105,14 +105,25 @@ class TestConfigHandling:
         monkeypatch.setenv("TRITRACE_WORKERS", "3")
         assert build_config(parser.parse_args(["types", "--k", "3"])).workers == 3
         monkeypatch.setenv("TRITRACE_WORKERS", "auto")
-        import os
-        assert build_config(parser.parse_args(["types", "--k", "3"])).workers == os.cpu_count()
+        workers = build_config(parser.parse_args(["types", "--k", "3"])).workers
+        assert workers == len(os.sched_getaffinity(0))
         # explicit flag wins over the environment
         args = parser.parse_args(["types", "--k", "3", "--workers", "2"])
         assert build_config(args).workers == 2
         monkeypatch.setenv("TRITRACE_WORKERS", "0")
         with pytest.raises(Exception):
             build_config(parser.parse_args(["types", "--k", "3"]))
+
+    def test_auto_workers_count_the_usable_cpus(self, monkeypatch):
+        # a cpuset or taskset can leave the process fewer CPUs than the host has
+        parser = main.__globals__["_build_parser"]()
+        args = parser.parse_args(["types", "--k", "3", "--workers", "auto"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert build_config(args).workers == 3
+        # platforms without affinity masks fall back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert build_config(args).workers == 8
 
     @pytest.mark.parametrize("extra, config_text, bad", [
         (["--n", "8", "--k-list", "1,x"], None, "1,x"),
@@ -316,11 +327,14 @@ class TestDeterminism:
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy is only needed for the KS distance and is imported there
+    # scipy is only needed for the KS distance, the process pool only with more
+    # than one worker and configparser only with --config; each is imported there
     src = str(Path(tritrace.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    lazy = ("concurrent.futures.process", "multiprocessing", "configparser")
     code = ("import sys, tritrace.cli; "
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)")
+            f"loaded = sorted(m for m in sys.modules if 'scipy' in m or m in {lazy!r}); "
+            "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
