@@ -40,6 +40,10 @@ BDQ_SYM = ["--ensemble", "birth_death_q", "--symmetric", "true"]
 # `cov-generic-laws` draws Gaussian, Rademacher and Bernoulli windows; its odd
 # replica count gives the Rademacher window an odd sign count behind one key.
 # `types-12` and `types-16` pin the class tables at the largest powers.
+# Monte Carlo at k=1 alone on a Rademacher diagonal of its own counts sign
+# bits instead of summing rows (`stats._trace_block`).  `mdp-anderson-k1`,
+# `simulate-anderson-k1-odd` (odd n), `simulate-hatano-rademacher-k1` and
+# `mdp-generic-rademacher-k1` reach that route.
 COMMANDS = {
     "simulate-beta-4.8.12": ["simulate", *BETA2, "--k-list", "4,8,12", "--n", "300",
                              "--trials", "1100"],
@@ -89,6 +93,14 @@ COMMANDS = {
                         "--trials", "3000"],
     "mdp-anderson-k1": ["mdp", *ANDERSON, "--k", "1", "--nu", "0.5", "--n", "400",
                         "--trials", "24576"],
+    "simulate-anderson-k1-odd": ["simulate", *ANDERSON, "--k-list", "1", "--n", "401",
+                                 "--trials", "1100"],
+    "simulate-hatano-rademacher-k1": ["simulate", *HATANO, "--d-law", "rademacher",
+                                      "--k-list", "1", "--n", "120", "--trials", "1100"],
+    "mdp-generic-rademacher-k1": ["mdp", "--ensemble", "generic_iid",
+                                  "--a-law", "uniform(0.5,1.5)", "--d-law", "rademacher",
+                                  "--b-law", "bernoulli(0.3,1,2)", "--k", "1", "--nu", "0.5",
+                                  "--n", "257", "--trials", "3000"],
     "trace-anderson": ["trace", *ANDERSON, "--k", "6", "--n", "50"],
     "trace-beta": ["trace", *BETA2, "--k", "12", "--n", "60"],
     "types-5": ["types", "--k", "5"],

@@ -546,7 +546,8 @@ class _Draws:
     then the high half of each raw word.  So the ``w`` signs that
     :meth:`EntryLaw.sample` would draw from a fresh stream are the halves of
     its first ``ceil(w / 2)`` raw words, and :func:`_signs` transforms the
-    words of all segments at once.
+    words of all segments at once.  :meth:`words` draws those words alone;
+    :func:`diagonal_sign_sums` counts their sign bits.
 
     Each slot has one buffer, allocated at the first call's ``rows`` and
     reused by every later call, so an array is overwritten by the next call
@@ -578,6 +579,15 @@ class _Draws:
             bits.state = fresh
             yield self.gen
 
+    def words(self, slot: int, keys: np.ndarray, signs: int) -> np.ndarray:
+        """The first ``ceil(signs / 2)`` raw words of stream ``slot`` of each
+        segment, one row per key of ``keys``: the words whose half-words
+        carry the segment's first ``signs`` Rademacher signs."""
+        words = self._buffer(slot, (len(keys), (signs + 1) // 2), "<u8")
+        for s, gen in enumerate(self._segments(keys)):
+            words[s] = gen.bit_generator.random_raw(words.shape[1])
+        return words
+
     def __call__(self, slot: int, law, width: int, head: float | None = None) -> np.ndarray:
         out = self._buffer(slot, (self.rows, width))
         h = int(head is not None)
@@ -591,9 +601,7 @@ class _Draws:
             dest = out[:, h:].reshape(len(keys), self.rows // len(keys), width - h)
             if kind == "rademacher":
                 signs = dest[0].size
-                words = self._buffer(slot, (len(keys), (signs + 1) // 2), "<u8")
-                for s, gen in enumerate(self._segments(keys)):
-                    words[s] = gen.bit_generator.random_raw(words.shape[1])
+                words = self.words(slot, keys, signs)
                 _signs(words.view("<u4")[:, :signs].reshape(dest.shape), dest)
             else:
                 sample = law.sample if kind else law
@@ -612,6 +620,9 @@ def _window_draws(seed, rows: int) -> _Draws:
 
 
 _ANDERSON_OFF = EntryLaw.constant(-1.0)   # Anderson's off-diagonal entries
+# Models whose diagonal is a stream of its own, drawn by ``spec.d_law`` from
+# this slot of :func:`_sample_sites` (tests check the table against it).
+_DIAGONAL_SLOT = {"anderson": 0, "hatano_nelson": 1, "generic_iid": 1}
 
 
 def _sample_sites(spec: EnsembleSpec, first_index: int, length: int,
@@ -742,6 +753,40 @@ def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: r
                 and (fixed_off or (np.isfinite(sub).all() and np.isfinite(sup).all()))):
             raise InvalidArgumentError("matrix entries must be finite")
         yield trials[lo:lo + rows], sub, diag, sup
+
+
+def counts_diagonal_signs(spec: EnsembleSpec) -> bool:
+    """True when :func:`diagonal_sign_sums` serves ``spec``: its diagonal is
+    a Rademacher stream of its own, and the spec is bounded, so the streams
+    that route skips could not have drawn the non-finite entry that
+    :func:`sample_matrix_chunks` rejects."""
+    return (spec.model in _DIAGONAL_SLOT and spec.d_law.kind == "rademacher"
+            and spec.bounded)
+
+
+def diagonal_sign_sums(spec: EnsembleSpec, n: int, master_seed: int, trials: range,
+                       rows: int) -> np.ndarray:
+    """Diagonal sums of the matrices of Monte Carlo ``trials``, for a spec
+    that :func:`counts_diagonal_signs` accepts, by counting sign bits.
+
+    Entry ``r`` is ``2 * (count of +1 signs) - n`` for the diagonal of
+    ``sample_matrix(spec, n, trial_seed_sequence(master_seed, trials[r]))``:
+    the top bits of the first ``n`` half-words of that trial's diagonal
+    stream, from the raw words :class:`_Draws` draws ``rows`` trials at a
+    time.  No float row is built and no other stream is drawn.  The sum is
+    an integer below 2**53, so it equals any exact or compensated sum of the
+    row, bit for bit, and a zero sum is ``+0.0``.
+    """
+    if n < 2:
+        raise InvalidArgumentError("n must be >= 2")
+    slot = _DIAGONAL_SLOT[spec.model]
+    keys = _trial_keys(master_seed, trials, slot + 1)[:, slot]
+    draw = _Draws(rows)
+    plus = np.empty(len(trials), np.int64)
+    for lo in range(0, len(trials), rows):
+        halves = draw.words(slot, keys[lo:lo + rows], n).view("<u4")[:, :n]
+        plus[lo:lo + rows] = np.count_nonzero(halves >= 1 << 31, axis=1)
+    return (2 * plus - n).astype(float)
 
 
 # ---------------------------------------------------------------------------

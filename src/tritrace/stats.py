@@ -28,6 +28,8 @@ from .ensembles import (
     MAX_TRIALS,
     EnsembleSpec,
     EntryWindow,
+    counts_diagonal_signs,
+    diagonal_sign_sums,
     sample_matrix_chunks,
     sample_window,
     sample_window_arrays,
@@ -81,8 +83,9 @@ def _summand_block(a: np.ndarray, d: np.ndarray, b: np.ndarray, first_index: int
     width = len(sites)
     if base < 0 or base + width - 1 + k // 2 > d.shape[1] - 1:
         raise InvalidArgumentError("window too short for requested site")
-    # ab[:, t] = a_{f+t} * b_{f+t}: the a-slot of site s holds a_{s-1}
-    pows = slot_powers(a[:, 1:] * b[:, :-1], d)
+    # ab[:, t] = a_{f+t} * b_{f+t}: the a-slot of site s holds a_{s-1};
+    # k=1's one class reads only the diagonal
+    pows = slot_powers(a[:, 1:] * b[:, :-1] if k > 1 else None, d)
     out = np.zeros((d.shape[0], width))
     for t in types:
         out += t.count * class_product(pows, t, base, width)
@@ -116,11 +119,22 @@ def exact_trace_mean(spec: EnsembleSpec, n: int, k: int) -> float | None:
 
 def _trace_block(spec: EnsembleSpec, n: int, k_list, master_seed: int,
                  lo: int, hi: int) -> np.ndarray:
-    """Raw traces of trials ``lo .. hi-1``, sampled and evaluated in row chunks."""
+    """Raw traces of trials ``lo .. hi-1``, sampled and evaluated in row chunks.
+
+    The route follows from the spec and ``k_list``, never from the run's
+    size.  When every power is 1 and the diagonal is a Rademacher stream of
+    its own (:func:`counts_diagonal_signs`), the traces are counts of sign
+    bits (:func:`diagonal_sign_sums`) and no row is built; they have the
+    bits :func:`traces_for_rows` gives, whose compensated sum of ``+-1``
+    entries is exact.
+    """
+    rows = max(1, CHUNK_ENTRIES // n)
+    if set(k_list) == {1} and counts_diagonal_signs(spec):
+        sums = diagonal_sign_sums(spec, n, master_seed, range(lo, hi), rows)
+        return np.repeat(sums[:, None], len(k_list), axis=1)
     out = np.empty((hi - lo, len(k_list)))
     reads_edges = max(k_list) > 1   # k=1's one class reads only the diagonal
-    chunks = sample_matrix_chunks(spec, n, master_seed, range(lo, hi), max(1, CHUNK_ENTRIES // n))
-    for chunk, sub, diag, sup in chunks:
+    for chunk, sub, diag, sup in sample_matrix_chunks(spec, n, master_seed, range(lo, hi), rows):
         ab = sub * sup if reads_edges else None
         out[chunk.start - lo:chunk.stop - lo] = traces_for_rows(ab, diag, k_list)
     return out

@@ -9,7 +9,9 @@ from tritrace.ensembles import (
     EnsembleSpec,
     EntryLaw,
     EntryWindow,
+    _DIAGONAL_SLOT,
     _Draws,
+    _sample_sites,
     _trial_keys,
     as_seed_sequence,
     sample_matrix,
@@ -368,6 +370,34 @@ def test_hook_signs_match_integers(width, segments, rows, head):
         gen = np.random.Generator(np.random.Philox(key=keys[s, 2]))
         np.testing.assert_array_equal(out[s * per:(s + 1) * per, h:],
                                       gen.integers(0, 2, (per, width)) * 2.0 - 1.0)
+
+
+class _RecordingDraws:
+    """A stand-in hook for ``_sample_sites`` that records each call's slot,
+    law and returned array."""
+
+    def __init__(self, rows):
+        self.rows, self.calls = rows, []
+
+    def __call__(self, slot, law, width, head=None):
+        out = np.full((self.rows, width), 0.5)
+        self.calls.append((slot, law, out))
+        return out
+
+
+@pytest.mark.parametrize("spec", [*SPECS.values(), EnsembleSpec.hatano_nelson(d_law=RADEMACHER),
+                                  EnsembleSpec.anderson(EntryLaw.uniform(-1.0, 1.0))])
+def test_diagonal_slot_table_matches_the_site_sampler(spec):
+    # A model is in the table exactly when _sample_sites returns, as the
+    # diagonal, the whole draw of spec.d_law from one stream: the table's slot.
+    draw = _RecordingDraws(3)
+    _, d, _ = _sample_sites(spec, 1, 6, draw)
+    sources = [(slot, law) for slot, law, out in draw.calls if np.shares_memory(out, d)]
+    own_stream = (len(sources) == 1 and spec.d_law is not None
+                  and sources[0][1] is spec.d_law and d.shape == (3, 6))
+    assert own_stream == (spec.model in _DIAGONAL_SLOT)
+    if own_stream:
+        assert sources[0][0] == _DIAGONAL_SLOT[spec.model]
 
 
 class TestSeeding:

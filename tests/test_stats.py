@@ -11,11 +11,14 @@ from tritrace.circuits import (
     enumerate_types,
     trace_power_expansion,
     traces_for_k_list,
+    traces_for_rows,
 )
 from tritrace.ensembles import (
     EnsembleSpec,
     EntryLaw,
     EntryWindow,
+    counts_diagonal_signs,
+    diagonal_sign_sums,
     sample_matrix,
     sample_matrix_chunks,
     sample_window,
@@ -62,6 +65,15 @@ class TestSiteSummand:
     def test_k1_is_diagonal_entry(self):
         w = EntryWindow(first_index=3, a=np.ones(3), d=np.array([4.0, 5.0, 6.0]), b=np.ones(3))
         assert site_summand(w, 4, 1, enumerate_types(1)) == pytest.approx(5.0)
+
+    def test_k1_summands_form_no_edge_products(self):
+        # k=1's one class reads only the diagonal, so edge products that
+        # would overflow are never formed
+        d = np.random.default_rng(3).normal(size=(4, 6))
+        huge = np.full((4, 6), 1e200)
+        with np.errstate(over="raise"):
+            x = stats._summand_block(huge, d, huge, 2, range(2, 7), 1, enumerate_types(1))
+        assert x.tobytes() == d[:, :5].tobytes()
 
     def test_window_too_short(self):
         w = EntryWindow(first_index=2, a=np.ones(2), d=np.ones(2), b=np.ones(2))
@@ -220,6 +232,103 @@ class TestMcTraces:
             mc_traces(spec, 2, (8,), 16, 0)
         with pytest.raises(InvalidArgumentError):
             mc_traces(spec, 50, (), 16, 0)
+
+
+RADEMACHER = EntryLaw.rademacher()
+# Every kind of spec the sign-count route serves: a Rademacher diagonal that
+# is a stream of its own, with bounded laws elsewhere.
+SIGN_COUNT_SPECS = {
+    "anderson": EnsembleSpec.anderson(),
+    "hatano_nelson": EnsembleSpec.hatano_nelson(d_law=RADEMACHER),
+    "generic_iid": EnsembleSpec.generic_iid(EntryLaw.uniform(0.5, 1.5), RADEMACHER,
+                                            EntryLaw.bernoulli(0.3, 1.0, 2.0)),
+    "generic_iid-symmetric": EnsembleSpec.generic_iid(EntryLaw.uniform(-1.0, 1.0), RADEMACHER,
+                                                      symmetric=True),
+    # every stream Rademacher: the route must read the diagonal's stream
+    "generic_iid-all-rademacher": EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, RADEMACHER),
+}
+# Specs left to the float route at k=1.
+FLOAT_ROUTE_SPECS = {
+    # the same values through a different draw route
+    "bernoulli-half": EnsembleSpec.anderson(EntryLaw.bernoulli(0.5, -1.0, 1.0)),
+    "birth_death_q": EnsembleSpec.birth_death_q(),
+    "birth_death_q-symmetric": EnsembleSpec.birth_death_q(symmetric=True),
+    "kernel-v": EnsembleSpec.birth_death_kernel(),
+    "kernel-conductance": EnsembleSpec.birth_death_kernel(variant="conductance"),
+    "beta_hermite": EnsembleSpec.beta_hermite(2.0),
+    # an unbounded off-diagonal law can draw a non-finite entry, which the
+    # float route rejects
+    "generic_iid-gaussian-a": EnsembleSpec.generic_iid(EntryLaw.gaussian(0.0, 1.0), RADEMACHER,
+                                                       symmetric=True),
+}
+
+
+def float_route(spec, n, k_list, trials, rows, master_seed=41):
+    """Raw traces by the general route: sampled rows, then traces_for_rows."""
+    return np.concatenate([
+        traces_for_rows(sub * sup, diag, k_list)
+        for _, sub, diag, sup in sample_matrix_chunks(spec, n, master_seed, trials, rows)])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("this route must not run here")
+
+
+class TestSignCountRoute:
+    @pytest.mark.parametrize("n", [2, 3, 257, 400, 401])
+    @pytest.mark.parametrize("name", SIGN_COUNT_SPECS)
+    def test_traces_equal_the_float_route(self, name, n, monkeypatch):
+        spec = SIGN_COUNT_SPECS[name]
+        assert counts_diagonal_signs(spec)
+        # starts off zero; 13-trial chunks cross boundaries and end short
+        trials = range(37, 337)
+        want = float_route(spec, n, (1,), trials, 13)
+        got = diagonal_sign_sums(spec, n, 41, trials, 13)
+        assert got.tobytes() == want[:, 0].tobytes()
+        if n == 2:   # zero traces occur, and are +0.0 on both routes
+            assert (got == 0).any() and not np.signbit(got[got == 0]).any()
+        # _trace_block takes the route at its own chunk size, for repeated
+        # powers too, and samples no matrix
+        monkeypatch.setattr(stats, "sample_matrix_chunks", _refuse)
+        block = stats._trace_block(spec, n, (1, 1), 41, trials.start, trials.stop)
+        assert block.tobytes() == np.repeat(want, 2, axis=1).tobytes()
+
+    @pytest.mark.parametrize("name", SIGN_COUNT_SPECS)
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), lo=st.integers(0, 2 ** 32 - 64),
+           count=st.integers(1, 40), rows=st.integers(1, 16), n=st.integers(2, 70))
+    @example(seed=0, lo=0, count=3, rows=1, n=2)
+    def test_traces_equal_the_float_route_hypothesis(self, name, seed, lo, count, rows, n):
+        spec = SIGN_COUNT_SPECS[name]
+        trials = range(lo, lo + count)
+        want = float_route(spec, n, (1,), trials, rows, seed)[:, 0]
+        assert diagonal_sign_sums(spec, n, seed, trials, rows).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec,k_list", [
+        *((SIGN_COUNT_SPECS["anderson"], k_list) for k_list in ((1, 2), (3, 1), (1, 1, 8))),
+        *((SIGN_COUNT_SPECS["generic_iid"], k_list) for k_list in ((2,), (1, 4))),
+        *((spec, (1,)) for spec in FLOAT_ROUTE_SPECS.values()),
+    ])
+    def test_route_does_not_engage(self, spec, k_list, monkeypatch):
+        monkeypatch.setattr(stats, "diagonal_sign_sums", _refuse)
+        got = stats._trace_block(spec, 9, k_list, 41, 3, 20)
+        np.testing.assert_array_equal(got, float_route(spec, 9, k_list, range(3, 20), 20))
+
+    def test_non_finite_off_diagonal_still_raises_at_k1(self):
+        # sigma * z overflows to +-inf for |z| > 1.8; the float route's check runs
+        spec = EnsembleSpec.generic_iid(EntryLaw.gaussian(0.0, 1e308), RADEMACHER, symmetric=True)
+        assert not counts_diagonal_signs(spec)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            mc_traces(spec, 200, (1,), 4, 5)
+
+    def test_validation(self):
+        spec = SIGN_COUNT_SPECS["anderson"]
+        with pytest.raises(InvalidArgumentError, match="n must be"):
+            diagonal_sign_sums(spec, 1, 41, range(4), 4)
+        with pytest.raises(InvalidArgumentError, match="n must be"):
+            mc_traces(spec, 1, (1,), 4, 5)
+        with pytest.raises(InvalidArgumentError, match="2\\*\\*32"):
+            diagonal_sign_sums(spec, 5, 9, range(2 ** 32 - 1, 2 ** 32 + 1), 4)
 
 
 class TestDkIid:
