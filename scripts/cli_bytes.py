@@ -44,6 +44,7 @@ BDQ_SYM = ["--ensemble", "birth_death_q", "--symmetric", "true"]
 # bits instead of summing rows (`stats._trace_block`).  `mdp-anderson-k1`,
 # `simulate-anderson-k1-odd` (odd n), `simulate-hatano-rademacher-k1` and
 # `mdp-generic-rademacher-k1` reach that route.
+# The `cramer` commands are the only ones that evaluate a law's log-MGF.
 COMMANDS = {
     "simulate-beta-4.8.12": ["simulate", *BETA2, "--k-list", "4,8,12", "--n", "300",
                              "--trials", "1100"],
@@ -103,6 +104,9 @@ COMMANDS = {
                                   "--n", "257", "--trials", "3000"],
     "trace-anderson": ["trace", *ANDERSON, "--k", "6", "--n", "50"],
     "trace-beta": ["trace", *BETA2, "--k", "12", "--n", "60"],
+    "cramer-rademacher": ["cramer", "--law", "rademacher"],
+    "cramer-uniform": ["cramer", "--law", "uniform(-1,2)", "--points", "41"],
+    "cramer-bernoulli": ["cramer", "--law", "bernoulli(0.3,-2,5)", "--points", "41"],
     "types-5": ["types", "--k", "5"],
     "types-8": ["types", "--k", "8"],
     "types-12": ["types", "--k", "12"],

@@ -9,8 +9,8 @@ too few expected tail events are flagged rather than silently reported.
 
 For k=1 the trace is a plain i.i.d. sum and the exact rate function is the
 Legendre transform of the log moment generating function; it is computed
-numerically (golden-section on the concave objective) with closed-form
-log-MGFs where the law provides one.
+numerically (golden-section on the concave objective) from the law's
+closed-form log-MGF.
 """
 
 from __future__ import annotations
@@ -125,23 +125,6 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
     return out
 
 
-def _log_mgf_quadrature(law: EntryLaw, t: float, nodes: int = 96) -> float:
-    atoms = law.atoms
-    if atoms is not None:
-        shift = max(t * v for v, _ in atoms)
-        return shift + math.log(sum(p * math.exp(t * v - shift) for v, p in atoms))
-    lo, hi = law.support
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    x = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-    w = 0.5 * (hi - lo) * w
-    if law.kind != "uniform":  # pragma: no cover - only continuous compact law today
-        raise InvalidArgumentError(f"no density known for law {law.kind!r}")
-    dens = 1.0 / (hi - lo)
-    vals = t * x
-    shift = float(np.max(vals))
-    return shift + math.log(float(np.sum(w * dens * np.exp(vals - shift))))
-
-
 def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
     """Maximize a concave function on [lo, hi]; returns (argmax, max)."""
     a, b = lo, hi
@@ -161,8 +144,7 @@ def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, f
     return t, fun(t)
 
 
-def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = 50.0, *,
-                   mgf_mode: str = "auto") -> CramerRate:
+def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = 50.0) -> CramerRate:
     """Rate function ``I(x) = sup_t (t x - log E exp(t d))`` for an i.i.d. sum.
 
     ``entry_law`` must have compact support.  Outside the closed support
@@ -174,15 +156,7 @@ def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = 50.0, *,
         raise InvalidArgumentError("Cramér rate needs a compactly supported law")
     if t_max <= 0:
         raise InvalidArgumentError("t_max must be positive")
-    if mgf_mode not in ("auto", "quadrature"):
-        raise InvalidArgumentError("mgf_mode must be 'auto' or 'quadrature'")
     lo, hi = entry_law.support
-    if mgf_mode == "auto":
-        log_mgf = entry_law.log_mgf
-    else:
-        def log_mgf(t: float) -> float:
-            return _log_mgf_quadrature(entry_law, t)
-
     grid = np.asarray(x_grid, dtype=float)
     rate = np.empty_like(grid)
     t_star = np.empty_like(grid)
@@ -195,7 +169,7 @@ def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = 50.0, *,
             continue
 
         def objective(t: float, x=x) -> float:
-            return t * x - log_mgf(t)
+            return t * x - entry_law.log_mgf(t)
 
         t_opt, val = _golden_max(objective, -t_max, t_max)
         rate[idx] = max(val, 0.0)

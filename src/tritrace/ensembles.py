@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,41 +42,128 @@ KERNEL_VARIANTS = ("v", "conductance")
 _LAW_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
 
 
+def _uniform_log_mgf(t: float, lo: float, hi: float) -> float:
+    w = t * (hi - lo)
+    if abs(w) < 1e-8:
+        return t * (0.5 * (lo + hi)) + 0.5 * t * t * ((hi - lo) ** 2 / 12.0)
+    if w > 0:
+        return t * lo + math.log(math.expm1(w) / w)
+    return t * hi + math.log(math.expm1(-w) / (-w))
+
+
+def _bernoulli_log_mgf(t: float, p: float, v0: float, v1: float) -> float:
+    x0, x1 = t * v0, t * v1
+    m = max(x0, x1)
+    return m + math.log((1 - p) * math.exp(x0 - m) + p * math.exp(x1 - m))
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything one law kind knows, as functions of its parameters ``*p``:
+    ``sample(rng, size, *p)``, ``log_mgf(t, *p)`` and the rest ``f(*p)``."""
+
+    arity: int
+    checks: tuple   # (predicate, message) pairs, tested after finiteness
+    sample: Callable
+    mean: Callable
+    variance: Callable
+    support: Callable   # closed support interval, or None for unbounded laws
+    atoms: Callable     # (value, probability) pairs, or None unless purely discrete
+    symmetric_zero_mean: Callable
+    log_mgf: Callable   # log E exp(t X) in closed form
+
+
+_KINDS = {
+    "constant": _Kind(
+        arity=1, checks=(),
+        sample=lambda rng, size, c: np.full(size, c),
+        mean=lambda c: c,
+        variance=lambda c: 0.0,
+        support=lambda c: (c, c),
+        atoms=lambda c: ((c, 1.0),),
+        symmetric_zero_mean=lambda c: c == 0.0,
+        log_mgf=lambda t, c: t * c),
+    "uniform": _Kind(
+        arity=2,
+        # numpy cannot draw on an infinitely wide interval
+        checks=((lambda lo, hi: hi > lo, "uniform law needs hi > lo"),
+                (lambda lo, hi: math.isfinite(hi - lo), "uniform law needs a finite width hi - lo")),
+        sample=lambda rng, size, lo, hi: rng.uniform(lo, hi, size),
+        mean=lambda lo, hi: 0.5 * (lo + hi),
+        variance=lambda lo, hi: (hi - lo) ** 2 / 12.0,
+        support=lambda lo, hi: (lo, hi),
+        atoms=lambda *p: None,
+        symmetric_zero_mean=lambda lo, hi: lo == -hi,
+        log_mgf=_uniform_log_mgf),
+    "bernoulli": _Kind(
+        arity=3, checks=((lambda p, v0, v1: 0.0 <= p <= 1.0, "bernoulli p outside [0, 1]"),),
+        sample=lambda rng, size, p, v0, v1: np.where(rng.random(size) < p, v1, v0),
+        mean=lambda p, v0, v1: (1 - p) * v0 + p * v1,
+        variance=lambda p, v0, v1: p * (1 - p) * (v1 - v0) ** 2,
+        support=lambda p, v0, v1: (min(v0, v1), max(v0, v1)),
+        atoms=lambda p, v0, v1: ((v0, 1.0 - p), (v1, p)),
+        symmetric_zero_mean=lambda p, v0, v1: p == 0.5 and v0 == -v1,
+        log_mgf=_bernoulli_log_mgf),
+    "gaussian": _Kind(
+        arity=2, checks=((lambda mu, sigma: sigma >= 0, "gaussian sigma must be >= 0"),),
+        sample=lambda rng, size, mu, sigma: rng.normal(mu, sigma, size),
+        mean=lambda mu, sigma: mu,
+        variance=lambda mu, sigma: sigma ** 2,
+        support=lambda *p: None,
+        atoms=lambda *p: None,
+        symmetric_zero_mean=lambda mu, sigma: mu == 0.0,
+        log_mgf=lambda t, mu, sigma: t * mu + 0.5 * (t * sigma) ** 2),
+    "rademacher": _Kind(
+        arity=0, checks=(),
+        sample=lambda rng, size: rng.integers(0, 2, size) * 2.0 - 1.0,
+        mean=lambda: 0.0,
+        variance=lambda: 1.0,
+        support=lambda: (-1.0, 1.0),
+        atoms=lambda: ((-1.0, 0.5), (1.0, 0.5)),
+        symmetric_zero_mean=lambda: True,
+        # log cosh(t), stable for large |t|
+        log_mgf=lambda t: abs(t) + math.log1p(math.exp(-2.0 * abs(t))) - math.log(2.0)),
+}
+
+
 @dataclass(frozen=True)
 class EntryLaw:
-    """A scalar distribution used for one entry stream."""
+    """A scalar distribution used for one entry stream; its kind's record in
+    ``_KINDS`` holds all its behaviour."""
 
     kind: str
     params: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        law = _KINDS.get(self.kind)
+        if law is None:
+            raise InvalidArgumentError(f"unknown law kind: {self.kind!r}")
+        params = tuple(float(p) for p in self.params)
+        if len(params) != law.arity:
+            raise InvalidArgumentError(f"{self.kind} law takes {law.arity} parameters, got {params}")
+        if not all(map(math.isfinite, params)):
+            raise InvalidArgumentError(f"{self.kind} law parameters must be finite, got {params}")
+        for ok, message in law.checks:
+            if not ok(*params):
+                raise InvalidArgumentError(message)
+        object.__setattr__(self, "params", params)
+
     # -- constructors -------------------------------------------------
     @classmethod
     def constant(cls, c: float) -> "EntryLaw":
-        return cls("constant", _finite("constant", c))
+        return cls("constant", (c,))
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "EntryLaw":
-        lo, hi = _finite("uniform", lo, hi)
-        if not hi > lo:
-            raise InvalidArgumentError("uniform law needs hi > lo")
-        if not math.isfinite(hi - lo):
-            # numpy cannot draw on an infinitely wide interval
-            raise InvalidArgumentError("uniform law needs a finite width hi - lo")
         return cls("uniform", (lo, hi))
 
     @classmethod
     def bernoulli(cls, p: float, v0: float, v1: float) -> "EntryLaw":
-        params = _finite("bernoulli", p, v0, v1)
-        if not 0.0 <= params[0] <= 1.0:
-            raise InvalidArgumentError("bernoulli p outside [0, 1]")
-        return cls("bernoulli", params)
+        return cls("bernoulli", (p, v0, v1))
 
     @classmethod
     def gaussian(cls, mu: float, sigma: float) -> "EntryLaw":
-        params = _finite("gaussian", mu, sigma)
-        if params[1] < 0:
-            raise InvalidArgumentError("gaussian sigma must be >= 0")
-        return cls("gaussian", params)
+        return cls("gaussian", (mu, sigma))
 
     @classmethod
     def rademacher(cls) -> "EntryLaw":
@@ -91,18 +179,11 @@ class EntryLaw:
             params = tuple(float(x) for x in args.split(",")) if args else ()
         except ValueError as exc:
             raise InvalidArgumentError(f"non-numeric law parameter: {text!r}") from exc
-        ctors = {"constant": cls.constant, "uniform": cls.uniform,
-                 "bernoulli": cls.bernoulli, "gaussian": cls.gaussian}
-        if kind == "rademacher":
-            if params:
-                raise InvalidArgumentError("rademacher takes no parameters")
-            return cls.rademacher()
-        if kind not in ctors:
-            raise InvalidArgumentError(f"unknown law kind: {kind!r}")
-        try:
-            return ctors[kind](*params)
-        except TypeError as exc:
-            raise InvalidArgumentError(f"wrong arity for {kind!r}: {text!r}") from exc
+        law = _KINDS.get(kind)
+        if law is not None and len(params) != law.arity:
+            raise InvalidArgumentError(f"wrong arity for {kind!r}: {text!r}" if law.arity
+                                       else f"{kind} takes no parameters")
+        return cls(kind, params)
 
     def __str__(self) -> str:
         if not self.params:
@@ -111,59 +192,20 @@ class EntryLaw:
 
     # -- sampling and moments ------------------------------------------
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(size, self.params[0])
-        if self.kind == "uniform":
-            return rng.uniform(self.params[0], self.params[1], size)
-        if self.kind == "bernoulli":
-            p, v0, v1 = self.params
-            return np.where(rng.random(size) < p, v1, v0)
-        if self.kind == "gaussian":
-            return rng.normal(self.params[0], self.params[1], size)
-        if self.kind == "rademacher":
-            return rng.integers(0, 2, size) * 2.0 - 1.0
-        raise InvalidArgumentError(f"unknown law kind: {self.kind!r}")  # pragma: no cover
+        return _KINDS[self.kind].sample(rng, size, *self.params)
 
     @property
     def mean(self) -> float:
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "uniform":
-            return 0.5 * (self.params[0] + self.params[1])
-        if self.kind == "bernoulli":
-            p, v0, v1 = self.params
-            return (1 - p) * v0 + p * v1
-        if self.kind == "gaussian":
-            return self.params[0]
-        return 0.0  # rademacher
+        return _KINDS[self.kind].mean(*self.params)
 
     @property
     def variance(self) -> float:
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "uniform":
-            return (self.params[1] - self.params[0]) ** 2 / 12.0
-        if self.kind == "bernoulli":
-            p, v0, v1 = self.params
-            return p * (1 - p) * (v1 - v0) ** 2
-        if self.kind == "gaussian":
-            return self.params[1] ** 2
-        return 1.0  # rademacher
+        return _KINDS[self.kind].variance(*self.params)
 
     @property
     def support(self) -> tuple[float, float] | None:
         """Closed support interval, or None for unbounded laws."""
-        if self.kind == "constant":
-            c = self.params[0]
-            return (c, c)
-        if self.kind == "uniform":
-            return (self.params[0], self.params[1])
-        if self.kind == "bernoulli":
-            _, v0, v1 = self.params
-            return (min(v0, v1), max(v0, v1))
-        if self.kind == "rademacher":
-            return (-1.0, 1.0)
-        return None  # gaussian
+        return _KINDS[self.kind].support(*self.params)
 
     @property
     def is_bounded(self) -> bool:
@@ -172,62 +214,15 @@ class EntryLaw:
     @property
     def atoms(self) -> tuple[tuple[float, float], ...] | None:
         """(value, probability) pairs for purely discrete laws."""
-        if self.kind == "constant":
-            return ((self.params[0], 1.0),)
-        if self.kind == "bernoulli":
-            p, v0, v1 = self.params
-            return ((v0, 1.0 - p), (v1, p))
-        if self.kind == "rademacher":
-            return ((-1.0, 0.5), (1.0, 0.5))
-        return None
+        return _KINDS[self.kind].atoms(*self.params)
 
     @property
     def symmetric_zero_mean(self) -> bool:
-        if self.kind == "rademacher":
-            return True
-        if self.kind == "constant":
-            return self.params[0] == 0.0
-        if self.kind == "uniform":
-            return self.params[0] == -self.params[1]
-        if self.kind == "gaussian":
-            return self.params[0] == 0.0
-        if self.kind == "bernoulli":
-            p, v0, v1 = self.params
-            return p == 0.5 and v0 == -v1
-        return False
+        return _KINDS[self.kind].symmetric_zero_mean(*self.params)
 
     def log_mgf(self, t: float) -> float:
         """log E exp(t X) in closed form."""
-        if self.kind == "constant":
-            return t * self.params[0]
-        if self.kind == "rademacher":
-            # log cosh(t), stable for large |t|
-            a = abs(t)
-            return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
-        if self.kind == "gaussian":
-            mu, sigma = self.params
-            return t * mu + 0.5 * (t * sigma) ** 2
-        if self.kind == "uniform":
-            lo, hi = self.params
-            w = t * (hi - lo)
-            if abs(w) < 1e-8:
-                return t * self.mean + 0.5 * t * t * self.variance
-            if w > 0:
-                return t * lo + math.log(math.expm1(w) / w)
-            return t * hi + math.log(math.expm1(-w) / (-w))
-        if self.kind == "bernoulli":
-            p, v0, v1 = self.params
-            x0, x1 = t * v0, t * v1
-            m = max(x0, x1)
-            return m + math.log((1 - p) * math.exp(x0 - m) + p * math.exp(x1 - m))
-        raise InvalidArgumentError(f"unknown law kind: {self.kind!r}")  # pragma: no cover
-
-
-def _finite(kind: str, *params: float) -> tuple[float, ...]:
-    values = tuple(float(p) for p in params)
-    if not all(map(math.isfinite, values)):
-        raise InvalidArgumentError(f"{kind} law parameters must be finite, got {values}")
-    return values
+        return _KINDS[self.kind].log_mgf(t, *self.params)
 
 
 def _signs(words: np.ndarray, out: np.ndarray) -> None:
@@ -282,7 +277,6 @@ class EnsembleSpec:
     kernel_law: EntryLaw | None = None
     kernel_variant: str = "v"
     coupling: str = "independent_streams"
-    bounded: bool = True
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -294,8 +288,6 @@ class EnsembleSpec:
                 raise InvalidArgumentError("beta_hermite requires beta > 0")
             if not self.symmetric:
                 raise InvalidArgumentError("beta_hermite is symmetric by definition")
-            if self.bounded:
-                raise InvalidArgumentError("beta_hermite entries are unbounded")
         if self.model == "anderson":
             if self.d_law is None:
                 raise InvalidArgumentError("anderson requires a diagonal law")
@@ -338,28 +330,21 @@ class EnsembleSpec:
                     "generic_iid does not support d_from_f; use a birth_death model")
             if self.a_law is None or self.d_law is None or (not self.symmetric and self.b_law is None):
                 raise InvalidArgumentError("generic_iid requires laws for every stream")
-        if self.bounded and not all(law.is_bounded for law in self._laws()):
-            raise InvalidArgumentError("bounded=True but some entry law has unbounded support")
-
-    def _laws(self) -> tuple[EntryLaw, ...]:
-        return tuple(law for law in (self.a_law, self.d_law, self.b_law, self.kernel_law)
-                     if law is not None)
 
     # -- constructors ----------------------------------------------------
     @classmethod
     def anderson(cls, d_law: EntryLaw | None = None) -> "EnsembleSpec":
         d_law = d_law or EntryLaw.rademacher()
         return cls(model="anderson", symmetric=True, d_law=d_law,
-                   coupling="independent_streams", bounded=d_law.is_bounded)
+                   coupling="independent_streams")
 
     @classmethod
     def hatano_nelson(cls, a_law=None, d_law=None, b_law=None) -> "EnsembleSpec":
         a_law = a_law or EntryLaw.uniform(0.5, 1.5)
         d_law = d_law or EntryLaw.uniform(-1.0, 1.0)
         b_law = b_law or EntryLaw.uniform(0.5, 1.5)
-        bounded = all(l.is_bounded for l in (a_law, d_law, b_law))
         return cls(model="hatano_nelson", symmetric=False, a_law=a_law, d_law=d_law,
-                   b_law=b_law, coupling="independent_triples", bounded=bounded)
+                   b_law=b_law, coupling="independent_triples")
 
     @classmethod
     def birth_death_kernel(cls, law: EntryLaw | None = None,
@@ -367,7 +352,7 @@ class EnsembleSpec:
         if law is None:
             law = EntryLaw.uniform(0.0, 1.0) if variant == "v" else EntryLaw.uniform(0.5, 1.5)
         return cls(model="birth_death_kernel", symmetric=False, kernel_law=law,
-                   kernel_variant=variant, coupling="d_from_f", bounded=True)
+                   kernel_variant=variant, coupling="d_from_f")
 
     @classmethod
     def birth_death_q(cls, a_law=None, b_law=None, symmetric: bool = False) -> "EnsembleSpec":
@@ -376,24 +361,30 @@ class EnsembleSpec:
             b_law = None
         else:
             b_law = b_law or EntryLaw.uniform(0.5, 1.5)
-        bounded = all(l.is_bounded for l in (a_law,) + ((b_law,) if b_law else ()))
         return cls(model="birth_death_q", symmetric=symmetric, a_law=a_law, b_law=b_law,
-                   coupling="d_from_f", bounded=bounded)
+                   coupling="d_from_f")
 
     @classmethod
     def beta_hermite(cls, beta: float) -> "EnsembleSpec":
-        return cls(model="beta_hermite", symmetric=True, beta=float(beta), bounded=False)
+        return cls(model="beta_hermite", symmetric=True, beta=float(beta))
 
     @classmethod
     def generic_iid(cls, a_law, d_law, b_law=None, symmetric: bool = False,
                     coupling: str = "independent_streams") -> "EnsembleSpec":
         if symmetric:
             b_law = None
-        bounded = all(l.is_bounded for l in (a_law, d_law) + ((b_law,) if b_law else ()))
         return cls(model="generic_iid", symmetric=symmetric, a_law=a_law, d_law=d_law,
-                   b_law=b_law, coupling=coupling, bounded=bounded)
+                   b_law=b_law, coupling=coupling)
 
     # -- derived structure -------------------------------------------------
+    @property
+    def bounded(self) -> bool:
+        """True when every entry has compact support: every entry law is
+        bounded, and the model is not the Gaussian/chi beta-Hermite one."""
+        return self.model != "beta_hermite" and all(
+            law.is_bounded for law in (self.a_law, self.d_law, self.b_law, self.kernel_law)
+            if law is not None)
+
     @property
     def is_iid_type(self) -> bool:
         """True when the site triples away from the boundary are i.i.d."""

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 from hypothesis import HealthCheck, settings
 
 from tritrace.circuits import count_circuits_bruteforce
@@ -125,3 +126,21 @@ def walk_class_counts(k):
         key = _classify_profile(edges, loops)
         out[key] = out.get(key, 0) + ways
     return out
+
+
+def log_mgf_quadrature(law, t, nodes=96):
+    """log E exp(t X) by summing over the atoms of a discrete law, or by
+    Gauss-Legendre quadrature of a uniform law's density: an oracle for the
+    closed forms of ``EntryLaw.log_mgf``."""
+    atoms = law.atoms
+    if atoms is not None:
+        shift = max(t * v for v, _ in atoms)
+        return shift + math.log(sum(p * math.exp(t * v - shift) for v, p in atoms))
+    assert law.kind == "uniform", f"no density known for law {law.kind!r}"
+    lo, hi = law.support
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    w = 0.5 * (hi - lo) * w
+    vals = t * x
+    shift = float(np.max(vals))
+    return shift + math.log(float(np.sum(w / (hi - lo) * np.exp(vals - shift))))

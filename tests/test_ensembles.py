@@ -45,6 +45,38 @@ LAWS = [
     EntryLaw.gaussian(0.5, 1.5),
     EntryLaw.rademacher(),
 ]
+# (law, exact support, atoms and symmetric_zero_mean) at edge parameters;
+# repr tells -0.0 from 0.0
+EDGE_LAWS = [
+    (EntryLaw.bernoulli(0.0, 1.0, 2.0), (1.0, 2.0), ((1.0, 1.0), (2.0, 0.0)), False),
+    (EntryLaw.bernoulli(1.0, 2.0, 1.0), (1.0, 2.0), ((2.0, 0.0), (1.0, 1.0)), False),
+    (EntryLaw.bernoulli(0.5, -1.0, 1.0), (-1.0, 1.0), ((-1.0, 0.5), (1.0, 0.5)), True),
+    (EntryLaw.bernoulli(0.5, 2.0, 2.0), (2.0, 2.0), ((2.0, 0.5), (2.0, 0.5)), False),
+    (EntryLaw.bernoulli(0.5, -0.0, 0.0), (-0.0, -0.0), ((-0.0, 0.5), (0.0, 0.5)), True),
+    (EntryLaw.uniform(-3.0, 3.0), (-3.0, 3.0), None, True),
+    (EntryLaw.uniform(0.0, 1.0), (0.0, 1.0), None, False),
+    (EntryLaw.constant(-0.0), (-0.0, -0.0), ((-0.0, 1.0),), True),
+    (EntryLaw.gaussian(0.0, 0.0), None, None, True),
+    (EntryLaw.rademacher(), (-1.0, 1.0), ((-1.0, 0.5), (1.0, 0.5)), True),
+]
+# every parse or validation failure, with its exact message
+BAD_LAW_TEXTS = {
+    "": "unparseable law: ''",
+    "uniform(1,": "unparseable law: 'uniform(1,'",
+    "uniform(a,b)": "non-numeric law parameter: 'uniform(a,b)'",
+    "nosuch(1)": "unknown law kind: 'nosuch'",
+    "rademacher(3)": "rademacher takes no parameters",
+    "uniform(1)": "wrong arity for 'uniform': 'uniform(1)'",
+    "Constant": "wrong arity for 'constant': 'Constant'",
+    "bernoulli(0.5,1)": "wrong arity for 'bernoulli': 'bernoulli(0.5,1)'",
+    "gaussian(0,1,2)": "wrong arity for 'gaussian': 'gaussian(0,1,2)'",
+    "constant(inf)": "constant law parameters must be finite, got (inf,)",
+    "uniform(2,1)": "uniform law needs hi > lo",
+    "uniform(-0.0,0.0)": "uniform law needs hi > lo",
+    "uniform(-1e308,1e308)": "uniform law needs a finite width hi - lo",
+    "bernoulli(1.5,0,1)": "bernoulli p outside [0, 1]",
+    "gaussian(0,-1)": "gaussian sigma must be >= 0",
+}
 
 
 class TestEntryLaw:
@@ -71,10 +103,30 @@ class TestEntryLaw:
         assert EntryLaw.parse(str(law)) == law
 
     def test_parse_rejects_garbage(self):
-        for text in ("", "nosuch(1)", "uniform(2,1)", "rademacher(3)", "uniform(1)",
-                     "uniform(-1e308,1e308)"):
-            with pytest.raises(InvalidArgumentError):
+        for text, message in BAD_LAW_TEXTS.items():
+            with pytest.raises(InvalidArgumentError) as info:
                 EntryLaw.parse(text)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("uniform", (2, 1), "uniform law needs hi > lo"),
+        ("nosuch", (), "unknown law kind: 'nosuch'"),
+        ("uniform", (1,), "uniform law takes 2 parameters, got (1.0,)"),
+        ("rademacher", (0,), "rademacher law takes 0 parameters, got (0.0,)"),
+        ("gaussian", (0, math.nan), "gaussian law parameters must be finite, got (0.0, nan)"),
+    ], ids=["hi-below-lo", "unknown-kind", "arity", "rademacher-arity", "non-finite"])
+    def test_direct_construction_is_validated(self, kind, params, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            EntryLaw(kind, params)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("law, support, atoms, symmetric", EDGE_LAWS,
+                             ids=[str(row[0]) for row in EDGE_LAWS])
+    def test_exact_support_atoms_and_symmetry(self, law, support, atoms, symmetric):
+        assert repr((law.support, law.atoms)) == repr((support, atoms))
+        assert law.symmetric_zero_mean is symmetric
+        assert law.is_bounded == (support is not None)
+        assert EntryLaw.parse(str(law)) == law
 
     @pytest.mark.parametrize("text", ["gaussian(0,nan)", "constant(inf)", "bernoulli(0.5,inf,1)",
                                       "uniform(-inf,0)", "bernoulli(nan,0,1)"])
@@ -124,14 +176,22 @@ class TestEntryLaw:
 class TestSpecValidation:
     def test_beta_hermite_forces_symmetry(self):
         with pytest.raises(InvalidArgumentError):
-            EnsembleSpec(model="beta_hermite", symmetric=False, beta=2.0, bounded=False)
+            EnsembleSpec(model="beta_hermite", symmetric=False, beta=2.0)
         with pytest.raises(InvalidArgumentError):
-            EnsembleSpec(model="beta_hermite", symmetric=True, beta=-1.0, bounded=False)
+            EnsembleSpec(model="beta_hermite", symmetric=True, beta=-1.0)
 
-    def test_bounded_flag_checked_against_laws(self):
-        with pytest.raises(InvalidArgumentError):
-            EnsembleSpec(model="anderson", symmetric=True,
-                         d_law=EntryLaw.gaussian(0, 1), bounded=True)
+    def test_bounded_follows_laws(self):
+        gaussian = EntryLaw.gaussian(0, 1)
+        assert EnsembleSpec.anderson().bounded
+        assert not EnsembleSpec.anderson(gaussian).bounded
+        assert not EnsembleSpec(model="anderson", symmetric=True, d_law=gaussian).bounded
+        assert not EnsembleSpec.beta_hermite(2.0).bounded
+        assert not EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, gaussian).bounded
+        assert EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, gaussian, symmetric=True).bounded
+        assert all(SPECS[name].bounded for name in SPECS
+                   if name not in ("beta_hermite", "generic_iid-symmetric"))
+        for spec in SPECS.values():
+            assert spec.describe()["bounded"] is spec.bounded
 
     def test_generic_iid_rejects_diagonal_coupling(self):
         with pytest.raises(InvalidArgumentError):
