@@ -46,9 +46,10 @@ def _uniform_log_mgf(t: float, lo: float, hi: float) -> float:
     w = t * (hi - lo)
     if abs(w) < 1e-8:
         return t * (0.5 * (lo + hi)) + 0.5 * t * t * ((hi - lo) ** 2 / 12.0)
+    # factor out the larger exponential, so expm1 never overflows
     if w > 0:
-        return t * lo + math.log(math.expm1(w) / w)
-    return t * hi + math.log(math.expm1(-w) / (-w))
+        return t * hi + math.log(-math.expm1(-w) / w)
+    return t * lo + math.log(-math.expm1(w) / (-w))
 
 
 def _bernoulli_log_mgf(t: float, p: float, v0: float, v1: float) -> float:
@@ -87,7 +88,8 @@ _KINDS = {
         arity=2,
         # numpy cannot draw on an infinitely wide interval
         checks=((lambda lo, hi: hi > lo, "uniform law needs hi > lo"),
-                (lambda lo, hi: math.isfinite(hi - lo), "uniform law needs a finite width hi - lo")),
+                (lambda lo, hi: math.isfinite(hi - lo),
+                 "uniform law needs a finite width hi - lo")),
         sample=lambda rng, size, lo, hi: rng.uniform(lo, hi, size),
         mean=lambda lo, hi: 0.5 * (lo + hi),
         variance=lambda lo, hi: (hi - lo) ** 2 / 12.0,
@@ -140,7 +142,8 @@ class EntryLaw:
             raise InvalidArgumentError(f"unknown law kind: {self.kind!r}")
         params = tuple(float(p) for p in self.params)
         if len(params) != law.arity:
-            raise InvalidArgumentError(f"{self.kind} law takes {law.arity} parameters, got {params}")
+            raise InvalidArgumentError(
+                f"{self.kind} law takes {law.arity} parameters, got {params}")
         if not all(map(math.isfinite, params)):
             raise InvalidArgumentError(f"{self.kind} law parameters must be finite, got {params}")
         for ok, message in law.checks:

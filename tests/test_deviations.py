@@ -74,6 +74,17 @@ class TestCramerRate:
                                     -50.0, 50.0)[1], 0.0) for x in grid]
             assert np.max(np.abs(closed - quad)) < 1e-9
 
+    def test_wide_uniform_rates_are_finite_and_scale(self):
+        # log E exp(tX) once overflowed in expm1 for widths above ~14.2 at t=50;
+        # scaling: I_{LX}(x) = I_X(x/L), with the tilt range scaled by L
+        assert EntryLaw.uniform(0.0, 20.0).log_mgf(50.0) == pytest.approx(1000.0 - math.log(1000.0))
+        assert EntryLaw.uniform(0.0, 20.0).log_mgf(-50.0) == pytest.approx(-math.log(1000.0))
+        x = np.linspace(-18.0, 18.0, 37)
+        wide = cramer_rate_k1(EntryLaw.uniform(-20.0, 20.0), x).rate
+        unit = cramer_rate_k1(EntryLaw.uniform(-1.0, 1.0), x / 20.0, t_max=1000.0).rate
+        assert np.all(np.isfinite(wide))
+        np.testing.assert_allclose(wide, unit, rtol=1e-9, atol=1e-12)
+
     def test_boundary_hit_warning(self):
         # at the support edge of a biased coin the optimal tilt diverges;
         # a small cap leaves visible slope and must be reported
