@@ -126,7 +126,6 @@ class TestEntryLaw:
         assert repr((law.support, law.atoms)) == repr((support, atoms))
         assert law.symmetric_zero_mean is symmetric
         assert law.is_bounded == (support is not None)
-        assert EntryLaw.parse(str(law)) == law
 
     @pytest.mark.parametrize("text", ["gaussian(0,nan)", "constant(inf)", "bernoulli(0.5,inf,1)",
                                       "uniform(-inf,0)", "bernoulli(nan,0,1)"])
