@@ -26,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ["--config", str(ROOT / "scripts" / "cli_bytes.ini")]
 
 ANDERSON = ["--ensemble", "anderson", "--d-law", "rademacher"]
 BETA2 = ["--ensemble", "beta_hermite", "--beta", "2"]
@@ -45,6 +46,8 @@ BDQ_SYM = ["--ensemble", "birth_death_q", "--symmetric", "true"]
 # `simulate-anderson-k1-odd` (odd n), `simulate-hatano-rademacher-k1` and
 # `mdp-generic-rademacher-k1` reach that route.
 # The `cramer` commands are the only ones that evaluate a law's log-MGF.
+# `clt-config` and `mdp-config` take every setting but the three added by
+# `run` from `cli_bytes.ini`, beside this script.
 COMMANDS = {
     "simulate-beta-4.8.12": ["simulate", *BETA2, "--k-list", "4,8,12", "--n", "300",
                              "--trials", "1100"],
@@ -102,6 +105,8 @@ COMMANDS = {
                                   "--a-law", "uniform(0.5,1.5)", "--d-law", "rademacher",
                                   "--b-law", "bernoulli(0.3,1,2)", "--k", "1", "--nu", "0.5",
                                   "--n", "257", "--trials", "3000"],
+    "clt-config": ["clt", *CONFIG],
+    "mdp-config": ["mdp", *CONFIG],
     "trace-anderson": ["trace", *ANDERSON, "--k", "6", "--n", "50"],
     "trace-beta": ["trace", *BETA2, "--k", "12", "--n", "60"],
     "cramer-rademacher": ["cramer", "--law", "rademacher"],

@@ -32,7 +32,7 @@ from numpy.lib.stride_tricks import as_strided
 from .accumulate import compensated_sum, compensated_sum_rows, fsum
 from .errors import InvalidArgumentError, TriTraceError
 
-DEFAULT_K_MAX = 16
+K_MAX = 16
 BRUTEFORCE_K_MAX = 12
 DENSE_CHECK_MAX = 128
 # Smallest power that Monte Carlo traces evaluate by banded powering rather
@@ -171,7 +171,7 @@ def _checked_power(k, k_max: int) -> int:
     return int(k)
 
 
-def enumerate_types(k: int, k_max: int = DEFAULT_K_MAX) -> tuple[CircuitType, ...]:
+def enumerate_types(k: int) -> tuple[CircuitType, ...]:
     """Return every closed-walk class for power ``k`` with its multiplicity.
 
     A class of span ``s >= 1`` is a composition ``m_1 .. m_s`` of an edge
@@ -194,11 +194,9 @@ def enumerate_types(k: int, k_max: int = DEFAULT_K_MAX) -> tuple[CircuitType, ..
     Parameters
     ----------
     k : int
-        Matrix power, ``1 <= k <= k_max``.
-    k_max : int, optional
-        Safety cap; the number of classes and the cost of every trace through
-        them grow quickly with ``k`` (6,714 classes at k=16), so going past
-        the default 16 must be an explicit caller decision.
+        Matrix power, ``1 <= k <= K_MAX``.  The cap of 16 is fixed: the
+        number of classes and the cost of every trace through them grow
+        quickly with ``k`` (6,714 classes at k=16).
 
     Returns
     -------
@@ -206,7 +204,7 @@ def enumerate_types(k: int, k_max: int = DEFAULT_K_MAX) -> tuple[CircuitType, ..
         Sorted lexicographically by (span, half_edges, loops); two calls
         return identical sequences.
     """
-    k = _checked_power(k, k_max)
+    k = _checked_power(k, K_MAX)
     with _TYPE_LOCK:
         cached = _TYPE_TABLE.get(k)
     if cached is not None:
@@ -453,13 +451,12 @@ def _shifted(vec: np.ndarray, s: int, zero: np.ndarray) -> np.ndarray:
     return w
 
 
-def trace_power_direct(matrix: TridiagonalMatrix, k: int,
-                       dense_check_max: int = DENSE_CHECK_MAX) -> float:
+def trace_power_direct(matrix: TridiagonalMatrix, k: int) -> float:
     """Evaluate trace(M^k) by repeated banded multiplication.
 
     The j-th power is kept as its min(j, n-1) nonzero diagonals, so the cost
     is O(n k^2) and no dense n-by-n array is built.  For small matrices
-    (n <= dense_check_max, float entries) a dense matrix power is computed
+    (n <= DENSE_CHECK_MAX, float entries) a dense matrix power is computed
     as a second cross-check.  This is the reference the other routes are
     checked against, so it shares no code with the Monte Carlo kernel
     (:func:`_power_stacks`).
@@ -501,7 +498,7 @@ def trace_power_direct(matrix: TridiagonalMatrix, k: int,
     if exact:
         return total
     total = float(total)
-    if n <= dense_check_max:
+    if n <= DENSE_CHECK_MAX:
         dense = np.trace(np.linalg.matrix_power(matrix.to_dense(), k))
         if abs(dense - total) > 1e-8 * (1.0 + abs(dense)):
             raise TriTraceError(
@@ -520,7 +517,7 @@ def traces_for_rows(ab: np.ndarray, diag: np.ndarray, k_list) -> np.ndarray:
     powers share one set of banded half-power stacks per row.  Each value is
     bitwise the one a lone row would give.
     """
-    k_list = [_checked_power(k, DEFAULT_K_MAX) for k in k_list]
+    k_list = [_checked_power(k, K_MAX) for k in k_list]
     rows, n = diag.shape
     out = np.empty((rows, len(k_list)))
     high = [j for j, k in enumerate(k_list) if k >= BANDED_MIN_K]

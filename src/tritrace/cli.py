@@ -2,13 +2,14 @@
 
 Configuration is flat key=value text with one section per concern
 (``[run]``, ``[ensemble]``, and one section per command); command-line flags
-override file keys.  Every output file embeds the resolved configuration and
-the artifact version.  The worker count is deliberately excluded from the
-embedded configuration: scheduling never changes results, and output bytes
-must not depend on it.
+override file keys.  Each setting is declared once, in ``_SETTINGS``, and a
+key or section that names no setting is an error.  Every output file embeds
+the resolved configuration and the artifact version.  The worker count is
+deliberately excluded from the embedded configuration: scheduling never
+changes results, and output bytes must not depend on it.
 
 Exit status: 0 on success, 2 when a statistical acceptance threshold was
-exceeded, 1 on any error.
+exceeded, 1 on any error, usage errors included.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,42 +54,131 @@ TRACE_REL_TOL = 1e-9
 
 @dataclass
 class RunConfig:
-    """Resolved settings for one command invocation."""
+    """Resolved settings for one command invocation.
+
+    ``settings`` holds each setting given by a flag or a config key, parsed,
+    under its config key; ``workers`` is kept apart, since it never changes
+    a result and so is left out of the provenance block.
+    """
 
     command: str
     ensemble: EnsembleSpec | None = None
-    k_list: tuple[int, ...] | None = None
-    n: int | None = None
-    n_list: tuple[int, ...] | None = None
-    trials: int | None = None
-    master_seed: int = DEFAULT_SEED
-    nu: float | None = None
-    delta_list: tuple[float, ...] | None = None
-    output_path: str | None = None
-    output_format: str = "json"
     workers: int = 1
-    extras: dict = field(default_factory=dict)
+    settings: dict = field(default_factory=dict)
+
+    def get(self, key: str, default=None):
+        return self.settings.get(key, default)
+
+    @property
+    def master_seed(self) -> int:
+        return self.settings.get("master_seed", DEFAULT_SEED)
 
     def describe(self) -> dict:
         """Deterministic provenance mapping (workers excluded by design)."""
-        out = {"command": self.command, "master_seed": self.master_seed,
-               "output_format": self.output_format}
+        out = {"command": self.command, "master_seed": self.master_seed}
         if self.ensemble is not None:
             for key, val in self.ensemble.describe().items():
                 out[f"ensemble.{key}"] = val
-        for key, val in (("k_list", self.k_list), ("n", self.n), ("n_list", self.n_list),
-                         ("trials", self.trials), ("nu", self.nu),
-                         ("delta_list", self.delta_list), ("output_path", self.output_path)):
-            if val is not None:
-                out[key] = list(val) if isinstance(val, tuple) else val
-        for key in sorted(self.extras):
-            if self.extras[key] is not None:
-                out[key] = self.extras[key]
+        for key, val in self.settings.items():
+            out[_SETTINGS[key].record or key] = list(val) if isinstance(val, tuple) else val
         return out
 
 
 # ---------------------------------------------------------------------------
-# Config file handling
+# Run settings
+
+
+def _parse_list(conv):
+    """Parser of a comma-separated list of ``conv`` values."""
+    return lambda text: tuple(conv(tok) for tok in text.replace(" ", "").split(",") if tok)
+
+
+def _parse_bool(text) -> bool:
+    val = str(text).strip().lower()
+    if val in ("1", "true", "yes", "on"):
+        return True
+    if val in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_workers(text: str) -> int:
+    if text.strip().lower() == "auto":
+        # the CPUs this process may run on, which a cpuset or taskset narrows
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    workers = int(text)
+    if workers < 1:
+        raise ConfigError("workers must be >= 1 or 'auto'")
+    return workers
+
+
+class _Setting(NamedTuple):
+    flag: str
+    key: str                 # config key, and the flag's argparse dest
+    parse: Callable          # the value's text -> value
+    section: str = "run"     # "run" settings may also sit in the command's section
+    record: str | None = None   # provenance key, where it is not ``key``
+
+
+# The one list of run settings: it declares the shared flags, names the keys a
+# config file may hold, parses every value and fills the provenance block.
+_SETTINGS = {s.key: s for s in (
+    _Setting("--output", "output", str, record="output_path"),
+    _Setting("--workers", "workers", _parse_workers),
+    _Setting("--seed", "master_seed", int),
+    _Setting("--k", "k", int),
+    _Setting("--k-list", "k_list", _parse_list(int)),
+    _Setting("--n", "n", int),
+    _Setting("--n-list", "n_list", _parse_list(int)),
+    _Setting("--trials", "trials", int),
+    _Setting("--nu", "nu", float),
+    _Setting("--delta-list", "delta_list", _parse_list(float)),
+    _Setting("--alpha", "alpha", float),
+    _Setting("--epsilon", "epsilon", float),
+    _Setting("--replicas", "replicas", int),
+    _Setting("--tolerance", "tolerance", float),
+    _Setting("--input", "input", str),
+    _Setting("--law", "law", str),
+    _Setting("--x-min", "x_min", float),
+    _Setting("--x-max", "x_max", float),
+    _Setting("--points", "points", int),
+    _Setting("--t-max", "t_max", float),
+    _Setting("--ensemble", "model", lambda text: text.strip().lower().replace("-", "_"),
+             "ensemble"),
+    _Setting("--beta", "beta", float, "ensemble"),
+    _Setting("--a-law", "a_law", EntryLaw.parse, "ensemble"),
+    _Setting("--d-law", "d_law", EntryLaw.parse, "ensemble"),
+    _Setting("--b-law", "b_law", EntryLaw.parse, "ensemble"),
+    _Setting("--kernel-law", "kernel_law", EntryLaw.parse, "ensemble"),
+    _Setting("--kernel-variant", "kernel_variant", str, "ensemble"),
+    _Setting("--symmetric", "symmetric", _parse_bool, "ensemble"),
+)}
+
+
+def _convert(key: str, conv, value):
+    """``conv(value)``, with a malformed value reported as a :class:`ConfigError`;
+    a typed error of ``conv`` keeps its own message."""
+    try:
+        return conv(value)
+    except TriTraceError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"malformed value for {key}: {value!r}") from exc
+
+
+def _setting(key: str, section: str, where: str) -> _Setting:
+    setting = _SETTINGS.get(key)
+    if setting is None or setting.section != section:
+        raise ConfigError(f"unknown config key {key!r} in [{where}]")
+    return setting
+
+
+def _parse(text: dict, section: str) -> dict:
+    """The values of ``section`` settings, from their text."""
+    return {key: _convert(key, _setting(key, section, section).parse, value)
+            for key, value in text.items()}
 
 
 def _read_config_file(path: str) -> dict[str, dict[str, str]]:
@@ -101,138 +192,65 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    if parser.defaults():  # configparser would copy its keys into every section
+        raise ConfigError(f"unknown config section [{parser.default_section}]")
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     if not sections:
         raise ConfigError(f"config file {path!r} is empty (no sections)")
+    for name, keys in sections.items():
+        if name not in ("run", "ensemble") and name.replace("_", "-") not in COMMANDS:
+            raise ConfigError(f"unknown config section [{name}]")
+        for key in keys:
+            _setting(key, "ensemble" if name == "ensemble" else "run", name)
     return sections
 
 
-def _convert(key: str, conv, value):
-    """``conv(value)``, with a malformed value reported as a :class:`ConfigError`."""
-    try:
-        return conv(value)
-    except ValueError as exc:
-        raise ConfigError(f"malformed value for {key}: {value!r}") from exc
-
-
-def _parse_list(conv):
-    """Parser of a comma-separated list of ``conv`` values."""
-    return lambda text: tuple(conv(tok) for tok in str(text).replace(" ", "").split(",") if tok)
-
-
-def _parse_bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    val = str(text).strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {text!r}")
-
-
 def spec_from_mapping(m: dict) -> EnsembleSpec:
-    """Build an :class:`EnsembleSpec` from flat config keys."""
-    model = str(m.get("model", "")).strip().lower().replace("-", "_")
+    """Build an :class:`EnsembleSpec` from the text of ``[ensemble]`` keys."""
+    v = _parse(m, "ensemble")
+    model = v.get("model")
     if not model:
         raise ConfigError("ensemble model missing")
-
-    def law(key: str) -> EntryLaw | None:
-        raw = m.get(key)
-        return EntryLaw.parse(raw) if raw else None
-
     if model == "anderson":
-        return EnsembleSpec.anderson(d_law=law("d_law"))
+        return EnsembleSpec.anderson(d_law=v.get("d_law"))
     if model == "beta_hermite":
-        if "beta" not in m:
+        if "beta" not in v:
             raise ConfigError("beta_hermite requires a beta key")
-        return EnsembleSpec.beta_hermite(_convert("beta", float, m["beta"]))
+        return EnsembleSpec.beta_hermite(v["beta"])
     if model == "hatano_nelson":
-        return EnsembleSpec.hatano_nelson(a_law=law("a_law"), d_law=law("d_law"),
-                                          b_law=law("b_law"))
+        return EnsembleSpec.hatano_nelson(a_law=v.get("a_law"), d_law=v.get("d_law"),
+                                          b_law=v.get("b_law"))
     if model == "birth_death_kernel":
-        return EnsembleSpec.birth_death_kernel(law=law("kernel_law"),
-                                               variant=str(m.get("kernel_variant", "v")))
+        return EnsembleSpec.birth_death_kernel(law=v.get("kernel_law"),
+                                               variant=v.get("kernel_variant", "v"))
     if model == "birth_death_q":
-        return EnsembleSpec.birth_death_q(a_law=law("a_law"), b_law=law("b_law"),
-                                          symmetric=_parse_bool(m.get("symmetric", False)))
+        return EnsembleSpec.birth_death_q(a_law=v.get("a_law"), b_law=v.get("b_law"),
+                                          symmetric=v.get("symmetric", False))
     if model == "generic_iid":
-        a_law, d_law, b_law = law("a_law"), law("d_law"), law("b_law")
-        if a_law is None or d_law is None:
+        if v.get("a_law") is None or v.get("d_law") is None:
             raise ConfigError("generic_iid requires a_law and d_law")
-        return EnsembleSpec.generic_iid(
-            a_law=a_law, d_law=d_law, b_law=b_law,
-            symmetric=_parse_bool(m.get("symmetric", False)),
-            coupling=str(m.get("coupling", "independent_streams")))
+        return EnsembleSpec.generic_iid(a_law=v["a_law"], d_law=v["d_law"],
+                                        b_law=v.get("b_law"),
+                                        symmetric=v.get("symmetric", False))
     raise ConfigError(f"unknown ensemble model {model!r}")
 
 
-def _resolve_workers(value) -> int:
-    if value is None:
-        value = os.environ.get("TRITRACE_WORKERS", "1")
-    if str(value).strip().lower() == "auto":
-        # the CPUs this process may run on, which a cpuset or taskset narrows
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    workers = _convert("workers", int, value)
-    if workers < 1:
-        raise ConfigError("workers must be >= 1 or 'auto'")
-    return workers
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    sections: dict[str, dict] = {}
-    if getattr(args, "config", None):
-        sections = _read_config_file(args.config)
-    run_sec = sections.get("run", {})
-    cmd_sec = sections.get(args.command.replace("-", "_"), {})
-    merged: dict = {}
-    merged.update(run_sec)
-    merged.update(cmd_sec)
-    for key, val in vars(args).items():
-        if key in ("command", "config") or val is None:
-            continue
-        merged[key] = val
-
-    ens_map = dict(sections.get("ensemble", {}))
-    for flag, key in (("ensemble", "model"), ("beta", "beta"), ("d_law", "d_law"),
-                      ("a_law", "a_law"), ("b_law", "b_law"), ("kernel_law", "kernel_law"),
-                      ("kernel_variant", "kernel_variant"), ("symmetric", "symmetric"),
-                      ("coupling", "coupling")):
-        val = getattr(args, flag, None)
-        if val is not None:
-            ens_map[key] = val
-    spec = spec_from_mapping(ens_map) if ens_map.get("model") else None
-
-    def pick(key, conv, default=None):
-        if key not in merged or merged[key] is None:
-            return default
-        return _convert(key, conv, merged[key])
-
-    extras = {}
-    for key, conv in (("alpha", float), ("epsilon", float), ("replicas", int),
-                      ("tolerance", float), ("law", str), ("x_min", float),
-                      ("x_max", float), ("points", int), ("t_max", float),
-                      ("input", str), ("k", int)):
-        if key in merged and merged[key] is not None:
-            extras[key] = _convert(key, conv, merged[key])
-
-    return RunConfig(
-        command=args.command,
-        ensemble=spec,
-        k_list=pick("k_list", _parse_list(int)),
-        n=pick("n", int),
-        n_list=pick("n_list", _parse_list(int)),
-        trials=pick("trials", int),
-        master_seed=pick("master_seed", int, pick("seed", int, DEFAULT_SEED)),
-        nu=pick("nu", float),
-        delta_list=pick("delta_list", _parse_list(float)),
-        output_path=pick("output", str),
-        output_format=pick("format", str, "json"),
-        workers=_resolve_workers(merged.get("workers")),
-        extras=extras,
-    )
+    """Resolve one command's settings: flags override the command's own config
+    section, which overrides ``[run]``; ``[ensemble]`` describes the ensemble."""
+    sections = _read_config_file(args.config) if args.config else {}
+    text = {**sections.get("run", {}), **sections.get(args.command.replace("-", "_"), {})}
+    ens_text = dict(sections.get("ensemble", {}))
+    for key, setting in _SETTINGS.items():
+        value = getattr(args, key)
+        if value is not None:
+            (ens_text if setting.section == "ensemble" else text)[key] = value
+    settings = _parse(text, "run")
+    workers = settings.pop("workers", None)
+    if workers is None:
+        workers = _convert("workers", _parse_workers, os.environ.get("TRITRACE_WORKERS", "1"))
+    spec = spec_from_mapping(ens_text) if ens_text.get("model") else None
+    return RunConfig(command=args.command, ensemble=spec, workers=workers, settings=settings)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +325,13 @@ def matrix_from_csv(path: str) -> TridiagonalMatrix:
 # Commands
 
 
-def _require(config: RunConfig, *keys: str) -> None:
-    missing = [key for key in keys if getattr(config, key, None) is None]
+def _require(config: RunConfig, *keys: str) -> list:
+    """The values of ``keys`` (``ensemble`` or settings), none of them missing."""
+    given = {"ensemble": config.ensemble, **config.settings}
+    missing = [key for key in keys if given.get(key) is None]
     if missing:
         raise ConfigError(f"{config.command}: missing required keys {missing}")
+    return [given[key] for key in keys]
 
 
 def _first_given(config: RunConfig, what: str, *values):
@@ -324,8 +345,8 @@ def _first_given(config: RunConfig, what: str, *values):
 
 def _power(config: RunConfig) -> int:
     """``--k``, else the first power of ``--k-list``."""
-    return int(_first_given(config, "k", config.extras.get("k"),
-                            config.k_list[0] if config.k_list else None))
+    k_list = config.get("k_list")
+    return int(_first_given(config, "k", config.get("k"), k_list[0] if k_list else None))
 
 
 def _cmd_types(config: RunConfig) -> int:
@@ -335,19 +356,19 @@ def _cmd_types(config: RunConfig) -> int:
     print(f"{'l':>3} {'m':>18} {'n':>22} {'count':>8}")
     for t in types:
         print(f"{t.span:>3} {str(list(t.half_edges)):>18} {str(list(t.loops)):>22} {t.count:>8}")
-    if config.output_path:
-        Path(config.output_path).write_text(types_as_json_lines(types), encoding="utf-8")
+    if path := config.get("output"):
+        Path(path).write_text(types_as_json_lines(types), encoding="utf-8")
     return 0
 
 
 def _cmd_trace(config: RunConfig) -> int:
     k = _power(config)
-    if config.extras.get("input"):
-        matrix = matrix_from_csv(config.extras["input"])
+    if path := config.get("input"):
+        matrix = matrix_from_csv(path)
     else:
-        if config.ensemble is None or config.n is None:
+        if config.ensemble is None or config.get("n") is None:
             raise ConfigError("trace: need --input or an ensemble and n")
-        matrix = sample_matrix(config.ensemble, config.n, config.master_seed)
+        matrix = sample_matrix(config.ensemble, config.get("n"), config.master_seed)
     expansion = trace_power_expansion(matrix, k, enumerate_types(k))
     direct = trace_power_direct(matrix, k)
     diff = abs(expansion - direct)
@@ -355,53 +376,56 @@ def _cmd_trace(config: RunConfig) -> int:
     print(f"expansion: {_fmt(expansion)}")
     print(f"direct:    {_fmt(direct)}")
     print(f"difference: {_fmt(diff)} (relative {_fmt(rel)})")
-    if config.output_path:
-        write_json(config.output_path,
+    if path := config.get("output"):
+        write_json(path,
                    {"k": k, "n": matrix.n, "expansion": expansion, "direct": direct,
                     "difference": diff, "relative_difference": rel}, config)
     return 0 if rel <= TRACE_REL_TOL else 2
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    _require(config, "ensemble", "k_list", "n", "trials")
-    samples = mc_traces(config.ensemble, config.n, config.k_list, config.trials,
-                        config.master_seed, config.extras.get("alpha"),
-                        config.extras.get("epsilon"), workers=config.workers)
-    header = ["trial"] + [f"k{k}" for k in config.k_list]
-    rows = ([str(t)] + [_fmt(v) for v in samples[t]] for t in range(samples.shape[0]))
-    text = write_csv(config.output_path, header, rows, config)
-    if not config.output_path:
+def _samples(config: RunConfig):
+    """Monte Carlo traces of ``simulate``, ``clt`` and ``cov``: (k_list, samples)."""
+    spec, k_list, n, trials = _require(config, "ensemble", "k_list", "n", "trials")
+    return k_list, mc_traces(spec, n, k_list, trials, config.master_seed, config.get("alpha"),
+                             config.get("epsilon"), workers=config.workers)
+
+
+def _emit(config: RunConfig, text: str) -> None:
+    """Standard output receives what no ``--output`` file did."""
+    if not config.get("output"):
         sys.stdout.write(text)
+
+
+def _cmd_simulate(config: RunConfig) -> int:
+    k_list, samples = _samples(config)
+    header = ["trial"] + [f"k{k}" for k in k_list]
+    rows = ([str(t)] + [_fmt(v) for v in samples[t]] for t in range(samples.shape[0]))
+    _emit(config, write_csv(config.get("output"), header, rows, config))
     return 0
 
 
 def _clt_target(config: RunConfig):
-    spec = config.ensemble
+    spec, k_list = config.ensemble, config.get("k_list")
     if spec.model == "beta_hermite":
-        return covariance_target(config.k_list, "beta_hermite", beta=spec.beta)
-    replicas = config.extras.get("replicas", 100_000)
-    return covariance_target(config.k_list, "iid_mc", spec=spec, replicas=replicas,
+        return covariance_target(k_list, "beta_hermite", beta=spec.beta)
+    return covariance_target(k_list, "iid_mc", spec=spec,
+                             replicas=config.get("replicas", 100_000),
                              seed=config.master_seed + 1)
 
 
 def _cmd_clt(config: RunConfig) -> int:
-    _require(config, "ensemble", "k_list", "n", "trials")
-    alpha = config.extras.get("alpha")
-    epsilon = config.extras.get("epsilon")
-    samples = mc_traces(config.ensemble, config.n, config.k_list, config.trials,
-                        config.master_seed, alpha, epsilon, workers=config.workers)
+    k_list, samples = _samples(config)
     target = _clt_target(config)
-    exponents = growth_exponents(config.ensemble, config.k_list, alpha, epsilon)
-    report = normality_report(samples, target, k_list=config.k_list, n=config.n,
+    exponents = growth_exponents(config.ensemble, k_list, config.get("alpha"),
+                                 config.get("epsilon"))
+    report = normality_report(samples, target, k_list=k_list, n=config.get("n"),
                               scaling_exponents=exponents)
     results = {
         "report": report.to_json_dict(),
         "target": {"source": target.source, "value": target.value.tolist()},
     }
-    text = write_json(config.output_path, results, config)
-    if not config.output_path:
-        sys.stdout.write(text)
-    exceeded = [k for k, d in zip(config.k_list, report.ks_distance)
+    _emit(config, write_json(config.get("output"), results, config))
+    exceeded = [k for k, d in zip(k_list, report.ks_distance)
                 if d > report.ks_critical_1pct]
     if exceeded:
         print(f"KS distance above 1% critical value for powers {exceeded}", file=sys.stderr)
@@ -410,27 +434,24 @@ def _cmd_clt(config: RunConfig) -> int:
 
 
 def _cmd_cov(config: RunConfig) -> int:
-    _require(config, "ensemble", "k_list", "n", "trials")
-    samples = mc_traces(config.ensemble, config.n, config.k_list, config.trials,
-                        config.master_seed, config.extras.get("alpha"),
-                        config.extras.get("epsilon"), workers=config.workers)
+    k_list, samples = _samples(config)
     target = _clt_target(config)
     emp, se = sample_covariance(samples)
-    tol = config.extras.get("tolerance", 0.10)
-    k_arr = np.array(config.k_list)
+    tol = config.get("tolerance", 0.10)
+    k_arr = np.array(k_list)
     mixed = (k_arr[:, None] % 2) != (k_arr[None, :] % 2)
     dev = np.abs(emp - target.value)
     allowed = np.where(mixed, 4.0 * se, np.maximum(tol * np.abs(target.value), 4.0 * se))
     ok = bool(np.all(dev <= allowed))
     results = {
-        "k_list": list(config.k_list),
+        "k_list": list(k_list),
         "target": {"source": target.source, "value": target.value.tolist()},
         "empirical": emp.tolist(),
         "standard_errors": se.tolist(),
         "tolerance": tol,
         "within_tolerance": ok,
     }
-    text = write_json(config.output_path, results, config)
+    write_json(config.get("output"), results, config)
     print("target:")
     print(np.array2string(target.value, precision=6))
     print("empirical:")
@@ -442,21 +463,20 @@ def _cmd_cov(config: RunConfig) -> int:
 
 
 def _cmd_mdp(config: RunConfig) -> int:
-    _require(config, "ensemble", "nu", "trials")
+    spec, nu, trials = _require(config, "ensemble", "nu", "trials")
     k = _power(config)
-    n_list = _first_given(config, "n or n_list", config.n_list,
-                          None if config.n is None else (config.n,))
-    estimates = mdp_check(config.ensemble, k, config.nu, n_list, config.delta_list,
-                          config.trials, config.master_seed, workers=config.workers)
+    n = config.get("n")
+    n_list = _first_given(config, "n or n_list", config.get("n_list"),
+                          None if n is None else (n,))
+    estimates = mdp_check(spec, k, nu, n_list, config.get("delta_list"), trials,
+                          config.master_seed, workers=config.workers)
     header = ["n", "nu", "delta", "tail_prob", "empirical_rate", "predicted_rate",
               "trials", "flags"]
     rows = [[_fmt(e.n), _fmt(e.nu), _fmt(e.delta), _fmt(e.tail_prob),
              _fmt(e.empirical_rate), _fmt(e.predicted_rate), str(e.trials),
              ";".join(e.flags)] for e in estimates]
-    text = write_csv(config.output_path, header, rows, config)
-    if not config.output_path:
-        sys.stdout.write(text)
-    tol = config.extras.get("tolerance", 0.25)
+    _emit(config, write_csv(config.get("output"), header, rows, config))
+    tol = config.get("tolerance", 0.25)
     bad = [e for e in estimates
            if not e.flags and not math.isclose(e.predicted_rate, 0.0)
            and abs(e.empirical_rate - e.predicted_rate) > tol * e.predicted_rate]
@@ -467,36 +487,30 @@ def _cmd_mdp(config: RunConfig) -> int:
 
 
 def _cmd_cramer(config: RunConfig) -> int:
-    law_text = config.extras.get("law")
+    law_text = config.get("law")
     if not law_text:
         raise ConfigError("cramer: missing entry law")
     law = EntryLaw.parse(law_text)
     if law.support is None:
         raise ConfigError("cramer: entry law must have compact support")
     lo, hi = law.support
-    x_min = config.extras.get("x_min", lo)
-    x_max = config.extras.get("x_max", hi)
-    points = config.extras.get("points", 101)
+    points = config.get("points", 101)
     if points < 1:
         raise ConfigError(f"cramer: points must be >= 1, got {points}")
-    grid = np.linspace(x_min, x_max, points)
-    result = cramer_rate_k1(law, grid, t_max=config.extras.get("t_max", 50.0))
+    grid = np.linspace(config.get("x_min", lo), config.get("x_max", hi), points)
+    result = cramer_rate_k1(law, grid, t_max=config.get("t_max", 50.0))
     rows = [[_fmt(x), _fmt(i)] for x, i in zip(result.grid, result.rate)]
-    text = write_csv(config.output_path, ["x", "rate"], rows, config)
-    if not config.output_path:
-        sys.stdout.write(text)
+    _emit(config, write_csv(config.get("output"), ["x", "rate"], rows, config))
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
 
 
 def _cmd_dump_sample(config: RunConfig) -> int:
-    _require(config, "ensemble", "n")
-    matrix = sample_matrix(config.ensemble, config.n, config.master_seed)
+    spec, n = _require(config, "ensemble", "n")
+    matrix = sample_matrix(spec, n, config.master_seed)
     rows = matrix_to_csv_rows(matrix)
-    text = write_csv(config.output_path, ["sub", "diag", "sup"], rows, config)
-    if not config.output_path:
-        sys.stdout.write(text)
+    _emit(config, write_csv(config.get("output"), ["sub", "diag", "sup"], rows, config))
     return 0
 
 
@@ -520,44 +534,25 @@ def run(config: RunConfig) -> int:
     return handler(config)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on every other error: 2 is kept for a
+    statistical threshold exceeded."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tritrace",
-        description="trace statistics of tridiagonal random matrices")
+    parser = _Parser(prog="tritrace",
+                     description="trace statistics of tridiagonal random matrices")
     parser.add_argument("--version", action="version", version=f"tritrace {__version__}")
     # Every command takes the same flags: declare them once and share them.
+    # Values stay text here; build_config parses them as it parses a file's.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file; flags override file keys")
-    common.add_argument("--output", help="output file path")
-    common.add_argument("--format", choices=("json", "csv"), dest="format")
-    common.add_argument("--workers", help="worker processes or 'auto'")
-    common.add_argument("--seed", dest="master_seed", type=int)
-    common.add_argument("--k", type=int)
-    common.add_argument("--k-list", dest="k_list")
-    common.add_argument("--n", type=int)
-    common.add_argument("--n-list", dest="n_list")
-    common.add_argument("--trials", type=int)
-    common.add_argument("--nu", type=float)
-    common.add_argument("--delta-list", dest="delta_list")
-    common.add_argument("--alpha", type=float)
-    common.add_argument("--epsilon", type=float)
-    common.add_argument("--replicas", type=int)
-    common.add_argument("--tolerance", type=float)
-    common.add_argument("--ensemble")
-    common.add_argument("--beta", type=float)
-    common.add_argument("--a-law", dest="a_law")
-    common.add_argument("--d-law", dest="d_law")
-    common.add_argument("--b-law", dest="b_law")
-    common.add_argument("--kernel-law", dest="kernel_law")
-    common.add_argument("--kernel-variant", dest="kernel_variant")
-    common.add_argument("--symmetric")
-    common.add_argument("--coupling")
-    common.add_argument("--input")
-    common.add_argument("--law")
-    common.add_argument("--x-min", dest="x_min", type=float)
-    common.add_argument("--x-max", dest="x_max", type=float)
-    common.add_argument("--points", type=int)
-    common.add_argument("--t-max", dest="t_max", type=float)
+    for setting in _SETTINGS.values():
+        common.add_argument(setting.flag, dest=setting.key)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -569,11 +564,9 @@ def main(argv=None) -> int:
     # mostly) spares every later collection, the one at exit included, and
     # forked workers from walking it.  Only cyclic garbage alive now is never freed.
     gc.freeze()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = build_config(args)
-        return run(config)
+        return run(build_config(args))
     except TriTraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

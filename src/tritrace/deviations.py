@@ -55,13 +55,10 @@ class CramerRate:
 
     grid: np.ndarray
     rate: np.ndarray
-    mgf_grid: np.ndarray
-    support_bounds: tuple[float, float]
     warnings: tuple[str, ...] = ()
 
 
-def derive_delta_list(dk: float, nu: float, n: int,
-                      rate_targets=DEFAULT_RATE_TARGETS) -> tuple[float, ...]:
+def derive_delta_list(dk: float, rate_targets=DEFAULT_RATE_TARGETS) -> tuple[float, ...]:
     """Thresholds whose predicted rates land on ``rate_targets``."""
     if dk <= 0:
         raise DegenerateRateError("cannot derive thresholds from a vanishing variance")
@@ -93,10 +90,8 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
     if dk.value < 1e-12:
         raise DegenerateRateError(
             f"limiting variance for power {k} is {dk.value:g}; rate is degenerate")
-    if delta_list is None:
-        delta_list = {n: derive_delta_list(dk.value, nu, n) for n in n_list}
-    else:
-        delta_list = {n: tuple(float(d) for d in delta_list) for n in n_list}
+    deltas = (derive_delta_list(dk.value) if delta_list is None
+              else tuple(float(d) for d in delta_list))
 
     out: list[RateEstimate] = []
     for n in n_list:
@@ -106,7 +101,7 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
                         alpha=0.0, epsilon=0.5, workers=workers)[:, 0]
         s = math.sqrt(lam / n) * raw
         sd = math.sqrt(lam * dk.value)
-        for delta in delta_list[n]:
+        for delta in deltas:
             tail = float(np.mean(np.abs(s) >= delta)) if delta > 0 else 1.0
             predicted = delta ** 2 / (2.0 * dk.value)
             flags = []
@@ -157,15 +152,17 @@ def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = 50.0) -> CramerRa
     if t_max <= 0:
         raise InvalidArgumentError("t_max must be positive")
     lo, hi = entry_law.support
+    if not math.isfinite(t_max * (hi - lo)):
+        # the log-MGF at the widest tilt would overflow
+        raise InvalidArgumentError(
+            f"support [{lo:g}, {hi:g}] too wide for tilts up to t_max={t_max:g}")
     grid = np.asarray(x_grid, dtype=float)
     rate = np.empty_like(grid)
-    t_star = np.empty_like(grid)
     warnings: list[str] = []
     slope_tol = 1e-7
     for idx, x in enumerate(grid):
         if x < lo or x > hi:
             rate[idx] = math.inf
-            t_star[idx] = math.copysign(t_max, x - 0.5 * (lo + hi))
             continue
 
         def objective(t: float, x=x) -> float:
@@ -173,7 +170,6 @@ def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = 50.0) -> CramerRa
 
         t_opt, val = _golden_max(objective, -t_max, t_max)
         rate[idx] = max(val, 0.0)
-        t_star[idx] = t_opt
         if t_max - abs(t_opt) < 1e-6 * t_max:
             eps = 1e-6 * t_max
             edge = math.copysign(t_max, t_opt)
@@ -183,5 +179,4 @@ def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = 50.0) -> CramerRa
                 warnings.append(
                     f"x={x:g}: supremum hit |t|={t_max:g} with positive slope; "
                     "rate is a lower bound")
-    return CramerRate(grid=grid, rate=rate, mgf_grid=t_star,
-                      support_bounds=(lo, hi), warnings=tuple(warnings))
+    return CramerRate(grid=grid, rate=rate, warnings=tuple(warnings))

@@ -36,7 +36,6 @@ from .errors import InvalidArgumentError
 
 MODELS = ("anderson", "hatano_nelson", "birth_death_kernel", "birth_death_q",
           "beta_hermite", "generic_iid")
-COUPLINGS = ("independent_streams", "independent_triples", "d_from_f")
 KERNEL_VARIANTS = ("v", "conductance")
 
 _LAW_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
@@ -279,13 +278,10 @@ class EnsembleSpec:
     b_law: EntryLaw | None = None
     kernel_law: EntryLaw | None = None
     kernel_variant: str = "v"
-    coupling: str = "independent_streams"
 
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidArgumentError(f"unknown model {self.model!r}")
-        if self.coupling not in COUPLINGS:
-            raise InvalidArgumentError(f"unknown coupling {self.coupling!r}")
         if self.model == "beta_hermite":
             if self.beta is None or not self.beta > 0:
                 raise InvalidArgumentError("beta_hermite requires beta > 0")
@@ -326,11 +322,6 @@ class EnsembleSpec:
                 if sup is None or sup[0] <= 0:
                     raise InvalidArgumentError("birth_death_q off-diagonal laws must be strictly positive")
         if self.model == "generic_iid":
-            if self.coupling == "d_from_f":
-                # The two supported diagonal couplings are exposed as the
-                # named birth-death models; there is no free-form f here.
-                raise InvalidArgumentError(
-                    "generic_iid does not support d_from_f; use a birth_death model")
             if self.a_law is None or self.d_law is None or (not self.symmetric and self.b_law is None):
                 raise InvalidArgumentError("generic_iid requires laws for every stream")
 
@@ -338,16 +329,14 @@ class EnsembleSpec:
     @classmethod
     def anderson(cls, d_law: EntryLaw | None = None) -> "EnsembleSpec":
         d_law = d_law or EntryLaw.rademacher()
-        return cls(model="anderson", symmetric=True, d_law=d_law,
-                   coupling="independent_streams")
+        return cls(model="anderson", symmetric=True, d_law=d_law)
 
     @classmethod
     def hatano_nelson(cls, a_law=None, d_law=None, b_law=None) -> "EnsembleSpec":
         a_law = a_law or EntryLaw.uniform(0.5, 1.5)
         d_law = d_law or EntryLaw.uniform(-1.0, 1.0)
         b_law = b_law or EntryLaw.uniform(0.5, 1.5)
-        return cls(model="hatano_nelson", symmetric=False, a_law=a_law, d_law=d_law,
-                   b_law=b_law, coupling="independent_triples")
+        return cls(model="hatano_nelson", symmetric=False, a_law=a_law, d_law=d_law, b_law=b_law)
 
     @classmethod
     def birth_death_kernel(cls, law: EntryLaw | None = None,
@@ -355,7 +344,7 @@ class EnsembleSpec:
         if law is None:
             law = EntryLaw.uniform(0.0, 1.0) if variant == "v" else EntryLaw.uniform(0.5, 1.5)
         return cls(model="birth_death_kernel", symmetric=False, kernel_law=law,
-                   kernel_variant=variant, coupling="d_from_f")
+                   kernel_variant=variant)
 
     @classmethod
     def birth_death_q(cls, a_law=None, b_law=None, symmetric: bool = False) -> "EnsembleSpec":
@@ -364,20 +353,18 @@ class EnsembleSpec:
             b_law = None
         else:
             b_law = b_law or EntryLaw.uniform(0.5, 1.5)
-        return cls(model="birth_death_q", symmetric=symmetric, a_law=a_law, b_law=b_law,
-                   coupling="d_from_f")
+        return cls(model="birth_death_q", symmetric=symmetric, a_law=a_law, b_law=b_law)
 
     @classmethod
     def beta_hermite(cls, beta: float) -> "EnsembleSpec":
         return cls(model="beta_hermite", symmetric=True, beta=float(beta))
 
     @classmethod
-    def generic_iid(cls, a_law, d_law, b_law=None, symmetric: bool = False,
-                    coupling: str = "independent_streams") -> "EnsembleSpec":
+    def generic_iid(cls, a_law, d_law, b_law=None, symmetric: bool = False) -> "EnsembleSpec":
         if symmetric:
             b_law = None
         return cls(model="generic_iid", symmetric=symmetric, a_law=a_law, d_law=d_law,
-                   b_law=b_law, coupling=coupling)
+                   b_law=b_law)
 
     # -- derived structure -------------------------------------------------
     @property
@@ -427,8 +414,7 @@ class EnsembleSpec:
 
     def describe(self) -> dict:
         """Flat, deterministic key/value form for provenance headers."""
-        out = {"model": self.model, "symmetric": self.symmetric, "coupling": self.coupling,
-               "bounded": self.bounded}
+        out = {"model": self.model, "symmetric": self.symmetric, "bounded": self.bounded}
         if self.beta is not None:
             out["beta"] = self.beta
         for name, law in (("a_law", self.a_law), ("d_law", self.d_law),

@@ -27,7 +27,6 @@ from .circuits import (
 from .ensembles import (
     MAX_TRIALS,
     EnsembleSpec,
-    EntryWindow,
     counts_diagonal_signs,
     diagonal_sign_sums,
     sample_matrix_chunks,
@@ -48,8 +47,8 @@ TRIAL_BLOCK = 1024
 # memory cost the most, it also beat 2^13 and 2^15.
 CHUNK_ENTRIES = 1 << 14
 
-COVARIANCE_SOURCES = ("mc_estimate", "iid_window_formula",
-                      "symmetric_degenerate_formula", "beta_hermite_formula")
+COVARIANCE_SOURCES = ("iid_window_formula", "symmetric_degenerate_formula",
+                      "beta_hermite_formula")
 
 
 @dataclass(frozen=True)
@@ -90,16 +89,6 @@ def _summand_block(a: np.ndarray, d: np.ndarray, b: np.ndarray, first_index: int
     for t in types:
         out += t.count * class_product(pows, t, base, width)
     return out
-
-
-def site_summand(window: EntryWindow, i: int, k: int, types) -> float:
-    """Evaluate the per-site summand ``X_{k,i}`` on one realized window."""
-    if not types or any(t.k != k for t in types):
-        raise InvalidArgumentError("type table does not match the requested power")
-    a = window.a[None, :]
-    d = window.d[None, :]
-    b = window.b[None, :]
-    return float(_summand_block(a, d, b, window.first_index, range(i, i + 1), k, types)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +248,6 @@ class CovarianceTarget:
 
     source: str
     value: np.ndarray
-    detail: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         if self.source not in COVARIANCE_SOURCES:
@@ -343,26 +331,18 @@ def covariance_target(k_list, regime: str, *, beta: float | None = None,
         if beta is None or beta <= 0:
             raise InvalidArgumentError("beta_hermite regime requires beta > 0")
         value = np.array([[_beta_hermite_entry(ki, kj, beta) for kj in k_list] for ki in k_list])
-        detail = tuple(tuple(
-            "zero by parity" if (ki % 2) != (kj % 2) else "beta ensemble closed form"
-            for kj in k_list) for ki in k_list)
-        return CovarianceTarget(source="beta_hermite_formula", value=value, detail=detail)
+        return CovarianceTarget(source="beta_hermite_formula", value=value)
     if regime == "symmetric_degenerate":
         if None in (a, var_eta, var_zeta, alpha, epsilon):
             raise InvalidArgumentError("symmetric_degenerate regime parameters incomplete")
         value = np.array([[_symmetric_degenerate_entry(ki, kj, a, var_eta, var_zeta, alpha, epsilon)
                            for kj in k_list] for ki in k_list])
-        detail = tuple(tuple(
-            "zero by parity" if (ki % 2) != (kj % 2) else "degenerate-limit closed form"
-            for kj in k_list) for ki in k_list)
-        return CovarianceTarget(source="symmetric_degenerate_formula", value=value, detail=detail)
+        return CovarianceTarget(source="symmetric_degenerate_formula", value=value)
     if regime == "iid_mc":
         if spec is None or replicas is None:
             raise InvalidArgumentError("iid_mc regime requires spec and replicas")
-        value = _iid_mc_matrix(k_list, spec, replicas, seed)
-        detail = tuple(tuple(f"windowed MC, {replicas} replicas" for _ in k_list)
-                       for _ in k_list)
-        return CovarianceTarget(source="iid_window_formula", value=value, detail=detail)
+        return CovarianceTarget(source="iid_window_formula",
+                                value=_iid_mc_matrix(k_list, spec, replicas, seed))
     raise InvalidArgumentError(f"unknown regime {regime!r}")
 
 

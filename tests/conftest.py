@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 
 from tritrace.circuits import count_circuits_bruteforce
+from tritrace.stats import _summand_block
 
 settings.register_profile(
     "tritrace",
@@ -32,6 +33,13 @@ def naive_summand(types, a_by_index, d_by_index, b_by_index, i, k):
             term *= d_by_index[i + j] ** e
         total += term
     return total
+
+
+def site_summand(window, i, k, types):
+    """The per-site summand ``X_{k,i}`` of one realized ``EntryWindow``, through
+    the batched kernel ``_summand_block`` at one replica and one site."""
+    a, d, b = (row[None, :] for row in (window.a, window.d, window.b))
+    return float(_summand_block(a, d, b, window.first_index, range(i, i + 1), k, types)[0, 0])
 
 
 def exhaustive_dk(k, m_k, d_atoms, ab_value=1.0):

@@ -300,7 +300,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     cfg = tmp_path / "clt.ini"
     out = tmp_path / "out.json"
     cfg.write_text(
-        "[run]\nmaster_seed = 24301\noutput = %s\nformat = json\n\n"
+        "[run]\nmaster_seed = 24301\noutput = %s\n\n"
         "[ensemble]\nmodel = anderson\nd_law = gaussian(0,1)\n\n"
         "[clt]\nk_list = 1,3\nn = 256\ntrials = 2048\nreplicas = 20000\n"
         % out)

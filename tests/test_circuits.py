@@ -60,10 +60,6 @@ class TestTypeEnumeration:
         with pytest.raises(InvalidArgumentError):
             enumerate_types(2.5)
 
-    def test_cap_can_be_raised_explicitly(self):
-        types = enumerate_types(4, k_max=4)
-        assert len(types) == 6
-
     def test_deterministic_and_sorted(self):
         first = enumerate_types(7)
         second = enumerate_types(7)

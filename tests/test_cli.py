@@ -89,7 +89,7 @@ class TestConfigHandling:
             ["trace", "--config", str(cfg), "--seed", "42"])
         config = build_config(args)
         assert config.master_seed == 42
-        assert config.extras["k"] == 2
+        assert config.get("k") == 2
         assert config.ensemble.model == "anderson"
 
     def test_seed_defaults_to_fixed_constant(self):
@@ -188,6 +188,69 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cramer: points must be >= 1, got {points}"), err
 
+    @pytest.mark.parametrize("flag, key, section", [
+        ("--n", "n", "run"), ("--seed", "master_seed", "run"), ("--nu", "nu", "types"),
+        ("--points", "points", "types"), ("--beta", "beta", "ensemble"),
+    ])
+    @pytest.mark.parametrize("route", ["flag", "file"])
+    def test_malformed_value_exits_1(self, tmp_path, capsys, flag, key, section, route):
+        # a flag's text goes through the same parser as a file's
+        argv = ["types", "--k", "3"] + (["--ensemble", "beta_hermite"] if key == "beta" else [])
+        if route == "flag":
+            argv += [flag, "abc"]
+        else:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(f"[{section}]\n{key} = abc\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: malformed value for {key}: 'abc'\n"
+
+    @pytest.mark.parametrize("config_text, name", [
+        ("[clt]\nreplica = 5000\n", "'replica'"),
+        ("[run]\nseed = 3\n", "'seed'"),
+        ("[run]\nformat = json\n", "'format'"),
+        ("[ensemble]\nmodel = generic_iid\ncoupling = d_from_f\n", "'coupling'"),
+        ("[clt]\nd_law = rademacher\n", "'d_law'"),
+        ("[ensemble]\nk_list = 1\n", "'k_list'"),
+        ("[ensembel]\nmodel = anderson\n", "[ensembel]"),
+        ("[DEFAULT]\nn = 8\n\n[ensemble]\nmodel = anderson\n", "[DEFAULT]"),
+    ])
+    def test_unknown_config_key_is_an_error(self, tmp_path, capsys, config_text, name):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(config_text)
+        assert run_cli("clt", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config") and name in err, err
+
+    @pytest.mark.parametrize("flag", ["--replicates", "--format", "--coupling"])
+    def test_unknown_flag_exits_1(self, capsys, flag):
+        # 2 means a statistical threshold was exceeded, never a usage error
+        with pytest.raises(SystemExit) as exc:
+            run_cli("clt", "--ensemble", "anderson", flag, "csv")
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag} csv" in capsys.readouterr().err
+
+    def test_file_and_flags_write_the_same_bytes(self, tmp_path):
+        cfg = tmp_path / "clt.ini"
+        by_file, by_flags = tmp_path / "file.json", tmp_path / "flags.json"
+        cfg.write_text(
+            f"[run]\nmaster_seed = 5\noutput = {by_file}\n\n"
+            "[ensemble]\nmodel = anderson\nd_law = gaussian(0,1)\n\n"
+            "[clt]\nk_list = 1,3\nn = 128\ntrials = 512\nreplicas = 5000\nalpha = 0\n")
+        code = run_cli("clt", "--config", str(cfg))
+        assert run_cli("clt", "--ensemble", "anderson", "--d-law", "gaussian(0,1)",
+                       "--k-list", "1,3", "--n", "128", "--trials", "512", "--replicas", "5000",
+                       "--alpha", "0", "--seed", "5", "--output", str(by_flags)) == code
+
+        def body(path):
+            return [line for line in path.read_text().splitlines() if "output_path" not in line]
+        assert body(by_file) == body(by_flags)
+
+    def test_too_wide_law_for_the_tilt_range_is_an_error(self, capsys):
+        # its log-MGF at t_max once died in math.log with a traceback
+        assert run_cli("cramer", "--law", "uniform(-1e307,1e307)", "--points", "3") == 1
+        assert capsys.readouterr().err.startswith("error: support")
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_shared_flags_act_as_if_declared_per_command(self, command):
         # The flags are declared once and shared by every command.  Rebuild the
@@ -204,7 +267,7 @@ class TestConfigHandling:
                                  choices=action.choices, help=action.help)
             value = {int: "3", float: "0.5"}.get(action.type, "x")
             argv += [action.option_strings[0], action.choices[0] if action.choices else value]
-        assert len(argv) == 1 + 2 * 31
+        assert len(argv) == 1 + 2 * 29
         assert shared.format_help() == ref_cmd.format_help()
         assert vars(parser.parse_args(argv)) == vars(ref.parse_args(argv))
         assert vars(parser.parse_args([command])) == vars(ref.parse_args([command]))
@@ -242,6 +305,8 @@ class TestOutputs:
         assert payload["config"]["ensemble.model"] == "anderson"
         assert payload["config"]["trials"] == 512
         assert "workers" not in payload["config"]
+        assert "output_format" not in payload["config"]
+        assert "ensemble.coupling" not in payload["config"]
         assert "report" in payload["results"]
 
     def test_simulate_csv_rows(self, tmp_path):

@@ -85,6 +85,12 @@ class TestCramerRate:
         assert np.all(np.isfinite(wide))
         np.testing.assert_allclose(wide, unit, rtol=1e-9, atol=1e-12)
 
+    def test_support_too_wide_for_the_tilts_is_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="too wide"):
+            cramer_rate_k1(EntryLaw.uniform(-1e307, 1e307), [0.0])
+        with pytest.raises(InvalidArgumentError, match="too wide"):
+            cramer_rate_k1(EntryLaw.uniform(0.0, 1.0), [0.5], t_max=math.inf)
+
     def test_boundary_hit_warning(self):
         # at the support edge of a biased coin the optimal tilt diverges;
         # a small cap leaves visible slope and must be reported
@@ -145,11 +151,11 @@ class TestMdpCheck:
         assert spread <= 0.3
 
     def test_auto_delta_lands_in_band(self):
-        deltas = derive_delta_list(2.0, 0.5, 100)
+        deltas = derive_delta_list(2.0)
         rates = [d ** 2 / 4.0 for d in deltas]
         assert rates == pytest.approx([0.3, 0.5, 0.8, 1.2])
         with pytest.raises(DegenerateRateError):
-            derive_delta_list(0.0, 0.5, 100)
+            derive_delta_list(0.0)
 
     def test_rate_estimate_validation(self):
         with pytest.raises(InvalidArgumentError):

@@ -192,13 +192,6 @@ class TestSpecValidation:
         for spec in SPECS.values():
             assert spec.describe()["bounded"] is spec.bounded
 
-    def test_generic_iid_rejects_diagonal_coupling(self):
-        with pytest.raises(InvalidArgumentError):
-            EnsembleSpec.generic_iid(a_law=EntryLaw.uniform(0.5, 1.5),
-                                     d_law=EntryLaw.uniform(-1, 1),
-                                     b_law=EntryLaw.uniform(0.5, 1.5),
-                                     coupling="d_from_f")
-
     def test_positive_offdiagonal_required(self):
         with pytest.raises(InvalidArgumentError):
             EnsembleSpec.birth_death_q(a_law=EntryLaw.uniform(-1.0, 1.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import exhaustive_dk, naive_summand
+from conftest import exhaustive_dk, naive_summand, site_summand
 from tritrace import stats
 from tritrace.circuits import (
     count_circuits_bruteforce,
@@ -37,7 +37,6 @@ from tritrace.stats import (
     ks_distance_to_normal,
     mc_traces,
     normality_report,
-    site_summand,
 )
 
 
@@ -465,17 +464,16 @@ class TestLambdaTarget:
         assert target.value[0, 1] == 0.0 and target.value[1, 2] == 0.0
         assert target.value[0, 2] == pytest.approx(3.0)
         with pytest.raises(InvalidArgumentError):
-            CovarianceTarget(source="bogus", value=np.eye(2), detail=(("", ""), ("", "")))
+            CovarianceTarget(source="bogus", value=np.eye(2))
         with pytest.raises(InvalidArgumentError):
-            CovarianceTarget(source="mc_estimate", value=np.array([[1.0, 0.5], [0.2, 1.0]]),
-                             detail=(("", ""), ("", "")))
+            CovarianceTarget(source="iid_window_formula",
+                             value=np.array([[1.0, 0.5], [0.2, 1.0]]))
 
 
 class TestNormalityReport:
     def _target(self, values):
-        arr = np.diag(np.asarray(values, dtype=float))
-        detail = tuple(tuple("fixture" for _ in values) for _ in values)
-        return CovarianceTarget(source="mc_estimate", value=arr, detail=detail)
+        return CovarianceTarget(source="iid_window_formula",
+                                value=np.diag(np.asarray(values, dtype=float)))
 
     def test_standard_normal_fixture_passes_ks(self):
         rng = np.random.default_rng(7)
@@ -614,8 +612,7 @@ class TestDistributionalProperties:
         spec = EnsembleSpec.anderson()
         n, trials = 10_000, 10_000
         samples = mc_traces(spec, n, (1,), trials, 0x5EED, alpha=0.0, epsilon=0.0)
-        target = CovarianceTarget(source="iid_window_formula", value=np.array([[1.0]]),
-                                  detail=(("exact",),))
+        target = CovarianceTarget(source="iid_window_formula", value=np.array([[1.0]]))
         report = normality_report(samples, target, k_list=(1,), n=n, scaling_exponents=(0.5,))
         assert abs(report.variance[0] - 1.0) < 0.05
         assert abs(report.skewness[0]) < 0.1
