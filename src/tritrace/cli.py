@@ -205,12 +205,32 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
     return sections
 
 
+# The ``[ensemble]`` keys each model reads besides ``model``.  Any other key
+# is an error: a value nothing reads would still sit in the provenance block
+# as if it had shaped the run.
+_MODEL_KEYS = {
+    "anderson": {"d_law"},
+    "beta_hermite": {"beta"},
+    "hatano_nelson": {"a_law", "d_law", "b_law"},
+    "birth_death_kernel": {"kernel_law", "kernel_variant"},
+    "birth_death_q": {"a_law", "b_law", "symmetric"},
+    "generic_iid": {"a_law", "d_law", "b_law", "symmetric"},
+}
+
+
 def spec_from_mapping(m: dict) -> EnsembleSpec:
     """Build an :class:`EnsembleSpec` from the text of ``[ensemble]`` keys."""
     v = _parse(m, "ensemble")
-    model = v.get("model")
+    model = v.pop("model", None)
     if not model:
         raise ConfigError("ensemble model missing")
+    if model not in _MODEL_KEYS:
+        raise ConfigError(f"unknown ensemble model {model!r}")
+    unread = sorted(v.keys() - _MODEL_KEYS[model])
+    if v.get("symmetric") and "b_law" in v:
+        unread.append("b_law")   # a symmetric matrix's b is its a
+    if unread:
+        raise ConfigError(f"ensemble model {model} does not read {', '.join(unread)}")
     if model == "anderson":
         return EnsembleSpec.anderson(d_law=v.get("d_law"))
     if model == "beta_hermite":
@@ -226,13 +246,10 @@ def spec_from_mapping(m: dict) -> EnsembleSpec:
     if model == "birth_death_q":
         return EnsembleSpec.birth_death_q(a_law=v.get("a_law"), b_law=v.get("b_law"),
                                           symmetric=v.get("symmetric", False))
-    if model == "generic_iid":
-        if v.get("a_law") is None or v.get("d_law") is None:
-            raise ConfigError("generic_iid requires a_law and d_law")
-        return EnsembleSpec.generic_iid(a_law=v["a_law"], d_law=v["d_law"],
-                                        b_law=v.get("b_law"),
-                                        symmetric=v.get("symmetric", False))
-    raise ConfigError(f"unknown ensemble model {model!r}")
+    if v.get("a_law") is None or v.get("d_law") is None:   # generic_iid
+        raise ConfigError("generic_iid requires a_law and d_law")
+    return EnsembleSpec.generic_iid(a_law=v["a_law"], d_law=v["d_law"], b_law=v.get("b_law"),
+                                    symmetric=v.get("symmetric", False))
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -249,7 +266,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     workers = settings.pop("workers", None)
     if workers is None:
         workers = _convert("workers", _parse_workers, os.environ.get("TRITRACE_WORKERS", "1"))
-    spec = spec_from_mapping(ens_text) if ens_text.get("model") else None
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ConfigError(f"workers = {workers} needs os.fork, which this platform lacks")
+    spec = spec_from_mapping(ens_text) if ens_text else None
     return RunConfig(command=args.command, ensemble=spec, workers=workers, settings=settings)
 
 

@@ -12,6 +12,8 @@ against the Gaussian limit.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +37,7 @@ from .ensembles import (
     trial_seed_sequence,
     window_to_matrix,
 )
-from .errors import DegenerateTargetError, InvalidArgumentError
+from .errors import DegenerateTargetError, InvalidArgumentError, TriTraceError
 
 TRIAL_BLOCK = 1024
 # Entries per diagonal in one chunk of trials sampled and evaluated together,
@@ -133,22 +135,86 @@ def _block_ranges(trials: int):
     return [(lo, min(lo + TRIAL_BLOCK, trials)) for lo in range(0, trials, TRIAL_BLOCK)]
 
 
+def _fork(job, *args):
+    """Run ``job(*args)`` in a forked child; returns its pid and the read end of its pipe.
+
+    The child writes one pickle to the pipe, ``(True, result)`` or
+    ``(False, exception)``, and leaves through ``os._exit``, so it neither
+    flushes inherited buffers nor runs exit hooks.
+    """
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)   # the pipe reaches EOF once the child exits
+        return pid, os.fdopen(rfd, "rb")
+    status = 1
+    try:
+        try:
+            result = (True, job(*args))
+        except Exception as exc:
+            result = (False, exc)
+        data = pickle.dumps(result)
+        with os.fdopen(wfd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _child_result(pid: int, data: bytes, status: int):
+    """What a reaped child sent, or its exception raised here."""
+    code = os.waitstatus_to_exitcode(status)
+    if code or not data:
+        raise TriTraceError(f"worker process {pid} exited with status {code} without a result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
+
+
 def _raw_traces(spec, n, k_list, trials, master_seed, workers) -> np.ndarray:
+    """Raw traces of every trial; ``workers - 1`` forked children and this process
+    each evaluate every ``workers``-th block.  Blocks all cost the same (each
+    is ``TRIAL_BLOCK`` trials at one n and k_list), so the static interleave
+    balances them."""
     ranges = _block_ranges(trials)
     raw = np.empty((trials, len(k_list)))
-    if workers <= 1 or len(ranges) == 1:
+    workers = min(workers, len(ranges))
+    if workers <= 1:
         for lo, hi in ranges:
             raw[lo:hi] = _trace_block(spec, n, k_list, master_seed, lo, hi)
         return raw
-    # the pool pulls in multiprocessing; only a run with workers pays for it
-    from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_trace_block, spec, n, k_list, master_seed, lo, hi): lo
-                   for lo, hi in ranges}
-        for fut, lo in futures.items():
-            block = fut.result()
-            raw[lo:lo + block.shape[0]] = block
+    def evaluate(share):
+        return [_trace_block(spec, n, k_list, master_seed, lo, hi) for lo, hi in share]
+
+    children = {}   # pid -> read end of its pipe, for each child not yet reaped
+    try:
+        for w in range(1, workers):
+            pid, pipe = _fork(evaluate, ranges[w::workers])
+            children[pid] = pipe
+        shares = [evaluate(ranges[0::workers])]
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            shares.append(_child_result(pid, data, status))
+    finally:
+        if children:   # a failed run; only it needs signal, so keep that off the import path
+            import signal
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for w, blocks in enumerate(shares):
+        for (lo, hi), block in zip(ranges[w::workers], blocks):
+            raw[lo:hi] = block
     return raw
 
 
@@ -186,6 +252,8 @@ def mc_traces(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
         raise InvalidArgumentError("k_list must be non-empty")
     if n < max(k_list) // 2 + 1:
         raise InvalidArgumentError("n too small for the largest requested power")
+    if workers > 1 and not hasattr(os, "fork"):
+        raise InvalidArgumentError("workers > 1 needs os.fork, which this platform lacks")
     exponents = growth_exponents(spec, k_list, alpha, epsilon)
     raw = _raw_traces(spec, n, k_list, trials, master_seed, workers)
     centers = np.empty(len(k_list))

@@ -20,6 +20,7 @@ from tritrace.cli import (
     matrix_to_csv_rows,
 )
 from tritrace.ensembles import EnsembleSpec, sample_matrix
+from tritrace.errors import ConfigError
 
 
 def run_cli(*args):
@@ -124,6 +125,49 @@ class TestConfigHandling:
         # platforms without affinity masks fall back to the CPU count
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert build_config(args).workers == 8
+
+    def test_workers_above_one_need_fork(self, monkeypatch):
+        # without os.fork there are no workers, and asking for them is an error
+        parser = main.__globals__["_build_parser"]()
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for workers in ("2", "auto"):
+            args = parser.parse_args(["types", "--k", "3", "--workers", workers])
+            with pytest.raises(ConfigError, match="workers = 2 needs os.fork"):
+                build_config(args)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        for workers in ("1", "auto"):
+            args = parser.parse_args(["types", "--k", "3", "--workers", workers])
+            assert build_config(args).workers == 1
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["--ensemble", "anderson", "--a-law", "uniform(0,1)"], "a_law"),
+        (["--ensemble", "anderson", "--beta", "3"], "beta"),
+        (["--ensemble", "hatano_nelson", "--symmetric", "false"], "symmetric"),
+        (["--ensemble", "beta_hermite", "--beta", "2", "--d-law", "rademacher"], "d_law"),
+        (["--ensemble", "birth_death_q", "--kernel-variant", "v"], "kernel_variant"),
+        (["--ensemble", "birth_death_kernel", "--kernel-law", "uniform(0,1)",
+          "--a-law", "uniform(0,1)"], "a_law"),
+        (["--ensemble", "generic_iid", "--a-law", "uniform(0,1)", "--d-law", "rademacher",
+          "--b-law", "rademacher", "--symmetric", "true"], "b_law"),
+        (["--ensemble", "birth_death_q", "--b-law", "uniform(1,2)", "--symmetric", "yes"],
+         "b_law"),
+    ])
+    def test_ensemble_key_the_model_does_not_read_is_an_error(self, capsys, argv, unread):
+        assert run_cli("dump-sample", *argv, "--n", "3") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ensemble model") and err.endswith(f"read {unread}\n"), err
+
+    def test_unread_ensemble_key_in_a_config_file_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[ensemble]\nmodel = anderson\nkernel_variant = v\n")
+        assert run_cli("dump-sample", "--config", str(cfg), "--n", "3") == 1
+        assert capsys.readouterr().err == (
+            "error: ensemble model anderson does not read kernel_variant\n")
+
+    def test_ensemble_keys_without_a_model_are_an_error(self, capsys):
+        assert run_cli("types", "--k", "3", "--beta", "2") == 1
+        assert capsys.readouterr().err == "error: ensemble model missing\n"
 
     @pytest.mark.parametrize("extra, config_text, bad", [
         (["--n", "8", "--k-list", "1,x"], None, "1,x"),
@@ -392,13 +436,29 @@ class TestDeterminism:
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy is only needed for the KS distance, the process pool only with more
-    # than one worker and configparser only with --config; each is imported there
+    # scipy is only needed for the KS distance and configparser only with
+    # --config; each is imported there.  Nothing imports a process pool.
     src = str(Path(tritrace.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     lazy = ("concurrent.futures.process", "multiprocessing", "configparser")
     code = ("import sys, tritrace.cli; "
             f"loaded = sorted(m for m in sys.modules if 'scipy' in m or m in {lazy!r}); "
+            "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_worker_run_loads_no_process_pool(tmp_path):
+    # workers are forked children that write to pipes: no multiprocessing
+    src = str(Path(tritrace.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["simulate", "--ensemble", "anderson", "--k-list", "1,2", "--n", "16",
+            "--trials", "2100", "--workers", "2", "--output", str(tmp_path / "out.csv")]
+    code = ("import sys; from tritrace.cli import main; "
+            f"assert main({argv!r}) == 0; "
+            "loaded = sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent'))); "
             "assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

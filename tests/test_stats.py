@@ -1,4 +1,6 @@
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from tritrace.ensembles import (
     trial_seed_sequence,
     window_to_matrix,
 )
-from tritrace.errors import DegenerateTargetError, InvalidArgumentError
+from tritrace.errors import DegenerateTargetError, InvalidArgumentError, TriTraceError
 from tritrace.stats import (
     CovarianceTarget,
     boundary_bound,
@@ -218,10 +220,69 @@ class TestMcTraces:
         assert exact_trace_mean(EnsembleSpec.birth_death_q(), 100, 3) is None
 
     def test_workers_do_not_change_results(self):
+        # 2100 trials are three blocks, the last one short; 8 workers are capped at 3
         spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
         one = mc_traces(spec, 64, (1, 2), 2100, 5, alpha=0.0, epsilon=0.0, workers=1)
-        two = mc_traces(spec, 64, (1, 2), 2100, 5, alpha=0.0, epsilon=0.0, workers=2)
-        assert np.array_equal(one, two)
+        for workers in (2, 3, 8):
+            many = mc_traces(spec, 64, (1, 2), 2100, 5, alpha=0.0, epsilon=0.0, workers=workers)
+            assert one.tobytes() == many.tobytes(), workers
+
+    @staticmethod
+    def _patch_blocks(monkeypatch, actions):
+        """Make ``_trace_block`` first call ``actions[lo]()`` for a block starting at ``lo``."""
+        block = stats._trace_block
+
+        def patched(spec, n, k_list, master_seed, lo, hi):
+            if lo in actions:
+                actions[lo]()
+            return block(spec, n, k_list, master_seed, lo, hi)
+
+        monkeypatch.setattr(stats, "_trace_block", patched)
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def _run(self, workers):
+        spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
+        return mc_traces(spec, 64, (1, 2), 2100, 5, workers=workers)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_child_error_keeps_its_type_and_message(self, monkeypatch, workers):
+        def fail():
+            raise InvalidArgumentError("block 1024 failed")
+
+        self._patch_blocks(monkeypatch, {1024: fail})   # the first child's block
+        with pytest.raises(InvalidArgumentError, match="^block 1024 failed$"):
+            self._run(workers)
+        self._assert_no_child_left()
+
+    def test_child_exit_without_result_names_its_status(self, monkeypatch):
+        self._patch_blocks(monkeypatch, {1024: lambda: os._exit(3)})
+        with pytest.raises(TriTraceError, match="exited with status 3 without a result"):
+            self._run(2)
+        self._assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parent_error_kills_and_reaps_children(self, monkeypatch, workers):
+        def fail():
+            raise InvalidArgumentError("own block failed")
+
+        # the parent's first block fails while the children's would take a minute
+        self._patch_blocks(monkeypatch, {0: fail, 1024: lambda: time.sleep(60),
+                                         2048: lambda: time.sleep(60)})
+        start = time.monotonic()
+        with pytest.raises(InvalidArgumentError, match="own block failed"):
+            self._run(workers)
+        assert time.monotonic() - start < 30
+        self._assert_no_child_left()
+
+    def test_workers_need_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(InvalidArgumentError, match="os.fork"):
+            self._run(2)
+        assert self._run(1).shape == (2100, 2)
 
     def test_validation(self):
         spec = EnsembleSpec.anderson()
