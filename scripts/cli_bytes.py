@@ -44,7 +44,10 @@ BDQ_SYM = ["--ensemble", "birth_death_q", "--symmetric", "true"]
 # Monte Carlo at k=1 alone on a Rademacher diagonal of its own counts sign
 # bits instead of summing rows (`stats._trace_block`).  `mdp-anderson-k1`,
 # `simulate-anderson-k1-odd` (odd n), `simulate-hatano-rademacher-k1` and
-# `mdp-generic-rademacher-k1` reach that route.
+# `mdp-generic-rademacher-k1` reach that route.  `mdp` estimates D_k beside
+# the blocks of its first size only; `mdp-anderson-nlist` (two sizes, derived
+# thresholds, five blocks each) and `mdp-config` (two sizes, given
+# thresholds) also reach the sizes after it.
 # The `cramer` commands are the only ones that evaluate a law's log-MGF.
 # `clt-config` and `mdp-config` take every setting but the three added by
 # `run` from `cli_bytes.ini`, beside this script.
@@ -97,6 +100,8 @@ COMMANDS = {
                         "--trials", "3000"],
     "mdp-anderson-k1": ["mdp", *ANDERSON, "--k", "1", "--nu", "0.5", "--n", "400",
                         "--trials", "24576"],
+    "mdp-anderson-nlist": ["mdp", *ANDERSON, "--k", "1", "--nu", "0.5", "--n-list", "400,128",
+                           "--trials", "5000"],
     "simulate-anderson-k1-odd": ["simulate", *ANDERSON, "--k-list", "1", "--n", "401",
                                  "--trials", "1100"],
     "simulate-hatano-rademacher-k1": ["simulate", *HATANO, "--d-law", "rademacher",

@@ -218,6 +218,24 @@ _MODEL_KEYS = {
 }
 
 
+# The settings each command reads, ``ensemble`` standing for the whole
+# ``[ensemble]`` section.  Every command also takes ``output``, ``workers``
+# (never recorded) and ``master_seed`` (recorded by every command, given or
+# not).  Any other setting is an error, as in ``_MODEL_KEYS``.
+_COMMON_KEYS = {"output", "workers", "master_seed"}
+_COMMAND_KEYS = {
+    "types": {"k", "k_list"},
+    "trace": {"k", "k_list", "input", "ensemble", "n"},
+    "simulate": {"ensemble", "k_list", "n", "trials", "alpha", "epsilon"},
+    "clt": {"ensemble", "k_list", "n", "trials", "alpha", "epsilon", "replicas"},
+    "cov": {"ensemble", "k_list", "n", "trials", "alpha", "epsilon", "replicas", "tolerance"},
+    "mdp": {"ensemble", "k", "k_list", "n", "n_list", "trials", "nu", "delta_list",
+            "tolerance"},
+    "cramer": {"law", "x_min", "x_max", "points", "t_max"},
+    "dump-sample": {"ensemble", "n"},
+}
+
+
 def spec_from_mapping(m: dict) -> EnsembleSpec:
     """Build an :class:`EnsembleSpec` from the text of ``[ensemble]`` keys."""
     v = _parse(m, "ensemble")
@@ -269,6 +287,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if workers > 1 and not hasattr(os, "fork"):
         raise ConfigError(f"workers = {workers} needs os.fork, which this platform lacks")
     spec = spec_from_mapping(ens_text) if ens_text else None
+    given = settings.keys() | ({"ensemble"} if spec else set())
+    unread = sorted(given - _COMMON_KEYS - _COMMAND_KEYS[args.command])
+    if unread:
+        raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
     return RunConfig(command=args.command, ensemble=spec, workers=workers, settings=settings)
 
 

@@ -22,7 +22,11 @@ import numpy as np
 
 from .ensembles import EnsembleSpec, EntryLaw
 from .errors import DegenerateRateError, InvalidArgumentError
-from .stats import dk_iid, mc_traces
+from .stats import _check_trace_run, _raw_traces, _require_iid, center_and_scale, dk_iid
+# perfbench/layers.py times this module's calls by rebinding the names
+# ``dk_iid`` and ``mc_traces`` here, so both must stay importable from it,
+# though mdp_check now runs its traces through ``_raw_traces``.
+from .stats import mc_traces  # noqa: F401
 
 MIN_EXPECTED_TAIL_COUNT = 50.0
 DEFAULT_RATE_TARGETS = (0.3, 0.5, 0.8, 1.2)
@@ -76,30 +80,45 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
     fewer than ~50 events in ``trials`` draws carry a ``low-count`` flag;
     when no tail event occurs at all the empirical rate is infinite and the
     estimate is flagged ``empty-tail``.
+
+    ``D_k`` is estimated (:func:`dk_iid`) beside the first size's traces:
+    with ``workers > 1`` this process runs the estimate while forked children
+    already evaluate trial blocks.  So a vanishing ``D_k`` raises
+    :class:`DegenerateRateError` only after those traces; every argument
+    check runs before any fork.
     """
     if not spec.bounded:
         raise InvalidArgumentError("deviation checks require a bounded spec")
     if not 0.0 < nu < 1.0:
         raise InvalidArgumentError("nu must lie in (0, 1)")
-    if trials < 2:
-        raise InvalidArgumentError("trials must be >= 2")
+    if k < 1:
+        raise InvalidArgumentError("k must be >= 1")
+    if dk_replicas < 2:
+        raise InvalidArgumentError("replicas must be >= 2")
+    _require_iid(spec)
     n_list = tuple(n_list)
     if not n_list or min(n_list) < 2:
         raise InvalidArgumentError(f"matrix sizes must be >= 2, got n_list={n_list}")
-    dk = dk_iid(spec, k, dk_replicas, master_seed)
-    if dk.value < 1e-12:
-        raise DegenerateRateError(
-            f"limiting variance for power {k} is {dk.value:g}; rate is degenerate")
-    deltas = (derive_delta_list(dk.value) if delta_list is None
-              else tuple(float(d) for d in delta_list))
+    _check_trace_run(min(n_list), (k,), trials, workers)
 
+    def estimate_dk():
+        return dk_iid(spec, k, dk_replicas, master_seed)
+
+    dk = None
     out: list[RateEstimate] = []
     for n in n_list:
         lam = float(n) ** (-nu)
-        # raw trace samples, centered; exponent 0 keeps them unscaled
-        raw = mc_traces(spec, n, (k,), trials, master_seed,
-                        alpha=0.0, epsilon=0.5, workers=workers)[:, 0]
-        s = math.sqrt(lam / n) * raw
+        raw, estimate = _raw_traces(spec, n, (k,), trials, master_seed, workers,
+                                    lead=estimate_dk if dk is None else None)
+        if dk is None:
+            dk = estimate
+            if dk.value < 1e-12:
+                raise DegenerateRateError(
+                    f"limiting variance for power {k} is {dk.value:g}; rate is degenerate")
+            deltas = (derive_delta_list(dk.value) if delta_list is None
+                      else tuple(float(d) for d in delta_list))
+        # centered raw traces: exponent 0 keeps them unscaled
+        s = math.sqrt(lam / n) * center_and_scale(spec, n, (k,), raw, (0.0,))[:, 0]
         sd = math.sqrt(lam * dk.value)
         for delta in deltas:
             tail = float(np.mean(np.abs(s) >= delta)) if delta > 0 else 1.0

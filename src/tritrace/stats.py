@@ -177,34 +177,62 @@ def _child_result(pid: int, data: bytes, status: int):
     return value
 
 
-def _raw_traces(spec, n, k_list, trials, master_seed, workers) -> np.ndarray:
-    """Raw traces of every trial; ``workers - 1`` forked children and this process
-    each evaluate every ``workers``-th block.  Blocks all cost the same (each
-    is ``TRIAL_BLOCK`` trials at one n and k_list), so the static interleave
-    balances them."""
+def _claims(counter, count: int):
+    """Block indices below ``count`` that this process claims from ``counter``.
+
+    ``counter`` is a pipe holding one 8-byte record, the next unclaimed index.
+    A claim reads the record whole, which leaves the pipe empty so every other
+    claimant waits, and writes back its successor; each index thus goes to
+    exactly one process.  A pipe write below ``PIPE_BUF`` bytes is atomic, so
+    a read finds the whole record or none of it.
+    """
+    rfd, wfd = counter
+    while True:
+        index = int.from_bytes(os.read(rfd, 8), "little")
+        os.write(wfd, (index + 1).to_bytes(8, "little"))
+        if index >= count:
+            return
+        yield index
+
+
+def _raw_traces(spec, n, k_list, trials, master_seed, workers, lead=None):
+    """Raw traces of every trial, and the result of ``lead()`` (None without a lead).
+
+    With one worker, ``lead`` runs first and the blocks follow in order.
+    Otherwise ``workers - 1`` forked children start claiming blocks at once,
+    this process runs ``lead`` and then claims blocks too; each block lands at
+    its trial indices, so the result never depends on who evaluated it.
+    """
     ranges = _block_ranges(trials)
     raw = np.empty((trials, len(k_list)))
     workers = min(workers, len(ranges))
     if workers <= 1:
+        result = lead() if lead else None
         for lo, hi in ranges:
             raw[lo:hi] = _trace_block(spec, n, k_list, master_seed, lo, hi)
-        return raw
+        return raw, result
 
-    def evaluate(share):
-        return [_trace_block(spec, n, k_list, master_seed, lo, hi) for lo, hi in share]
+    import numpy.random  # noqa: F401 -- imported once here, not once per child
 
+    def evaluate():
+        return [(i, _trace_block(spec, n, k_list, master_seed, *ranges[i]))
+                for i in _claims(counter, len(ranges))]
+
+    counter = os.pipe()
+    os.write(counter[1], (0).to_bytes(8, "little"))
     children = {}   # pid -> read end of its pipe, for each child not yet reaped
     try:
-        for w in range(1, workers):
-            pid, pipe = _fork(evaluate, ranges[w::workers])
+        for _ in range(1, workers):
+            pid, pipe = _fork(evaluate)
             children[pid] = pipe
-        shares = [evaluate(ranges[0::workers])]
+        result = lead() if lead else None
+        blocks = evaluate()
         for pid, pipe in list(children.items()):
             with pipe:
                 data = pipe.read()
             status = os.waitpid(pid, 0)[1]
             del children[pid]
-            shares.append(_child_result(pid, data, status))
+            blocks += _child_result(pid, data, status)
     finally:
         if children:   # a failed run; only it needs signal, so keep that off the import path
             import signal
@@ -212,10 +240,12 @@ def _raw_traces(spec, n, k_list, trials, master_seed, workers) -> np.ndarray:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for w, blocks in enumerate(shares):
-        for (lo, hi), block in zip(ranges[w::workers], blocks):
-            raw[lo:hi] = block
-    return raw
+        os.close(counter[0])
+        os.close(counter[1])
+    for i, block in blocks:
+        lo, hi = ranges[i]
+        raw[lo:hi] = block
+    return raw, result
 
 
 def growth_exponents(spec: EnsembleSpec, k_list, alpha: float | None = None,
@@ -244,6 +274,14 @@ def mc_traces(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
     ``n ** -(alpha*k + 1/2 - epsilon)``.
     """
     k_list = tuple(int(k) for k in k_list)
+    _check_trace_run(n, k_list, trials, workers)
+    exponents = growth_exponents(spec, k_list, alpha, epsilon)
+    raw, _ = _raw_traces(spec, n, k_list, trials, master_seed, workers)
+    return center_and_scale(spec, n, k_list, raw, exponents)
+
+
+def _check_trace_run(n: int, k_list: tuple[int, ...], trials: int, workers: int) -> None:
+    """Reject Monte Carlo arguments that :func:`_raw_traces` cannot run."""
     if trials < 2:
         raise InvalidArgumentError("trials must be >= 2")
     if trials > MAX_TRIALS:
@@ -254,8 +292,15 @@ def mc_traces(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
         raise InvalidArgumentError("n too small for the largest requested power")
     if workers > 1 and not hasattr(os, "fork"):
         raise InvalidArgumentError("workers > 1 needs os.fork, which this platform lacks")
-    exponents = growth_exponents(spec, k_list, alpha, epsilon)
-    raw = _raw_traces(spec, n, k_list, trials, master_seed, workers)
+
+
+def center_and_scale(spec: EnsembleSpec, n: int, k_list, raw: np.ndarray,
+                     exponents) -> np.ndarray:
+    """Raw traces ``(trials, len(k_list))`` centered per power, then times ``n ** -exponent``.
+
+    The center is the exact mean when one is available in closed form,
+    otherwise the across-trial empirical mean.
+    """
     centers = np.empty(len(k_list))
     for j, k in enumerate(k_list):
         exact = exact_trace_mean(spec, n, k)

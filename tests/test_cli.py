@@ -169,6 +169,46 @@ class TestConfigHandling:
         assert run_cli("types", "--k", "3", "--beta", "2") == 1
         assert capsys.readouterr().err == "error: ensemble model missing\n"
 
+    @pytest.mark.parametrize("route", ["flag", "command-section", "run-section"])
+    def test_setting_the_command_does_not_read_is_an_error(self, tmp_path, capsys, route):
+        # dump-sample reads neither; recorded, they would pose as run settings
+        argv = ["dump-sample", "--ensemble", "anderson", "--n", "3"]
+        if route == "flag":
+            argv += ["--nu", "0.5", "--replicas", "9"]
+        else:
+            cfg = tmp_path / "run.ini"
+            section = "dump_sample" if route == "command-section" else "run"
+            cfg.write_text(f"[{section}]\nnu = 0.5\nreplicas = 9\n")
+            argv += ["--config", str(cfg)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == "error: dump-sample does not read nu, replicas\n"
+
+    @pytest.mark.parametrize("argv, unread", [
+        (["types", "--k", "3", "--ensemble", "anderson"], "ensemble"),
+        (["cramer", "--law", "rademacher", "--n", "5"], "n"),
+        (["trace", "--k", "2", "--ensemble", "anderson", "--n", "8", "--trials", "5"], "trials"),
+        (["simulate", "--ensemble", "anderson", "--k-list", "1", "--n", "8", "--trials", "5",
+          "--replicas", "9"], "replicas"),
+        (["clt", "--ensemble", "anderson", "--k-list", "1", "--n", "8", "--trials", "5",
+          "--tolerance", "0.1"], "tolerance"),
+        (["mdp", "--ensemble", "anderson", "--k", "1", "--nu", "0.5", "--n", "8",
+          "--trials", "5", "--alpha", "0"], "alpha"),
+    ], ids=["types", "cramer", "trace", "simulate", "clt", "mdp"])
+    def test_each_command_rejects_what_it_does_not_read(self, capsys, argv, unread):
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {argv[0]} does not read {unread}\n"
+
+    def test_command_table_names_every_command_and_only_settings(self):
+        table = main.__globals__["_COMMAND_KEYS"]
+        assert set(table) == set(COMMANDS)
+        assert set().union(*table.values()) - {"ensemble"} <= set(main.__globals__["_SETTINGS"])
+
+    @pytest.mark.parametrize("argv", [["types", "--k", "3"], ["cramer", "--law", "rademacher"]])
+    def test_every_command_takes_output_seed_and_workers(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seed", "3", "--workers", "2", "--output", str(out)) == 0
+        assert out.exists()
+
     @pytest.mark.parametrize("extra, config_text, bad", [
         (["--n", "8", "--k-list", "1,x"], None, "1,x"),
         (["--k-list", "1"], "[run]\nn = abc\n", "abc"),

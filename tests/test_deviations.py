@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -116,6 +117,44 @@ class TestMdpCheck:
         spec = EnsembleSpec.anderson(EntryLaw.constant(0.0))
         with pytest.raises(DegenerateRateError):
             mdp_check(spec, 1, 0.5, [64], [0.5], 256, 5, dk_replicas=5000)
+
+    def test_degenerate_diagonal_rejected_with_workers(self):
+        # D_k is estimated beside the first size's blocks, so the error comes
+        # after them, with every child reaped
+        spec = EnsembleSpec.anderson(EntryLaw.constant(0.0))
+        with pytest.raises(DegenerateRateError):
+            mdp_check(spec, 1, 0.5, [64], [0.5], 2100, 5, workers=2, dk_replicas=5000)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("delta_list", [None, [0.3, 0.9]], ids=["derived", "given"])
+    @pytest.mark.parametrize("d_law, k", [(EntryLaw.rademacher(), 1),
+                                          (EntryLaw.uniform(-1.0, 1.0), 2)],
+                             ids=["rademacher-k1", "uniform-k2"])
+    def test_workers_do_not_change_results(self, d_law, k, delta_list):
+        # three blocks per size; D_k overlaps only the first of the two sizes
+        spec = EnsembleSpec.anderson(d_law)
+        one = mdp_check(spec, k, 0.5, [64, 100], delta_list, 2100, 5, dk_replicas=5000)
+        assert len(one) == 2 * (4 if delta_list is None else 2)
+        for workers in (2, 3):
+            assert mdp_check(spec, k, 0.5, [64, 100], delta_list, 2100, 5, workers=workers,
+                             dk_replicas=5000) == one, workers
+
+    def test_argument_checks_run_before_any_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked before the argument checks")
+
+        monkeypatch.setattr(os, "fork", fork)
+        not_iid = EnsembleSpec.birth_death_kernel(variant="conductance")
+        with pytest.raises(InvalidArgumentError, match="i.i.d.-type"):
+            mdp_check(not_iid, 1, 0.5, [64], None, 2100, 5, workers=2)
+        anderson = EnsembleSpec.anderson()
+        with pytest.raises(InvalidArgumentError, match="replicas must be >= 2"):
+            mdp_check(anderson, 1, 0.5, [64], None, 2100, 5, workers=2, dk_replicas=1)
+        with pytest.raises(InvalidArgumentError, match="k must be >= 1"):
+            mdp_check(anderson, 0, 0.5, [64], None, 2100, 5, workers=2)
+        with pytest.raises(InvalidArgumentError, match="n too small"):
+            mdp_check(anderson, 8, 0.5, [64, 4], None, 2100, 5, workers=2)
 
     def test_unbounded_spec_rejected(self):
         spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))

@@ -1,5 +1,6 @@
 import math
 import os
+import select
 import time
 
 import numpy as np
@@ -228,16 +229,30 @@ class TestMcTraces:
             assert one.tobytes() == many.tobytes(), workers
 
     @staticmethod
-    def _patch_blocks(monkeypatch, actions):
-        """Make ``_trace_block`` first call ``actions[lo]()`` for a block starting at ``lo``."""
+    def _patch_blocks(monkeypatch, in_parent, in_child):
+        """Make ``_trace_block`` first call ``in_parent(lo)`` in this process and
+        ``in_child(lo)`` in a forked worker, for a block starting at ``lo``.
+        Workers claim blocks as they free up, so which process evaluates a
+        given block is not fixed: the hooks go by process, not by block."""
         block = stats._trace_block
+        parent = os.getpid()
 
         def patched(spec, n, k_list, master_seed, lo, hi):
-            if lo in actions:
-                actions[lo]()
+            (in_parent if os.getpid() == parent else in_child)(lo)
             return block(spec, n, k_list, master_seed, lo, hi)
 
         monkeypatch.setattr(stats, "_trace_block", patched)
+
+    @pytest.fixture
+    def child_started(self):
+        """``(started, await_child)``: a child calls ``started()`` as it begins a
+        block, and ``await_child()`` here returns once one has, or after 30 s.
+        A parent that awaits a child in its blocks cannot claim every block
+        before a child claims one."""
+        rfd, wfd = os.pipe()
+        yield (lambda: os.write(wfd, b"x")), (lambda: select.select([rfd], [], [], 30))
+        os.close(rfd)
+        os.close(wfd)
 
     @staticmethod
     def _assert_no_child_left():
@@ -249,33 +264,81 @@ class TestMcTraces:
         return mc_traces(spec, 64, (1, 2), 2100, 5, workers=workers)
 
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_child_error_keeps_its_type_and_message(self, monkeypatch, workers):
-        def fail():
-            raise InvalidArgumentError("block 1024 failed")
+    def test_child_error_keeps_its_type_and_message(self, monkeypatch, child_started, workers):
+        started, await_child = child_started
 
-        self._patch_blocks(monkeypatch, {1024: fail})   # the first child's block
-        with pytest.raises(InvalidArgumentError, match="^block 1024 failed$"):
+        def fail(lo):
+            started()
+            raise InvalidArgumentError(f"block {lo} failed")
+
+        self._patch_blocks(monkeypatch, lambda lo: await_child(), fail)
+        with pytest.raises(InvalidArgumentError, match="^block (0|1024|2048) failed$"):
             self._run(workers)
         self._assert_no_child_left()
 
-    def test_child_exit_without_result_names_its_status(self, monkeypatch):
-        self._patch_blocks(monkeypatch, {1024: lambda: os._exit(3)})
+    def test_child_exit_without_result_names_its_status(self, monkeypatch, child_started):
+        started, await_child = child_started
+
+        def leave(lo):
+            started()
+            os._exit(3)
+
+        self._patch_blocks(monkeypatch, lambda lo: await_child(), leave)
         with pytest.raises(TriTraceError, match="exited with status 3 without a result"):
             self._run(2)
         self._assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_parent_error_kills_and_reaps_children(self, monkeypatch, workers):
-        def fail():
+        def fail(lo):
             raise InvalidArgumentError("own block failed")
 
-        # the parent's first block fails while the children's would take a minute
-        self._patch_blocks(monkeypatch, {0: fail, 1024: lambda: time.sleep(60),
-                                         2048: lambda: time.sleep(60)})
+        # each child holds one of the three blocks for a minute, so this process
+        # claims at least one, and the first it claims fails
+        self._patch_blocks(monkeypatch, fail, lambda lo: time.sleep(60))
         start = time.monotonic()
         with pytest.raises(InvalidArgumentError, match="own block failed"):
             self._run(workers)
         assert time.monotonic() - start < 30
+        self._assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_lead_error_kills_and_reaps_children(self, monkeypatch, workers):
+        def fail():
+            raise InvalidArgumentError("lead failed")
+
+        self._patch_blocks(monkeypatch, lambda lo: None, lambda lo: time.sleep(60))
+        spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
+        start = time.monotonic()
+        with pytest.raises(InvalidArgumentError, match="^lead failed$"):
+            stats._raw_traces(spec, 64, (1, 2), 2100, 5, workers, lead=fail)
+        assert time.monotonic() - start < 30
+        self._assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lead_result_is_returned_beside_the_traces(self, workers):
+        spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
+        raw, lead = stats._raw_traces(spec, 64, (1, 2), 2100, 5, workers, lead=lambda: "led")
+        plain, none = stats._raw_traces(spec, 64, (1, 2), 2100, 5, 1)
+        assert (lead, none) == ("led", None)
+        assert raw.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_every_block_is_evaluated_exactly_once(self, monkeypatch, tmp_path, workers):
+        # 11 blocks, the last short: every process appends the blocks it
+        # evaluates to one log, in single writes that O_APPEND keeps whole
+        log = os.open(tmp_path / "blocks.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def record(lo):
+            os.write(log, f"{lo}\n".encode())
+
+        try:
+            self._patch_blocks(monkeypatch, record, record)
+            mc_traces(EnsembleSpec.anderson(), 8, (1, 3), 10 * 1024 + 5, 5, workers=workers)
+        finally:
+            os.close(log)
+        starts = sorted(int(line) for line in (tmp_path / "blocks.log").read_text().split())
+        assert starts == list(range(0, 10 * 1024 + 5, 1024))
         self._assert_no_child_left()
 
     def test_workers_need_fork(self, monkeypatch):
