@@ -1,31 +1,42 @@
 #!/usr/bin/env python3
-"""Hash the outputs of a fixed set of CLI commands, to diff two source trees.
+"""Hash the outputs of a fixed set of CLI commands, or check them against a listing.
 
-    python3 scripts/cli_bytes.py [--src DIR] > hashes.txt
+    python3 scripts/cli_bytes.py [--src DIR] [--only GLOB ...] > listing.sha256
+    python3 scripts/cli_bytes.py --check [--only GLOB ...]
 
 Runs every command of ``COMMANDS`` once with ``--workers 1`` and once with
 ``--workers 2``, each in a fresh ``python -m tritrace.cli`` process that
 imports tritrace from ``--src`` (default: this checkout's ``src/``).  Prints
-one line per run: the command name, the worker count, the exit status and
-the sha256 of the output file followed by standard output.  The output file
-records its own path (``output_path``); that line is dropped before hashing,
-so two trees give equal hashes exactly when their outputs are the same bytes.
-To compare a change with its parent, run this script once per tree, passing
-the parent's ``src/`` the second time, and diff the two listings.  Lines that
-differ only in the worker count would break the CLI's byte-identity promise.
+a header line naming the Python and numpy versions, then one line per run:
+the command name, the worker count, the exit status and the sha256 of the
+output file followed by standard output.  The output file records its own
+path (``output_path``); that line is dropped before hashing, so two trees
+give equal hashes exactly when their outputs are the same bytes.  ``--only``
+keeps the commands whose names match one of its globs.
+
+``--check`` compares each run with ``LISTING`` (``cli_bytes.sha256`` beside
+this script), prints every line that differs, and exits 1 on any difference
+or when a command's two worker lines disagree, which would break the CLI's
+byte-identity promise.  numpy's generators decide the Monte Carlo bytes, so
+a difference on a numpy version other than the listing's says so.  A change
+that moves bytes on purpose regenerates the listing in the same commit.
 """
 
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
+import importlib.metadata
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LISTING = ROOT / "scripts" / "cli_bytes.sha256"
 CONFIG = ["--config", str(ROOT / "scripts" / "cli_bytes.ini")]
 
 ANDERSON = ["--ensemble", "anderson", "--d-law", "rademacher"]
@@ -151,18 +162,73 @@ def run(name: str, argv: list[str], workers: int, src: Path, tmp: Path) -> str:
     return f"{name} w{workers} exit={proc.returncode} {digest.hexdigest()}"
 
 
+def header() -> str:
+    """The listing's first line: the versions that decide its bytes."""
+    return (f"# python {platform.python_version()} "
+            f"numpy {importlib.metadata.version('numpy')}")
+
+
+def select(globs) -> list[str]:
+    """Names of ``COMMANDS`` matching any of ``globs`` (all of them without globs)."""
+    return [name for name in COMMANDS
+            if not globs or any(fnmatch.fnmatchcase(name, g) for g in globs)]
+
+
+def listing(names, src: Path):
+    """One line per run of each named command, workers 1 then 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in names:
+            for workers in (1, 2):
+                yield run(name, COMMANDS[name], workers, src, Path(tmp))
+
+
+def check(names, src: Path = ROOT / "src", path: Path = LISTING) -> list[str]:
+    """Every way the runs of ``names`` differ from the listing at ``path``.
+
+    Empty when each run hashes as listed and each command's worker lines agree.
+    """
+    head, *lines = path.read_text(encoding="utf-8").splitlines()
+    want = {" ".join(line.split()[:2]): line for line in lines}
+    numpy_note = ""
+    if head.split()[-1] != header().split()[-1]:
+        numpy_note = f"  (listing taken on numpy {head.split()[-1]}, " \
+                     f"this is numpy {header().split()[-1]})"
+    problems = []
+    by_command: dict[str, list[str]] = {}
+    for line in listing(names, src):
+        key = " ".join(line.split()[:2])
+        by_command.setdefault(line.split()[0], []).append(line.split(maxsplit=2)[2])
+        if want.get(key) != line:
+            problems.append(f"- {want.get(key, key + ' not listed')}\n+ {line}{numpy_note}")
+    problems += [f"{name}: workers 1 and 2 disagree ({w1} / {w2})"
+                 for name, (w1, w2) in by_command.items() if w1 != w2]
+    return problems
+
+
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory holding the tritrace package to run")
+    ap.add_argument("--only", action="append", metavar="GLOB",
+                    help="run only the commands whose names match (repeatable)")
+    ap.add_argument("--check", action="store_true",
+                    help=f"compare with {LISTING.name}; exit 1 on any difference")
     args = ap.parse_args()
     src = args.src.resolve()
     if not (src / "tritrace" / "__init__.py").is_file():
         ap.error(f"no tritrace package under {src}")
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in COMMANDS.items():
-            for workers in (1, 2):
-                print(run(name, argv, workers, src, Path(tmp)), flush=True)
+    names = select(args.only)
+    if not names:
+        ap.error("no command matches --only")
+    if args.check:
+        problems = check(names, src)
+        for problem in problems:
+            print(problem, flush=True)
+        print(f"{len(names)} commands checked, {len(problems)} differences")
+        return 1 if problems else 0
+    print(header(), flush=True)
+    for line in listing(names, src):
+        print(line, flush=True)
     return 0
 
 

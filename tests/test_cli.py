@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -473,6 +474,19 @@ class TestDeterminism:
         first = path.read_bytes()
         assert run_cli(*base, "--workers", "2") == 0
         assert path.read_bytes() == first
+
+    def test_draw_free_commands_match_the_byte_listing(self):
+        # `types` and `cramer` use no random draws, so their bytes depend on no
+        # generator version; the listing's other lines are checked by running
+        # scripts/cli_bytes.py --check
+        script = Path(__file__).resolve().parents[1] / "scripts" / "cli_bytes.py"
+        spec = importlib.util.spec_from_file_location("cli_bytes", script)
+        cli_bytes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cli_bytes)
+        names = cli_bytes.select(["types-*", "cramer-*"])
+        assert len(names) == 7
+        src = Path(tritrace.__file__).resolve().parents[1]
+        assert cli_bytes.check(names, src) == []
 
 
 def test_cli_import_does_not_load_scipy():
