@@ -333,107 +333,114 @@ def trace_power_expansion(matrix: TridiagonalMatrix, k: int, types) -> float:
 
 
 def _work_size(n: int, p_max: int) -> int:
-    """Entries of the workspace :func:`_power_stacks` needs, its scratch
-    stack and stacks ``1 .. p_max``, then room at the end for the product
-    :func:`_banded_trace` sums."""
+    """Entries of a :class:`_BandedPlan` workspace: its scratch stack and
+    stacks ``1 .. p_max``, then room at the end for the product a trace sums."""
     return (2 * p_max - 1 + (p_max + 2) * p_max) * (n + 2 * p_max) + (2 * p_max + 1) * n
 
 
-def _power_stacks(ab: np.ndarray, diag: np.ndarray, p_max: int,
-                  work: np.ndarray) -> list[np.ndarray]:
-    """Diagonal stacks of ``S^0 .. S^p_max`` (``p_max >= 1``), one banded pass.
+class _BandedPlan:
+    """Half-power banded traces of ``n``-by-``n`` matrices, ``k <= 2*p_max``.
 
     ``S`` has the diagonal ``diag`` of ``M``, ones above it and the edge
     products ``ab = sub*sup`` below it.  Every closed walk crosses each edge
     as often up as down, so ``trace(S^k) = trace(M^k)`` for every ``k``; like
-    the expansion, the stacks then never form a power of ``sub`` or ``sup``
+    the expansion, the kernel then never forms a power of ``sub`` or ``sup``
     alone, which could overflow or underflow when the two are very unequal.
 
-    Stack ``j`` has shape ``(2j+1, n + 2*p_max)``: row ``j + o`` holds
-    ``S^j[c-o, c]`` in column ``p_max + c``, and every other slot is zero,
-    including rows with ``|o| >= n`` when the band is wider than the matrix.
-    Column ``c`` of ``S^j S`` mixes columns ``c-1, c, c+1`` of ``S^j``, each
-    scaled by one entry of ``S`` chosen by the source column.  So each step
-    is two whole-stack products and the stack itself (the entries of ``S``
-    above the diagonal are ones), each added at a fixed shift of the
-    flattened stack; entries a shift carries across a row end fall on zero
-    padding.  The unscaled shift also carries column ``n-1``, which has no
-    column to its right, onto padding column ``n``, so that column is
-    zeroed after the step.  The ``p_max`` zero columns on each side also let
-    :func:`_banded_trace` read a stack row-indexed.
+    For each matrix the plan builds the diagonal stacks of ``S^0 ..
+    S^p_max`` in one banded pass.  Stack ``j`` has shape ``(2j+1, n +
+    2*p_max)``: row ``j + o`` holds ``S^j[c-o, c]`` in column ``p_max + c``,
+    and every other slot is zero, including rows with ``|o| >= n`` when the
+    band is wider than the matrix.  Column ``c`` of ``S^j S`` mixes columns
+    ``c-1, c, c+1`` of ``S^j``, each scaled by one entry of ``S`` chosen by
+    the source column.  So each step is two whole-stack products and the
+    stack itself (the entries of ``S`` above the diagonal are ones), each
+    added at a fixed shift of the flattened stack; entries a shift carries
+    across a row end fall on zero padding.  The unscaled shift also carries
+    column ``n-1``, which has no column to its right, onto padding column
+    ``n``, so that column is zeroed after the step.
 
-    Stacks ``1 .. p_max`` are views into ``work`` (``_work_size(n, p_max)``
-    entries of the stacks' dtype), which is overwritten.
+    Then ``trace(S^k) = sum_{r,c} (S^p)_{rc} (S^q)_{cr}`` with ``p =
+    ceil(k/2)``, ``q = floor(k/2)``.  The ``S^q`` factor is read row-indexed
+    (row ``q + o`` holds ``S^q[r, r+o]`` at column ``r``): on the flattened
+    stack that is a row stride one longer than the stack's, which the
+    ``p_max`` zero columns on each side keep inside the stack.  Both factors
+    then line up elementwise, their product goes to the end of the
+    workspace, and one compensated sum gives the trace.
+
+    Nothing of this layout depends on the matrix.  So the plan allocates one
+    workspace of ``_work_size(n, p_max)`` entries of ``dtype`` and builds
+    every view of it once: the zero rows, products and shifted adds of each
+    step, the padding columns, and each power's two factors and product
+    slot.  A matrix then costs two row copies and the ufunc calls alone, in
+    the same order for every matrix, so a trace has the same bits whichever
+    rows or calls it shares the plan with.  One workspace for every matrix
+    also keeps the allocator from handing memory back and faulting it in
+    again.  ``stacks`` holds the stacks of the last matrix evaluated.
     """
-    n, pad = diag.shape[0], p_max
-    width = n + 2 * pad
-    dtype = work.dtype
-    to_left, stay = np.zeros(width, dtype=dtype), np.zeros(width, dtype=dtype)
-    to_left[pad + 1:pad + n] = ab        # S[s, s-1] feeds column s-1
-    stay[pad:pad + n] = diag             # S[s, s]
-    stack = np.zeros((1, width), dtype=dtype)
-    stack[0, pad:pad + n] = 1
-    stacks = [stack]
-    scratch = work[:(2 * p_max - 1) * width]
-    # the end of work holds _banded_trace's product
-    store = work[(2 * p_max - 1) * width:work.size - (2 * p_max + 1) * n]
-    with np.errstate(over="ignore", invalid="ignore"):  # the trace sum reports it
+
+    def __init__(self, n: int, p_max: int, dtype):
+        width, pad = n + 2 * p_max, p_max
+        work = np.empty(_work_size(n, p_max), dtype=dtype)
+        self._to_left, self._stay = np.zeros(width, dtype=dtype), np.zeros(width, dtype=dtype)
+        self._ab = self._to_left[pad + 1:pad + n]    # S[s, s-1] feeds column s-1
+        self._diag = self._stay[pad:pad + n]         # S[s, s]
+        stack = np.zeros((1, width), dtype=dtype)
+        stack[0, pad:pad + n] = 1
+        self.stacks = [stack]
+        self._steps = []
+        scratch = work[:(2 * p_max - 1) * width]
+        store = work[(2 * p_max - 1) * width:work.size - (2 * p_max + 1) * n]
         for _ in range(p_max):
             size = stack.size
-            term = scratch[:size].reshape(stack.shape)
             flat, store = store[:size + 2 * width], store[size + 2 * width:]
-            flat[:width] = 0                              # the two rows the product
-            flat[width + size:] = 0                       # below leaves unwritten
-            np.multiply(stack, stay, out=flat[width:width + size].reshape(stack.shape))
-            flat[2 * width + 1:] += stack.ravel()[:size - 1]  # one row down, one column right
-            np.multiply(stack, to_left, out=term)
-            flat[:size - 1] += scratch[1:size]            # one column left
+            self._steps.append((
+                flat[:width], flat[width + size:],    # the two rows the product leaves unwritten
+                stack, flat[width:width + size].reshape(stack.shape),
+                flat[2 * width + 1:], stack.ravel()[:size - 1],  # one row down, one column right
+                scratch[:size].reshape(stack.shape),
+                flat[:size - 1], scratch[1:size],                # one column left
+                flat.reshape(-1, width)[:, pad + n],             # column n-1 has no right neighbour
+            ))
             stack = flat.reshape(-1, width)
-            stack[:, pad + n] = 0                         # column n-1 has no right neighbour
-            stacks.append(stack)
-    return stacks
+            self.stacks.append(stack)
+        self._factors = {}
+        for k in range(1, 2 * p_max + 1):
+            p, q = (k + 1) // 2, k // 2
+            flat = self.stacks[q].ravel()[pad - q:]
+            row = as_strided(flat, shape=(2 * q + 1, n),                 # S^q[r, r+o]
+                             strides=((width + 1) * flat.itemsize, flat.itemsize),
+                             writeable=False)
+            prod = work[work.size - (2 * q + 1) * n:]
+            self._factors[k] = (self.stacks[p][p - q:p + q + 1, pad:pad + n],  # S^p[c-o, c]
+                                row[::-1], prod.reshape(2 * q + 1, n), prod)
 
-
-def _banded_trace(stacks: list[np.ndarray], k: int, work: np.ndarray):
-    """``trace(S^k) = sum_{r,c} (S^p)_{rc} (S^q)_{cr}``, ``p = ceil(k/2)``, ``q = floor(k/2)``.
-
-    ``stacks`` comes from :func:`_power_stacks` with ``p_max >= p``.  The
-    ``S^q`` factor is read row-indexed (row ``q + o`` holds ``S^q[r, r+o]`` at
-    column ``r``): on the flattened stack that is a row stride one longer
-    than the stack's, and it stays inside the stack because ``q <= p_max``.
-    Both factors then line up elementwise, their product goes to the end of
-    the stacks' workspace ``work``, and one compensated sum gives the trace.
-    """
-    p, q = (k + 1) // 2, k // 2
-    pad = len(stacks) - 1
-    width = stacks[0].shape[1]
-    n = width - 2 * pad
-    col = stacks[p][p - q:p + q + 1, pad:pad + n]                # S^p[c-o, c]
-    flat = stacks[q].ravel()[pad - q:]
-    row = as_strided(flat, shape=(2 * q + 1, n),                 # S^q[r, r+o]
-                     strides=((width + 1) * flat.itemsize, flat.itemsize), writeable=False)
-    prod = work[work.size - (2 * q + 1) * n:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(col, row[::-1], out=prod.reshape(2 * q + 1, n))
-        return compensated_sum(prod)
-
-
-def _banded_traces(ab: np.ndarray, diag: np.ndarray, k_list: list[int]) -> list[list]:
-    """:func:`_banded_trace` of each row of ``ab`` and ``diag`` at each power.
-
-    The rows share one workspace for their stacks and products.  Allocating
-    the stacks afresh for every matrix made the allocator hand the memory
-    back and fault it in again, up to 20k page faults in a 144-trial
-    beta-Hermite n=1000 run, depending on the heap's layout.
-    """
-    p_max = (max(k_list) + 1) // 2
-    work = np.empty(_work_size(diag.shape[1], p_max),
-                    dtype=object if diag.dtype == object else float)
-    out = []
-    for a, d in zip(ab, diag):
-        stacks = _power_stacks(a, d, p_max, work)
-        out.append([_banded_trace(stacks, k, work) for k in k_list])
-    return out
+    def traces(self, ab: np.ndarray, diag: np.ndarray, k_list) -> list[list]:
+        """``trace(M^k)`` of the matrix in each row of ``ab`` and ``diag``, at each
+        power of ``k_list``."""
+        multiply, add = np.multiply, np.add
+        to_left, stay = self._to_left, self._stay
+        factors = [self._factors[k] for k in k_list]
+        out = []
+        with np.errstate(over="ignore", invalid="ignore"):  # the trace sum reports it
+            for a, d in zip(ab, diag):
+                self._ab[...] = a
+                self._diag[...] = d
+                for (zero_top, zero_end, stack, stayed, down, down_src, term,
+                     left, left_src, pad_col) in self._steps:
+                    zero_top.fill(0)
+                    zero_end.fill(0)
+                    multiply(stack, stay, out=stayed)
+                    add(down, down_src, out=down)
+                    multiply(stack, to_left, out=term)
+                    add(left, left_src, out=left)
+                    pad_col.fill(0)
+                traces = []
+                for col, row, prod2d, prod in factors:
+                    multiply(col, row, out=prod2d)
+                    traces.append(compensated_sum(prod))
+                out.append(traces)
+        return out
 
 
 def _shifted(vec: np.ndarray, s: int, zero: np.ndarray) -> np.ndarray:
@@ -459,7 +466,7 @@ def trace_power_direct(matrix: TridiagonalMatrix, k: int) -> float:
     (n <= DENSE_CHECK_MAX, float entries) a dense matrix power is computed
     as a second cross-check.  This is the reference the other routes are
     checked against, so it shares no code with the Monte Carlo kernel
-    (:func:`_power_stacks`).
+    (:class:`_BandedPlan`).
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
@@ -506,31 +513,47 @@ def trace_power_direct(matrix: TridiagonalMatrix, k: int) -> float:
     return total
 
 
-def traces_for_rows(ab: np.ndarray, diag: np.ndarray, k_list) -> np.ndarray:
-    """Traces of several powers of many matrices, each power by its cheaper route.
+class RowTracer:
+    """Traces of the powers ``k_list`` of ``n``-by-``n`` matrices given as rows.
 
-    Row ``r`` of the ``(rows, n-1)`` edge products ``ab = sub*sup`` and the
-    ``(rows, n)`` diagonals ``diag`` is one matrix; the result is
-    ``(rows, len(k_list))``.  Only powers above 1 read ``ab``, so it may be
-    None when every power is 1.  Powers below :data:`BANDED_MIN_K` use the
-    class expansion over all rows at once and share its power caches; higher
-    powers share one set of banded half-power stacks per row.  Each value is
-    bitwise the one a lone row would give.
+    Calling it with the ``(rows, n-1)`` edge products ``ab = sub*sup`` and the
+    ``(rows, n)`` diagonals ``diag`` (of ``dtype``) gives the
+    ``(rows, len(k_list))`` traces, each power by its cheaper route.  Only
+    powers above 1 read ``ab``, so it may be None when every power is 1.
+    Powers below :data:`BANDED_MIN_K` use the class expansion over all rows at
+    once and share its power caches; higher powers go row by row through one
+    :class:`_BandedPlan`, which the tracer keeps, so every call reuses its
+    workspace and views.  Each value is bitwise the one a lone row would give.
     """
-    k_list = [_checked_power(k, K_MAX) for k in k_list]
-    rows, n = diag.shape
-    out = np.empty((rows, len(k_list)))
-    high = [j for j, k in enumerate(k_list) if k >= BANDED_MIN_K]
-    if high:
-        out[:, high] = _banded_traces(ab, diag, [k_list[j] for j in high])
-    pows = slot_powers(ab, diag)
-    for j, k in enumerate(k_list):
-        if k < BANDED_MIN_K:
-            totals = [[t.count * s for s in
-                       compensated_sum_rows(class_product(pows, t, 0, n - t.span))]
-                      for t in enumerate_types(k)]
-            out[:, j] = [fsum(row) for row in zip(*totals)]
-    return out
+
+    def __init__(self, n: int, k_list, dtype=float):
+        self.k_list = [_checked_power(k, K_MAX) for k in k_list]
+        self._high = [j for j, k in enumerate(self.k_list) if k >= BANDED_MIN_K]
+        self._plan = None
+        if self._high:
+            p_max = (max(self.k_list[j] for j in self._high) + 1) // 2
+            self._plan = _BandedPlan(n, p_max, dtype)
+
+    def __call__(self, ab: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        k_list = self.k_list
+        rows, n = diag.shape
+        out = np.empty((rows, len(k_list)))
+        if self._high:
+            out[:, self._high] = self._plan.traces(ab, diag, [k_list[j] for j in self._high])
+        pows = slot_powers(ab, diag)
+        for j, k in enumerate(k_list):
+            if k < BANDED_MIN_K:
+                totals = [[t.count * s for s in
+                           compensated_sum_rows(class_product(pows, t, 0, n - t.span))]
+                          for t in enumerate_types(k)]
+                out[:, j] = [fsum(row) for row in zip(*totals)]
+        return out
+
+
+def traces_for_rows(ab: np.ndarray, diag: np.ndarray, k_list) -> np.ndarray:
+    """:class:`RowTracer` traces of the matrices in the rows of ``ab`` and ``diag``."""
+    dtype = object if diag.dtype == object else float
+    return RowTracer(diag.shape[1], k_list, dtype)(ab, diag)
 
 
 def traces_for_k_list(matrix: TridiagonalMatrix, k_list) -> np.ndarray:

@@ -20,11 +20,11 @@ import numpy as np
 
 from .accumulate import compensated_sum
 from .circuits import (
+    RowTracer,
     class_product,
     enumerate_types,
     slot_powers,
     trace_power_expansion,
-    traces_for_rows,
 )
 from .ensembles import (
     MAX_TRIALS,
@@ -124,10 +124,12 @@ def _trace_block(spec: EnsembleSpec, n: int, k_list, master_seed: int,
         sums = diagonal_sign_sums(spec, n, master_seed, range(lo, hi), rows)
         return np.repeat(sums[:, None], len(k_list), axis=1)
     out = np.empty((hi - lo, len(k_list)))
+    tracer = RowTracer(n, k_list)   # one banded workspace for every chunk of the block
     reads_edges = max(k_list) > 1   # k=1's one class reads only the diagonal
+    ab_rows = np.empty((rows, n - 1)) if reads_edges else None
     for chunk, sub, diag, sup in sample_matrix_chunks(spec, n, master_seed, range(lo, hi), rows):
-        ab = sub * sup if reads_edges else None
-        out[chunk.start - lo:chunk.stop - lo] = traces_for_rows(ab, diag, k_list)
+        ab = np.multiply(sub, sup, out=ab_rows[:len(chunk)]) if reads_edges else None
+        out[chunk.start - lo:chunk.stop - lo] = tracer(ab, diag)
     return out
 
 
@@ -201,12 +203,14 @@ def _raw_traces(spec, n, k_list, trials, master_seed, workers, lead=None):
     With one worker, ``lead`` runs first and the blocks follow in order.
     Otherwise ``workers - 1`` forked children start claiming blocks at once,
     this process runs ``lead`` and then claims blocks too; each block lands at
-    its trial indices, so the result never depends on who evaluated it.
+    its trial indices, so the result never depends on who evaluated it.  Those
+    blocks land in a buffer that starts as NaN, and a block that no process
+    sent raises :class:`TriTraceError` naming it.
     """
     ranges = _block_ranges(trials)
-    raw = np.empty((trials, len(k_list)))
     workers = min(workers, len(ranges))
     if workers <= 1:
+        raw = np.empty((trials, len(k_list)))
         result = lead() if lead else None
         for lo, hi in ranges:
             raw[lo:hi] = _trace_block(spec, n, k_list, master_seed, lo, hi)
@@ -242,9 +246,15 @@ def _raw_traces(spec, n, k_list, trials, master_seed, workers, lead=None):
             os.waitpid(pid, 0)
         os.close(counter[0])
         os.close(counter[1])
+    # made after the children exit, so none of them holds its pages
+    raw = np.full((trials, len(k_list)), np.nan)
     for i, block in blocks:
         lo, hi = ranges[i]
         raw[lo:hi] = block
+    lost = sorted(set(range(len(ranges))) - {i for i, _ in blocks})
+    if lost:
+        raise TriTraceError("trial blocks never evaluated: " + ", ".join(
+            f"{i} (trials {ranges[i][0]}..{ranges[i][1] - 1})" for i in lost))
     return raw, result
 
 

@@ -352,8 +352,8 @@ class TestMonteCarloRoute:
         m = TridiagonalMatrix(sub=np.array(values[n:2 * n - 1], dtype=object),
                               diag=np.array(values[:n], dtype=object),
                               sup=np.array(values[2 * n - 1:], dtype=object))
-        banded = circuits._banded_traces((m.sub * m.sup)[None, :], m.diag[None, :],
-                                         range(1, 13))[0]
+        plan = circuits._BandedPlan(n, 6, object)
+        banded = plan.traces((m.sub * m.sup)[None, :], m.diag[None, :], range(1, 13))[0]
         for k in range(1, 13):
             # object-dtype dense power: Python integer arithmetic throughout
             want = np.trace(np.linalg.matrix_power(m.to_dense(), k))
@@ -370,8 +370,10 @@ class TestMonteCarloRoute:
         m = TridiagonalMatrix(sub=rng.normal(size=n - 1), diag=rng.normal(size=n),
                               sup=rng.normal(size=n - 1))
         ab = m.sub * m.sup
-        stacks = circuits._power_stacks(ab, m.diag, p_max,
-                                        np.empty(circuits._work_size(n, p_max)))
+        ks = range(1, 2 * p_max + 1)
+        plan = circuits._BandedPlan(n, p_max, float)
+        banded = plan.traces(ab[None, :], m.diag[None, :], ks)[0]
+        stacks = plan.stacks
         assert len(stacks) == p_max + 1
         s = np.diag(m.diag) + np.diag(np.ones(n - 1), 1) + np.diag(ab, -1)
         col = np.arange(n + 2 * p_max) - p_max            # the matrix column of each slot
@@ -384,8 +386,6 @@ class TestMonteCarloRoute:
                 rows, cols = np.nonzero(inside)
                 want = np.linalg.matrix_power(s, j)[col[cols] - (rows - j), col[cols]]
                 np.testing.assert_allclose(stack[rows, cols], want, rtol=1e-12, atol=1e-12)
-        ks = range(1, 2 * p_max + 1)
-        banded = circuits._banded_traces(ab[None, :], m.diag[None, :], ks)[0]
         for k, got in zip(ks, banded):
             want = trace_power_direct(m, k)
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
@@ -395,3 +395,51 @@ class TestMonteCarloRoute:
         m = ones_matrix(20)
         with pytest.raises(InvalidArgumentError):
             circuits.traces_for_k_list(m, k_list)
+
+    @pytest.mark.parametrize("n", [5, 1000])
+    def test_one_tracer_gives_each_chunk_row_its_lone_bits(self, n):
+        # a block's tracer serves every chunk, the last one short, and a chunk
+        # after a shorter one; no row may see what an earlier one left behind
+        rng = np.random.default_rng(n)
+        ab, diag = rng.normal(size=(16, n - 1)), rng.normal(size=(16, n))
+        ks = (12, 4, 8, 1, 9)
+        tracer = circuits.RowTracer(n, ks)
+        for rows in (slice(0, 16), slice(16 - 3, 16), slice(0, 16)):
+            got = tracer(ab[rows], diag[rows])
+            for r, (a, d) in enumerate(zip(ab[rows], diag[rows])):
+                lone = circuits.traces_for_rows(a[None, :], d[None, :], ks)[0]
+                assert got[r].tobytes() == lone.tobytes()
+
+
+class TestBandedIdentities:
+    """Metamorphic identities on the Monte Carlo route at n=1000, where the dense
+    check cannot reach.  With entries in {-1, 0, 1} every value the kernels form
+    is an integer below 2**53, so each identity holds bit for bit."""
+
+    N, ROWS, KS = 1000, 4, range(BANDED_MIN_K, circuits.K_MAX + 1)
+
+    def rows(self, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.integers(-1, 2, size=(self.ROWS, self.N - 1)).astype(float),
+                rng.integers(-1, 2, size=(self.ROWS, self.N)).astype(float))
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=5)
+    def test_reversal_leaves_every_trace(self, seed):
+        # reversing the index path maps each closed walk to one of the same weight
+        ab, diag = self.rows(seed)
+        want = circuits.traces_for_rows(ab, diag, self.KS)
+        got = circuits.traces_for_rows(ab[:, ::-1], diag[:, ::-1], self.KS)
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([-1, 1, 2]))
+    @settings(max_examples=5)
+    def test_diagonal_shift_is_the_binomial_sum(self, seed, c):
+        # tr((Q + cI)^k) = sum_j C(k, j) c^(k-j) tr(Q^j), with tr(Q^0) = n
+        ab, diag = self.rows(seed)
+        shifted = circuits.traces_for_rows(ab, diag + c, self.KS)
+        powers = circuits.traces_for_rows(ab, diag, range(1, circuits.K_MAX + 1))
+        for got, row in zip(shifted, powers):
+            tr = [self.N] + [int(t) for t in row]
+            for k, value in zip(self.KS, got):
+                assert value == sum(math.comb(k, j) * c ** (k - j) * tr[j] for j in range(k + 1))

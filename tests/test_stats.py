@@ -341,6 +341,23 @@ class TestMcTraces:
         assert starts == list(range(0, 10 * 1024 + 5, 1024))
         self._assert_no_child_left()
 
+    def test_a_lost_block_is_an_error(self, monkeypatch):
+        # a counter that writes back index + 2 hands out blocks 0 and 2 of the
+        # three, so block 1 reaches no process
+        def skipping_claims(counter, count):
+            rfd, wfd = counter
+            while True:
+                index = int.from_bytes(os.read(rfd, 8), "little")
+                os.write(wfd, (index + 2).to_bytes(8, "little"))
+                if index >= count:
+                    return
+                yield index
+
+        monkeypatch.setattr(stats, "_claims", skipping_claims)
+        with pytest.raises(TriTraceError, match=r"never evaluated: 1 \(trials 1024\.\.2047\)$"):
+            self._run(2)
+        self._assert_no_child_left()
+
     def test_workers_need_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         with pytest.raises(InvalidArgumentError, match="os.fork"):
