@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Hash the outputs of a fixed set of CLI commands, or check them against a listing.
 
-    python3 scripts/cli_bytes.py [--src DIR] [--only GLOB ...] > listing.sha256
-    python3 scripts/cli_bytes.py --check [--only GLOB ...]
+    python3 scripts/cli_bytes.py [--src DIR] > listing.sha256
+    python3 scripts/cli_bytes.py --check [--src DIR]
 
 Runs every command of ``COMMANDS`` once with ``--workers 1`` and once with
 ``--workers 2``, each in a fresh ``python -m tritrace.cli`` process that
@@ -11,8 +11,7 @@ a header line naming the Python and numpy versions, then one line per run:
 the command name, the worker count, the exit status and the sha256 of the
 output file followed by standard output.  The output file records its own
 path (``output_path``); that line is dropped before hashing, so two trees
-give equal hashes exactly when their outputs are the same bytes.  ``--only``
-keeps the commands whose names match one of its globs.
+give equal hashes exactly when their outputs are the same bytes.
 
 ``--check`` compares each run with ``LISTING`` (``cli_bytes.sha256`` beside
 this script), prints every line that differs, and exits 1 on any difference
@@ -25,7 +24,6 @@ that moves bytes on purpose regenerates the listing in the same commit.
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import hashlib
 import importlib.metadata
 import os
@@ -168,12 +166,6 @@ def header() -> str:
             f"numpy {importlib.metadata.version('numpy')}")
 
 
-def select(globs) -> list[str]:
-    """Names of ``COMMANDS`` matching any of ``globs`` (all of them without globs)."""
-    return [name for name in COMMANDS
-            if not globs or any(fnmatch.fnmatchcase(name, g) for g in globs)]
-
-
 def listing(names, src: Path):
     """One line per run of each named command, workers 1 then 2."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -182,12 +174,12 @@ def listing(names, src: Path):
                 yield run(name, COMMANDS[name], workers, src, Path(tmp))
 
 
-def check(names, src: Path = ROOT / "src", path: Path = LISTING) -> list[str]:
-    """Every way the runs of ``names`` differ from the listing at ``path``.
+def check(names, src: Path) -> list[str]:
+    """Every way the runs of ``names`` differ from ``LISTING``.
 
     Empty when each run hashes as listed and each command's worker lines agree.
     """
-    head, *lines = path.read_text(encoding="utf-8").splitlines()
+    head, *lines = LISTING.read_text(encoding="utf-8").splitlines()
     want = {" ".join(line.split()[:2]): line for line in lines}
     numpy_note = ""
     if head.split()[-1] != header().split()[-1]:
@@ -206,20 +198,16 @@ def check(names, src: Path = ROOT / "src", path: Path = LISTING) -> list[str]:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[1])
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="directory holding the tritrace package to run")
-    ap.add_argument("--only", action="append", metavar="GLOB",
-                    help="run only the commands whose names match (repeatable)")
     ap.add_argument("--check", action="store_true",
                     help=f"compare with {LISTING.name}; exit 1 on any difference")
     args = ap.parse_args()
     src = args.src.resolve()
     if not (src / "tritrace" / "__init__.py").is_file():
         ap.error(f"no tritrace package under {src}")
-    names = select(args.only)
-    if not names:
-        ap.error("no command matches --only")
+    names = list(COMMANDS)
     if args.check:
         problems = check(names, src)
         for problem in problems:

@@ -339,7 +339,7 @@ def _work_size(n: int, p_max: int) -> int:
 
 
 class _BandedPlan:
-    """Half-power banded traces of ``n``-by-``n`` matrices, ``k <= 2*p_max``.
+    """Half-power banded traces of ``n``-by-``n`` matrices at the powers ``k_list``.
 
     ``S`` has the diagonal ``diag`` of ``M``, ones above it and the edge
     products ``ab = sub*sup`` below it.  Every closed walk crosses each edge
@@ -347,13 +347,13 @@ class _BandedPlan:
     the expansion, the kernel then never forms a power of ``sub`` or ``sup``
     alone, which could overflow or underflow when the two are very unequal.
 
-    For each matrix the plan builds the diagonal stacks of ``S^0 ..
-    S^p_max`` in one banded pass.  Stack ``j`` has shape ``(2j+1, n +
-    2*p_max)``: row ``j + o`` holds ``S^j[c-o, c]`` in column ``p_max + c``,
-    and every other slot is zero, including rows with ``|o| >= n`` when the
-    band is wider than the matrix.  Column ``c`` of ``S^j S`` mixes columns
-    ``c-1, c, c+1`` of ``S^j``, each scaled by one entry of ``S`` chosen by
-    the source column.  So each step is two whole-stack products and the
+    With ``p_max = ceil(max(k_list)/2)``, for each matrix the plan builds the
+    diagonal stacks of ``S^0 .. S^p_max`` in one banded pass.  Stack ``j``
+    has shape ``(2j+1, n + 2*p_max)``: row ``j + o`` holds ``S^j[c-o, c]`` in
+    column ``p_max + c``, and every other slot is zero, including rows with
+    ``|o| >= n`` when the band is wider than the matrix.  Column ``c`` of
+    ``S^j S`` mixes columns ``c-1, c, c+1`` of ``S^j``, each scaled by one
+    entry of ``S`` chosen by the source column.  So each step is two whole-stack products and the
     stack itself (the entries of ``S`` above the diagonal are ones), each
     added at a fixed shift of the flattened stack; entries a shift carries
     across a row end fall on zero padding.  The unscaled shift also carries
@@ -371,15 +371,16 @@ class _BandedPlan:
     Nothing of this layout depends on the matrix.  So the plan allocates one
     workspace of ``_work_size(n, p_max)`` entries of ``dtype`` and builds
     every view of it once: the zero rows, products and shifted adds of each
-    step, the padding columns, and each power's two factors and product
-    slot.  A matrix then costs two row copies and the ufunc calls alone, in
+    step, the padding columns, and the two factors and product slot of each
+    power of ``k_list``.  A matrix then costs two row copies and the ufunc calls alone, in
     the same order for every matrix, so a trace has the same bits whichever
     rows or calls it shares the plan with.  One workspace for every matrix
     also keeps the allocator from handing memory back and faulting it in
     again.  ``stacks`` holds the stacks of the last matrix evaluated.
     """
 
-    def __init__(self, n: int, p_max: int, dtype):
+    def __init__(self, n: int, k_list, dtype):
+        p_max = (max(k_list) + 1) // 2
         width, pad = n + 2 * p_max, p_max
         work = np.empty(_work_size(n, p_max), dtype=dtype)
         self._to_left, self._stay = np.zeros(width, dtype=dtype), np.zeros(width, dtype=dtype)
@@ -404,23 +405,22 @@ class _BandedPlan:
             ))
             stack = flat.reshape(-1, width)
             self.stacks.append(stack)
-        self._factors = {}
-        for k in range(1, 2 * p_max + 1):
+        self._factors = []
+        for k in k_list:
             p, q = (k + 1) // 2, k // 2
             flat = self.stacks[q].ravel()[pad - q:]
             row = as_strided(flat, shape=(2 * q + 1, n),                 # S^q[r, r+o]
                              strides=((width + 1) * flat.itemsize, flat.itemsize),
                              writeable=False)
             prod = work[work.size - (2 * q + 1) * n:]
-            self._factors[k] = (self.stacks[p][p - q:p + q + 1, pad:pad + n],  # S^p[c-o, c]
-                                row[::-1], prod.reshape(2 * q + 1, n), prod)
+            self._factors.append((self.stacks[p][p - q:p + q + 1, pad:pad + n],  # S^p[c-o, c]
+                                  row[::-1], prod.reshape(2 * q + 1, n), prod))
 
-    def traces(self, ab: np.ndarray, diag: np.ndarray, k_list) -> list[list]:
+    def traces(self, ab: np.ndarray, diag: np.ndarray) -> list[list]:
         """``trace(M^k)`` of the matrix in each row of ``ab`` and ``diag``, at each
-        power of ``k_list``."""
+        power of the plan's ``k_list``."""
         multiply, add = np.multiply, np.add
         to_left, stay = self._to_left, self._stay
-        factors = [self._factors[k] for k in k_list]
         out = []
         with np.errstate(over="ignore", invalid="ignore"):  # the trace sum reports it
             for a, d in zip(ab, diag):
@@ -436,7 +436,7 @@ class _BandedPlan:
                     add(left, left_src, out=left)
                     pad_col.fill(0)
                 traces = []
-                for col, row, prod2d, prod in factors:
+                for col, row, prod2d, prod in self._factors:
                     multiply(col, row, out=prod2d)
                     traces.append(compensated_sum(prod))
                 out.append(traces)
@@ -531,15 +531,14 @@ class RowTracer:
         self._high = [j for j, k in enumerate(self.k_list) if k >= BANDED_MIN_K]
         self._plan = None
         if self._high:
-            p_max = (max(self.k_list[j] for j in self._high) + 1) // 2
-            self._plan = _BandedPlan(n, p_max, dtype)
+            self._plan = _BandedPlan(n, [self.k_list[j] for j in self._high], dtype)
 
     def __call__(self, ab: np.ndarray, diag: np.ndarray) -> np.ndarray:
         k_list = self.k_list
         rows, n = diag.shape
         out = np.empty((rows, len(k_list)))
         if self._high:
-            out[:, self._high] = self._plan.traces(ab, diag, [k_list[j] for j in self._high])
+            out[:, self._high] = self._plan.traces(ab, diag)
         pows = slot_powers(ab, diag)
         for j, k in enumerate(k_list):
             if k < BANDED_MIN_K:

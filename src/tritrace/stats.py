@@ -203,14 +203,13 @@ def _raw_traces(spec, n, k_list, trials, master_seed, workers, lead=None):
     With one worker, ``lead`` runs first and the blocks follow in order.
     Otherwise ``workers - 1`` forked children start claiming blocks at once,
     this process runs ``lead`` and then claims blocks too; each block lands at
-    its trial indices, so the result never depends on who evaluated it.  Those
-    blocks land in a buffer that starts as NaN, and a block that no process
-    sent raises :class:`TriTraceError` naming it.
+    its trial indices, so the result never depends on who evaluated it.  A
+    block that no process sent raises :class:`TriTraceError` naming it.
     """
     ranges = _block_ranges(trials)
+    raw = np.empty((trials, len(k_list)))
     workers = min(workers, len(ranges))
     if workers <= 1:
-        raw = np.empty((trials, len(k_list)))
         result = lead() if lead else None
         for lo, hi in ranges:
             raw[lo:hi] = _trace_block(spec, n, k_list, master_seed, lo, hi)
@@ -246,8 +245,6 @@ def _raw_traces(spec, n, k_list, trials, master_seed, workers, lead=None):
             os.waitpid(pid, 0)
         os.close(counter[0])
         os.close(counter[1])
-    # made after the children exit, so none of them holds its pages
-    raw = np.full((trials, len(k_list)), np.nan)
     for i, block in blocks:
         lo, hi = ranges[i]
         raw[lo:hi] = block

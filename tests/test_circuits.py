@@ -352,8 +352,8 @@ class TestMonteCarloRoute:
         m = TridiagonalMatrix(sub=np.array(values[n:2 * n - 1], dtype=object),
                               diag=np.array(values[:n], dtype=object),
                               sup=np.array(values[2 * n - 1:], dtype=object))
-        plan = circuits._BandedPlan(n, 6, object)
-        banded = plan.traces((m.sub * m.sup)[None, :], m.diag[None, :], range(1, 13))[0]
+        plan = circuits._BandedPlan(n, range(1, 13), object)
+        banded = plan.traces((m.sub * m.sup)[None, :], m.diag[None, :])[0]
         for k in range(1, 13):
             # object-dtype dense power: Python integer arithmetic throughout
             want = np.trace(np.linalg.matrix_power(m.to_dense(), k))
@@ -371,8 +371,8 @@ class TestMonteCarloRoute:
                               sup=rng.normal(size=n - 1))
         ab = m.sub * m.sup
         ks = range(1, 2 * p_max + 1)
-        plan = circuits._BandedPlan(n, p_max, float)
-        banded = plan.traces(ab[None, :], m.diag[None, :], ks)[0]
+        plan = circuits._BandedPlan(n, ks, float)
+        banded = plan.traces(ab[None, :], m.diag[None, :])[0]
         stacks = plan.stacks
         assert len(stacks) == p_max + 1
         s = np.diag(m.diag) + np.diag(np.ones(n - 1), 1) + np.diag(ab, -1)

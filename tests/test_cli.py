@@ -483,7 +483,7 @@ class TestDeterminism:
         spec = importlib.util.spec_from_file_location("cli_bytes", script)
         cli_bytes = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(cli_bytes)
-        names = cli_bytes.select(["types-*", "cramer-*"])
+        names = [n for n in cli_bytes.COMMANDS if n.startswith(("types-", "cramer-"))]
         assert len(names) == 7
         src = Path(tritrace.__file__).resolve().parents[1]
         assert cli_bytes.check(names, src) == []
