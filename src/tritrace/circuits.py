@@ -353,10 +353,10 @@ class _BandedPlan:
     column ``p_max + c``, and every other slot is zero, including rows with
     ``|o| >= n`` when the band is wider than the matrix.  Column ``c`` of
     ``S^j S`` mixes columns ``c-1, c, c+1`` of ``S^j``, each scaled by one
-    entry of ``S`` chosen by the source column.  So each step is two whole-stack products and the
-    stack itself (the entries of ``S`` above the diagonal are ones), each
-    added at a fixed shift of the flattened stack; entries a shift carries
-    across a row end fall on zero padding.  The unscaled shift also carries
+    entry of ``S`` chosen by the source column.  So each step is two
+    whole-stack products and the stack itself (the entries of ``S`` above the
+    diagonal are ones), each added at a fixed shift of the flattened stack;
+    entries a shift carries across a row end fall on zero padding.  The unscaled shift also carries
     column ``n-1``, which has no column to its right, onto padding column
     ``n``, so that column is zeroed after the step.
 
