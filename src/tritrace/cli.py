@@ -48,7 +48,6 @@ from .stats import (
 )
 
 DEFAULT_SEED = 0x5EED
-COMMANDS = ("types", "trace", "simulate", "clt", "cov", "mdp", "cramer", "dump-sample")
 TRACE_REL_TOL = 1e-9
 
 
@@ -102,6 +101,13 @@ def _parse_bool(text) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_float(text, least: float = -math.inf) -> float:
+    value = float(text)
+    if not least <= value < math.inf:
+        raise ValueError(f"not a finite float >= {least}: {text!r}")
+    return value
+
+
 def _parse_workers(text: str) -> int:
     if text.strip().lower() == "auto":
         # the CPUs this process may run on, which a cpuset or taskset narrows
@@ -133,21 +139,21 @@ _SETTINGS = {s.key: s for s in (
     _Setting("--n", "n", int),
     _Setting("--n-list", "n_list", _parse_list(int)),
     _Setting("--trials", "trials", int),
-    _Setting("--nu", "nu", float),
-    _Setting("--delta-list", "delta_list", _parse_list(float)),
-    _Setting("--alpha", "alpha", float),
-    _Setting("--epsilon", "epsilon", float),
+    _Setting("--nu", "nu", _parse_float),
+    _Setting("--delta-list", "delta_list", _parse_list(_parse_float)),
+    _Setting("--alpha", "alpha", _parse_float),
+    _Setting("--epsilon", "epsilon", _parse_float),
     _Setting("--replicas", "replicas", int),
-    _Setting("--tolerance", "tolerance", float),
+    _Setting("--tolerance", "tolerance", lambda text: _parse_float(text, 0.0)),
     _Setting("--input", "input", str),
     _Setting("--law", "law", str),
-    _Setting("--x-min", "x_min", float),
-    _Setting("--x-max", "x_max", float),
+    _Setting("--x-min", "x_min", _parse_float),
+    _Setting("--x-max", "x_max", _parse_float),
     _Setting("--points", "points", int),
-    _Setting("--t-max", "t_max", float),
+    _Setting("--t-max", "t_max", _parse_float),
     _Setting("--ensemble", "model", lambda text: text.strip().lower().replace("-", "_"),
              "ensemble"),
-    _Setting("--beta", "beta", float, "ensemble"),
+    _Setting("--beta", "beta", _parse_float, "ensemble"),
     _Setting("--a-law", "a_law", EntryLaw.parse, "ensemble"),
     _Setting("--d-law", "d_law", EntryLaw.parse, "ensemble"),
     _Setting("--b-law", "b_law", EntryLaw.parse, "ensemble"),
@@ -205,69 +211,14 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-# The ``[ensemble]`` keys each model reads besides ``model``.  Any other key
-# is an error: a value nothing reads would still sit in the provenance block
-# as if it had shaped the run.
-_MODEL_KEYS = {
-    "anderson": {"d_law"},
-    "beta_hermite": {"beta"},
-    "hatano_nelson": {"a_law", "d_law", "b_law"},
-    "birth_death_kernel": {"kernel_law", "kernel_variant"},
-    "birth_death_q": {"a_law", "b_law", "symmetric"},
-    "generic_iid": {"a_law", "d_law", "b_law", "symmetric"},
-}
-
-
-# The settings each command reads, ``ensemble`` standing for the whole
-# ``[ensemble]`` section.  Every command also takes ``output``, ``workers``
-# (never recorded) and ``master_seed`` (recorded by every command, given or
-# not).  Any other setting is an error, as in ``_MODEL_KEYS``.
-_COMMON_KEYS = {"output", "workers", "master_seed"}
-_COMMAND_KEYS = {
-    "types": {"k", "k_list"},
-    "trace": {"k", "k_list", "input", "ensemble", "n"},
-    "simulate": {"ensemble", "k_list", "n", "trials", "alpha", "epsilon"},
-    "clt": {"ensemble", "k_list", "n", "trials", "alpha", "epsilon", "replicas"},
-    "cov": {"ensemble", "k_list", "n", "trials", "alpha", "epsilon", "replicas", "tolerance"},
-    "mdp": {"ensemble", "k", "k_list", "n", "n_list", "trials", "nu", "delta_list",
-            "tolerance"},
-    "cramer": {"law", "x_min", "x_max", "points", "t_max"},
-    "dump-sample": {"ensemble", "n"},
-}
-
-
 def spec_from_mapping(m: dict) -> EnsembleSpec:
-    """Build an :class:`EnsembleSpec` from the text of ``[ensemble]`` keys."""
+    """Build an :class:`EnsembleSpec` from the text of ``[ensemble]`` keys;
+    the model's record in ``ensembles._MODELS`` says which keys it reads."""
     v = _parse(m, "ensemble")
     model = v.pop("model", None)
     if not model:
         raise ConfigError("ensemble model missing")
-    if model not in _MODEL_KEYS:
-        raise ConfigError(f"unknown ensemble model {model!r}")
-    unread = sorted(v.keys() - _MODEL_KEYS[model])
-    if v.get("symmetric") and "b_law" in v:
-        unread.append("b_law")   # a symmetric matrix's b is its a
-    if unread:
-        raise ConfigError(f"ensemble model {model} does not read {', '.join(unread)}")
-    if model == "anderson":
-        return EnsembleSpec.anderson(d_law=v.get("d_law"))
-    if model == "beta_hermite":
-        if "beta" not in v:
-            raise ConfigError("beta_hermite requires a beta key")
-        return EnsembleSpec.beta_hermite(v["beta"])
-    if model == "hatano_nelson":
-        return EnsembleSpec.hatano_nelson(a_law=v.get("a_law"), d_law=v.get("d_law"),
-                                          b_law=v.get("b_law"))
-    if model == "birth_death_kernel":
-        return EnsembleSpec.birth_death_kernel(law=v.get("kernel_law"),
-                                               variant=v.get("kernel_variant", "v"))
-    if model == "birth_death_q":
-        return EnsembleSpec.birth_death_q(a_law=v.get("a_law"), b_law=v.get("b_law"),
-                                          symmetric=v.get("symmetric", False))
-    if v.get("a_law") is None or v.get("d_law") is None:   # generic_iid
-        raise ConfigError("generic_iid requires a_law and d_law")
-    return EnsembleSpec.generic_iid(a_law=v["a_law"], d_law=v["d_law"], b_law=v.get("b_law"),
-                                    symmetric=v.get("symmetric", False))
+    return EnsembleSpec(model, **v)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -288,7 +239,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"workers = {workers} needs os.fork, which this platform lacks")
     spec = spec_from_mapping(ens_text) if ens_text else None
     given = settings.keys() | ({"ensemble"} if spec else set())
-    unread = sorted(given - _COMMON_KEYS - _COMMAND_KEYS[args.command])
+    unread = sorted(given - _COMMON_KEYS - _COMMANDS[args.command].keys)
     if unread:
         raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
     return RunConfig(command=args.command, ensemble=spec, workers=workers, settings=settings)
@@ -385,9 +336,7 @@ def _first_given(config: RunConfig, what: str, *values):
 
 
 def _power(config: RunConfig) -> int:
-    """``--k``, else the first power of ``--k-list``."""
-    k_list = config.get("k_list")
-    return int(_first_given(config, "k", config.get("k"), k_list[0] if k_list else None))
+    return int(_first_given(config, "k", config.get("k")))
 
 
 def _cmd_types(config: RunConfig) -> int:
@@ -555,24 +504,40 @@ def _cmd_dump_sample(config: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "types": _cmd_types,
-    "trace": _cmd_trace,
-    "simulate": _cmd_simulate,
-    "clt": _cmd_clt,
-    "cov": _cmd_cov,
-    "mdp": _cmd_mdp,
-    "cramer": _cmd_cramer,
-    "dump-sample": _cmd_dump_sample,
+class _Command(NamedTuple):
+    handler: Callable[[RunConfig], int]
+    keys: set   # the settings it reads, ``ensemble`` standing for ``[ensemble]``
+
+
+# The one table of commands: each one's handler and the settings it reads.
+# Every command also takes ``output``, ``workers`` (never recorded) and
+# ``master_seed`` (recorded by every command, given or not).  Any other
+# setting is an error: a value nothing reads would still sit in the
+# provenance block as if it had shaped the run.
+_COMMON_KEYS = {"output", "workers", "master_seed"}
+_COMMANDS = {
+    "types": _Command(_cmd_types, {"k"}),
+    "trace": _Command(_cmd_trace, {"k", "input", "ensemble", "n"}),
+    "simulate": _Command(_cmd_simulate, {"ensemble", "k_list", "n", "trials", "alpha",
+                                         "epsilon"}),
+    "clt": _Command(_cmd_clt, {"ensemble", "k_list", "n", "trials", "alpha", "epsilon",
+                               "replicas"}),
+    "cov": _Command(_cmd_cov, {"ensemble", "k_list", "n", "trials", "alpha", "epsilon",
+                               "replicas", "tolerance"}),
+    "mdp": _Command(_cmd_mdp, {"ensemble", "k", "n", "n_list", "trials", "nu", "delta_list",
+                               "tolerance"}),
+    "cramer": _Command(_cmd_cramer, {"law", "x_min", "x_max", "points", "t_max"}),
+    "dump-sample": _Command(_cmd_dump_sample, {"ensemble", "n"}),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: RunConfig) -> int:
     """Dispatch one resolved configuration; returns the process exit status."""
-    handler = _DISPATCH.get(config.command)
-    if handler is None:
+    command = _COMMANDS.get(config.command)
+    if command is None:
         raise ConfigError(f"unknown command {config.command!r}")
-    return handler(config)
+    return command.handler(config)
 
 
 class _Parser(argparse.ArgumentParser):

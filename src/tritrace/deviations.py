@@ -99,6 +99,11 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
     n_list = tuple(n_list)
     if not n_list or min(n_list) < 2:
         raise InvalidArgumentError(f"matrix sizes must be >= 2, got n_list={n_list}")
+    if delta_list is not None:
+        delta_list = tuple(float(d) for d in delta_list)
+        if not all(0.0 <= d < math.inf for d in delta_list):
+            raise InvalidArgumentError(
+                f"thresholds must be finite and >= 0, got delta_list={delta_list}")
     _check_trace_run(min(n_list), (k,), trials, workers)
 
     def estimate_dk():
@@ -115,8 +120,7 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
             if dk.value < 1e-12:
                 raise DegenerateRateError(
                     f"limiting variance for power {k} is {dk.value:g}; rate is degenerate")
-            deltas = (derive_delta_list(dk.value) if delta_list is None
-                      else tuple(float(d) for d in delta_list))
+            deltas = derive_delta_list(dk.value) if delta_list is None else delta_list
         # centered raw traces: exponent 0 keeps them unscaled
         s = math.sqrt(lam / n) * center_and_scale(spec, n, (k,), raw, (0.0,))[:, 0]
         sd = math.sqrt(lam * dk.value)

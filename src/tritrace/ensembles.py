@@ -27,15 +27,13 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .circuits import TridiagonalMatrix
 from .errors import InvalidArgumentError
 
-MODELS = ("anderson", "hatano_nelson", "birth_death_kernel", "birth_death_q",
-          "beta_hermite", "generic_iid")
 KERNEL_VARIANTS = ("v", "conductance")
 
 _LAW_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
@@ -266,105 +264,125 @@ class EntryWindow:
         return self.d.shape[0]
 
 
+def _positive(law: EntryLaw | None) -> bool:   # a symmetric spec has no b_law
+    return law is None or (law.is_bounded and law.support[0] > 0)
+
+
+@dataclass(frozen=True)
+class _Model:
+    """Everything one ensemble model fixes about its spec.  ``fields`` maps
+    each spec field it reads besides ``model`` (its ``[ensemble]`` keys) to
+    a default: a value, a function of the values filled before it, or None
+    if the field is required.  ``symmetric`` marks a model symmetric by
+    definition (restating ``symmetric=True`` is allowed); a model that
+    neither reads nor fixes it is not symmetric."""
+
+    fields: dict
+    checks: tuple = ()   # (predicate of the filled spec, message) pairs, tested in order
+    symmetric: bool = False
+
+
+_UNIT = EntryLaw.uniform(0.5, 1.5)   # the default positive off-diagonal law
+
+_MODELS = {
+    "anderson": _Model({"d_law": EntryLaw.rademacher()}, symmetric=True),
+    "beta_hermite": _Model({"beta": None}, symmetric=True,
+                           checks=((lambda s: s.beta > 0, "beta_hermite requires beta > 0"),)),
+    "hatano_nelson": _Model(
+        {"a_law": _UNIT, "d_law": EntryLaw.uniform(-1.0, 1.0), "b_law": _UNIT},
+        checks=((lambda s: _positive(s.a_law) and _positive(s.b_law),
+                 "hatano_nelson off-diagonal laws must be strictly positive"),)),
+    "birth_death_kernel": _Model(
+        {"kernel_variant": "v",
+         "kernel_law": lambda v: EntryLaw.uniform(0.0, 1.0) if v["kernel_variant"] == "v"
+         else _UNIT},
+        checks=((lambda s: s.kernel_variant in KERNEL_VARIANTS,
+                 f"kernel_variant must be one of {KERNEL_VARIANTS}"),
+                (lambda s: s.kernel_variant != "v" or (
+                    s.kernel_law.is_bounded and 0 <= s.kernel_law.support[0]
+                    and s.kernel_law.support[1] <= 1),
+                 "kernel environment law must live on [0, 1]"),
+                (lambda s: s.kernel_variant == "v" or _positive(s.kernel_law),
+                 "conductance law must be strictly positive"))),
+    "birth_death_q": _Model(
+        {"symmetric": False, "a_law": _UNIT, "b_law": _UNIT},
+        checks=((lambda s: _positive(s.a_law) and _positive(s.b_law),
+                 "birth_death_q off-diagonal laws must be strictly positive"),)),
+    "generic_iid": _Model({"symmetric": False, "a_law": None, "d_law": None, "b_law": None}),
+}
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Declarative description of the joint law of the entry triples."""
+    """Declarative description of the joint law of the entry triples.  The
+    model's record in ``_MODELS`` fills and checks the fields it reads.  A
+    field set but not read is an error: it would be recorded as if it had
+    shaped the draws."""
 
     model: str
-    symmetric: bool
+    symmetric: bool | None = None
     beta: float | None = None
     a_law: EntryLaw | None = None
     d_law: EntryLaw | None = None
     b_law: EntryLaw | None = None
     kernel_law: EntryLaw | None = None
-    kernel_variant: str = "v"
+    kernel_variant: str | None = None
 
     def __post_init__(self):
-        if self.model not in MODELS:
+        model = _MODELS.get(self.model)
+        if model is None:
             raise InvalidArgumentError(f"unknown model {self.model!r}")
-        if self.model == "beta_hermite":
-            if self.beta is None or not self.beta > 0:
-                raise InvalidArgumentError("beta_hermite requires beta > 0")
-            if not self.symmetric:
-                raise InvalidArgumentError("beta_hermite is symmetric by definition")
-        if self.model == "anderson":
-            if self.d_law is None:
-                raise InvalidArgumentError("anderson requires a diagonal law")
-            if not self.symmetric:
-                raise InvalidArgumentError("anderson off-diagonals are equal; symmetric must be true")
-        if self.model == "hatano_nelson":
-            for law, name in ((self.a_law, "a"), (self.d_law, "d"), (self.b_law, "b")):
-                if law is None:
-                    raise InvalidArgumentError(f"hatano_nelson requires a {name} law")
-            for law in (self.a_law, self.b_law):
-                sup = law.support
-                if sup is None or sup[0] <= 0:
-                    raise InvalidArgumentError("hatano_nelson off-diagonal laws must be strictly positive")
-        if self.model == "birth_death_kernel":
-            if self.kernel_variant not in KERNEL_VARIANTS:
-                raise InvalidArgumentError(f"unknown kernel variant {self.kernel_variant!r}")
-            if self.kernel_law is None:
-                raise InvalidArgumentError("birth_death_kernel requires an environment law")
-            sup = self.kernel_law.support
-            if self.kernel_variant == "v":
-                if sup is None or sup[0] < 0 or sup[1] > 1:
-                    raise InvalidArgumentError("kernel environment law must live on [0, 1]")
-            else:
-                if sup is None or sup[0] <= 0:
-                    raise InvalidArgumentError("conductance law must be strictly positive")
-        if self.model == "birth_death_q":
-            if self.a_law is None or (not self.symmetric and self.b_law is None):
-                raise InvalidArgumentError("birth_death_q requires off-diagonal laws")
-            for law in (self.a_law, self.b_law):
-                if law is None:
-                    continue
-                sup = law.support
-                if sup is None or sup[0] <= 0:
-                    raise InvalidArgumentError("birth_death_q off-diagonal laws must be strictly positive")
-        if self.model == "generic_iid":
-            if self.a_law is None or self.d_law is None or (not self.symmetric and self.b_law is None):
-                raise InvalidArgumentError("generic_iid requires laws for every stream")
+        values = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        if model.symmetric and values["symmetric"]:
+            values["symmetric"] = None   # restating the definition reads nothing
+        given = values["symmetric"]
+        symmetric = model.fields.get("symmetric", model.symmetric) if given is None else given
+        # a symmetric matrix's b is its a
+        reads = [name for name in model.fields if not (symmetric and name == "b_law")]
+        unread = [name for name in values if values[name] is not None and name not in reads]
+        if unread:
+            raise InvalidArgumentError(
+                f"ensemble model {self.model} does not read {', '.join(unread)}")
+        values["symmetric"] = symmetric
+        for name in reads:
+            default = model.fields[name]
+            if values[name] is None:
+                values[name] = default(values) if callable(default) else default
+        missing = [name for name in reads if values[name] is None]
+        if missing:
+            raise InvalidArgumentError(f"{self.model} requires {', '.join(missing)}")
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+        for ok, message in model.checks:
+            if not ok(self):
+                raise InvalidArgumentError(message)
 
     # -- constructors ----------------------------------------------------
     @classmethod
     def anderson(cls, d_law: EntryLaw | None = None) -> "EnsembleSpec":
-        d_law = d_law or EntryLaw.rademacher()
-        return cls(model="anderson", symmetric=True, d_law=d_law)
+        return cls("anderson", d_law=d_law)
 
     @classmethod
     def hatano_nelson(cls, a_law=None, d_law=None, b_law=None) -> "EnsembleSpec":
-        a_law = a_law or EntryLaw.uniform(0.5, 1.5)
-        d_law = d_law or EntryLaw.uniform(-1.0, 1.0)
-        b_law = b_law or EntryLaw.uniform(0.5, 1.5)
-        return cls(model="hatano_nelson", symmetric=False, a_law=a_law, d_law=d_law, b_law=b_law)
+        return cls("hatano_nelson", a_law=a_law, d_law=d_law, b_law=b_law)
 
     @classmethod
     def birth_death_kernel(cls, law: EntryLaw | None = None,
-                           variant: str = "v") -> "EnsembleSpec":
-        if law is None:
-            law = EntryLaw.uniform(0.0, 1.0) if variant == "v" else EntryLaw.uniform(0.5, 1.5)
-        return cls(model="birth_death_kernel", symmetric=False, kernel_law=law,
-                   kernel_variant=variant)
+                           variant: str | None = None) -> "EnsembleSpec":
+        return cls("birth_death_kernel", kernel_law=law, kernel_variant=variant)
 
     @classmethod
     def birth_death_q(cls, a_law=None, b_law=None, symmetric: bool = False) -> "EnsembleSpec":
-        a_law = a_law or EntryLaw.uniform(0.5, 1.5)
-        if symmetric:
-            b_law = None
-        else:
-            b_law = b_law or EntryLaw.uniform(0.5, 1.5)
-        return cls(model="birth_death_q", symmetric=symmetric, a_law=a_law, b_law=b_law)
+        return cls("birth_death_q", symmetric, a_law=a_law, b_law=None if symmetric else b_law)
 
     @classmethod
     def beta_hermite(cls, beta: float) -> "EnsembleSpec":
-        return cls(model="beta_hermite", symmetric=True, beta=float(beta))
+        return cls("beta_hermite", beta=float(beta))
 
     @classmethod
     def generic_iid(cls, a_law, d_law, b_law=None, symmetric: bool = False) -> "EnsembleSpec":
-        if symmetric:
-            b_law = None
-        return cls(model="generic_iid", symmetric=symmetric, a_law=a_law, d_law=d_law,
-                   b_law=b_law)
+        return cls("generic_iid", symmetric, a_law=a_law, d_law=d_law,
+                   b_law=None if symmetric else b_law)
 
     # -- derived structure -------------------------------------------------
     @property
@@ -413,16 +431,13 @@ class EnsembleSpec:
         return am * bm, (am + bm if self.model == "birth_death_q" else absmax(self.d_law))
 
     def describe(self) -> dict:
-        """Flat, deterministic key/value form for provenance headers."""
+        """Flat, deterministic key/value form for provenance headers: the
+        fields the model reads, laws as their text."""
         out = {"model": self.model, "symmetric": self.symmetric, "bounded": self.bounded}
-        if self.beta is not None:
-            out["beta"] = self.beta
-        for name, law in (("a_law", self.a_law), ("d_law", self.d_law),
-                          ("b_law", self.b_law), ("kernel_law", self.kernel_law)):
-            if law is not None:
-                out[name] = str(law)
-        if self.model == "birth_death_kernel":
-            out["kernel_variant"] = self.kernel_variant
+        for f in fields(self)[2:]:
+            value = getattr(self, f.name)
+            if value is not None:
+                out[f.name] = str(value) if isinstance(value, EntryLaw) else value
         return out
 
 

@@ -28,6 +28,15 @@ def run_cli(*args):
     return main(list(args))
 
 
+def _cli_bytes():
+    """The ``scripts/cli_bytes.py`` module."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "cli_bytes.py"
+    spec = importlib.util.spec_from_file_location("cli_bytes", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestTypesCommand:
     def test_k4_row_counts(self, capsys):
         assert run_cli("types", "--k", "4") == 0
@@ -194,15 +203,40 @@ class TestConfigHandling:
           "--tolerance", "0.1"], "tolerance"),
         (["mdp", "--ensemble", "anderson", "--k", "1", "--nu", "0.5", "--n", "8",
           "--trials", "5", "--alpha", "0"], "alpha"),
-    ], ids=["types", "cramer", "trace", "simulate", "clt", "mdp"])
+        # only k is run, so a k_list beside it would be recorded for nothing
+        (["types", "--k", "3", "--k-list", "1,3"], "k_list"),
+        (["trace", "--k", "2", "--ensemble", "anderson", "--n", "8", "--k-list", "2"],
+         "k_list"),
+        (["mdp", "--ensemble", "anderson", "--k", "1", "--k-list", "1,3", "--nu", "0.5",
+          "--n", "8", "--trials", "5"], "k_list"),
+    ], ids=["types", "cramer", "trace", "simulate", "clt", "mdp", "types-k_list",
+            "trace-k_list", "mdp-k_list"])
     def test_each_command_rejects_what_it_does_not_read(self, capsys, argv, unread):
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err == f"error: {argv[0]} does not read {unread}\n"
 
+    @pytest.mark.parametrize("argv, bad", [
+        (["mdp", "--tolerance", "nan"], "'nan'"),
+        (["mdp", "--delta-list=nan"], "'nan'"),
+        (["cov", "--tolerance", "-0.5"], "malformed value for tolerance: '-0.5'"),
+        (["mdp", "--delta-list=-0.5,0.5"], "thresholds must be finite and >= 0"),
+    ], ids=["tolerance-nan", "delta-nan", "tolerance-negative", "delta-negative"])
+    def test_malformed_gate_setting_is_an_error(self, tmp_path, capsys, argv, bad):
+        # each once ran: a NaN tolerance turned the gate off, a NaN threshold
+        # predicted a NaN rate, and a negative one read as a failed gate (exit 2)
+        runs = {"cov": ["--k-list", "1,2"], "mdp": ["--k", "1", "--nu", "0.5"]}[argv[0]]
+        out = tmp_path / "out"
+        assert run_cli(*argv, *runs, "--ensemble", "anderson", "--n", "8", "--trials", "1100",
+                       "--output", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err, err
+        assert not out.exists()
+
     def test_command_table_names_every_command_and_only_settings(self):
-        table = main.__globals__["_COMMAND_KEYS"]
+        table = main.__globals__["_COMMANDS"]
         assert set(table) == set(COMMANDS)
-        assert set().union(*table.values()) - {"ensemble"} <= set(main.__globals__["_SETTINGS"])
+        assert (set().union(*(command.keys for command in table.values())) - {"ensemble"}
+                <= set(main.__globals__["_SETTINGS"]))
 
     @pytest.mark.parametrize("argv", [["types", "--k", "3"], ["cramer", "--law", "rademacher"]])
     def test_every_command_takes_output_seed_and_workers(self, tmp_path, argv):
@@ -215,7 +249,10 @@ class TestConfigHandling:
         (["--k-list", "1"], "[run]\nn = abc\n", "abc"),
         (["--n", "8", "--k-list", "1", "--workers", "two"], None, "two"),
         (["--n", "8", "--k-list", "1", "--d-law", "uniform(a,b)"], None, "uniform(a,b)"),
-    ], ids=["k-list", "config-n", "workers", "d-law"])
+        # a non-finite scaling exponent once wrote NaN traces and exited 0
+        (["--n", "8", "--k-list", "1", "--alpha", "nan"], None, "nan"),
+        (["--k-list", "1"], "[run]\nn = 8\nepsilon = inf\n", "inf"),
+    ], ids=["k-list", "config-n", "workers", "d-law", "alpha-nan", "config-epsilon-inf"])
     def test_malformed_number_is_a_typed_error(self, tmp_path, capsys, extra, config_text, bad):
         argv = ["simulate", "--ensemble", "anderson", "--trials", "3", *extra]
         if config_text is not None:
@@ -239,10 +276,10 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("argv, message", [
         (["types", "--k", "0"], "k=0 outside [1, 16]"),
-        (["trace", "--k", "0", "--k-list", "3", "--ensemble", "anderson", "--n", "10"],
+        (["trace", "--k", "0", "--ensemble", "anderson", "--n", "10"],
          "k=0 outside [1, 16]"),
-        (["mdp", "--ensemble", "anderson", "--k", "0", "--k-list", "1", "--n", "10",
-          "--nu", "0.5", "--trials", "30"], "k must be >= 1"),
+        (["mdp", "--ensemble", "anderson", "--k", "0", "--n", "10", "--nu", "0.5",
+          "--trials", "30"], "k must be >= 1"),
         (["mdp", "--ensemble", "anderson", "--k", "1", "--n", "0", "--nu", "0.5",
           "--trials", "30"], "matrix sizes must be >= 2, got n_list=(0,)"),
         (["types"], "types: missing k"),
@@ -250,7 +287,7 @@ class TestConfigHandling:
          "mdp: missing n or n_list"),
     ], ids=["types-k0", "trace-k0", "mdp-k0", "mdp-n0", "types-no-k", "mdp-no-n"])
     def test_zero_is_validated_and_absence_reported(self, capsys, argv, message):
-        # a given 0 once fell back to --k-list or read as missing
+        # a given 0 reaches validation instead of reading as missing
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err, err
@@ -475,14 +512,40 @@ class TestDeterminism:
         assert run_cli(*base, "--workers", "2") == 0
         assert path.read_bytes() == first
 
+    def test_listed_ensembles_describe_as_pinned(self):
+        # the provenance of each `dump-*` spec, as before the model table;
+        # building a spec draws nothing, so no generator version enters
+        described = {name: build_config(main.__globals__["_build_parser"]().parse_args(argv))
+                     .ensemble.describe()
+                     for name, argv in _cli_bytes().COMMANDS.items() if name.startswith("dump-")}
+        laws = {"a_law": "uniform(0.5,1.5)", "b_law": "uniform(0.5,1.5)"}
+        assert described == {
+            "dump-anderson": {"model": "anderson", "symmetric": True, "bounded": True,
+                              "d_law": "rademacher"},
+            "dump-beta": {"model": "beta_hermite", "symmetric": True, "bounded": False,
+                          "beta": 2.0},
+            "dump-hatano": {"model": "hatano_nelson", "symmetric": False, "bounded": True,
+                            **laws, "d_law": "uniform(-1.0,1.0)"},
+            "dump-bdq": {"model": "birth_death_q", "symmetric": False, "bounded": True,
+                         **laws},
+            "dump-bdq-symmetric": {"model": "birth_death_q", "symmetric": True,
+                                   "bounded": True, "a_law": "uniform(0.5,1.5)"},
+            "dump-kernel-v": {"model": "birth_death_kernel", "symmetric": False,
+                              "bounded": True, "kernel_law": "uniform(0.0,1.0)",
+                              "kernel_variant": "v"},
+            "dump-kernel-conductance": {"model": "birth_death_kernel", "symmetric": False,
+                                        "bounded": True, "kernel_law": "uniform(0.5,1.5)",
+                                        "kernel_variant": "conductance"},
+            "dump-generic-rademacher": {"model": "generic_iid", "symmetric": False,
+                                        "bounded": True, "a_law": "rademacher",
+                                        "d_law": "rademacher", "b_law": "rademacher"},
+        }
+
     def test_draw_free_commands_match_the_byte_listing(self):
         # `types` and `cramer` use no random draws, so their bytes depend on no
         # generator version; the listing's other lines are checked by running
         # scripts/cli_bytes.py --check
-        script = Path(__file__).resolve().parents[1] / "scripts" / "cli_bytes.py"
-        spec = importlib.util.spec_from_file_location("cli_bytes", script)
-        cli_bytes = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(cli_bytes)
+        cli_bytes = _cli_bytes()
         names = [n for n in cli_bytes.COMMANDS if n.startswith(("types-", "cramer-"))]
         assert len(names) == 7
         src = Path(tritrace.__file__).resolve().parents[1]

@@ -156,6 +156,14 @@ class TestMdpCheck:
         with pytest.raises(InvalidArgumentError, match="n too small"):
             mdp_check(anderson, 8, 0.5, [64, 4], None, 2100, 5, workers=2)
 
+    @pytest.mark.parametrize("delta", [-0.5, math.nan, math.inf])
+    def test_threshold_must_be_finite_and_non_negative(self, monkeypatch, delta):
+        # a negative threshold once counted every trial as a tail event, and a
+        # NaN one predicted a NaN rate; both ran as if valid
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the checks"))
+        with pytest.raises(InvalidArgumentError, match="thresholds must be finite and >= 0"):
+            mdp_check(EnsembleSpec.anderson(), 1, 0.5, [64], [delta, 0.5], 256, 5, workers=2)
+
     def test_unbounded_spec_rejected(self):
         spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
         with pytest.raises(InvalidArgumentError):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tritrace.cli import main
 from tritrace.ensembles import (
     EnsembleSpec,
     EntryLaw,
     EntryWindow,
     _DIAGONAL_SLOT,
+    _MODELS,
     _Draws,
     _sample_sites,
     _trial_keys,
@@ -208,6 +210,53 @@ class TestSpecValidation:
         assert EnsembleSpec.birth_death_kernel().is_iid_type
         assert not EnsembleSpec.birth_death_kernel(variant="conductance").is_iid_type
         assert not EnsembleSpec.beta_hermite(2.0).is_iid_type
+
+
+class TestModelTable:
+    @pytest.mark.parametrize("kwargs, unread", [
+        ({"model": "anderson", "symmetric": True, "d_law": RADEMACHER,
+          "a_law": EntryLaw.uniform(0.0, 1.0)}, "a_law"),
+        ({"model": "hatano_nelson", "symmetric": True, "b_law": EntryLaw.uniform(2.0, 3.0)},
+         "symmetric"),
+        ({"model": "birth_death_kernel", "symmetric": True}, "symmetric"),
+        ({"model": "beta_hermite", "symmetric": False, "beta": 2.0}, "symmetric"),
+        ({"model": "generic_iid", "symmetric": True, "a_law": RADEMACHER,
+          "d_law": RADEMACHER, "b_law": RADEMACHER}, "b_law"),
+    ], ids=["anderson-a_law", "hatano-symmetric", "kernel-symmetric", "beta-asymmetric",
+            "symmetric-b_law"])
+    def test_a_field_the_model_does_not_read_is_an_error(self, kwargs, unread):
+        # each of the first three was once accepted: the anderson spec
+        # recorded its a_law, the hatano_nelson one a b_law no entry was drawn
+        # from, and the kernel one claimed a symmetry its matrices lack
+        with pytest.raises(InvalidArgumentError,
+                           match=f"^ensemble model {kwargs['model']} does not read {unread}"):
+            EnsembleSpec(**kwargs)
+
+    def test_every_key_is_an_ensemble_setting(self):
+        settings = main.__globals__["_SETTINGS"]
+        for model in _MODELS.values():
+            for key in model.fields:
+                assert settings[key].section == "ensemble", key
+
+    @pytest.mark.parametrize("name", sorted(_MODELS))
+    def test_every_model_builds_with_its_defaults(self, name):
+        # only the required fields (default None) are given
+        model = _MODELS[name]
+        required = {key: 2.0 if key == "beta" else RADEMACHER
+                    for key, default in model.fields.items() if default is None}
+        spec = EnsembleSpec(name, **required)
+        for key, default in model.fields.items():
+            if default is not None and not callable(default):
+                assert getattr(spec, key) == default, key
+        assert spec.symmetric is model.fields.get("symmetric", model.symmetric)
+        assert spec.describe().keys() == {"model", "symmetric", "bounded", *model.fields}
+        if required:
+            with pytest.raises(InvalidArgumentError, match=f"^{name} requires"):
+                EnsembleSpec(name)
+
+    def test_restating_a_fixed_symmetry_is_allowed(self):
+        assert EnsembleSpec("anderson", True) == EnsembleSpec.anderson()
+        assert EnsembleSpec("beta_hermite", True, beta=2.0) == EnsembleSpec.beta_hermite(2.0)
 
 
 class TestSampleMatrix:
