@@ -354,6 +354,8 @@ def _cmd_types(config: RunConfig) -> int:
 def _cmd_trace(config: RunConfig) -> int:
     k = _power(config)
     if path := config.get("input"):
+        if config.ensemble is not None or config.get("n") is not None:
+            raise ConfigError("trace: input excludes an ensemble and n")
         matrix = matrix_from_csv(path)
     else:
         if config.ensemble is None or config.get("n") is None:
@@ -456,6 +458,8 @@ def _cmd_mdp(config: RunConfig) -> int:
     spec, nu, trials = _require(config, "ensemble", "nu", "trials")
     k = _power(config)
     n = config.get("n")
+    if n is not None and config.get("n_list") is not None:
+        raise ConfigError("mdp: n and n_list exclude each other")
     n_list = _first_given(config, "n or n_list", config.get("n_list"),
                           None if n is None else (n,))
     estimates = mdp_check(spec, k, nu, n_list, config.get("delta_list"), trials,

@@ -101,6 +101,9 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
         raise InvalidArgumentError(f"matrix sizes must be >= 2, got n_list={n_list}")
     if delta_list is not None:
         delta_list = tuple(float(d) for d in delta_list)
+        if not delta_list:
+            # a table with no threshold compares nothing, so its gate would pass
+            raise InvalidArgumentError("delta_list, when given, must be non-empty")
         if not all(0.0 <= d < math.inf for d in delta_list):
             raise InvalidArgumentError(
                 f"thresholds must be finite and >= 0, got delta_list={delta_list}")

@@ -200,21 +200,15 @@ def _claims(counter, count: int):
 def _raw_traces(spec, n, k_list, trials, master_seed, workers, lead=None):
     """Raw traces of every trial, and the result of ``lead()`` (None without a lead).
 
-    With one worker, ``lead`` runs first and the blocks follow in order.
-    Otherwise ``workers - 1`` forked children start claiming blocks at once,
-    this process runs ``lead`` and then claims blocks too; each block lands at
-    its trial indices, so the result never depends on who evaluated it.  A
-    block that no process sent raises :class:`TriTraceError` naming it.
+    ``workers - 1`` forked children start claiming blocks at once, this
+    process runs ``lead`` and then claims blocks too; one worker is the same
+    run with no children.  Each block lands at its trial indices, so the
+    result never depends on who evaluated it.  A block that no process sent
+    raises :class:`TriTraceError` naming it.
     """
     ranges = _block_ranges(trials)
     raw = np.empty((trials, len(k_list)))
     workers = min(workers, len(ranges))
-    if workers <= 1:
-        result = lead() if lead else None
-        for lo, hi in ranges:
-            raw[lo:hi] = _trace_block(spec, n, k_list, master_seed, lo, hi)
-        return raw, result
-
     import numpy.random  # noqa: F401 -- imported once here, not once per child
 
     def evaluate():
@@ -325,7 +319,6 @@ class DkEstimate:
 
     value: float
     standard_error: float
-    replicas: int
     dependence: DependenceRange
 
 
@@ -336,30 +329,55 @@ def _require_iid(spec: EnsembleSpec) -> None:
             "(growth ensembles and the conductance kernel are excluded)")
 
 
-def dk_iid(spec: EnsembleSpec, k: int, replicas: int, seed) -> DkEstimate:
-    """Estimate the limiting variance of the standardized trace for power k.
+def _window_covariance(spec: EnsembleSpec, k_list, replicas: int,
+                       seed) -> tuple[np.ndarray, np.ndarray]:
+    """Limiting covariance of the traces over ``k_list``, and its standard errors.
 
-    Draws ``replicas`` independent windows starting at site 2 (the site-1
-    triple has a boundary law) covering summand sites ``2 .. 2 + m_k``, and
-    returns the sample variance of the first summand plus twice the summed
-    lag covariances, with a standard error.
+    Draws ``replicas`` windows from site 2 (the site-1 triple has a boundary
+    law) and evaluates each power's summands at sites ``2 .. 2 + m*``, ``m*``
+    the largest dependence range.  For powers ``k_i, k_j`` of larger range
+    ``m``, let ``y`` be the first summand and ``w`` the first plus twice the
+    next ``m``, both centred; the term ``t = (y_i w_j + y_j w_i) / 2`` has the
+    lag-covariance sum as its mean.  Returns ``sum(t) / (replicas - 1)`` and
+    ``std(t) / sqrt(replicas)``, each a matrix.
     """
     if replicas < 2:
         raise InvalidArgumentError("replicas must be >= 2")
     _require_iid(spec)
-    dep = dependence_range(k, spec.symmetric)
-    length = dep.m_k + k // 2 + 1
-    arrays = sample_window_arrays(spec, 2, length, replicas, seed)
-    sites = range(2, 2 + dep.m_k + 1)
-    x = _summand_block(*arrays, 2, sites, k, enumerate_types(k))
-    y = x[:, 0]
-    w = x[:, 0] + 2.0 * x[:, 1:].sum(axis=1)
-    yc = y - y.mean()
-    wc = w - w.mean()
-    terms = yc * wc
-    value = float(terms.sum() / (replicas - 1))
-    se = float(terms.std(ddof=1) / math.sqrt(replicas))
-    return DkEstimate(value=value, standard_error=se, replicas=replicas, dependence=dep)
+    deps = [dependence_range(k, spec.symmetric).m_k for k in k_list]
+    m_star = max(deps)
+    arrays = sample_window_arrays(spec, 2, m_star + max(k_list) // 2 + 1, replicas, seed)
+    summands = [_summand_block(*arrays, 2, range(2, 3 + m_star), k, enumerate_types(k))
+                for k in k_list]
+
+    def centred(x, m):
+        y = x[:, 0]
+        w = y + 2.0 * x[:, 1:m + 1].sum(axis=1)
+        return y - y.mean(), w - w.mean()
+
+    value, se = np.empty((2, len(k_list), len(k_list)))
+    for i in range(len(k_list)):
+        for j in range(i, len(k_list)):
+            m = max(deps[i], deps[j])
+            y_i, w_i = centred(summands[i], m)
+            if i == j:   # (y w + y w) / 2 to the bit, for one product's work
+                t = y_i * w_i
+            else:
+                y_j, w_j = centred(summands[j], m)
+                t = (y_i * w_j + y_j * w_i) / 2
+            value[i, j] = value[j, i] = t.sum() / (replicas - 1)
+            se[i, j] = se[j, i] = t.std(ddof=1) / math.sqrt(replicas)
+    return value, se
+
+
+def dk_iid(spec: EnsembleSpec, k: int, replicas: int, seed) -> DkEstimate:
+    """Estimate ``D_k``, the limiting variance of the standardized trace for power k.
+
+    It is the one entry of :func:`_window_covariance` for ``(k,)``: the sample
+    variance of the first summand plus twice its summed lag covariances."""
+    value, se = _window_covariance(spec, (k,), replicas, seed)
+    return DkEstimate(value=float(value[0, 0]), standard_error=float(se[0, 0]),
+                      dependence=dependence_range(k, spec.symmetric))
 
 
 @dataclass(frozen=True)
@@ -404,34 +422,6 @@ def _symmetric_degenerate_entry(k_i, k_j, a, var_eta, var_zeta, alpha, epsilon) 
     return 0.0
 
 
-def _iid_mc_matrix(k_list, spec: EnsembleSpec, replicas: int, seed) -> np.ndarray:
-    _require_iid(spec)
-    if replicas < 2:
-        raise InvalidArgumentError("replicas must be >= 2")
-    deps = {k: dependence_range(k, spec.symmetric).m_k for k in k_list}
-    m_star = max(deps.values())
-    length = m_star + max(k_list) // 2 + 1
-    arrays = sample_window_arrays(spec, 2, length, replicas, seed)
-    sites = range(2, 2 + m_star + 1)
-    summands = {k: _summand_block(*arrays, 2, sites, k, enumerate_types(k)) for k in k_list}
-    centered = {k: x - x.mean(axis=0) for k, x in summands.items()}
-    r = replicas
-    out = np.empty((len(k_list), len(k_list)))
-    for i, k_i in enumerate(k_list):
-        for j, k_j in enumerate(k_list):
-            if j < i:
-                continue
-            m_ij = max(deps[k_i], deps[k_j])
-            xi = centered[k_i]
-            xj = centered[k_j]
-            total = float((xi[:, 0] * xj[:, 0]).sum() / (r - 1))
-            for h in range(1, m_ij + 1):
-                total += float((xi[:, 0] * xj[:, h]).sum() / (r - 1))
-                total += float((xi[:, h] * xj[:, 0]).sum() / (r - 1))
-            out[i, j] = out[j, i] = total
-    return out
-
-
 def covariance_target(k_list, regime: str, *, beta: float | None = None,
                       a: float | None = None, var_eta: float | None = None,
                       var_zeta: float | None = None, alpha: float | None = None,
@@ -462,7 +452,7 @@ def covariance_target(k_list, regime: str, *, beta: float | None = None,
         if spec is None or replicas is None:
             raise InvalidArgumentError("iid_mc regime requires spec and replicas")
         return CovarianceTarget(source="iid_window_formula",
-                                value=_iid_mc_matrix(k_list, spec, replicas, seed))
+                                value=_window_covariance(spec, k_list, replicas, seed)[0])
     raise InvalidArgumentError(f"unknown regime {regime!r}")
 
 

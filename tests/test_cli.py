@@ -215,15 +215,43 @@ class TestConfigHandling:
         assert run_cli(*argv) == 1
         assert capsys.readouterr().err == f"error: {argv[0]} does not read {unread}\n"
 
+    @pytest.mark.parametrize("argv, config_text, message", [
+        (["mdp", "--n", "64", "--n-list", "128"], None, "mdp: n and n_list exclude each other"),
+        (["mdp"], "[run]\nn = 64\n\n[mdp]\nn_list = 128\n",
+         "mdp: n and n_list exclude each other"),
+        (["trace", "--ensemble", "anderson", "--n", "10"], None,
+         "trace: input excludes an ensemble and n"),
+        (["trace", "--ensemble", "anderson"], None, "trace: input excludes an ensemble and n"),
+        (["trace", "--n", "10"], None, "trace: input excludes an ensemble and n"),
+    ], ids=["mdp-flags", "mdp-file", "trace-ensemble-and-n", "trace-ensemble", "trace-n"])
+    def test_settings_that_exclude_each_other_are_an_error(self, tmp_path, capsys, argv,
+                                                           config_text, message):
+        # the run read one of them (n_list, the file's matrix), yet the
+        # provenance block recorded them all
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("sub,diag,sup\n,1,2\n3,4,\n")
+        runs = {"mdp": ["--ensemble", "anderson", "--k", "1", "--nu", "0.5", "--trials", "1100"],
+                "trace": ["--input", str(matrix), "--k", "2"]}[argv[0]]
+        if config_text is not None:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text(config_text)
+            runs += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run_cli(*argv, *runs, "--output", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, bad", [
         (["mdp", "--tolerance", "nan"], "'nan'"),
         (["mdp", "--delta-list=nan"], "'nan'"),
         (["cov", "--tolerance", "-0.5"], "malformed value for tolerance: '-0.5'"),
         (["mdp", "--delta-list=-0.5,0.5"], "thresholds must be finite and >= 0"),
-    ], ids=["tolerance-nan", "delta-nan", "tolerance-negative", "delta-negative"])
+        (["mdp", "--delta-list", ","], "delta_list, when given, must be non-empty"),
+    ], ids=["tolerance-nan", "delta-nan", "tolerance-negative", "delta-negative", "delta-empty"])
     def test_malformed_gate_setting_is_an_error(self, tmp_path, capsys, argv, bad):
         # each once ran: a NaN tolerance turned the gate off, a NaN threshold
-        # predicted a NaN rate, and a negative one read as a failed gate (exit 2)
+        # predicted a NaN rate, a negative one read as a failed gate (exit 2),
+        # and an empty list compared no threshold and passed (exit 0)
         runs = {"cov": ["--k-list", "1,2"], "mdp": ["--k", "1", "--nu", "0.5"]}[argv[0]]
         out = tmp_path / "out"
         assert run_cli(*argv, *runs, "--ensemble", "anderson", "--n", "8", "--trials", "1100",

@@ -164,6 +164,13 @@ class TestMdpCheck:
         with pytest.raises(InvalidArgumentError, match="thresholds must be finite and >= 0"):
             mdp_check(EnsembleSpec.anderson(), 1, 0.5, [64], [delta, 0.5], 256, 5, workers=2)
 
+    def test_empty_threshold_list_is_an_error(self, monkeypatch):
+        # it once ran every trial and D_k, then returned no estimate at all,
+        # so a gate over the estimates compared nothing and passed
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the checks"))
+        with pytest.raises(InvalidArgumentError, match="when given, must be non-empty"):
+            mdp_check(EnsembleSpec.anderson(), 1, 0.5, [64], [], 2100, 5, workers=2)
+
     def test_unbounded_spec_rejected(self):
         spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
         with pytest.raises(InvalidArgumentError):

@@ -302,7 +302,7 @@ class TestMcTraces:
         assert time.monotonic() - start < 30
         self._assert_no_child_left()
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_lead_error_kills_and_reaps_children(self, monkeypatch, workers):
         def fail():
             raise InvalidArgumentError("lead failed")
@@ -323,7 +323,7 @@ class TestMcTraces:
         assert (lead, none) == ("led", None)
         assert raw.tobytes() == plain.tobytes()
 
-    @pytest.mark.parametrize("workers", [2, 3, 8])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_every_block_is_evaluated_exactly_once(self, monkeypatch, tmp_path, workers):
         # 11 blocks, the last short: every process appends the blocks it
         # evaluates to one log, in single writes that O_APPEND keeps whole
@@ -343,7 +343,7 @@ class TestMcTraces:
 
     def test_a_lost_block_is_an_error(self, monkeypatch):
         # a counter that writes back index + 2 hands out blocks 0 and 2 of the
-        # three, so block 1 reaches no process
+        # three, so block 1 reaches no process, with children or without
         def skipping_claims(counter, count):
             rfd, wfd = counter
             while True:
@@ -354,9 +354,11 @@ class TestMcTraces:
                 yield index
 
         monkeypatch.setattr(stats, "_claims", skipping_claims)
-        with pytest.raises(TriTraceError, match=r"never evaluated: 1 \(trials 1024\.\.2047\)$"):
-            self._run(2)
-        self._assert_no_child_left()
+        for workers in (1, 2):
+            with pytest.raises(TriTraceError,
+                               match=r"never evaluated: 1 \(trials 1024\.\.2047\)$"):
+                self._run(workers)
+            self._assert_no_child_left()
 
     def test_workers_need_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
@@ -584,6 +586,15 @@ class TestLambdaTarget:
                 call()
 
     def test_iid_mc_diagonal_matches_dk(self):
+        # one estimator: a one-power target is dk_iid's value, bit for bit
+        specs = [EnsembleSpec.anderson(), EnsembleSpec.hatano_nelson(),
+                 EnsembleSpec.generic_iid(EntryLaw.gaussian(0, 1), EntryLaw.rademacher(),
+                                          EntryLaw.bernoulli(0.3, -2.0, 5.0))]
+        for spec in specs:
+            for k in range(1, 6):
+                val = covariance_target((k,), "iid_mc", spec=spec, replicas=20_001,
+                                        seed=9).value[0, 0]
+                assert val == dk_iid(spec, k, 20_001, 9).value, (spec.model, k)
         spec = EnsembleSpec.anderson()
         val = covariance_target((3,), "iid_mc", spec=spec, replicas=200_000, seed=9).value[0, 0]
         assert val == pytest.approx(49.0, rel=0.05)
