@@ -15,7 +15,7 @@ from .circuits import (
     trace_power_direct,
     trace_power_expansion,
 )
-from .ensembles import EnsembleSpec, EntryLaw, EntryWindow, sample_matrix, sample_window
+from .ensembles import EnsembleSpec, EntryLaw, sample_matrix
 from .errors import (
     ConfigError,
     DegenerateRateError,
@@ -30,13 +30,11 @@ __all__ = [
     "TridiagonalMatrix",
     "EnsembleSpec",
     "EntryLaw",
-    "EntryWindow",
     "enumerate_types",
     "count_circuits_bruteforce",
     "trace_power_expansion",
     "trace_power_direct",
     "sample_matrix",
-    "sample_window",
     "TriTraceError",
     "InvalidArgumentError",
     "NumericOverflowError",

@@ -517,21 +517,21 @@ class RowTracer:
     """Traces of the powers ``k_list`` of ``n``-by-``n`` matrices given as rows.
 
     Calling it with the ``(rows, n-1)`` edge products ``ab = sub*sup`` and the
-    ``(rows, n)`` diagonals ``diag`` (of ``dtype``) gives the
-    ``(rows, len(k_list))`` traces, each power by its cheaper route.  Only
-    powers above 1 read ``ab``, so it may be None when every power is 1.
+    ``(rows, n)`` diagonals ``diag`` gives the ``(rows, len(k_list))`` float
+    traces, each power by its cheaper route.  Only powers above 1 read
+    ``ab``, so it may be None when every power is 1.
     Powers below :data:`BANDED_MIN_K` use the class expansion over all rows at
     once and share its power caches; higher powers go row by row through one
     :class:`_BandedPlan`, which the tracer keeps, so every call reuses its
     workspace and views.  Each value is bitwise the one a lone row would give.
     """
 
-    def __init__(self, n: int, k_list, dtype=float):
+    def __init__(self, n: int, k_list):
         self.k_list = [_checked_power(k, K_MAX) for k in k_list]
         self._high = [j for j, k in enumerate(self.k_list) if k >= BANDED_MIN_K]
         self._plan = None
         if self._high:
-            self._plan = _BandedPlan(n, [self.k_list[j] for j in self._high], dtype)
+            self._plan = _BandedPlan(n, [self.k_list[j] for j in self._high], float)
 
     def __call__(self, ab: np.ndarray, diag: np.ndarray) -> np.ndarray:
         k_list = self.k_list
@@ -551,8 +551,7 @@ class RowTracer:
 
 def traces_for_rows(ab: np.ndarray, diag: np.ndarray, k_list) -> np.ndarray:
     """:class:`RowTracer` traces of the matrices in the rows of ``ab`` and ``diag``."""
-    dtype = object if diag.dtype == object else float
-    return RowTracer(diag.shape[1], k_list, dtype)(ab, diag)
+    return RowTracer(diag.shape[1], k_list)(ab, diag)
 
 
 def traces_for_k_list(matrix: TridiagonalMatrix, k_list) -> np.ndarray:

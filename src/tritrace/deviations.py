@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import EnsembleSpec, EntryLaw
+from .ensembles import EnsembleSpec, EntryLaw, seed_int
 from .errors import DegenerateRateError, InvalidArgumentError
 from .stats import _check_trace_run, _raw_traces, _require_iid, center_and_scale, dk_iid
 # perfbench/layers.py times this module's calls by rebinding the names
@@ -108,6 +108,7 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
             raise InvalidArgumentError(
                 f"thresholds must be finite and >= 0, got delta_list={delta_list}")
     _check_trace_run(min(n_list), (k,), trials, workers)
+    master_seed = seed_int(master_seed)
 
     def estimate_dk():
         return dk_iid(spec, k, dk_replicas, master_seed)

@@ -10,13 +10,15 @@ per stream; a Monte Carlo chunk is one segment per trial.
 
 Index conventions follow the matrix layout: site ``i`` (1-based) owns the
 triple ``(a_{i-1}, d_i, b_i)`` of sub-, main- and super-diagonal entries,
-with ``a_0 = 0``.  One sampler draws the sites of windows and matrices, and
-it never draws an entry the left boundary fixes.  So an n-by-n realization
-is the first n sites of the window from site 1 with the same seed:
-``sample_matrix(spec, n, seed)`` equals
-``window_to_matrix(sample_window(spec, 1, L, seed), n)`` bit for bit for
-every ``L >= n``.  Only the birth-death kernel's matrix differs, in its last
-row: its reflecting right boundary sets ``a_{n-1} = 1`` and ``d_n = 0``.
+with ``a_0 = 0``.  A window is the slot arrays ``(a, d, b)`` of
+:func:`sample_window_arrays`.  One sampler draws the sites of windows and
+matrices, and it never draws an entry the left boundary fixes.  So an
+n-by-n realization is the first n sites of the window from site 1 with the
+same seed: with ``a, d, b = sample_window_arrays(spec, 1, L, 1, seed)``,
+``sample_matrix(spec, n, seed)`` has ``sub = a[0, 1:n]``, ``diag = d[0, :n]``
+and ``sup = b[0, :n-1]`` bit for bit for every ``L >= n``.  Only the
+birth-death kernel's matrix differs, in its last row: its reflecting right
+boundary sets ``a_{n-1} = 1`` and ``d_n = 0``.
 For coupled models the diagonal entry of the last site is built from the
 untruncated entry sequence (``d_n`` uses the sequence value ``b_n``, even
 though the matrix itself stores no ``b_n``).
@@ -233,37 +235,6 @@ def _signs(words: np.ndarray, out: np.ndarray) -> None:
     out -= 1.0
 
 
-@dataclass(frozen=True)
-class EntryWindow:
-    """A realized slice of the entry sequences covering a contiguous site range.
-
-    For ``t = 0 .. len-1`` and ``f = first_index``:
-    ``d[t] = d_{f+t}``, ``b[t] = b_{f+t}``, ``a[t] = a_{f+t-1}``
-    (site ``f+t`` owns the sub-diagonal entry ``a_{f+t-1}``).  When
-    ``first_index == 1`` the slot ``a[0]`` is exactly 0.
-    """
-
-    first_index: int
-    a: np.ndarray
-    d: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if self.first_index < 1:
-            raise InvalidArgumentError("first_index must be >= 1")
-        if not (len(self.a) == len(self.d) == len(self.b)):
-            raise InvalidArgumentError("window arrays must have equal length")
-        if self.first_index == 1 and len(self.a) and self.a[0] != 0.0:
-            raise InvalidArgumentError("a-slot for index 0 must be exactly 0")
-        for name in ("a", "d", "b"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.d.shape[0]
-
-
 def _positive(law: EntryLaw | None) -> bool:   # a symmetric spec has no b_law
     return law is None or (law.is_bounded and law.support[0] > 0)
 
@@ -455,15 +426,24 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 MAX_TRIALS = 1 << 32
 
 
+def seed_int(seed) -> int:
+    """An integer seed (a Python or numpy integer) as an int; anything else,
+    a bool or float included, is an :class:`InvalidArgumentError`."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        return int(seed)
+    raise InvalidArgumentError(f"seed must be an integer or a SeedSequence, got {seed!r}")
+
+
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(int(seed) & _MASK64)
+    return np.random.SeedSequence(seed_int(seed) & _MASK64)
 
 
 def trial_seed_sequence(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     """Keyed hash of (master_seed, trial_index); distinct trials never share a stream."""
-    return np.random.SeedSequence(int(master_seed) & _MASK64, spawn_key=(int(trial_index),))
+    return np.random.SeedSequence(seed_int(master_seed) & _MASK64,
+                                  spawn_key=(int(trial_index),))
 
 
 def _child(seed, i: int) -> np.random.SeedSequence:
@@ -501,7 +481,7 @@ def _trial_keys(master_seed: int, trials: range, count: int) -> np.ndarray:
     """
     if len(trials) and not 0 <= trials.start < trials.stop <= MAX_TRIALS:
         raise InvalidArgumentError(f"trial indices must lie in [0, 2**32), got {trials}")
-    pool = np.random.SeedSequence(int(master_seed) & _MASK64).pool[None, None, :]
+    pool = np.random.SeedSequence(seed_int(master_seed) & _MASK64).pool[None, None, :]
     const = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32
     spawn_words = (np.arange(trials.start, trials.stop, dtype=np.int64)
                    .astype(np.uint32)[:, None, None],
@@ -623,8 +603,10 @@ _DIAGONAL_SLOT = {"anderson": 0, "hatano_nelson": 1, "generic_iid": 1}
 def _sample_sites(spec: EnsembleSpec, first_index: int, length: int,
                   draw: _Draws) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slot arrays ``(a, d, b)``, each ``(draw.rows, length)``, of the sites
-    ``first_index .. first_index + length - 1`` in the layout of
-    :class:`EntryWindow`.  ``a`` and ``b`` may share memory.
+    ``first_index .. first_index + length - 1``.  ``a`` and ``b`` may share
+    memory.  With ``f = first_index``, column ``t`` holds site ``f+t``'s
+    triple: ``a[:, t] = a_{f+t-1}``, ``d[:, t] = d_{f+t}`` and
+    ``b[:, t] = b_{f+t}``; from ``f = 1`` the slot ``a[:, 0]`` is exactly 0.
 
     ``draw(slot, law, width, head)`` returns a ``(rows, width)`` array: the
     draws of ``law`` (an :class:`EntryLaw` or a function ``(rng, size)``)
@@ -790,8 +772,10 @@ def diagonal_sign_sums(spec: EnsembleSpec, n: int, master_seed: int, trials: ran
 
 def sample_window_arrays(spec: EnsembleSpec, first_index: int, length: int,
                          count: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` independent windows as (count, length) slot arrays (a, d, b);
-    ``a`` and ``b`` may share memory."""
+    """``count`` independent windows as (count, length) slot arrays (a, d, b)
+    in the layout of :func:`_sample_sites`; ``a`` and ``b`` may share memory.
+    From site 1 a one-row window heads ``sample_matrix`` (module docstring);
+    from later sites i.i.d.-type specs share its marginal law."""
     if length < 1:
         raise InvalidArgumentError("length must be >= 1")
     if first_index < 1:
@@ -799,22 +783,3 @@ def sample_window_arrays(spec: EnsembleSpec, first_index: int, length: int,
     if count < 1:
         raise InvalidArgumentError("count must be >= 1")
     return _sample_sites(spec, first_index, length, _window_draws(seed, count))
-
-
-def sample_window(spec: EnsembleSpec, first_index: int, length: int, seed) -> EntryWindow:
-    """Draw one window.  From ``first_index = 1`` its first n sites are the
-    draws of ``sample_matrix(spec, n, seed)``, bit for bit, which
-    :func:`window_to_matrix` recovers, except in the birth-death kernel's
-    reflected last row.  From later sites the marginal law matches the same
-    slice of ``sample_matrix`` for i.i.d.-type specs."""
-    a, d, b = sample_window_arrays(spec, first_index, length, 1, seed)
-    return EntryWindow(first_index=first_index, a=a[0], d=d[0], b=b[0])
-
-
-def window_to_matrix(window: EntryWindow, n: int) -> TridiagonalMatrix:
-    """Truncate a window starting at site 1 to the n-by-n matrix it induces."""
-    if window.first_index != 1:
-        raise InvalidArgumentError("window must start at site 1")
-    if len(window) < n:
-        raise InvalidArgumentError("window shorter than requested dimension")
-    return TridiagonalMatrix(sub=window.a[1:n], diag=window.d[:n], sup=window.b[:n - 1])

@@ -21,6 +21,7 @@ import numpy as np
 from .accumulate import compensated_sum
 from .circuits import (
     RowTracer,
+    TridiagonalMatrix,
     class_product,
     enumerate_types,
     slot_powers,
@@ -32,10 +33,9 @@ from .ensembles import (
     counts_diagonal_signs,
     diagonal_sign_sums,
     sample_matrix_chunks,
-    sample_window,
     sample_window_arrays,
+    seed_int,
     trial_seed_sequence,
-    window_to_matrix,
 )
 from .errors import DegenerateTargetError, InvalidArgumentError, TriTraceError
 
@@ -75,21 +75,18 @@ def dependence_range(k: int, symmetric: bool) -> DependenceRange:
 # Site summands
 
 
-def _summand_block(a: np.ndarray, d: np.ndarray, b: np.ndarray, first_index: int,
-                   sites: range, k: int, types) -> np.ndarray:
-    """Per-site summands over batched windows: (replicas, len(sites))."""
-    if not (isinstance(sites, range) and sites.step == 1 and len(sites)):
-        raise InvalidArgumentError("sites must be a non-empty range of consecutive indices")
-    base = sites[0] - first_index
-    width = len(sites)
-    if base < 0 or base + width - 1 + k // 2 > d.shape[1] - 1:
+def _summand_block(a: np.ndarray, d: np.ndarray, b: np.ndarray, start: int,
+                   width: int, k: int) -> np.ndarray:
+    """Summands ``X_k`` of the ``width`` sites from slot ``start`` of batched
+    windows (slot arrays of :func:`sample_window_arrays`): (replicas, width)."""
+    if start < 0 or start + width + k // 2 > d.shape[1]:
         raise InvalidArgumentError("window too short for requested site")
-    # ab[:, t] = a_{f+t} * b_{f+t}: the a-slot of site s holds a_{s-1};
-    # k=1's one class reads only the diagonal
+    # for windows from site f, ab[:, t] = a_{f+t} * b_{f+t} (the a-slot of
+    # site s holds a_{s-1}); k=1's one class reads only the diagonal
     pows = slot_powers(a[:, 1:] * b[:, :-1] if k > 1 else None, d)
     out = np.zeros((d.shape[0], width))
-    for t in types:
-        out += t.count * class_product(pows, t, base, width)
+    for t in enumerate_types(k):
+        out += t.count * class_product(pows, t, start, width)
     return out
 
 
@@ -276,6 +273,7 @@ def mc_traces(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
     """
     k_list = tuple(int(k) for k in k_list)
     _check_trace_run(n, k_list, trials, workers)
+    master_seed = seed_int(master_seed)
     exponents = growth_exponents(spec, k_list, alpha, epsilon)
     raw, _ = _raw_traces(spec, n, k_list, trials, master_seed, workers)
     return center_and_scale(spec, n, k_list, raw, exponents)
@@ -347,8 +345,7 @@ def _window_covariance(spec: EnsembleSpec, k_list, replicas: int,
     deps = [dependence_range(k, spec.symmetric).m_k for k in k_list]
     m_star = max(deps)
     arrays = sample_window_arrays(spec, 2, m_star + max(k_list) // 2 + 1, replicas, seed)
-    summands = [_summand_block(*arrays, 2, range(2, 3 + m_star), k, enumerate_types(k))
-                for k in k_list]
+    summands = [_summand_block(*arrays, 0, m_star + 1, k) for k in k_list]
 
     def centred(x, m):
         y = x[:, 0]
@@ -626,20 +623,19 @@ def boundary_gap_samples(spec: EnsembleSpec, n: int, k: int, trials: int,
                          master_seed: int) -> np.ndarray:
     """Signed gaps ``sum_i X_{k,i} - trace(Q^k)`` over seeded realizations.
 
-    Each trial samples one window long enough to cover every summand site
-    ``1 .. n`` and truncates its head to the matrix, so both sides use the
-    same realization of the entry sequences.
+    Each trial samples one window from site 1, long enough to cover every
+    summand site ``1 .. n``, and takes the matrix from its first n sites, so
+    both sides use the same realization of the entry sequences.
     """
     if not spec.window_matrix_consistent:
         raise InvalidArgumentError(
             "model has right-boundary cells; window truncation does not reproduce it")
     types = enumerate_types(k)
-    length = n + k // 2
     gaps = np.empty(trials)
     for t in range(trials):
-        window = sample_window(spec, 1, length, trial_seed_sequence(master_seed, t))
-        matrix = window_to_matrix(window, n)
-        x = _summand_block(window.a[None, :], window.d[None, :], window.b[None, :],
-                           1, range(1, n + 1), k, types)[0]
+        seed = trial_seed_sequence(master_seed, t)
+        a, d, b = sample_window_arrays(spec, 1, n + k // 2, 1, seed)
+        matrix = TridiagonalMatrix(sub=a[0, 1:n], diag=d[0, :n], sup=b[0, :n - 1])
+        x = _summand_block(a, d, b, 0, n, k)[0]
         gaps[t] = compensated_sum(x) - trace_power_expansion(matrix, k, types)
     return gaps

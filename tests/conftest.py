@@ -35,11 +35,12 @@ def naive_summand(types, a_by_index, d_by_index, b_by_index, i, k):
     return total
 
 
-def site_summand(window, i, k, types):
-    """The per-site summand ``X_{k,i}`` of one realized ``EntryWindow``, through
-    the batched kernel ``_summand_block`` at one replica and one site."""
-    a, d, b = (row[None, :] for row in (window.a, window.d, window.b))
-    return float(_summand_block(a, d, b, window.first_index, range(i, i + 1), k, types)[0, 0])
+def site_summand(a, d, b, first_index, i, k):
+    """The per-site summand ``X_{k,i}`` of one window's 1-d slot arrays from
+    site ``first_index`` (``a[t] = a_{f+t-1}``, ``d[t] = d_{f+t}``,
+    ``b[t] = b_{f+t}``), through the batched kernel ``_summand_block`` at one
+    replica and one site."""
+    return float(_summand_block(a[None, :], d[None, :], b[None, :], i - first_index, 1, k)[0, 0])
 
 
 def exhaustive_dk(k, m_k, d_atoms, ab_value=1.0):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tritrace
 from tritrace.cli import main
 from tritrace.ensembles import (
     EnsembleSpec,
     EntryLaw,
-    EntryWindow,
     _DIAGONAL_SLOT,
     _MODELS,
     _Draws,
@@ -17,10 +17,8 @@ from tritrace.ensembles import (
     _trial_keys,
     as_seed_sequence,
     sample_matrix,
-    sample_window,
     sample_window_arrays,
     trial_seed_sequence,
-    window_to_matrix,
 )
 from tritrace.errors import InvalidArgumentError
 
@@ -333,35 +331,36 @@ class TestSampleWindow:
                  EnsembleSpec.generic_iid(EntryLaw.uniform(0.5, 1.5), EntryLaw.rademacher(),
                                           symmetric=True)]
         for spec in specs:
-            w = sample_window(spec, 1, 5, 3)
-            assert w.a[0] == 0.0
+            a, _, _ = sample_window_arrays(spec, 1, 5, 1, 3)
+            assert a[0, 0] == 0.0
 
     def test_constant_generic_window(self):
         spec = EnsembleSpec.generic_iid(EntryLaw.constant(2.0), EntryLaw.constant(-1.0),
                                         EntryLaw.constant(3.0))
-        w = sample_window(spec, 4, 6, 0)
-        assert np.all(w.a == 2.0) and np.all(w.d == -1.0) and np.all(w.b == 3.0)
+        a, d, b = sample_window_arrays(spec, 4, 6, 1, 0)
+        assert np.all(a == 2.0) and np.all(d == -1.0) and np.all(b == 3.0)
 
     def test_window_determinism(self):
         spec = EnsembleSpec.birth_death_q()
-        w1 = sample_window(spec, 2, 8, 55)
-        w2 = sample_window(spec, 2, 8, 55)
-        for name in ("a", "d", "b"):
-            assert np.array_equal(getattr(w1, name), getattr(w2, name))
+        w1 = sample_window_arrays(spec, 2, 8, 1, 55)
+        w2 = sample_window_arrays(spec, 2, 8, 1, 55)
+        for x1, x2 in zip(w1, w2):
+            assert np.array_equal(x1, x2)
 
     def test_window_coupling_rules_hold(self):
-        q = sample_window(EnsembleSpec.birth_death_q(), 3, 10, 7)
-        assert np.array_equal(q.d, -(q.a + q.b))
+        a, d, b = sample_window_arrays(EnsembleSpec.birth_death_q(), 3, 10, 1, 7)
+        assert np.array_equal(d, -(a + b))
         for variant in ("v", "conductance"):
-            kern = sample_window(EnsembleSpec.birth_death_kernel(variant=variant), 2, 10, 7)
-            assert np.allclose(kern.a + kern.d + kern.b, 1.0, atol=1e-12)
+            spec = EnsembleSpec.birth_death_kernel(variant=variant)
+            a, d, b = sample_window_arrays(spec, 2, 10, 1, 7)
+            assert np.allclose(a + d + b, 1.0, atol=1e-12)
 
     def test_symmetric_window_shares_stream(self):
         spec = EnsembleSpec.generic_iid(EntryLaw.uniform(0.5, 1.5), EntryLaw.rademacher(),
                                         symmetric=True)
-        w = sample_window(spec, 2, 6, 19)
+        a, _, b = sample_window_arrays(spec, 2, 6, 1, 19)
         # b at site s equals a-slot of site s+1 (both are the same entry)
-        assert np.array_equal(w.b[:-1], w.a[1:])
+        assert np.array_equal(b[:, :-1], a[:, 1:])
 
     def test_beta_hermite_window_matches_matrix_law(self):
         # same absolute indices must carry the same chi-square scale
@@ -383,11 +382,9 @@ class TestSampleWindow:
 
     def test_window_validation(self):
         with pytest.raises(InvalidArgumentError):
-            sample_window(EnsembleSpec.anderson(), 0, 4, 1)
+            sample_window_arrays(EnsembleSpec.anderson(), 0, 4, 1, 1)
         with pytest.raises(InvalidArgumentError):
-            sample_window(EnsembleSpec.anderson(), 1, 0, 1)
-        with pytest.raises(InvalidArgumentError):
-            EntryWindow(first_index=1, a=np.ones(3), d=np.ones(3), b=np.ones(3))
+            sample_window_arrays(EnsembleSpec.anderson(), 1, 0, 1, 1)
 
     @pytest.mark.parametrize("name", [k for k, v in SPECS.items() if v.window_matrix_consistent])
     @pytest.mark.parametrize("n", [2, 3, 17, 400, 401])
@@ -395,9 +392,9 @@ class TestSampleWindow:
         spec = SPECS[name]
         for seed in (0, 5, trial_seed_sequence(7, 3)):
             m = sample_matrix(spec, n, seed)
-            w = window_to_matrix(sample_window(spec, 1, n + 3, seed), n)
-            for part in ("sub", "diag", "sup"):
-                assert getattr(w, part).tobytes() == getattr(m, part).tobytes(), part
+            a, d, b = sample_window_arrays(spec, 1, n + 3, 1, seed)
+            for part, head in (("sub", a[0, 1:n]), ("diag", d[0, :n]), ("sup", b[0, :n - 1])):
+                assert head.tobytes() == getattr(m, part).tobytes(), part
 
     @pytest.mark.parametrize("variant", ["v", "conductance"])
     @pytest.mark.parametrize("n", [2, 3, 17, 400])
@@ -405,23 +402,12 @@ class TestSampleWindow:
         spec = EnsembleSpec.birth_death_kernel(variant=variant)
         for seed in (0, 5):
             m = sample_matrix(spec, n, seed)
-            w = window_to_matrix(sample_window(spec, 1, n + 3, seed), n)
-            assert w.sup.tobytes() == m.sup.tobytes()
-            assert w.sub[:-1].tobytes() == m.sub[:-1].tobytes()
-            assert w.diag[:-1].tobytes() == m.diag[:-1].tobytes()
+            a, d, b = sample_window_arrays(spec, 1, n + 3, 1, seed)
+            assert b[0, :n - 1].tobytes() == m.sup.tobytes()
+            assert a[0, 1:n - 1].tobytes() == m.sub[:-1].tobytes()
+            assert d[0, :n - 1].tobytes() == m.diag[:-1].tobytes()
             # reflecting right boundary: a_{n-1} = 1 and b_n = 0 in the matrix only
             assert (m.sub[-1], m.diag[-1]) == (1.0, 0.0)
-
-    def test_window_to_matrix_roundtrip(self):
-        spec = EnsembleSpec.birth_death_q()
-        w = sample_window(spec, 1, 12, 77)
-        m = window_to_matrix(w, 8)
-        assert m.n == 8
-        assert np.array_equal(m.diag, w.d[:8])
-        assert np.array_equal(m.sub, w.a[1:8])
-        assert np.array_equal(m.sup, w.b[:7])
-        with pytest.raises(InvalidArgumentError):
-            window_to_matrix(sample_window(spec, 2, 12, 77), 8)
 
 
 # sha256 of sample_matrix(spec, 17, 20240611) and of the first_index=2
@@ -515,8 +501,8 @@ class TestSeeding:
         for part in ("sub", "diag", "sup"):
             assert np.array_equal(getattr(first, part), getattr(again, part))
             assert np.array_equal(getattr(first, part), getattr(fresh, part))
-        w1, w2 = sample_window(spec, 2, 6, ss), sample_window(spec, 2, 6, ss)
-        assert np.array_equal(w1.a, w2.a) and np.array_equal(w1.b, w2.b)
+        (a1, _, b1), (a2, _, b2) = (sample_window_arrays(spec, 2, 6, 1, ss) for _ in range(2))
+        assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
         assert ss.n_children_spawned == 0
 
     def test_negative_master_seed_accepted(self):
@@ -555,3 +541,8 @@ class TestSeeding:
         for trials in (range(2 ** 32, 2 ** 32 + 1), range(2 ** 32 - 1, 2 ** 32 + 1), range(-1, 2)):
             with pytest.raises(InvalidArgumentError, match="2\\*\\*32"):
                 _trial_keys(5, trials, 1)
+
+
+def test_every_export_resolves():
+    missing = [name for name in tritrace.__all__ if not hasattr(tritrace, name)]
+    assert not missing, f"tritrace.__all__ names what the package does not define: {missing}"

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import re
 import select
 import time
 
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import exhaustive_dk, naive_summand, site_summand
 from tritrace import stats
 from tritrace.circuits import (
+    TridiagonalMatrix,
     count_circuits_bruteforce,
     enumerate_types,
     trace_power_expansion,
@@ -19,15 +22,14 @@ from tritrace.circuits import (
 from tritrace.ensembles import (
     EnsembleSpec,
     EntryLaw,
-    EntryWindow,
     counts_diagonal_signs,
     diagonal_sign_sums,
     sample_matrix,
     sample_matrix_chunks,
-    sample_window,
+    sample_window_arrays,
     trial_seed_sequence,
-    window_to_matrix,
 )
+from tritrace.deviations import mdp_check
 from tritrace.errors import DegenerateTargetError, InvalidArgumentError, TriTraceError
 from tritrace.stats import (
     CovarianceTarget,
@@ -57,16 +59,16 @@ class TestDependenceRange:
 
 class TestSiteSummand:
     def test_all_ones_k3(self):
-        w = EntryWindow(first_index=2, a=np.ones(4), d=np.ones(4), b=np.ones(4))
-        assert site_summand(w, 2, 3, enumerate_types(3)) == pytest.approx(7.0)
+        ones = np.ones(4)
+        assert site_summand(ones, ones, ones, 2, 2, 3) == pytest.approx(7.0)
 
     def test_all_ones_k4(self):
-        w = EntryWindow(first_index=2, a=np.ones(5), d=np.ones(5), b=np.ones(5))
-        assert site_summand(w, 2, 4, enumerate_types(4)) == pytest.approx(19.0)
+        ones = np.ones(5)
+        assert site_summand(ones, ones, ones, 2, 2, 4) == pytest.approx(19.0)
 
     def test_k1_is_diagonal_entry(self):
-        w = EntryWindow(first_index=3, a=np.ones(3), d=np.array([4.0, 5.0, 6.0]), b=np.ones(3))
-        assert site_summand(w, 4, 1, enumerate_types(1)) == pytest.approx(5.0)
+        ones = np.ones(3)
+        assert site_summand(ones, np.array([4.0, 5.0, 6.0]), ones, 3, 4, 1) == pytest.approx(5.0)
 
     def test_k1_summands_form_no_edge_products(self):
         # k=1's one class reads only the diagonal, so edge products that
@@ -74,15 +76,15 @@ class TestSiteSummand:
         d = np.random.default_rng(3).normal(size=(4, 6))
         huge = np.full((4, 6), 1e200)
         with np.errstate(over="raise"):
-            x = stats._summand_block(huge, d, huge, 2, range(2, 7), 1, enumerate_types(1))
+            x = stats._summand_block(huge, d, huge, 0, 5, 1)
         assert x.tobytes() == d[:, :5].tobytes()
 
     def test_window_too_short(self):
-        w = EntryWindow(first_index=2, a=np.ones(2), d=np.ones(2), b=np.ones(2))
+        ones = np.ones(2)
         with pytest.raises(InvalidArgumentError):
-            site_summand(w, 3, 4, enumerate_types(4))
+            site_summand(ones, ones, ones, 2, 3, 4)
         with pytest.raises(InvalidArgumentError):
-            site_summand(w, 1, 2, enumerate_types(2))
+            site_summand(ones, ones, ones, 2, 1, 2)
 
     @given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1, max_value=6))
     @settings(max_examples=30)
@@ -92,13 +94,12 @@ class TestSiteSummand:
         a = rng.uniform(-1.5, 1.5, length)
         d = rng.uniform(-1.5, 1.5, length)
         b = rng.uniform(-1.5, 1.5, length)
-        w = EntryWindow(first_index=first, a=a, d=d, b=b)
         # the naive oracle indexes entries absolutely: a_i pairs with b_i
         a_map = {first - 1 + t: a[t] for t in range(length)}
         b_map = {first + t: b[t] for t in range(length)}
         d_map = {first + t: d[t] for t in range(length)}
         expected = naive_summand(count_circuits_bruteforce(k), a_map, d_map, b_map, first, k)
-        assert site_summand(w, first, k, enumerate_types(k)) == pytest.approx(expected, rel=1e-12)
+        assert site_summand(a, d, b, first, first, k) == pytest.approx(expected, rel=1e-12)
 
 
 # Every model and variant, with each of the five entry laws somewhere.
@@ -687,12 +688,12 @@ class TestBoundaryTerms:
         # here with the naive oracle from the same realized window
         types = count_circuits_bruteforce(k)
         n = 30
-        window = sample_window(spec, 1, n + k // 2, 123)
-        matrix = window_to_matrix(window, n)
-        # with first_index 1, window.a[t] holds the sub-diagonal entry a_t
-        a_map = {t: window.a[t] for t in range(len(window))}
-        d_map = {t + 1: window.d[t] for t in range(len(window))}
-        b_map = {t + 1: window.b[t] for t in range(len(window))}
+        a, d, b = (x[0] for x in sample_window_arrays(spec, 1, n + k // 2, 1, 123))
+        matrix = TridiagonalMatrix(sub=a[1:n], diag=d[:n], sup=b[:n - 1])
+        # with first_index 1, a[t] holds the sub-diagonal entry a_t
+        a_map = {t: a[t] for t in range(len(d))}
+        d_map = {t + 1: d[t] for t in range(len(d))}
+        b_map = {t + 1: b[t] for t in range(len(d))}
         tail = 0.0
         for (span, half_edges, loops), count in types.items():
             if span == 0:
@@ -704,7 +705,7 @@ class TestBoundaryTerms:
                 for j, e in enumerate(loops):
                     term *= d_map[i + j] ** e
                 tail += term
-        x = [site_summand(window, i, k, enumerate_types(k)) for i in range(1, n + 1)]
+        x = [site_summand(a, d, b, 1, i, k) for i in range(1, n + 1)]
         gap = math.fsum(x) - trace_power_expansion(matrix, k, enumerate_types(k))
         assert gap == pytest.approx(tail, rel=1e-9, abs=1e-9)
 
@@ -726,6 +727,24 @@ class TestBoundaryTerms:
             boundary_bound(EnsembleSpec.anderson(EntryLaw.gaussian(0, 1)), 3)
         with pytest.raises(InvalidArgumentError):
             boundary_gap_samples(EnsembleSpec.birth_death_kernel(), 50, 3, 4, 0)
+
+    # sha256 of boundary_gap_samples(spec, 64, k, 5, 99), taken under numpy 2.4.6
+    GAP_DIGESTS = {
+        "anderson": (EnsembleSpec.anderson(), 3,
+                     "62f66400457dd550c9d949923e95288c857d8482242056e2532f53832124d84e"),
+        "birth_death_q": (EnsembleSpec.birth_death_q(), 4,
+                          "4c779632e29bcb767a6cdab339674f7446a455f9c835203ab5f3de6e2fa12ae4"),
+        "hatano_nelson": (EnsembleSpec.hatano_nelson(), 8,
+                          "5b6c668b043e01cc078cf91925f0c0c553c1811d6f832f57ce4e3c42814dd933"),
+    }
+
+    @pytest.mark.parametrize("name", list(GAP_DIGESTS))
+    def test_gaps_are_pinned(self, name):
+        spec, k, want = self.GAP_DIGESTS[name]
+        gaps = boundary_gap_samples(spec, 64, k, 5, 99)
+        assert hashlib.sha256(gaps.tobytes()).hexdigest() == want, (
+            f"boundary gaps of {name} changed under numpy {np.__version__}; "
+            "the digests were taken under numpy 2.4.6")
 
 
 class TestDistributionalProperties:
@@ -769,3 +788,31 @@ class TestDistributionalProperties:
         assert abs(report.variance[0] - 1.0) < 0.05
         assert abs(report.skewness[0]) < 0.1
         assert abs(report.excess_kurtosis[0]) < 0.2
+
+
+ANDERSON = EnsembleSpec.anderson()
+SEEDED_CALLS = {
+    "sample_matrix": lambda seed: sample_matrix(ANDERSON, 4, seed),
+    "sample_window_arrays": lambda seed: sample_window_arrays(ANDERSON, 2, 4, 3, seed),
+    "dk_iid": lambda seed: dk_iid(ANDERSON, 1, 10, seed),
+    "covariance_target": lambda seed: covariance_target((1,), "iid_mc", spec=ANDERSON,
+                                                        replicas=10, seed=seed),
+    "mc_traces": lambda seed: mc_traces(ANDERSON, 4, (1,), 4, seed),
+    "mdp_check": lambda seed: mdp_check(ANDERSON, 1, 0.5, (4,), (1.0,), 4, seed,
+                                        dk_replicas=10),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, 2.0, True, "3"], ids=repr)
+@pytest.mark.parametrize("call", list(SEEDED_CALLS))
+def test_a_seed_that_is_not_an_integer_is_a_typed_error(call, seed):
+    with pytest.raises(InvalidArgumentError, match=re.escape(repr(seed))):
+        SEEDED_CALLS[call](seed)
+
+
+def test_numpy_integer_seeds_are_their_value():
+    for seed in (np.int64(5), np.uint32(5)):
+        np.testing.assert_array_equal(sample_matrix(ANDERSON, 4, seed).diag,
+                                      sample_matrix(ANDERSON, 4, 5).diag)
+        np.testing.assert_array_equal(mc_traces(ANDERSON, 4, (1,), 4, seed),
+                                      mc_traces(ANDERSON, 4, (1,), 4, 5))
