@@ -161,14 +161,18 @@ def _class_count(k: int, m: tuple[int, ...], loops: tuple[int, ...]) -> int:
     return count // m[0]
 
 
-def _checked_power(k, k_max: int) -> int:
-    """``k`` as a Python int, or :class:`InvalidArgumentError` unless it is an
-    integer in ``[1, k_max]``."""
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise InvalidArgumentError("k must be an integer")
-    if k < 1 or k > k_max:
-        raise InvalidArgumentError(f"k={k} outside [1, {k_max}]")
-    return int(k)
+def checked_int(name: str, value, least: int, most: int | None = None) -> int:
+    """``value`` as a Python int, or :class:`InvalidArgumentError` naming ``name``
+    unless it is an integer in ``[least, most]`` (``most`` None: no upper bound).
+    A numpy integer counts; a bool, float, string or None is an error."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    if most is None:
+        if value < least:
+            raise InvalidArgumentError(f"{name} must be >= {least}, got {value}")
+    elif not least <= value <= most:
+        raise InvalidArgumentError(f"{name}={value} outside [{least}, {most}]")
+    return int(value)
 
 
 def enumerate_types(k: int) -> tuple[CircuitType, ...]:
@@ -204,7 +208,7 @@ def enumerate_types(k: int) -> tuple[CircuitType, ...]:
         Sorted lexicographically by (span, half_edges, loops); two calls
         return identical sequences.
     """
-    k = _checked_power(k, K_MAX)
+    k = checked_int("k", k, 1, K_MAX)
     with _TYPE_LOCK:
         cached = _TYPE_TABLE.get(k)
     if cached is not None:
@@ -232,7 +236,7 @@ def count_circuits_bruteforce(k: int) -> dict[tuple, int]:
     shifted so its minimum vertex is 0 and binned by
     (span, half_edges, loops).
     """
-    k = _checked_power(k, BRUTEFORCE_K_MAX)
+    k = checked_int("k", k, 1, BRUTEFORCE_K_MAX)
     out: dict[tuple, int] = {}
     path = [0] * (k + 1)
 
@@ -320,11 +324,11 @@ def trace_power_expansion(matrix: TridiagonalMatrix, k: int, types) -> float:
     and class sums use compensated accumulation.  Exact-entry matrices
     (object dtype) are summed in exact integer arithmetic.
     """
+    if tuple(types) != enumerate_types(k):
+        raise InvalidArgumentError(f"types must be the full table of enumerate_types({k})")
     n = matrix.n
     if n < k // 2 + 1:
         raise InvalidArgumentError(f"dimension {n} too small for power {k}")
-    if not types or any(t.k != k for t in types):
-        raise InvalidArgumentError("type table does not match the requested power")
     with np.errstate(over="ignore", invalid="ignore"):
         pows = slot_powers(matrix.sub * matrix.sup, matrix.diag)
         totals = [t.count * compensated_sum(class_product(pows, t, 0, n - t.span))
@@ -468,8 +472,7 @@ def trace_power_direct(matrix: TridiagonalMatrix, k: int) -> float:
     checked against, so it shares no code with the Monte Carlo kernel
     (:class:`_BandedPlan`).
     """
-    if k < 1:
-        raise InvalidArgumentError("k must be >= 1")
+    k = checked_int("k", k, 1)
     n = matrix.n
     exact = matrix.is_exact
     if k == 1:
@@ -527,7 +530,7 @@ class RowTracer:
     """
 
     def __init__(self, n: int, k_list):
-        self.k_list = [_checked_power(k, K_MAX) for k in k_list]
+        self.k_list = [checked_int("k", k, 1, K_MAX) for k in k_list]
         self._high = [j for j, k in enumerate(self.k_list) if k >= BANDED_MIN_K]
         self._plan = None
         if self._high:

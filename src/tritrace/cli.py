@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .circuits import (
     TridiagonalMatrix,
+    checked_int,
     enumerate_types,
     trace_power_direct,
     trace_power_expansion,
@@ -336,7 +337,7 @@ def _first_given(config: RunConfig, what: str, *values):
 
 
 def _power(config: RunConfig) -> int:
-    return int(_first_given(config, "k", config.get("k")))
+    return _first_given(config, "k", config.get("k"))
 
 
 def _cmd_types(config: RunConfig) -> int:
@@ -488,9 +489,7 @@ def _cmd_cramer(config: RunConfig) -> int:
     if law.support is None:
         raise ConfigError("cramer: entry law must have compact support")
     lo, hi = law.support
-    points = config.get("points", 101)
-    if points < 1:
-        raise ConfigError(f"cramer: points must be >= 1, got {points}")
+    points = checked_int("cramer: points", config.get("points", 101), 1)
     grid = np.linspace(config.get("x_min", lo), config.get("x_max", hi), points)
     result = cramer_rate_k1(law, grid, t_max=config.get("t_max", 50.0))
     rows = [[_fmt(x), _fmt(i)] for x, i in zip(result.grid, result.rate)]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circuits import K_MAX, checked_int
 from .ensembles import EnsembleSpec, EntryLaw, seed_int
 from .errors import DegenerateRateError, InvalidArgumentError
 from .stats import _check_trace_run, _raw_traces, _require_iid, center_and_scale, dk_iid
@@ -91,14 +92,12 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
         raise InvalidArgumentError("deviation checks require a bounded spec")
     if not 0.0 < nu < 1.0:
         raise InvalidArgumentError("nu must lie in (0, 1)")
-    if k < 1:
-        raise InvalidArgumentError("k must be >= 1")
-    if dk_replicas < 2:
-        raise InvalidArgumentError("replicas must be >= 2")
+    k = checked_int("k", k, 1, K_MAX)
+    dk_replicas = checked_int("dk_replicas", dk_replicas, 2)
     _require_iid(spec)
-    n_list = tuple(n_list)
-    if not n_list or min(n_list) < 2:
-        raise InvalidArgumentError(f"matrix sizes must be >= 2, got n_list={n_list}")
+    n_list = tuple(checked_int("n", n, 2) for n in n_list)
+    if not n_list:
+        raise InvalidArgumentError("n_list must be non-empty")
     if delta_list is not None:
         delta_list = tuple(float(d) for d in delta_list)
         if not delta_list:
@@ -107,7 +106,7 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
         if not all(0.0 <= d < math.inf for d in delta_list):
             raise InvalidArgumentError(
                 f"thresholds must be finite and >= 0, got delta_list={delta_list}")
-    _check_trace_run(min(n_list), (k,), trials, workers)
+    _, _, trials, workers = _check_trace_run(min(n_list), (k,), trials, workers)
     master_seed = seed_int(master_seed)
 
     def estimate_dk():
@@ -140,9 +139,9 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
                 flags.append("empty-tail")
             else:
                 empirical = -lam * math.log(tail)
-            out.append(RateEstimate(n=int(n), nu=float(nu), delta=float(delta),
+            out.append(RateEstimate(n=n, nu=float(nu), delta=float(delta),
                                     tail_prob=tail, empirical_rate=empirical,
-                                    predicted_rate=predicted, trials=int(trials),
+                                    predicted_rate=predicted, trials=trials,
                                     flags=tuple(flags)))
     return out
 
@@ -169,10 +168,10 @@ def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, f
 def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = 50.0) -> CramerRate:
     """Rate function ``I(x) = sup_t (t x - log E exp(t d))`` for an i.i.d. sum.
 
-    ``entry_law`` must have compact support.  Outside the closed support
-    hull the rate is infinite (flagged, not an error).  If the supremum
-    pushes against ``t_max`` while the objective still climbs, a precision
-    warning is recorded.
+    ``entry_law`` must have compact support and the grid points must be finite.
+    Outside the closed support hull the rate is infinite (flagged, not an
+    error).  If the supremum pushes against ``t_max`` while the objective
+    still climbs, a precision warning is recorded.
     """
     if not entry_law.is_bounded:
         raise InvalidArgumentError("Cramér rate needs a compactly supported law")
@@ -184,6 +183,8 @@ def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = 50.0) -> CramerRa
         raise InvalidArgumentError(
             f"support [{lo:g}, {hi:g}] too wide for tilts up to t_max={t_max:g}")
     grid = np.asarray(x_grid, dtype=float)
+    if not np.isfinite(grid).all():
+        raise InvalidArgumentError("grid points must be finite")
     rate = np.empty_like(grid)
     warnings: list[str] = []
     slope_tol = 1e-7

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circuits import TridiagonalMatrix
+from .circuits import TridiagonalMatrix, checked_int
 from .errors import InvalidArgumentError
 
 KERNEL_VARIANTS = ("v", "conductance")
@@ -258,7 +258,8 @@ _UNIT = EntryLaw.uniform(0.5, 1.5)   # the default positive off-diagonal law
 _MODELS = {
     "anderson": _Model({"d_law": EntryLaw.rademacher()}, symmetric=True),
     "beta_hermite": _Model({"beta": None}, symmetric=True,
-                           checks=((lambda s: s.beta > 0, "beta_hermite requires beta > 0"),)),
+                           checks=((lambda s: 0 < s.beta < math.inf,
+                                    "beta_hermite requires a finite beta > 0"),)),
     "hatano_nelson": _Model(
         {"a_law": _UNIT, "d_law": EntryLaw.uniform(-1.0, 1.0), "b_law": _UNIT},
         checks=((lambda s: _positive(s.a_law) and _positive(s.b_law),
@@ -442,8 +443,8 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
 
 def trial_seed_sequence(master_seed: int, trial_index: int) -> np.random.SeedSequence:
     """Keyed hash of (master_seed, trial_index); distinct trials never share a stream."""
-    return np.random.SeedSequence(seed_int(master_seed) & _MASK64,
-                                  spawn_key=(int(trial_index),))
+    index = checked_int("trial_index", trial_index, 0, MAX_TRIALS - 1)
+    return np.random.SeedSequence(seed_int(master_seed) & _MASK64, spawn_key=(index,))
 
 
 def _child(seed, i: int) -> np.random.SeedSequence:
@@ -694,8 +695,7 @@ def sample_matrix(spec: EnsembleSpec, n: int, seed) -> TridiagonalMatrix:
     one segment per trial and keys from :func:`_trial_keys`, so comparing
     the two checks two segmentings and two key derivations, not two draw
     routes."""
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = checked_int("n", n, 2)
     sub, diag, sup = _matrix_rows(spec, n, _window_draws(seed, 1))
     return TridiagonalMatrix(sub=sub[0], diag=diag[0], sup=sup[0])
 
@@ -717,8 +717,7 @@ def sample_matrix_chunks(spec: EnsembleSpec, n: int, master_seed: int, trials: r
     :class:`TridiagonalMatrix`, and so do trial indices outside
     ``[0, 2**32)``.
     """
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = checked_int("n", n, 2)
     keys = _trial_keys(master_seed, trials, 3)
     draw = _Draws(rows)
     fixed_off = spec.model == "anderson"   # off-diagonals are _ANDERSON_OFF, a finite constant
@@ -754,8 +753,7 @@ def diagonal_sign_sums(spec: EnsembleSpec, n: int, master_seed: int, trials: ran
     an integer below 2**53, so it equals any exact or compensated sum of the
     row, bit for bit, and a zero sum is ``+0.0``.
     """
-    if n < 2:
-        raise InvalidArgumentError("n must be >= 2")
+    n = checked_int("n", n, 2)
     slot = _DIAGONAL_SLOT[spec.model]
     keys = _trial_keys(master_seed, trials, slot + 1)[:, slot]
     draw = _Draws(rows)
@@ -776,10 +774,7 @@ def sample_window_arrays(spec: EnsembleSpec, first_index: int, length: int,
     in the layout of :func:`_sample_sites`; ``a`` and ``b`` may share memory.
     From site 1 a one-row window heads ``sample_matrix`` (module docstring);
     from later sites i.i.d.-type specs share its marginal law."""
-    if length < 1:
-        raise InvalidArgumentError("length must be >= 1")
-    if first_index < 1:
-        raise InvalidArgumentError("first_index must be >= 1")
-    if count < 1:
-        raise InvalidArgumentError("count must be >= 1")
+    first_index = checked_int("first_index", first_index, 1)
+    length = checked_int("length", length, 1)
+    count = checked_int("count", count, 1)
     return _sample_sites(spec, first_index, length, _window_draws(seed, count))

@@ -14,14 +14,16 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .accumulate import compensated_sum
 from .circuits import (
+    K_MAX,
     RowTracer,
     TridiagonalMatrix,
+    checked_int,
     class_product,
     enumerate_types,
     slot_powers,
@@ -55,20 +57,14 @@ COVARIANCE_SOURCES = ("iid_window_formula", "symmetric_degenerate_formula",
 
 @dataclass(frozen=True)
 class DependenceRange:
-    """Index gap beyond which site summands for power ``k`` are independent."""
+    """Index gap ``m_k`` beyond which site summands of one power are independent."""
 
-    k: int
-    symmetric: bool
-    m_k: int = field(init=False)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidArgumentError("k must be >= 1")
-        object.__setattr__(self, "m_k", self.k // 2 + (1 if self.symmetric else 0))
+    m_k: int
 
 
 def dependence_range(k: int, symmetric: bool) -> DependenceRange:
-    return DependenceRange(k=k, symmetric=symmetric)
+    """``k // 2``, plus one for a symmetric spec."""
+    return DependenceRange(checked_int("k", k, 1) // 2 + (1 if symmetric else 0))
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +267,27 @@ def mc_traces(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
     form, otherwise at the across-trial empirical mean, then multiplied by
     ``n ** -(alpha*k + 1/2 - epsilon)``.
     """
-    k_list = tuple(int(k) for k in k_list)
-    _check_trace_run(n, k_list, trials, workers)
+    n, k_list, trials, workers = _check_trace_run(n, k_list, trials, workers)
     master_seed = seed_int(master_seed)
     exponents = growth_exponents(spec, k_list, alpha, epsilon)
     raw, _ = _raw_traces(spec, n, k_list, trials, master_seed, workers)
     return center_and_scale(spec, n, k_list, raw, exponents)
 
 
-def _check_trace_run(n: int, k_list: tuple[int, ...], trials: int, workers: int) -> None:
-    """Reject Monte Carlo arguments that :func:`_raw_traces` cannot run."""
-    if trials < 2:
-        raise InvalidArgumentError("trials must be >= 2")
-    if trials > MAX_TRIALS:
-        raise InvalidArgumentError("trials must be <= 2**32: trial indices are 32-bit spawn words")
+def _check_trace_run(n: int, k_list, trials: int, workers: int):
+    """``(n, k_list, trials, workers)`` as ints, or :class:`InvalidArgumentError` if
+    :func:`_raw_traces` cannot run them (trial indices are 32-bit spawn words)."""
+    k_list = tuple(checked_int("k", k, 1, K_MAX) for k in k_list)
     if not k_list:
         raise InvalidArgumentError("k_list must be non-empty")
+    n = checked_int("n", n, 2)
     if n < max(k_list) // 2 + 1:
         raise InvalidArgumentError("n too small for the largest requested power")
+    trials = checked_int("trials", trials, 2, MAX_TRIALS)
+    workers = checked_int("workers", workers, 1)
     if workers > 1 and not hasattr(os, "fork"):
         raise InvalidArgumentError("workers > 1 needs os.fork, which this platform lacks")
+    return n, k_list, trials, workers
 
 
 def center_and_scale(spec: EnsembleSpec, n: int, k_list, raw: np.ndarray,
@@ -339,8 +336,7 @@ def _window_covariance(spec: EnsembleSpec, k_list, replicas: int,
     lag-covariance sum as its mean.  Returns ``sum(t) / (replicas - 1)`` and
     ``std(t) / sqrt(replicas)``, each a matrix.
     """
-    if replicas < 2:
-        raise InvalidArgumentError("replicas must be >= 2")
+    replicas = checked_int("replicas", replicas, 2)
     _require_iid(spec)
     deps = [dependence_range(k, spec.symmetric).m_k for k in k_list]
     m_star = max(deps)
@@ -431,12 +427,12 @@ def covariance_target(k_list, regime: str, *, beta: float | None = None,
     ``var_eta``, ``var_zeta``, ``alpha``, ``epsilon``), or a windowed Monte
     Carlo for i.i.d.-type entries (``spec``, ``replicas``, ``seed``).
     """
-    k_list = tuple(int(k) for k in k_list)
-    if not k_list or min(k_list) < 1:
-        raise InvalidArgumentError("powers must be >= 1")
+    k_list = tuple(checked_int("k", k, 1) for k in k_list)
+    if not k_list:
+        raise InvalidArgumentError("k_list must be non-empty")
     if regime == "beta_hermite":
-        if beta is None or beta <= 0:
-            raise InvalidArgumentError("beta_hermite regime requires beta > 0")
+        if beta is None or not 0 < beta < math.inf:
+            raise InvalidArgumentError("beta_hermite regime requires a finite beta > 0")
         value = np.array([[_beta_hermite_entry(ki, kj, beta) for kj in k_list] for ki in k_list])
         return CovarianceTarget(source="beta_hermite_formula", value=value)
     if regime == "symmetric_degenerate":
@@ -560,7 +556,7 @@ def normality_report(samples: np.ndarray, targets: CovarianceTarget, *, k_list,
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[0] < 100:
         raise InvalidArgumentError("distributional statistics need at least 100 trials")
-    k_list = tuple(int(k) for k in k_list)
+    k_list = tuple(checked_int("k", k, 1) for k in k_list)
     trials, r = samples.shape
     if r != len(k_list) or targets.value.shape != (r, r):
         raise InvalidArgumentError("samples, k_list and targets have inconsistent shapes")
@@ -627,6 +623,8 @@ def boundary_gap_samples(spec: EnsembleSpec, n: int, k: int, trials: int,
     summand site ``1 .. n``, and takes the matrix from its first n sites, so
     both sides use the same realization of the entry sequences.
     """
+    n = checked_int("n", n, 1)
+    trials = checked_int("trials", trials, 0)
     if not spec.window_matrix_consistent:
         raise InvalidArgumentError(
             "model has right-boundary cells; window truncation does not reproduce it")

@@ -188,6 +188,10 @@ class TestTraceExpansion:
             trace_power_expansion(m, 3, enumerate_types(4))
         with pytest.raises(InvalidArgumentError):
             trace_power_expansion(m, 3, ())
+        # part of the right table once summed only its classes: 16.0, not 54.0
+        with pytest.raises(InvalidArgumentError, match="full table"):
+            trace_power_expansion(m, 4, enumerate_types(4)[:2])
+        assert trace_power_expansion(m, 4, list(enumerate_types(4))) == 54.0
 
     def test_overflow_reported(self):
         m = TridiagonalMatrix(sub=np.full(3, 1e300), diag=np.full(4, 1e300),

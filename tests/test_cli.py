@@ -307,9 +307,9 @@ class TestConfigHandling:
         (["trace", "--k", "0", "--ensemble", "anderson", "--n", "10"],
          "k=0 outside [1, 16]"),
         (["mdp", "--ensemble", "anderson", "--k", "0", "--n", "10", "--nu", "0.5",
-          "--trials", "30"], "k must be >= 1"),
+          "--trials", "30"], "k=0 outside [1, 16]"),
         (["mdp", "--ensemble", "anderson", "--k", "1", "--n", "0", "--nu", "0.5",
-          "--trials", "30"], "matrix sizes must be >= 2, got n_list=(0,)"),
+          "--trials", "30"], "n must be >= 2, got 0"),
         (["types"], "types: missing k"),
         (["mdp", "--ensemble", "anderson", "--k", "1", "--nu", "0.5", "--trials", "30"],
          "mdp: missing n or n_list"),

@@ -61,6 +61,12 @@ class TestCramerRate:
         assert math.isinf(result.rate[0]) and math.isinf(result.rate[2])
         assert np.isfinite(result.rate[1])
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_grid_points_must_be_finite(self, x):
+        # a NaN point once came back as a NaN rate
+        with pytest.raises(InvalidArgumentError, match="grid points must be finite"):
+            cramer_rate_k1(EntryLaw.rademacher(), [0.0, x])
+
     def test_unbounded_law_rejected(self):
         with pytest.raises(InvalidArgumentError):
             cramer_rate_k1(EntryLaw.gaussian(0, 1), [0.0])
@@ -151,7 +157,7 @@ class TestMdpCheck:
         anderson = EnsembleSpec.anderson()
         with pytest.raises(InvalidArgumentError, match="replicas must be >= 2"):
             mdp_check(anderson, 1, 0.5, [64], None, 2100, 5, workers=2, dk_replicas=1)
-        with pytest.raises(InvalidArgumentError, match="k must be >= 1"):
+        with pytest.raises(InvalidArgumentError, match=r"k=0 outside \[1, 16\]"):
             mdp_check(anderson, 0, 0.5, [64], None, 2100, 5, workers=2)
         with pytest.raises(InvalidArgumentError, match="n too small"):
             mdp_check(anderson, 8, 0.5, [64, 4], None, 2100, 5, workers=2)

@@ -179,6 +179,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgumentError):
             EnsembleSpec(model="beta_hermite", symmetric=True, beta=-1.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_beta_hermite_needs_a_finite_beta(self, beta):
+        # an infinite beta was once accepted and failed only when sampled
+        with pytest.raises(InvalidArgumentError, match="requires a finite beta > 0"):
+            EnsembleSpec.beta_hermite(beta)
+
     def test_bounded_follows_laws(self):
         gaussian = EntryLaw.gaussian(0, 1)
         assert EnsembleSpec.anderson().bounded

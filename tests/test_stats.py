@@ -192,7 +192,8 @@ class TestMcTraces:
             np.testing.assert_array_equal(diag[r], matrix.diag)
         with pytest.raises(InvalidArgumentError, match="2\\*\\*32"):
             next(sample_matrix_chunks(spec, 5, 9, range(2 ** 32 - 1, 2 ** 32 + 1), 4))
-        with pytest.raises(InvalidArgumentError, match="2\\*\\*32"):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"trials=4294967297 outside \[2, 4294967296\]"):
             mc_traces(spec, 5, (1,), 2 ** 32 + 1, 9)
 
     def test_non_finite_draw_is_an_error_on_both_paths(self):
@@ -569,6 +570,13 @@ class TestLambdaTarget:
         val = covariance_target((3,), "symmetric_degenerate", a=1.0, var_eta=0.3,
                                 var_zeta=0.9, alpha=0.5, epsilon=0.25).value[0, 0]
         assert val == 0.0
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_beta_hermite_regime_needs_a_finite_beta(self, beta):
+        # an infinite beta once gave a zero matrix, a NaN one a misleading
+        # "must be symmetric"
+        with pytest.raises(InvalidArgumentError, match="requires a finite beta > 0"):
+            covariance_target((2, 4), "beta_hermite", beta=beta)
 
     def test_parameter_validation(self):
         degenerate = dict(a=1.0, var_eta=1.0, var_zeta=1.0, alpha=0.5)
