@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .circuits import (
     CircuitType,
     TridiagonalMatrix,
-    count_circuits_bruteforce,
     enumerate_types,
     trace_power_direct,
     trace_power_expansion,
@@ -31,7 +30,6 @@ __all__ = [
     "EnsembleSpec",
     "EntryLaw",
     "enumerate_types",
-    "count_circuits_bruteforce",
     "trace_power_expansion",
     "trace_power_direct",
     "sample_matrix",

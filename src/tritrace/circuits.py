@@ -11,10 +11,9 @@ short sum of windowed entry products:
                  count * sum_i prod_j (sub_{i+j} sup_{i+j})^{edge_j}
                                * prod_j diag_{i+j}^{loop_j}
 
-This module builds the class tables from a closed form, provides a
-brute-force walk oracle for them, and evaluates traces both through the
-expansion and through banded matrix powering, two routes that are
-independent oracles for each other.  Monte Carlo traces take, for each
+This module builds the class tables from a closed form and evaluates
+traces both through the expansion and through banded matrix powering, two
+routes that are independent oracles for each other.  Monte Carlo traces take, for each
 power, whichever of the expansion and a separate half-power banded kernel
 is cheaper.
 """
@@ -33,7 +32,6 @@ from .accumulate import compensated_sum, compensated_sum_rows, fsum
 from .errors import InvalidArgumentError, TriTraceError
 
 K_MAX = 16
-BRUTEFORCE_K_MAX = 12
 DENSE_CHECK_MAX = 128
 # Smallest power that Monte Carlo traces evaluate by banded powering rather
 # than the class expansion: the smallest k at which the banded kernel was the
@@ -226,50 +224,6 @@ def enumerate_types(k: int) -> tuple[CircuitType, ...]:
     with _TYPE_LOCK:
         _TYPE_TABLE.setdefault(k, types)
     return types
-
-
-def count_circuits_bruteforce(k: int) -> dict[tuple, int]:
-    """Classify every closed step sequence of length k, one walk at a time.
-
-    Independent oracle for :func:`enumerate_types`: depth-first enumeration
-    of all step sequences in {-1, 0, +1}^k that return to the start, each
-    shifted so its minimum vertex is 0 and binned by
-    (span, half_edges, loops).
-    """
-    k = checked_int("k", k, 1, BRUTEFORCE_K_MAX)
-    out: dict[tuple, int] = {}
-    path = [0] * (k + 1)
-
-    def descend(t: int) -> None:
-        pos = path[t]
-        left = k - t
-        if left == 0:
-            if pos == 0:
-                key = _classify_path(path)
-                out[key] = out.get(key, 0) + 1
-            return
-        for step in (-1, 0, 1):
-            if abs(pos + step) <= left - 1:
-                path[t + 1] = pos + step
-                descend(t + 1)
-
-    descend(0)
-    return out
-
-
-def _classify_path(path: list[int]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    lo = min(path)
-    span = max(path) - lo
-    half = [0] * span
-    loops = [0] * (span + 1)
-    for t in range(len(path) - 1):
-        u = path[t] - lo
-        v = path[t + 1] - lo
-        if u == v:
-            loops[u] += 1
-        else:
-            half[min(u, v)] += 1
-    return span, tuple(c // 2 for c in half), tuple(loops)
 
 
 class _Powers(dict):

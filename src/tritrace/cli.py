@@ -8,8 +8,10 @@ the resolved configuration and the artifact version.  The worker count is
 deliberately excluded from the embedded configuration: scheduling never
 changes results, and output bytes must not depend on it.
 
-Exit status: 0 on success, 2 when a statistical acceptance threshold was
-exceeded, 1 on any error, usage errors included.
+Exit status: 0 on success, 2 when a statistical gate's verdict
+(``stats.ks_failures``, ``stats.covariance_failures``,
+``deviations.rate_failures``) or the trace command's route agreement failed,
+1 on any error, usage errors included.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -37,12 +39,15 @@ from .circuits import (
     trace_power_expansion,
     types_as_json_lines,
 )
-from .deviations import cramer_rate_k1, mdp_check
+from .deviations import RATE_TOLERANCE, RateEstimate, cramer_rate_k1, mdp_check, rate_failures
 from .ensembles import EnsembleSpec, EntryLaw, sample_matrix
 from .errors import ConfigError, TriTraceError
 from .stats import (
+    COV_TOLERANCE,
+    covariance_failures,
     covariance_target,
     growth_exponents,
+    ks_failures,
     mc_traces,
     normality_report,
     sample_covariance,
@@ -418,8 +423,7 @@ def _cmd_clt(config: RunConfig) -> int:
         "target": {"source": target.source, "value": target.value.tolist()},
     }
     _emit(config, write_json(config.get("output"), results, config))
-    exceeded = [k for k, d in zip(k_list, report.ks_distance)
-                if d > report.ks_critical_1pct]
+    exceeded = ks_failures(report)
     if exceeded:
         print(f"KS distance above 1% critical value for powers {exceeded}", file=sys.stderr)
         return 2
@@ -430,12 +434,8 @@ def _cmd_cov(config: RunConfig) -> int:
     k_list, samples = _samples(config)
     target = _clt_target(config)
     emp, se = sample_covariance(samples)
-    tol = config.get("tolerance", 0.10)
-    k_arr = np.array(k_list)
-    mixed = (k_arr[:, None] % 2) != (k_arr[None, :] % 2)
-    dev = np.abs(emp - target.value)
-    allowed = np.where(mixed, 4.0 * se, np.maximum(tol * np.abs(target.value), 4.0 * se))
-    ok = bool(np.all(dev <= allowed))
+    tol = config.get("tolerance", COV_TOLERANCE)
+    ok = not covariance_failures(k_list, emp, se, target.value, tol)
     results = {
         "k_list": list(k_list),
         "target": {"source": target.source, "value": target.value.tolist()},
@@ -465,16 +465,12 @@ def _cmd_mdp(config: RunConfig) -> int:
                           None if n is None else (n,))
     estimates = mdp_check(spec, k, nu, n_list, config.get("delta_list"), trials,
                           config.master_seed, workers=config.workers)
-    header = ["n", "nu", "delta", "tail_prob", "empirical_rate", "predicted_rate",
-              "trials", "flags"]
-    rows = [[_fmt(e.n), _fmt(e.nu), _fmt(e.delta), _fmt(e.tail_prob),
-             _fmt(e.empirical_rate), _fmt(e.predicted_rate), str(e.trials),
-             ";".join(e.flags)] for e in estimates]
+    header = [f.name for f in fields(RateEstimate)]   # one column per field, flags last
+    rows = [[getattr(e, name) for name in header[:-1]] + [";".join(e.flags)]
+            for e in estimates]
     _emit(config, write_csv(config.get("output"), header, rows, config))
-    tol = config.get("tolerance", 0.25)
-    bad = [e for e in estimates
-           if not e.flags and not math.isclose(e.predicted_rate, 0.0)
-           and abs(e.empirical_rate - e.predicted_rate) > tol * e.predicted_rate]
+    tol = config.get("tolerance", RATE_TOLERANCE)
+    bad = rate_failures(estimates, tol)
     if bad:
         print(f"{len(bad)} rate estimates deviate beyond {tol:.0%}", file=sys.stderr)
         return 2

@@ -6,6 +6,8 @@ estimates tail probabilities by direct Monte Carlo and compares the implied
 empirical rate with the prediction.  Direct tail counting is only feasible
 while ``n^nu * rate`` stays below roughly ``log(trials)``, so estimates with
 too few expected tail events are flagged rather than silently reported.
+:func:`rate_failures` is the moderate-deviation gate: it returns the
+unflagged estimates off their prediction, so an empty result is a pass.
 
 For k=1 the trace is a plain i.i.d. sum and the exact rate function is the
 Legendre transform of the log moment generating function; it is computed
@@ -30,6 +32,8 @@ from .stats import _check_trace_run, _raw_traces, _require_iid, center_and_scale
 from .stats import mc_traces  # noqa: F401
 
 MIN_EXPECTED_TAIL_COUNT = 50.0
+# relative allowance of the rate gate (:func:`rate_failures`)
+RATE_TOLERANCE = 0.25
 DEFAULT_RATE_TARGETS = (0.3, 0.5, 0.8, 1.2)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -144,6 +148,16 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
                                     predicted_rate=predicted, trials=trials,
                                     flags=tuple(flags)))
     return out
+
+
+def rate_failures(estimates, tolerance: float = RATE_TOLERANCE) -> list[RateEstimate]:
+    """The unflagged estimates with a non-zero prediction whose empirical rate
+    is off it by more than ``tolerance`` times the prediction; an empty list
+    passes the moderate-deviation gate.  A flagged estimate has too few tail
+    events to judge."""
+    return [e for e in estimates
+            if not e.flags and e.predicted_rate != 0
+            and abs(e.empirical_rate - e.predicted_rate) > tolerance * e.predicted_rate]
 
 
 def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:

@@ -385,23 +385,6 @@ class EnsembleSpec:
         """Default (alpha, epsilon) polynomial-growth exponents for scaling."""
         return (0.5, 0.5) if self.model == "beta_hermite" else (0.0, 0.0)
 
-    def entry_bounds(self) -> tuple[float, float]:
-        """(max |a_i b_i|, max |d_i|) over the support; requires a bounded spec."""
-        if not self.bounded:
-            raise InvalidArgumentError("entry bounds require a bounded spec")
-
-        def absmax(law: EntryLaw) -> float:
-            lo, hi = law.support
-            return max(abs(lo), abs(hi))
-
-        if self.model == "anderson":
-            return 1.0, absmax(self.d_law)
-        if self.model == "birth_death_kernel":
-            return 1.0, 1.0
-        am = absmax(self.a_law)
-        bm = absmax(self.b_law) if self.b_law is not None else am
-        return am * bm, (am + bm if self.model == "birth_death_q" else absmax(self.d_law))
-
     def describe(self) -> dict:
         """Flat, deterministic key/value form for provenance headers: the
         fields the model reads, laws as their text."""

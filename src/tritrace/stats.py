@@ -6,7 +6,10 @@ dimension, so centered traces fluctuate like sums of finite-range-dependent
 variables.  This module evaluates the summands, runs reproducible Monte
 Carlo over scaled centered traces, estimates the limiting variance and
 covariance targets, and reports moment / Kolmogorov-Smirnov diagnostics
-against the Gaussian limit.
+against the Gaussian limit.  Two of the acceptance gates sit here beside
+the numbers they judge: :func:`ks_failures` (Gaussian fluctuation) and
+:func:`covariance_failures` (limiting covariance); each returns what fails,
+so an empty result is a pass.
 """
 
 from __future__ import annotations
@@ -18,17 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accumulate import compensated_sum
-from .circuits import (
-    K_MAX,
-    RowTracer,
-    TridiagonalMatrix,
-    checked_int,
-    class_product,
-    enumerate_types,
-    slot_powers,
-    trace_power_expansion,
-)
+from .circuits import K_MAX, RowTracer, checked_int, class_product, enumerate_types, slot_powers
 from .ensembles import (
     MAX_TRIALS,
     EnsembleSpec,
@@ -37,7 +30,6 @@ from .ensembles import (
     sample_matrix_chunks,
     sample_window_arrays,
     seed_int,
-    trial_seed_sequence,
 )
 from .errors import DegenerateTargetError, InvalidArgumentError, TriTraceError
 
@@ -50,6 +42,9 @@ TRIAL_BLOCK = 1024
 # In a fresh beta-Hermite process, where page faults on newly grown heap
 # memory cost the most, it also beat 2^13 and 2^15.
 CHUNK_ENTRIES = 1 << 14
+
+# relative part of the covariance gate's allowance (:func:`covariance_failures`)
+COV_TOLERANCE = 0.10
 
 COVARIANCE_SOURCES = ("iid_window_formula", "symmetric_degenerate_formula",
                       "beta_hermite_formula")
@@ -336,6 +331,7 @@ def _window_covariance(spec: EnsembleSpec, k_list, replicas: int,
     lag-covariance sum as its mean.  Returns ``sum(t) / (replicas - 1)`` and
     ``std(t) / sqrt(replicas)``, each a matrix.
     """
+    k_list = tuple(checked_int("k", k, 1, K_MAX) for k in k_list)
     replicas = checked_int("replicas", replicas, 2)
     _require_iid(spec)
     deps = [dependence_range(k, spec.symmetric).m_k for k in k_list]
@@ -544,6 +540,22 @@ def sample_covariance(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cov, se
 
 
+def covariance_failures(k_list, empirical: np.ndarray, se: np.ndarray, target: np.ndarray,
+                        tolerance: float = COV_TOLERANCE) -> list[tuple[int, int]]:
+    """The ``(k_i, k_j)`` entries where ``|empirical - target|`` is not within
+    the allowance; an empty list passes the covariance gate.
+
+    The allowance is ``4 se``, ``se`` the empirical entry's standard error,
+    where the powers' parities differ, else ``max(tolerance |target|, 4 se)``.
+    A NaN deviation fails.
+    """
+    k_arr = np.array(k_list)
+    mixed = (k_arr[:, None] % 2) != (k_arr[None, :] % 2)
+    allowed = np.where(mixed, 4.0 * se, np.maximum(tolerance * np.abs(target), 4.0 * se))
+    within = np.abs(empirical - target) <= allowed
+    return [(k_list[i], k_list[j]) for i, j in zip(*np.nonzero(~within))]
+
+
 def normality_report(samples: np.ndarray, targets: CovarianceTarget, *, k_list,
                      n: int, scaling_exponents) -> MomentReport:
     """Moment and KS diagnostics of trace samples against Gaussian targets.
@@ -557,6 +569,7 @@ def normality_report(samples: np.ndarray, targets: CovarianceTarget, *, k_list,
     if samples.shape[0] < 100:
         raise InvalidArgumentError("distributional statistics need at least 100 trials")
     k_list = tuple(checked_int("k", k, 1) for k in k_list)
+    n = checked_int("n", n, 2)
     trials, r = samples.shape
     if r != len(k_list) or targets.value.shape != (r, r):
         raise InvalidArgumentError("samples, k_list and targets have inconsistent shapes")
@@ -600,40 +613,8 @@ def normality_report(samples: np.ndarray, targets: CovarianceTarget, *, k_list,
         })
 
 
-# ---------------------------------------------------------------------------
-# Boundary terms
+def ks_failures(report: MomentReport) -> list[int]:
+    """The powers whose KS distance exceeds the report's 1% critical value;
+    an empty list passes the Gaussian-fluctuation gate."""
+    return [k for k, d in zip(report.k_list, report.ks_distance) if d > report.ks_critical_1pct]
 
-
-def boundary_bound(spec: EnsembleSpec, k: int) -> float:
-    """Deterministic bound on |sum of site summands - trace|, uniform in n."""
-    ab_max, d_max = spec.entry_bounds()
-    total = 0.0
-    for t in enumerate_types(k):
-        if t.span == 0:
-            continue
-        total += t.count * t.span * ab_max ** sum(t.half_edges) * d_max ** sum(t.loops)
-    return total
-
-
-def boundary_gap_samples(spec: EnsembleSpec, n: int, k: int, trials: int,
-                         master_seed: int) -> np.ndarray:
-    """Signed gaps ``sum_i X_{k,i} - trace(Q^k)`` over seeded realizations.
-
-    Each trial samples one window from site 1, long enough to cover every
-    summand site ``1 .. n``, and takes the matrix from its first n sites, so
-    both sides use the same realization of the entry sequences.
-    """
-    n = checked_int("n", n, 1)
-    trials = checked_int("trials", trials, 0)
-    if not spec.window_matrix_consistent:
-        raise InvalidArgumentError(
-            "model has right-boundary cells; window truncation does not reproduce it")
-    types = enumerate_types(k)
-    gaps = np.empty(trials)
-    for t in range(trials):
-        seed = trial_seed_sequence(master_seed, t)
-        a, d, b = sample_window_arrays(spec, 1, n + k // 2, 1, seed)
-        matrix = TridiagonalMatrix(sub=a[0, 1:n], diag=d[0, :n], sup=b[0, :n - 1])
-        x = _summand_block(a, d, b, 0, n, k)[0]
-        gaps[t] = compensated_sum(x) - trace_power_expansion(matrix, k, types)
-    return gaps

@@ -4,7 +4,10 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from tritrace.circuits import count_circuits_bruteforce
+from tritrace.accumulate import compensated_sum
+from tritrace.circuits import TridiagonalMatrix, checked_int, enumerate_types, trace_power_expansion
+from tritrace.ensembles import EntryLaw, sample_window_arrays, trial_seed_sequence
+from tritrace.errors import InvalidArgumentError
 from tritrace.stats import _summand_block
 
 settings.register_profile(
@@ -20,6 +23,52 @@ settings.load_profile("tritrace")
 # Independent oracles shared by several test modules.  These deliberately use
 # the brute-force walk classifier and plain Python arithmetic so they share no
 # evaluation path with the vectorized kernels they check.
+
+BRUTEFORCE_K_MAX = 12
+
+
+def count_circuits_bruteforce(k: int) -> dict[tuple, int]:
+    """Classify every closed step sequence of length k, one walk at a time.
+
+    Independent oracle for :func:`enumerate_types`: depth-first enumeration
+    of all step sequences in {-1, 0, +1}^k that return to the start, each
+    shifted so its minimum vertex is 0 and binned by
+    (span, half_edges, loops).
+    """
+    k = checked_int("k", k, 1, BRUTEFORCE_K_MAX)
+    out: dict[tuple, int] = {}
+    path = [0] * (k + 1)
+
+    def descend(t: int) -> None:
+        pos = path[t]
+        left = k - t
+        if left == 0:
+            if pos == 0:
+                key = _classify_path(path)
+                out[key] = out.get(key, 0) + 1
+            return
+        for step in (-1, 0, 1):
+            if abs(pos + step) <= left - 1:
+                path[t + 1] = pos + step
+                descend(t + 1)
+
+    descend(0)
+    return out
+
+
+def _classify_path(path: list[int]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    lo = min(path)
+    span = max(path) - lo
+    half = [0] * span
+    loops = [0] * (span + 1)
+    for t in range(len(path) - 1):
+        u = path[t] - lo
+        v = path[t + 1] - lo
+        if u == v:
+            loops[u] += 1
+        else:
+            half[min(u, v)] += 1
+    return span, tuple(c // 2 for c in half), tuple(loops)
 
 
 def naive_summand(types, a_by_index, d_by_index, b_by_index, i, k):
@@ -153,3 +202,60 @@ def log_mgf_quadrature(law, t, nodes=96):
     vals = t * x
     shift = float(np.max(vals))
     return shift + math.log(float(np.sum(w / (hi - lo) * np.exp(vals - shift))))
+
+
+# ---------------------------------------------------------------------------
+# Boundary terms: the trace differs from the sum of site summands by an O(1)
+# right-boundary correction; these bound it and sample it.
+
+
+def entry_bounds(spec) -> tuple[float, float]:
+    """(max |a_i b_i|, max |d_i|) over the support; requires a bounded spec."""
+    if not spec.bounded:
+        raise InvalidArgumentError("entry bounds require a bounded spec")
+
+    def absmax(law: EntryLaw) -> float:
+        lo, hi = law.support
+        return max(abs(lo), abs(hi))
+
+    if spec.model == "anderson":
+        return 1.0, absmax(spec.d_law)
+    if spec.model == "birth_death_kernel":
+        return 1.0, 1.0
+    am = absmax(spec.a_law)
+    bm = absmax(spec.b_law) if spec.b_law is not None else am
+    return am * bm, (am + bm if spec.model == "birth_death_q" else absmax(spec.d_law))
+
+
+def boundary_bound(spec, k: int) -> float:
+    """Deterministic bound on |sum of site summands - trace|, uniform in n."""
+    ab_max, d_max = entry_bounds(spec)
+    total = 0.0
+    for t in enumerate_types(k):
+        if t.span == 0:
+            continue
+        total += t.count * t.span * ab_max ** sum(t.half_edges) * d_max ** sum(t.loops)
+    return total
+
+
+def boundary_gap_samples(spec, n: int, k: int, trials: int, master_seed: int) -> np.ndarray:
+    """Signed gaps ``sum_i X_{k,i} - trace(Q^k)`` over seeded realizations.
+
+    Each trial samples one window from site 1, long enough to cover every
+    summand site ``1 .. n``, and takes the matrix from its first n sites, so
+    both sides use the same realization of the entry sequences.
+    """
+    n = checked_int("n", n, 1)
+    trials = checked_int("trials", trials, 0)
+    if not spec.window_matrix_consistent:
+        raise InvalidArgumentError(
+            "model has right-boundary cells; window truncation does not reproduce it")
+    types = enumerate_types(k)
+    gaps = np.empty(trials)
+    for t in range(trials):
+        seed = trial_seed_sequence(master_seed, t)
+        a, d, b = sample_window_arrays(spec, 1, n + k // 2, 1, seed)
+        matrix = TridiagonalMatrix(sub=a[0, 1:n], diag=d[0, :n], sup=b[0, :n - 1])
+        x = _summand_block(a, d, b, 0, n, k)[0]
+        gaps[t] = compensated_sum(x) - trace_power_expansion(matrix, k, types)
+    return gaps

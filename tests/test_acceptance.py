@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import exhaustive_dk
+from conftest import boundary_bound, boundary_gap_samples, count_circuits_bruteforce, exhaustive_dk
 from tritrace import circuits
 from tritrace.circuits import (
     TridiagonalMatrix,
-    count_circuits_bruteforce,
     enumerate_types,
     trace_power_direct,
     trace_power_expansion,
@@ -28,8 +27,6 @@ from tritrace.cli import main as cli_main
 from tritrace.deviations import cramer_rate_k1, mdp_check
 from tritrace.ensembles import EnsembleSpec, EntryLaw
 from tritrace.stats import (
-    boundary_bound,
-    boundary_gap_samples,
     covariance_target,
     dk_iid,
     ks_distance_to_normal,

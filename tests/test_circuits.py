@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import central_trinomial, walk_class_counts
+from conftest import central_trinomial, count_circuits_bruteforce, walk_class_counts
 from tritrace import circuits
 from tritrace.accumulate import compensated_sum, compensated_sum_rows
 from tritrace.circuits import (
     BANDED_MIN_K,
     CircuitType,
     TridiagonalMatrix,
-    count_circuits_bruteforce,
     enumerate_types,
     trace_power_direct,
     trace_power_expansion,

@@ -498,6 +498,29 @@ class TestStatisticalExitCodes:
         assert code == 2
         assert "KS distance" in capsys.readouterr().err
 
+    def test_cov_deviation_exits_2(self, tmp_path, capsys):
+        # the same wrong scaling shrinks the empirical covariance far below
+        # the target, beyond every entry's allowance
+        path = tmp_path / "cov.json"
+        code = run_cli("cov", "--ensemble", "anderson", "--d-law", "gaussian(0,1)",
+                       "--k-list", "1,2", "--n", "128", "--trials", "512",
+                       "--alpha", "0.5", "--epsilon", "0", "--replicas", "2000",
+                       "--seed", "2", "--output", str(path))
+        assert code == 2
+        assert "covariance deviates beyond tolerance" in capsys.readouterr().err
+        results = json.loads(path.read_text())["results"]
+        assert results["tolerance"] == 0.10
+        assert results["within_tolerance"] is False
+
+    def test_mdp_rate_deviation_exits_2(self, tmp_path, capsys):
+        # a zero tolerance fails every unflagged estimate that misses its prediction
+        path = tmp_path / "mdp.csv"
+        code = run_cli("mdp", "--ensemble", "anderson", "--k", "1", "--nu", "0.5",
+                       "--n-list", "100", "--trials", "4096", "--tolerance", "0",
+                       "--seed", "3", "--output", str(path))
+        assert code == 2
+        assert "1 rate estimates deviate beyond 0%" in capsys.readouterr().err
+
     def test_clt_keeps_a_lone_alpha(self, tmp_path):
         # epsilon alone falls back to the model default (0 for Anderson)
         path = tmp_path / "clt.json"

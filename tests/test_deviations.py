@@ -4,17 +4,18 @@ import os
 import numpy as np
 import pytest
 
-from conftest import log_mgf_quadrature
+from conftest import boundary_bound, boundary_gap_samples, log_mgf_quadrature
 from tritrace.deviations import (
+    RATE_TOLERANCE,
     RateEstimate,
     _golden_max,
     cramer_rate_k1,
     derive_delta_list,
     mdp_check,
+    rate_failures,
 )
 from tritrace.ensembles import EnsembleSpec, EntryLaw
 from tritrace.errors import DegenerateRateError, InvalidArgumentError
-from tritrace.stats import boundary_bound, boundary_gap_samples
 
 
 def rademacher_rate(x):
@@ -224,6 +225,43 @@ class TestMdpCheck:
         with pytest.raises(InvalidArgumentError):
             RateEstimate(n=10, nu=0.5, delta=1.0, tail_prob=0.5, empirical_rate=-1.0,
                          predicted_rate=0.5, trials=10)
+
+
+def spelled_rate_failures(estimates, tolerance):
+    """The rate rule row by row: judge only unflagged rows with a non-zero
+    prediction, and fail those more than ``tolerance`` of it away."""
+    return [e for e in estimates
+            if not e.flags and not math.isclose(e.predicted_rate, 0.0)
+            and abs(e.empirical_rate - e.predicted_rate) > tolerance * e.predicted_rate]
+
+
+def rate_row(empirical, predicted=0.5, flags=(), tail_prob=0.1):
+    return RateEstimate(n=100, nu=0.5, delta=1.0, tail_prob=tail_prob,
+                        empirical_rate=empirical, predicted_rate=predicted, trials=4096,
+                        flags=flags)
+
+
+class TestRateVerdict:
+    ROWS = (
+        rate_row(0.625),                        # 25% above: passes
+        rate_row(0.375),                        # 25% below: passes
+        rate_row(np.nextafter(0.625, 1.0)),     # just past 25%: fails
+        rate_row(0.640625),                     # 28.125% off: fails
+        rate_row(2.0, flags=("low-count",)),    # flagged: skipped
+        rate_row(math.inf, flags=("low-count", "empty-tail"), tail_prob=0.0),
+        rate_row(0.3, predicted=0.0),           # nothing predicted: skipped
+    )
+
+    def test_rule_matches_its_formula(self):
+        assert RATE_TOLERANCE == 0.25
+        got = rate_failures(self.ROWS)
+        assert got == spelled_rate_failures(self.ROWS, 0.25) == [self.ROWS[2], self.ROWS[3]]
+
+    def test_tolerance_is_an_argument(self):
+        got = rate_failures(self.ROWS, tolerance=0.0)
+        assert got == spelled_rate_failures(self.ROWS, 0.0) == list(self.ROWS[:4])
+        got = rate_failures(self.ROWS, tolerance=0.3)
+        assert got == spelled_rate_failures(self.ROWS, 0.3) == []
 
 
 class TestExponentialEquivalence:

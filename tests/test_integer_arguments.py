@@ -9,10 +9,11 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import boundary_gap_samples, count_circuits_bruteforce
+from tritrace import stats
 from tritrace.circuits import (
     RowTracer,
     TridiagonalMatrix,
-    count_circuits_bruteforce,
     enumerate_types,
     trace_power_direct,
     trace_power_expansion,
@@ -28,7 +29,6 @@ from tritrace.ensembles import (
 )
 from tritrace.errors import InvalidArgumentError
 from tritrace.stats import (
-    boundary_gap_samples,
     covariance_target,
     dependence_range,
     dk_iid,
@@ -78,6 +78,9 @@ ENTRY_POINTS = [
     ("normality_report",
      lambda v: normality_report(SAMPLES, TARGET, k_list=(1, v), n=10,
                                 scaling_exponents=(0.5, 1.0)).to_json_dict(), "k", 2, 0),
+    ("normality_report-n",
+     lambda v: normality_report(SAMPLES, TARGET, k_list=(1, 2), n=v,
+                                scaling_exponents=(0.5, 1.0)).to_json_dict(), "n", 10, 1),
     ("boundary_gap_samples-n", lambda v: boundary_gap_samples(HATANO, v, 2, 3, 1), "n", 10, 0),
     ("boundary_gap_samples-k", lambda v: boundary_gap_samples(HATANO, 10, v, 3, 1), "k", 2, 17),
     ("boundary_gap_samples-trials", lambda v: boundary_gap_samples(HATANO, 10, 2, v, 1),
@@ -125,3 +128,25 @@ def test_powers_are_read_before_any_fork(monkeypatch, run, k):
         else:
             mdp_check(ANDERSON, k, 0.5, [64], [0.5], 2100, 5, workers=2)
     assert forks == []
+
+
+@pytest.mark.parametrize("run", ["dk_iid", "covariance_target"])
+def test_window_powers_are_read_before_any_draw(monkeypatch, run):
+    draws = []
+    sample = stats.sample_window_arrays
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(stats, "sample_window_arrays", counted)
+    with pytest.raises(InvalidArgumentError, match="^k=17 "):
+        if run == "dk_iid":
+            dk_iid(ANDERSON, 17, 200_000, 1)
+        else:
+            covariance_target((1, 17), "iid_mc", spec=ANDERSON, replicas=200_000, seed=1)
+    assert draws == []
+    dk_iid(ANDERSON, 1, 1000, 1)   # the counter sees the draws a valid power makes
+    assert len(draws) == 1
+    # the closed forms hold at every power
+    assert covariance_target((1, 17), "beta_hermite", beta=2.0).value.shape == (2, 2)

@@ -9,11 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import exhaustive_dk, naive_summand, site_summand
+from conftest import (
+    boundary_bound,
+    boundary_gap_samples,
+    count_circuits_bruteforce,
+    exhaustive_dk,
+    naive_summand,
+    site_summand,
+)
 from tritrace import stats
 from tritrace.circuits import (
     TridiagonalMatrix,
-    count_circuits_bruteforce,
     enumerate_types,
     trace_power_expansion,
     traces_for_k_list,
@@ -32,14 +38,16 @@ from tritrace.ensembles import (
 from tritrace.deviations import mdp_check
 from tritrace.errors import DegenerateTargetError, InvalidArgumentError, TriTraceError
 from tritrace.stats import (
+    COV_TOLERANCE,
     CovarianceTarget,
-    boundary_bound,
-    boundary_gap_samples,
+    MomentReport,
+    covariance_failures,
     covariance_target,
     dependence_range,
     dk_iid,
     exact_trace_mean,
     ks_distance_to_normal,
+    ks_failures,
     mc_traces,
     normality_report,
 )
@@ -683,6 +691,76 @@ class TestNormalityReport:
         rng = np.random.default_rng(1)
         z = rng.standard_normal(5000) + 1.0
         assert ks_distance_to_normal(z) > 0.3
+
+
+def ks_report(ks_distance, critical):
+    """A report whose only gate inputs are ``ks_distance`` over powers 1, 2, ..."""
+    r = len(ks_distance)
+    return MomentReport(k_list=tuple(range(1, r + 1)), trials=100, n=10,
+                        scaling_exponents=(0.5,) * r, mean=(0.0,) * r, variance=(1.0,) * r,
+                        covariance=np.eye(r), skewness=(0.0,) * r,
+                        excess_kurtosis=(0.0,) * r, ks_distance=tuple(ks_distance),
+                        ks_critical_1pct=critical, mc_standard_errors={})
+
+
+def spelled_covariance_failures(k_list, empirical, se, target, tolerance):
+    """The covariance rule entry by entry: 4 SE where the powers' parities
+    differ, else the larger of 10% of the target and 4 SE."""
+    out = []
+    for i, k_i in enumerate(k_list):
+        for j, k_j in enumerate(k_list):
+            if k_i % 2 != k_j % 2:
+                allowed = 4 * se[i][j]
+            else:
+                allowed = max(tolerance * abs(target[i][j]), 4 * se[i][j])
+            if not abs(empirical[i][j] - target[i][j]) <= allowed:
+                out.append((k_i, k_j))
+    return out
+
+
+class TestGateVerdicts:
+    # powers 2, 4, 1: entry (2, 2) sits at its 10% allowance, (2, 4) inside
+    # 10% but outside 4 SE, (2, 1) at that distance across parities, (4, 4)
+    # at its 4 SE allowance, (4, 1) at 4 SE across parities
+    K_LIST = (2, 4, 1)
+    TARGET = np.array([[10.0, 1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
+    EMPIRICAL = np.array([[11.0, 1.08, 1.08], [1.08, 3.0, 1.0], [1.08, 1.0, 3.0]])
+    SE = np.array([[0.01, 0.01, 0.01], [0.01, 0.25, 0.25], [0.01, 0.25, 0.01]])
+
+    def test_ks_distance_at_the_critical_value_passes(self):
+        critical = 1.63 / math.sqrt(100)
+        distances = (critical, np.nextafter(critical, 1.0), 0.0, 1.0)
+        report = ks_report(distances, critical)
+        assert ks_failures(report) == [k for k, d in zip(report.k_list, distances)
+                                       if d > critical] == [2, 4]
+
+    def test_covariance_allowance_depends_on_parity(self):
+        assert COV_TOLERANCE == 0.10
+        got = covariance_failures(self.K_LIST, self.EMPIRICAL, self.SE, self.TARGET)
+        assert got == spelled_covariance_failures(self.K_LIST, self.EMPIRICAL, self.SE,
+                                                  self.TARGET, 0.10)
+        assert got == [(2, 1), (1, 2)]
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (1, 2)])
+    def test_covariance_entry_just_past_its_allowance_fails(self, i, j):
+        empirical = self.EMPIRICAL.copy()
+        empirical[i, j] = empirical[j, i] = np.nextafter(empirical[i, j], math.inf)
+        got = covariance_failures(self.K_LIST, empirical, self.SE, self.TARGET)
+        assert got == spelled_covariance_failures(self.K_LIST, empirical, self.SE,
+                                                  self.TARGET, 0.10)
+        k_i, k_j = self.K_LIST[i], self.K_LIST[j]
+        assert {(k_i, k_j), (k_j, k_i)} <= set(got)
+
+    def test_covariance_tolerance_and_nan(self):
+        got = covariance_failures(self.K_LIST, self.EMPIRICAL, self.SE, self.TARGET,
+                                  tolerance=0.0)
+        assert got == spelled_covariance_failures(self.K_LIST, self.EMPIRICAL, self.SE,
+                                                  self.TARGET, 0.0)
+        assert (2, 4) in got and (2, 2) in got
+        empirical = self.EMPIRICAL.copy()
+        empirical[2, 2] = math.nan
+        assert covariance_failures(self.K_LIST, empirical, self.SE, self.TARGET) == [
+            (2, 1), (1, 2), (1, 1)]
 
 
 class TestBoundaryTerms:
