@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import inspect
 import io
 import json
 import math
@@ -245,7 +246,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"workers = {workers} needs os.fork, which this platform lacks")
     spec = spec_from_mapping(ens_text) if ens_text else None
     given = settings.keys() | ({"ensemble"} if spec else set())
-    unread = sorted(given - _COMMON_KEYS - _COMMANDS[args.command].keys)
+    unread = sorted(given - _COMMON_KEYS - {p.name for p in _reads(args.command)})
     if unread:
         raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
     return RunConfig(command=args.command, ensemble=spec, workers=workers, settings=settings)
@@ -321,32 +322,14 @@ def matrix_from_csv(path: str) -> TridiagonalMatrix:
 
 # ---------------------------------------------------------------------------
 # Commands
+#
+# A handler's parameters after ``config`` are the settings its command reads,
+# ``ensemble`` standing for ``[ensemble]``; one without a default must be
+# given.  ``run`` passes each given setting by name, so a default applies
+# only to a setting left out and the provenance block records only given ones.
 
 
-def _require(config: RunConfig, *keys: str) -> list:
-    """The values of ``keys`` (``ensemble`` or settings), none of them missing."""
-    given = {"ensemble": config.ensemble, **config.settings}
-    missing = [key for key in keys if given.get(key) is None]
-    if missing:
-        raise ConfigError(f"{config.command}: missing required keys {missing}")
-    return [given[key] for key in keys]
-
-
-def _first_given(config: RunConfig, what: str, *values):
-    """The first of ``values`` that is not None, so that an explicit 0 reaches
-    validation instead of falling back to the next option."""
-    for value in values:
-        if value is not None:
-            return value
-    raise ConfigError(f"{config.command}: missing {what}")
-
-
-def _power(config: RunConfig) -> int:
-    return _first_given(config, "k", config.get("k"))
-
-
-def _cmd_types(config: RunConfig) -> int:
-    k = _power(config)
+def _cmd_types(config: RunConfig, k) -> int:
     types = enumerate_types(k)
     print(f"power {k}: {len(types)} circuit types")
     print(f"{'l':>3} {'m':>18} {'n':>22} {'count':>8}")
@@ -357,16 +340,15 @@ def _cmd_types(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_trace(config: RunConfig) -> int:
-    k = _power(config)
-    if path := config.get("input"):
-        if config.ensemble is not None or config.get("n") is not None:
+def _cmd_trace(config: RunConfig, k, input=None, ensemble=None, n=None) -> int:
+    if input is not None:
+        if ensemble is not None or n is not None:
             raise ConfigError("trace: input excludes an ensemble and n")
-        matrix = matrix_from_csv(path)
+        matrix = matrix_from_csv(input)
     else:
-        if config.ensemble is None or config.get("n") is None:
+        if ensemble is None or n is None:
             raise ConfigError("trace: need --input or an ensemble and n")
-        matrix = sample_matrix(config.ensemble, config.get("n"), config.master_seed)
+        matrix = sample_matrix(ensemble, n, config.master_seed)
     expansion = trace_power_expansion(matrix, k, enumerate_types(k))
     direct = trace_power_direct(matrix, k)
     diff = abs(expansion - direct)
@@ -381,42 +363,36 @@ def _cmd_trace(config: RunConfig) -> int:
     return 0 if rel <= TRACE_REL_TOL else 2
 
 
-def _samples(config: RunConfig):
-    """Monte Carlo traces of ``simulate``, ``clt`` and ``cov``: (k_list, samples)."""
-    spec, k_list, n, trials = _require(config, "ensemble", "k_list", "n", "trials")
-    return k_list, mc_traces(spec, n, k_list, trials, config.master_seed, config.get("alpha"),
-                             config.get("epsilon"), workers=config.workers)
-
-
 def _emit(config: RunConfig, text: str) -> None:
     """Standard output receives what no ``--output`` file did."""
     if not config.get("output"):
         sys.stdout.write(text)
 
 
-def _cmd_simulate(config: RunConfig) -> int:
-    k_list, samples = _samples(config)
+def _cmd_simulate(config: RunConfig, ensemble, k_list, n, trials, alpha=None,
+                  epsilon=None) -> int:
+    samples = mc_traces(ensemble, n, k_list, trials, config.master_seed, alpha, epsilon,
+                        workers=config.workers)
     header = ["trial"] + [f"k{k}" for k in k_list]
     rows = ([str(t)] + [_fmt(v) for v in samples[t]] for t in range(samples.shape[0]))
     _emit(config, write_csv(config.get("output"), header, rows, config))
     return 0
 
 
-def _clt_target(config: RunConfig):
-    spec, k_list = config.ensemble, config.get("k_list")
+def _clt_target(config: RunConfig, spec: EnsembleSpec, k_list, replicas: int):
     if spec.model == "beta_hermite":
         return covariance_target(k_list, "beta_hermite", beta=spec.beta)
-    return covariance_target(k_list, "iid_mc", spec=spec,
-                             replicas=config.get("replicas", 100_000),
+    return covariance_target(k_list, "iid_mc", spec=spec, replicas=replicas,
                              seed=config.master_seed + 1)
 
 
-def _cmd_clt(config: RunConfig) -> int:
-    k_list, samples = _samples(config)
-    target = _clt_target(config)
-    exponents = growth_exponents(config.ensemble, k_list, config.get("alpha"),
-                                 config.get("epsilon"))
-    report = normality_report(samples, target, k_list=k_list, n=config.get("n"),
+def _cmd_clt(config: RunConfig, ensemble, k_list, n, trials, alpha=None, epsilon=None,
+             replicas=100_000) -> int:
+    samples = mc_traces(ensemble, n, k_list, trials, config.master_seed, alpha, epsilon,
+                        workers=config.workers)
+    target = _clt_target(config, ensemble, k_list, replicas)
+    exponents = growth_exponents(ensemble, k_list, alpha, epsilon)
+    report = normality_report(samples, target, k_list=k_list, n=n,
                               scaling_exponents=exponents)
     results = {
         "report": report.to_json_dict(),
@@ -430,18 +406,19 @@ def _cmd_clt(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_cov(config: RunConfig) -> int:
-    k_list, samples = _samples(config)
-    target = _clt_target(config)
+def _cmd_cov(config: RunConfig, ensemble, k_list, n, trials, alpha=None, epsilon=None,
+             replicas=100_000, tolerance=COV_TOLERANCE) -> int:
+    samples = mc_traces(ensemble, n, k_list, trials, config.master_seed, alpha, epsilon,
+                        workers=config.workers)
+    target = _clt_target(config, ensemble, k_list, replicas)
     emp, se = sample_covariance(samples)
-    tol = config.get("tolerance", COV_TOLERANCE)
-    ok = not covariance_failures(k_list, emp, se, target.value, tol)
+    ok = not covariance_failures(k_list, emp, se, target.value, tolerance)
     results = {
         "k_list": list(k_list),
         "target": {"source": target.source, "value": target.value.tolist()},
         "empirical": emp.tolist(),
         "standard_errors": se.tolist(),
-        "tolerance": tol,
+        "tolerance": tolerance,
         "within_tolerance": ok,
     }
     write_json(config.get("output"), results, config)
@@ -455,39 +432,35 @@ def _cmd_cov(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_mdp(config: RunConfig) -> int:
-    spec, nu, trials = _require(config, "ensemble", "nu", "trials")
-    k = _power(config)
-    n = config.get("n")
-    if n is not None and config.get("n_list") is not None:
+def _cmd_mdp(config: RunConfig, ensemble, k, nu, trials, n=None, n_list=None,
+             delta_list=None, tolerance=RATE_TOLERANCE) -> int:
+    if n is not None and n_list is not None:
         raise ConfigError("mdp: n and n_list exclude each other")
-    n_list = _first_given(config, "n or n_list", config.get("n_list"),
-                          None if n is None else (n,))
-    estimates = mdp_check(spec, k, nu, n_list, config.get("delta_list"), trials,
-                          config.master_seed, workers=config.workers)
+    if n is None and n_list is None:
+        raise ConfigError("mdp: missing n or n_list")
+    estimates = mdp_check(ensemble, k, nu, (n,) if n_list is None else n_list, delta_list,
+                          trials, config.master_seed, workers=config.workers)
     header = [f.name for f in fields(RateEstimate)]   # one column per field, flags last
     rows = [[getattr(e, name) for name in header[:-1]] + [";".join(e.flags)]
             for e in estimates]
     _emit(config, write_csv(config.get("output"), header, rows, config))
-    tol = config.get("tolerance", RATE_TOLERANCE)
-    bad = rate_failures(estimates, tol)
+    bad = rate_failures(estimates, tolerance)
     if bad:
-        print(f"{len(bad)} rate estimates deviate beyond {tol:.0%}", file=sys.stderr)
+        print(f"{len(bad)} rate estimates deviate beyond relative tolerance {tolerance!r}",
+              file=sys.stderr)
         return 2
     return 0
 
 
-def _cmd_cramer(config: RunConfig) -> int:
-    law_text = config.get("law")
-    if not law_text:
-        raise ConfigError("cramer: missing entry law")
-    law = EntryLaw.parse(law_text)
+def _cmd_cramer(config: RunConfig, law, x_min=None, x_max=None, points=101,
+                t_max=50.0) -> int:
+    law = EntryLaw.parse(law)
     if law.support is None:
         raise ConfigError("cramer: entry law must have compact support")
     lo, hi = law.support
-    points = checked_int("cramer: points", config.get("points", 101), 1)
-    grid = np.linspace(config.get("x_min", lo), config.get("x_max", hi), points)
-    result = cramer_rate_k1(law, grid, t_max=config.get("t_max", 50.0))
+    points = checked_int("cramer: points", points, 1)
+    grid = np.linspace(lo if x_min is None else x_min, hi if x_max is None else x_max, points)
+    result = cramer_rate_k1(law, grid, t_max=t_max)
     rows = [[_fmt(x), _fmt(i)] for x, i in zip(result.grid, result.rate)]
     _emit(config, write_csv(config.get("output"), ["x", "rate"], rows, config))
     for warning in result.warnings:
@@ -495,48 +468,48 @@ def _cmd_cramer(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_dump_sample(config: RunConfig) -> int:
-    spec, n = _require(config, "ensemble", "n")
-    matrix = sample_matrix(spec, n, config.master_seed)
+def _cmd_dump_sample(config: RunConfig, ensemble, n) -> int:
+    matrix = sample_matrix(ensemble, n, config.master_seed)
     rows = matrix_to_csv_rows(matrix)
     _emit(config, write_csv(config.get("output"), ["sub", "diag", "sup"], rows, config))
     return 0
 
 
-class _Command(NamedTuple):
-    handler: Callable[[RunConfig], int]
-    keys: set   # the settings it reads, ``ensemble`` standing for ``[ensemble]``
-
-
-# The one table of commands: each one's handler and the settings it reads.
-# Every command also takes ``output``, ``workers`` (never recorded) and
-# ``master_seed`` (recorded by every command, given or not).  Any other
-# setting is an error: a value nothing reads would still sit in the
-# provenance block as if it had shaped the run.
+# The one table of commands.  Every command also takes ``output``, ``workers``
+# (never recorded) and ``master_seed`` (recorded by every command, given or
+# not).  Any other setting its handler does not name is an error: a value
+# nothing reads would still sit in the provenance block as if it had shaped
+# the run.
 _COMMON_KEYS = {"output", "workers", "master_seed"}
 _COMMANDS = {
-    "types": _Command(_cmd_types, {"k"}),
-    "trace": _Command(_cmd_trace, {"k", "input", "ensemble", "n"}),
-    "simulate": _Command(_cmd_simulate, {"ensemble", "k_list", "n", "trials", "alpha",
-                                         "epsilon"}),
-    "clt": _Command(_cmd_clt, {"ensemble", "k_list", "n", "trials", "alpha", "epsilon",
-                               "replicas"}),
-    "cov": _Command(_cmd_cov, {"ensemble", "k_list", "n", "trials", "alpha", "epsilon",
-                               "replicas", "tolerance"}),
-    "mdp": _Command(_cmd_mdp, {"ensemble", "k", "n", "n_list", "trials", "nu", "delta_list",
-                               "tolerance"}),
-    "cramer": _Command(_cmd_cramer, {"law", "x_min", "x_max", "points", "t_max"}),
-    "dump-sample": _Command(_cmd_dump_sample, {"ensemble", "n"}),
+    "types": _cmd_types,
+    "trace": _cmd_trace,
+    "simulate": _cmd_simulate,
+    "clt": _cmd_clt,
+    "cov": _cmd_cov,
+    "mdp": _cmd_mdp,
+    "cramer": _cmd_cramer,
+    "dump-sample": _cmd_dump_sample,
 }
 COMMANDS = tuple(_COMMANDS)
 
 
+def _reads(command: str) -> list[inspect.Parameter]:
+    """The settings ``command`` reads: its handler's parameters after ``config``."""
+    return list(inspect.signature(_COMMANDS[command]).parameters.values())[1:]
+
+
 def run(config: RunConfig) -> int:
     """Dispatch one resolved configuration; returns the process exit status."""
-    command = _COMMANDS.get(config.command)
-    if command is None:
+    if config.command not in _COMMANDS:
         raise ConfigError(f"unknown command {config.command!r}")
-    return command.handler(config)
+    given = {"ensemble": config.ensemble, **config.settings}
+    params = _reads(config.command)
+    values = {p.name: given[p.name] for p in params if given.get(p.name) is not None}
+    missing = [p.name for p in params if p.default is p.empty and p.name not in values]
+    if missing:
+        raise ConfigError(f"{config.command}: missing required keys {missing}")
+    return _COMMANDS[config.command](config, **values)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -244,9 +244,9 @@ class _Model:
     """Everything one ensemble model fixes about its spec.  ``fields`` maps
     each spec field it reads besides ``model`` (its ``[ensemble]`` keys) to
     a default: a value, a function of the values filled before it, or None
-    if the field is required.  ``symmetric`` marks a model symmetric by
-    definition (restating ``symmetric=True`` is allowed); a model that
-    neither reads nor fixes it is not symmetric."""
+    if the field is required.  ``symmetric`` is the symmetry of a model that
+    does not read it (True for a model symmetric by definition); restating
+    that value reads nothing."""
 
     fields: dict
     checks: tuple = ()   # (predicate of the filled spec, message) pairs, tested in order
@@ -305,8 +305,8 @@ class EnsembleSpec:
         if model is None:
             raise InvalidArgumentError(f"unknown model {self.model!r}")
         values = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
-        if model.symmetric and values["symmetric"]:
-            values["symmetric"] = None   # restating the definition reads nothing
+        if "symmetric" not in model.fields and values["symmetric"] == model.symmetric:
+            values["symmetric"] = None   # restating the model's fixed value reads nothing
         given = values["symmetric"]
         symmetric = model.fields.get("symmetric", model.symmetric) if given is None else given
         # a symmetric matrix's b is its a
@@ -345,7 +345,7 @@ class EnsembleSpec:
 
     @classmethod
     def birth_death_q(cls, a_law=None, b_law=None, symmetric: bool = False) -> "EnsembleSpec":
-        return cls("birth_death_q", symmetric, a_law=a_law, b_law=None if symmetric else b_law)
+        return cls("birth_death_q", symmetric, a_law=a_law, b_law=b_law)
 
     @classmethod
     def beta_hermite(cls, beta: float) -> "EnsembleSpec":
@@ -353,8 +353,7 @@ class EnsembleSpec:
 
     @classmethod
     def generic_iid(cls, a_law, d_law, b_law=None, symmetric: bool = False) -> "EnsembleSpec":
-        return cls("generic_iid", symmetric, a_law=a_law, d_law=d_law,
-                   b_law=None if symmetric else b_law)
+        return cls("generic_iid", symmetric, a_law=a_law, d_law=d_law, b_law=b_law)
 
     # -- derived structure -------------------------------------------------
     @property

@@ -176,6 +176,16 @@ class TestTraceExpansion:
         got = trace_power_expansion(m, 3, enumerate_types(3))
         assert got == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("sub, diag, sup, message", [
+        (np.ones(2), np.ones((1, 3)), np.ones(2), "diagonals must be 1-d arrays"),
+        (np.ones((2, 1)), np.ones(3), np.ones(2), "diagonals must be 1-d arrays"),
+        (np.ones(3), np.ones(3), np.ones(2), "off-diagonals must have length n-1"),
+        (np.ones(2), np.ones(3), np.ones(1), "off-diagonals must have length n-1"),
+    ], ids=["2d-diag", "2d-sub", "long-sub", "short-sup"])
+    def test_malformed_diagonals_are_rejected(self, sub, diag, sup, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
+
     def test_dimension_too_small(self):
         m = ones_matrix(2)
         with pytest.raises(InvalidArgumentError):

@@ -153,7 +153,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv, unread", [
         (["--ensemble", "anderson", "--a-law", "uniform(0,1)"], "a_law"),
         (["--ensemble", "anderson", "--beta", "3"], "beta"),
-        (["--ensemble", "hatano_nelson", "--symmetric", "false"], "symmetric"),
+        (["--ensemble", "hatano_nelson", "--symmetric", "true"], "symmetric"),
         (["--ensemble", "beta_hermite", "--beta", "2", "--d-law", "rademacher"], "d_law"),
         (["--ensemble", "birth_death_q", "--kernel-variant", "v"], "kernel_variant"),
         (["--ensemble", "birth_death_kernel", "--kernel-law", "uniform(0,1)",
@@ -167,6 +167,14 @@ class TestConfigHandling:
         assert run_cli("dump-sample", *argv, "--n", "3") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ensemble model") and err.endswith(f"read {unread}\n"), err
+
+    def test_restating_a_fixed_symmetry_writes_the_same_bytes(self, capsys):
+        # hatano_nelson is never symmetric: --symmetric false reads nothing
+        argv = ["dump-sample", "--ensemble", "hatano_nelson", "--n", "5"]
+        assert run_cli(*argv) == 0
+        plain = capsys.readouterr().out
+        assert run_cli(*argv, "--symmetric", "false") == 0
+        assert capsys.readouterr().out == plain
 
     def test_unread_ensemble_key_in_a_config_file_is_an_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -261,10 +269,14 @@ class TestConfigHandling:
         assert not out.exists()
 
     def test_command_table_names_every_command_and_only_settings(self):
-        table = main.__globals__["_COMMANDS"]
+        # a handler's parameters after config are the settings it reads
+        table, reads = main.__globals__["_COMMANDS"], main.__globals__["_reads"]
+        settings = main.__globals__["_SETTINGS"]
         assert set(table) == set(COMMANDS)
-        assert (set().union(*(command.keys for command in table.values())) - {"ensemble"}
-                <= set(main.__globals__["_SETTINGS"]))
+        read = {p.name for command in table for p in reads(command)}
+        assert read <= set(settings) | {"ensemble"}
+        run_keys = {key for key, s in settings.items() if s.section == "run"}
+        assert run_keys - main.__globals__["_COMMON_KEYS"] <= read
 
     @pytest.mark.parametrize("argv", [["types", "--k", "3"], ["cramer", "--law", "rademacher"]])
     def test_every_command_takes_output_seed_and_workers(self, tmp_path, argv):
@@ -310,15 +322,41 @@ class TestConfigHandling:
           "--trials", "30"], "k=0 outside [1, 16]"),
         (["mdp", "--ensemble", "anderson", "--k", "1", "--n", "0", "--nu", "0.5",
           "--trials", "30"], "n must be >= 2, got 0"),
-        (["types"], "types: missing k"),
+        (["types"], "types: missing required keys ['k']"),
         (["mdp", "--ensemble", "anderson", "--k", "1", "--nu", "0.5", "--trials", "30"],
          "mdp: missing n or n_list"),
-    ], ids=["types-k0", "trace-k0", "mdp-k0", "mdp-n0", "types-no-k", "mdp-no-n"])
+        (["trace", "--k", "2"], "trace: need --input or an ensemble and n"),
+        (["cramer"], "cramer: missing required keys ['law']"),
+        (["clt", "--ensemble", "anderson", "--n", "8"],
+         "clt: missing required keys ['k_list', 'trials']"),
+    ], ids=["types-k0", "trace-k0", "mdp-k0", "mdp-n0", "types-no-k", "mdp-no-n",
+            "trace-no-matrix", "cramer-no-law", "clt-missing"])
     def test_zero_is_validated_and_absence_reported(self, capsys, argv, message):
         # a given 0 reaches validation instead of reading as missing
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err, err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dump-sample", "--ensemble", "birth_death_q", "--symmetric", "maybe", "--n", "3"],
+         "malformed value for symmetric: 'maybe'"),
+        (["trace", "--k", "2", "--input", "one-column"], "matrix row 2 malformed: ['3']"),
+        (["trace", "--k", "2", "--input", "ragged"],
+         "matrix CSV has inconsistent column lengths"),
+        (["cramer", "--law", "gaussian(0,1)"], "cramer: entry law must have compact support"),
+        # a given empty law reaches the law parser instead of reading as missing
+        (["cramer", "--law", ""], "unparseable law: ''"),
+    ], ids=["symmetric-maybe", "csv-one-column", "csv-ragged", "cramer-unbounded",
+            "cramer-empty-law"])
+    def test_malformed_input_is_named(self, tmp_path, capsys, argv, message):
+        # in "ragged" the second row has no sup, so sup is one short of sub
+        files = {"one-column": "sub,diag,sup\n,1,2\n3\n",
+                 "ragged": "sub,diag,sup\n,1,2\n3,4,\n5,6,\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["trace-input", "config"])
     @pytest.mark.parametrize("content", [None, b"\xff\xfe,1,2\n"], ids=["missing", "not-utf8"])
@@ -514,12 +552,15 @@ class TestStatisticalExitCodes:
 
     def test_mdp_rate_deviation_exits_2(self, tmp_path, capsys):
         # a zero tolerance fails every unflagged estimate that misses its prediction
+        # and names the tolerance it used, unrounded (0.004 once read as 0%)
         path = tmp_path / "mdp.csv"
-        code = run_cli("mdp", "--ensemble", "anderson", "--k", "1", "--nu", "0.5",
-                       "--n-list", "100", "--trials", "4096", "--tolerance", "0",
-                       "--seed", "3", "--output", str(path))
-        assert code == 2
-        assert "1 rate estimates deviate beyond 0%" in capsys.readouterr().err
+        for tolerance, shown in (("0", "0.0"), ("0.004", "0.004")):
+            code = run_cli("mdp", "--ensemble", "anderson", "--k", "1", "--nu", "0.5",
+                           "--n-list", "100", "--trials", "4096", "--tolerance", tolerance,
+                           "--seed", "3", "--output", str(path))
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"1 rate estimates deviate beyond relative tolerance {shown}\n")
 
     def test_clt_keeps_a_lone_alpha(self, tmp_path):
         # epsilon alone falls back to the model default (0 for Anderson)

@@ -99,6 +99,11 @@ class TestCramerRate:
         with pytest.raises(InvalidArgumentError, match="too wide"):
             cramer_rate_k1(EntryLaw.uniform(0.0, 1.0), [0.5], t_max=math.inf)
 
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    def test_tilt_range_must_be_positive(self, t_max):
+        with pytest.raises(InvalidArgumentError, match="t_max must be positive"):
+            cramer_rate_k1(EntryLaw.rademacher(), [0.5], t_max=t_max)
+
     def test_boundary_hit_warning(self):
         # at the support edge of a biased coin the optimal tilt diverges;
         # a small cap leaves visible slope and must be reported
@@ -177,6 +182,11 @@ class TestMdpCheck:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the checks"))
         with pytest.raises(InvalidArgumentError, match="when given, must be non-empty"):
             mdp_check(EnsembleSpec.anderson(), 1, 0.5, [64], [], 2100, 5, workers=2)
+
+    def test_empty_size_list_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the checks"))
+        with pytest.raises(InvalidArgumentError, match="n_list must be non-empty"):
+            mdp_check(EnsembleSpec.anderson(), 1, 0.5, [], None, 2100, 5, workers=2)
 
     def test_unbounded_spec_rejected(self):
         spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))

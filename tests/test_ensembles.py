@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -192,7 +193,7 @@ class TestSpecValidation:
         assert not EnsembleSpec(model="anderson", symmetric=True, d_law=gaussian).bounded
         assert not EnsembleSpec.beta_hermite(2.0).bounded
         assert not EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, gaussian).bounded
-        assert EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, gaussian, symmetric=True).bounded
+        assert EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, symmetric=True).bounded
         assert all(SPECS[name].bounded for name in SPECS
                    if name not in ("beta_hermite", "generic_iid-symmetric"))
         for spec in SPECS.values():
@@ -261,6 +262,32 @@ class TestModelTable:
     def test_restating_a_fixed_symmetry_is_allowed(self):
         assert EnsembleSpec("anderson", True) == EnsembleSpec.anderson()
         assert EnsembleSpec("beta_hermite", True, beta=2.0) == EnsembleSpec.beta_hermite(2.0)
+
+    @pytest.mark.parametrize("name, symmetric", [
+        ("anderson", False), ("hatano_nelson", True), ("birth_death_kernel", True)])
+    def test_contradicting_a_fixed_symmetry_is_an_error(self, name, symmetric):
+        # restating the model's value reads nothing, for either value
+        assert EnsembleSpec(name, not symmetric) == EnsembleSpec(name)
+        with pytest.raises(InvalidArgumentError, match=f"{name} does not read symmetric"):
+            EnsembleSpec(name, symmetric)
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_replace_copies_every_spec(self, name):
+        # a filled spec restates its own symmetry, which replace passes back in
+        spec = SPECS[name]
+        assert dataclasses.replace(spec) == spec
+        if "d_law" in _MODELS[spec.model].fields:
+            assert dataclasses.replace(spec, d_law=RADEMACHER).d_law == RADEMACHER
+
+    @pytest.mark.parametrize("build", [
+        lambda law: EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, law, symmetric=True),
+        lambda law: EnsembleSpec.birth_death_q(b_law=law, symmetric=True),
+    ], ids=["generic_iid", "birth_death_q"])
+    def test_symmetric_constructor_rejects_a_b_law(self, build):
+        # a symmetric spec's b is its a, so a b_law given beside it reads nothing
+        with pytest.raises(InvalidArgumentError, match="does not read b_law"):
+            build(EntryLaw.uniform(0.5, 1.5))
+        assert build(None).b_law is None
 
 
 class TestSampleMatrix:
