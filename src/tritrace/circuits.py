@@ -34,11 +34,11 @@ from .errors import InvalidArgumentError, TriTraceError
 K_MAX = 16
 DENSE_CHECK_MAX = 128
 # Smallest power that Monte Carlo traces evaluate by banded powering rather
-# than the class expansion: the smallest k at which the banded kernel was the
-# faster one at every measured n (100 to 4000, 2 vCPU).  Per trace at n=1000,
-# expansion vs banded: 49 vs 77 us at k=4, 0.55 vs 0.14 ms at k=8, 9.6 vs
-# 0.31 ms at k=12.  At k=6 and 7 the faster route changed between runs at
-# n=4000.
+# than the class expansion.  Since :class:`_BandedPlan`, banded takes 0.60-0.76x
+# the expansion's time at k=6 and 7 (n = 400 to 4000, one 2^14-entry chunk,
+# 2 vCPU; a tie at n=400, k=6) and 1.58-1.64x at k=5 below n=4000.  Lowering
+# the bound changes the last bits of those traces, so it waits for a change
+# that moves output bytes on purpose (the simulate-hatano lines of the listing).
 BANDED_MIN_K = 8
 
 
@@ -76,10 +76,6 @@ class CircuitType:
             raise InvalidArgumentError("step budget mismatch: 2*sum(edges) + sum(loops) != k")
         if self.count < 1:
             raise InvalidArgumentError("count must be >= 1")
-
-    @property
-    def key(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        return (self.span, self.half_edges, self.loops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,14 +502,9 @@ class RowTracer:
         return out
 
 
-def traces_for_rows(ab: np.ndarray, diag: np.ndarray, k_list) -> np.ndarray:
-    """:class:`RowTracer` traces of the matrices in the rows of ``ab`` and ``diag``."""
-    return RowTracer(diag.shape[1], k_list)(ab, diag)
-
-
 def traces_for_k_list(matrix: TridiagonalMatrix, k_list) -> np.ndarray:
-    """Traces of several powers of one matrix: :func:`traces_for_rows` on one row."""
-    return traces_for_rows((matrix.sub * matrix.sup)[None, :], matrix.diag[None, :], k_list)[0]
+    """Traces of several powers of one matrix: a :class:`RowTracer` on one row."""
+    return RowTracer(matrix.n, k_list)((matrix.sub * matrix.sup)[None, :], matrix.diag[None, :])[0]
 
 
 def types_as_json_lines(types) -> str:

@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,7 +40,8 @@ from .circuits import (
     trace_power_expansion,
     types_as_json_lines,
 )
-from .deviations import RATE_TOLERANCE, RateEstimate, cramer_rate_k1, mdp_check, rate_failures
+from .deviations import (CRAMER_T_MAX, RATE_TOLERANCE, RateEstimate, cramer_rate_k1,
+                         mdp_check, rate_failures)
 from .ensembles import EnsembleSpec, EntryLaw, sample_matrix
 from .errors import ConfigError, TriTraceError
 from .stats import (
@@ -68,9 +69,9 @@ class RunConfig:
     """
 
     command: str
-    ensemble: EnsembleSpec | None = None
-    workers: int = 1
-    settings: dict = field(default_factory=dict)
+    ensemble: EnsembleSpec | None
+    workers: int
+    settings: dict
 
     def get(self, key: str, default=None):
         return self.settings.get(key, default)
@@ -381,6 +382,9 @@ def _cmd_simulate(config: RunConfig, ensemble, k_list, n, trials, alpha=None,
 
 def _clt_target(config: RunConfig, spec: EnsembleSpec, k_list, replicas: int):
     if spec.model == "beta_hermite":
+        if "replicas" in config.settings:   # the closed form draws no replicas
+            raise ConfigError(
+                f"{config.command} does not read replicas for a beta_hermite ensemble")
         return covariance_target(k_list, "beta_hermite", beta=spec.beta)
     return covariance_target(k_list, "iid_mc", spec=spec, replicas=replicas,
                              seed=config.master_seed + 1)
@@ -388,9 +392,9 @@ def _clt_target(config: RunConfig, spec: EnsembleSpec, k_list, replicas: int):
 
 def _cmd_clt(config: RunConfig, ensemble, k_list, n, trials, alpha=None, epsilon=None,
              replicas=100_000) -> int:
+    target = _clt_target(config, ensemble, k_list, replicas)   # its own seed: order-free
     samples = mc_traces(ensemble, n, k_list, trials, config.master_seed, alpha, epsilon,
                         workers=config.workers)
-    target = _clt_target(config, ensemble, k_list, replicas)
     exponents = growth_exponents(ensemble, k_list, alpha, epsilon)
     report = normality_report(samples, target, k_list=k_list, n=n,
                               scaling_exponents=exponents)
@@ -408,9 +412,9 @@ def _cmd_clt(config: RunConfig, ensemble, k_list, n, trials, alpha=None, epsilon
 
 def _cmd_cov(config: RunConfig, ensemble, k_list, n, trials, alpha=None, epsilon=None,
              replicas=100_000, tolerance=COV_TOLERANCE) -> int:
+    target = _clt_target(config, ensemble, k_list, replicas)   # its own seed: order-free
     samples = mc_traces(ensemble, n, k_list, trials, config.master_seed, alpha, epsilon,
                         workers=config.workers)
-    target = _clt_target(config, ensemble, k_list, replicas)
     emp, se = sample_covariance(samples)
     ok = not covariance_failures(k_list, emp, se, target.value, tolerance)
     results = {
@@ -453,7 +457,7 @@ def _cmd_mdp(config: RunConfig, ensemble, k, nu, trials, n=None, n_list=None,
 
 
 def _cmd_cramer(config: RunConfig, law, x_min=None, x_max=None, points=101,
-                t_max=50.0) -> int:
+                t_max=CRAMER_T_MAX) -> int:
     law = EntryLaw.parse(law)
     if law.support is None:
         raise ConfigError("cramer: entry law must have compact support")

@@ -35,6 +35,8 @@ MIN_EXPECTED_TAIL_COUNT = 50.0
 # relative allowance of the rate gate (:func:`rate_failures`)
 RATE_TOLERANCE = 0.25
 DEFAULT_RATE_TARGETS = (0.3, 0.5, 0.8, 1.2)
+# widest tilt |t| the k=1 Cramér rate searches (:func:`cramer_rate_k1`)
+CRAMER_T_MAX = 50.0
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -67,11 +69,11 @@ class CramerRate:
     warnings: tuple[str, ...] = ()
 
 
-def derive_delta_list(dk: float, rate_targets=DEFAULT_RATE_TARGETS) -> tuple[float, ...]:
-    """Thresholds whose predicted rates land on ``rate_targets``."""
+def derive_delta_list(dk: float) -> tuple[float, ...]:
+    """Thresholds whose predicted rates land on :data:`DEFAULT_RATE_TARGETS`."""
     if dk <= 0:
         raise DegenerateRateError("cannot derive thresholds from a vanishing variance")
-    return tuple(math.sqrt(2.0 * dk * r) for r in rate_targets)
+    return tuple(math.sqrt(2.0 * dk * r) for r in DEFAULT_RATE_TARGETS)
 
 
 def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
@@ -160,13 +162,13 @@ def rate_failures(estimates, tolerance: float = RATE_TOLERANCE) -> list[RateEsti
             and abs(e.empirical_rate - e.predicted_rate) > tolerance * e.predicted_rate]
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
+def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
     """Maximize a concave function on [lo, hi]; returns (argmax, max)."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > tol * (1.0 + abs(a) + abs(b)):
+    while b - a > 1e-12 * (1.0 + abs(a) + abs(b)):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -179,7 +181,7 @@ def _golden_max(fun, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, f
     return t, fun(t)
 
 
-def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = 50.0) -> CramerRate:
+def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = CRAMER_T_MAX) -> CramerRate:
     """Rate function ``I(x) = sup_t (t x - log E exp(t d))`` for an i.i.d. sum.
 
     ``entry_law`` must have compact support and the grid points must be finite.

@@ -374,12 +374,6 @@ class EnsembleSpec:
         return True
 
     @property
-    def window_matrix_consistent(self) -> bool:
-        """True when an n-by-n matrix is exactly the first n sites of the
-        window from site 1; the kernel's matrix reflects at site n."""
-        return self.model != "birth_death_kernel"
-
-    @property
     def default_growth(self) -> tuple[float, float]:
         """Default (alpha, epsilon) polynomial-growth exponents for scaling."""
         return (0.5, 0.5) if self.model == "beta_hermite" else (0.0, 0.0)
@@ -642,20 +636,18 @@ def _sample_sites(spec: EnsembleSpec, first_index: int, length: int,
             d = draw(1, spec.d_law, length)
         return a, d, b
 
-    if model == "birth_death_kernel":
-        if spec.kernel_variant == "v":
-            b = draw(0, spec.kernel_law, length, b1)                       # b_i = V_i
-        else:
-            u = draw(0, spec.kernel_law, length + 1 - skip)                 # conductances
-            b = draw(1, None, length, b1)
-            ratio = b[:, skip:]                                             # b_i = U_i/(U_i+U_{i-1})
-            np.divide(u[:, 1:], np.add(u[:, 1:], u[:, :-1], out=ratio), out=ratio)
-        a = np.subtract(1.0, b, out=draw(2, None, length))                # a_{i-1} = 1 - b_i
-        d = np.subtract(1.0, a, out=draw(3, None, length))
-        d -= b                                                             # 1 - a - b
-        return a, d, b
-
-    raise InvalidArgumentError(f"unknown model {model!r}")  # pragma: no cover
+    # birth_death_kernel, the one model left (EnsembleSpec rejects any other)
+    if spec.kernel_variant == "v":
+        b = draw(0, spec.kernel_law, length, b1)                           # b_i = V_i
+    else:
+        u = draw(0, spec.kernel_law, length + 1 - skip)                     # conductances
+        b = draw(1, None, length, b1)
+        ratio = b[:, skip:]                                                 # b_i = U_i/(U_i+U_{i-1})
+        np.divide(u[:, 1:], np.add(u[:, 1:], u[:, :-1], out=ratio), out=ratio)
+    a = np.subtract(1.0, b, out=draw(2, None, length))                    # a_{i-1} = 1 - b_i
+    d = np.subtract(1.0, a, out=draw(3, None, length))
+    d -= b                                                                 # 1 - a - b
+    return a, d, b
 
 
 def _matrix_rows(spec: EnsembleSpec, n: int,

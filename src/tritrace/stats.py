@@ -85,7 +85,7 @@ def _summand_block(a: np.ndarray, d: np.ndarray, b: np.ndarray, start: int,
 # Monte Carlo over traces
 
 
-def exact_trace_mean(spec: EnsembleSpec, n: int, k: int) -> float | None:
+def exact_trace_mean(spec: EnsembleSpec, k: int) -> float | None:
     """Closed-form E trace(Q^k) where available, else None.
 
     Fixed off-diagonals with independent symmetric zero-mean diagonal entries
@@ -104,7 +104,7 @@ def _trace_block(spec: EnsembleSpec, n: int, k_list, master_seed: int,
     size.  When every power is 1 and the diagonal is a Rademacher stream of
     its own (:func:`counts_diagonal_signs`), the traces are counts of sign
     bits (:func:`diagonal_sign_sums`) and no row is built; they have the
-    bits :func:`traces_for_rows` gives, whose compensated sum of ``+-1``
+    bits a :class:`RowTracer` gives, whose compensated sum of ``+-1``
     entries is exact.
     """
     rows = max(1, CHUNK_ENTRIES // n)
@@ -119,10 +119,6 @@ def _trace_block(spec: EnsembleSpec, n: int, k_list, master_seed: int,
         ab = np.multiply(sub, sup, out=ab_rows[:len(chunk)]) if reads_edges else None
         out[chunk.start - lo:chunk.stop - lo] = tracer(ab, diag)
     return out
-
-
-def _block_ranges(trials: int):
-    return [(lo, min(lo + TRIAL_BLOCK, trials)) for lo in range(0, trials, TRIAL_BLOCK)]
 
 
 def _fork(job, *args):
@@ -194,7 +190,7 @@ def _raw_traces(spec, n, k_list, trials, master_seed, workers, lead=None):
     result never depends on who evaluated it.  A block that no process sent
     raises :class:`TriTraceError` naming it.
     """
-    ranges = _block_ranges(trials)
+    ranges = [(lo, min(lo + TRIAL_BLOCK, trials)) for lo in range(0, trials, TRIAL_BLOCK)]
     raw = np.empty((trials, len(k_list)))
     workers = min(workers, len(ranges))
     import numpy.random  # noqa: F401 -- imported once here, not once per child
@@ -237,8 +233,8 @@ def _raw_traces(spec, n, k_list, trials, master_seed, workers, lead=None):
     return raw, result
 
 
-def growth_exponents(spec: EnsembleSpec, k_list, alpha: float | None = None,
-                     epsilon: float | None = None) -> list[float]:
+def growth_exponents(spec: EnsembleSpec, k_list, alpha: float | None,
+                     epsilon: float | None) -> list[float]:
     """Scaling exponents ``alpha*k + 1/2 - epsilon`` for each power.
 
     Whichever of ``alpha`` and ``epsilon`` is None takes its value from the
@@ -294,7 +290,7 @@ def center_and_scale(spec: EnsembleSpec, n: int, k_list, raw: np.ndarray,
     """
     centers = np.empty(len(k_list))
     for j, k in enumerate(k_list):
-        exact = exact_trace_mean(spec, n, k)
+        exact = exact_trace_mean(spec, k)
         centers[j] = raw[:, j].mean() if exact is None else exact
     return (raw - centers) * np.power(float(n), -np.array(exponents))
 
@@ -309,7 +305,6 @@ class DkEstimate:
 
     value: float
     standard_error: float
-    dependence: DependenceRange
 
 
 def _require_iid(spec: EnsembleSpec) -> None:
@@ -365,8 +360,7 @@ def dk_iid(spec: EnsembleSpec, k: int, replicas: int, seed) -> DkEstimate:
     It is the one entry of :func:`_window_covariance` for ``(k,)``: the sample
     variance of the first summand plus twice its summed lag covariances."""
     value, se = _window_covariance(spec, (k,), replicas, seed)
-    return DkEstimate(value=float(value[0, 0]), standard_error=float(se[0, 0]),
-                      dependence=dependence_range(k, spec.symmetric))
+    return DkEstimate(value=float(value[0, 0]), standard_error=float(se[0, 0]))
 
 
 @dataclass(frozen=True)

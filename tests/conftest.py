@@ -247,7 +247,7 @@ def boundary_gap_samples(spec, n: int, k: int, trials: int, master_seed: int) ->
     """
     n = checked_int("n", n, 1)
     trials = checked_int("trials", trials, 0)
-    if not spec.window_matrix_consistent:
+    if spec.model == "birth_death_kernel":
         raise InvalidArgumentError(
             "model has right-boundary cells; window truncation does not reproduce it")
     types = enumerate_types(k)

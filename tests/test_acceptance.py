@@ -28,6 +28,7 @@ from tritrace.deviations import cramer_rate_k1, mdp_check
 from tritrace.ensembles import EnsembleSpec, EntryLaw
 from tritrace.stats import (
     covariance_target,
+    dependence_range,
     dk_iid,
     ks_distance_to_normal,
     mc_traces,
@@ -85,7 +86,7 @@ def test_criterion_01_circuit_count_regression():
     elapsed = time.perf_counter() - start
     ok = [t.count for t in t3] == [1, 3, 3]
     ok &= sorted(t.count for t in t4) == sorted([1, 4, 4, 4, 2, 4])
-    ok &= {t.key: t.count for t in t4} == {
+    ok &= {(t.span, t.half_edges, t.loops): t.count for t in t4} == {
         (0, (), (4,)): 1, (1, (1,), (2, 0)): 4, (1, (1,), (1, 1)): 4,
         (1, (1,), (0, 2)): 4, (1, (2,), (0, 0)): 2, (2, (1, 1), (0, 0, 0)): 4}
     ok &= elapsed < 1.0
@@ -115,7 +116,8 @@ def test_criterion_03_bruteforce_type_oracle():
     start = time.perf_counter()
     ok = True
     for k in range(1, 13):
-        ok &= count_circuits_bruteforce(k) == {t.key: t.count for t in enumerate_types(k)}
+        ok &= count_circuits_bruteforce(k) == {
+            (t.span, t.half_edges, t.loops): t.count for t in enumerate_types(k)}
     elapsed = time.perf_counter() - start
     ok &= elapsed < 30.0
     assert report(3, "brute-force type oracle k<=12", ok, f"{elapsed:.2f}s")
@@ -134,7 +136,8 @@ def test_criterion_04_clt_variance(anderson_4000):
         ok &= abs(var - est.value) <= 0.05 * est.value
         details.append(f"k={k}: {var:.4f} vs {est.value:.4f}")
         if k <= 2:
-            exact = exhaustive_dk(k, est.dependence.m_k, EntryLaw.rademacher().atoms)
+            exact = exhaustive_dk(k, dependence_range(k, spec.symmetric).m_k,
+                                  EntryLaw.rademacher().atoms)
             ok &= abs(est.value - exact) <= max(est.standard_error, 1e-15)
     ks = ks_distance_to_normal(samples[:, 0] / math.sqrt(estimates[1].value))
     critical = 1.63 / math.sqrt(samples.shape[0])

@@ -21,8 +21,12 @@ from tritrace.ensembles import EnsembleSpec, EntryLaw, sample_matrix
 from tritrace.errors import InvalidArgumentError, NumericOverflowError
 
 
+def key(t):
+    return (t.span, t.half_edges, t.loops)
+
+
 def table(k):
-    return {t.key: t.count for t in enumerate_types(k)}
+    return {key(t): t.count for t in enumerate_types(k)}
 
 
 class TestTypeEnumeration:
@@ -62,8 +66,8 @@ class TestTypeEnumeration:
     def test_deterministic_and_sorted(self):
         first = enumerate_types(7)
         second = enumerate_types(7)
-        assert [t.key for t in first] == [t.key for t in second]
-        keys = [t.key for t in first]
+        assert [key(t) for t in first] == [key(t) for t in second]
+        keys = [key(t) for t in first]
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("k", range(1, 9))
@@ -126,7 +130,7 @@ class TestTypeEnumeration:
                 for m in compositions(total_m, span):
                     for loops in weak_compositions(k - 2 * total_m, span + 1):
                         expected.add((span, m, loops))
-        assert {t.key for t in enumerate_types(k)} == expected
+        assert {key(t) for t in enumerate_types(k)} == expected
 
     def test_type_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -135,6 +139,16 @@ class TestTypeEnumeration:
             CircuitType(k=4, span=1, half_edges=(1,), loops=(1, 0), count=1)
         with pytest.raises(InvalidArgumentError):
             CircuitType(k=4, span=1, half_edges=(1,), loops=(2, 0), count=0)
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(k=0, span=0, half_edges=(), loops=(0,)), "k must be >= 1"),
+        (dict(k=4, span=3, half_edges=(1, 1, 1), loops=(0, 0, 0, 0)), "span outside"),
+        (dict(k=4, span=1, half_edges=(1, 1), loops=(0, 0)), "vector lengths inconsistent"),
+        (dict(k=4, span=1, half_edges=(1,), loops=(3, -1)), "loop counts must be >= 0"),
+    ], ids=["k0", "span-above-half", "wrong-lengths", "negative-loop"])
+    def test_each_type_check_names_its_fault(self, fields, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            CircuitType(count=1, **fields)
 
     def test_json_lines_roundtrip(self):
         types = enumerate_types(5)
@@ -181,7 +195,8 @@ class TestTraceExpansion:
         (np.ones((2, 1)), np.ones(3), np.ones(2), "diagonals must be 1-d arrays"),
         (np.ones(3), np.ones(3), np.ones(2), "off-diagonals must have length n-1"),
         (np.ones(2), np.ones(3), np.ones(1), "off-diagonals must have length n-1"),
-    ], ids=["2d-diag", "2d-sub", "long-sub", "short-sup"])
+        (np.ones(0), np.ones(0), np.ones(0), "dimension must be >= 1"),
+    ], ids=["2d-diag", "2d-sub", "long-sub", "short-sup", "empty-diag"])
     def test_malformed_diagonals_are_rejected(self, sub, diag, sup, message):
         with pytest.raises(InvalidArgumentError, match=message):
             TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
@@ -420,7 +435,7 @@ class TestMonteCarloRoute:
         for rows in (slice(0, 16), slice(16 - 3, 16), slice(0, 16)):
             got = tracer(ab[rows], diag[rows])
             for r, (a, d) in enumerate(zip(ab[rows], diag[rows])):
-                lone = circuits.traces_for_rows(a[None, :], d[None, :], ks)[0]
+                lone = circuits.RowTracer(n, ks)(a[None, :], d[None, :])[0]
                 assert got[r].tobytes() == lone.tobytes()
 
 
@@ -441,8 +456,8 @@ class TestBandedIdentities:
     def test_reversal_leaves_every_trace(self, seed):
         # reversing the index path maps each closed walk to one of the same weight
         ab, diag = self.rows(seed)
-        want = circuits.traces_for_rows(ab, diag, self.KS)
-        got = circuits.traces_for_rows(ab[:, ::-1], diag[:, ::-1], self.KS)
+        want = circuits.RowTracer(self.N, self.KS)(ab, diag)
+        got = circuits.RowTracer(self.N, self.KS)(ab[:, ::-1], diag[:, ::-1])
         assert got.tobytes() == want.tobytes()
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([-1, 1, 2]))
@@ -450,8 +465,8 @@ class TestBandedIdentities:
     def test_diagonal_shift_is_the_binomial_sum(self, seed, c):
         # tr((Q + cI)^k) = sum_j C(k, j) c^(k-j) tr(Q^j), with tr(Q^0) = n
         ab, diag = self.rows(seed)
-        shifted = circuits.traces_for_rows(ab, diag + c, self.KS)
-        powers = circuits.traces_for_rows(ab, diag, range(1, circuits.K_MAX + 1))
+        shifted = circuits.RowTracer(self.N, self.KS)(ab, diag + c)
+        powers = circuits.RowTracer(self.N, range(1, circuits.K_MAX + 1))(ab, diag)
         for got, row in zip(shifted, powers):
             tr = [self.N] + [int(t) for t in row]
             for k, value in zip(self.KS, got):

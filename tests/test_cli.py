@@ -12,13 +12,16 @@ import pytest
 
 import tritrace
 from tritrace import __version__
+from tritrace.circuits import enumerate_types, trace_power_direct, trace_power_expansion
 from tritrace.cli import (
     COMMANDS,
     DEFAULT_SEED,
+    RunConfig,
     build_config,
     main,
     matrix_from_csv,
     matrix_to_csv_rows,
+    run,
 )
 from tritrace.ensembles import EnsembleSpec, sample_matrix
 from tritrace.errors import ConfigError
@@ -70,6 +73,19 @@ class TestTraceCommand:
         assert np.allclose(parsed.diag, matrix.diag)
         assert np.allclose(parsed.sub, matrix.sub)
         assert run_cli("trace", "--input", str(path), "--k", "4") == 0
+
+    def test_input_file_json_holds_both_routes(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text("sub,diag,sup\n,0.5,1.5\n-2,1,0.25\n3,-0.75,1\n0.5,2,\n")
+        out = tmp_path / "t.json"
+        assert run_cli("trace", "--input", str(path), "--k", "4", "--output", str(out)) == 0
+        results = json.loads(out.read_text())["results"]
+        matrix = matrix_from_csv(str(path))
+        expansion = trace_power_expansion(matrix, 4, enumerate_types(4))
+        direct = trace_power_direct(matrix, 4)
+        assert results == {"k": 4, "n": 4, "expansion": expansion, "direct": direct,
+                           "difference": abs(expansion - direct),
+                           "relative_difference": abs(expansion - direct) / (1.0 + abs(direct))}
 
     def test_overflowing_sum_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
@@ -182,6 +198,26 @@ class TestConfigHandling:
         assert run_cli("dump-sample", "--config", str(cfg), "--n", "3") == 1
         assert capsys.readouterr().err == (
             "error: ensemble model anderson does not read kernel_variant\n")
+
+    @pytest.mark.parametrize("command", ["clt", "cov"])
+    def test_closed_form_target_rejects_replicas(self, tmp_path, capsys, command):
+        # the beta-Hermite target is a formula; a recorded replica count would
+        # claim a Monte Carlo size that shaped nothing
+        out = tmp_path / "c.json"
+        assert run_cli(command, "--ensemble", "beta_hermite", "--beta", "2", "--k-list", "1,2",
+                       "--n", "50", "--trials", "200", "--replicas", "9", "--seed", "1",
+                       "--output", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {command} does not read replicas for a beta_hermite ensemble\n")
+        assert not out.exists()
+
+    def test_unknown_model_exits_1(self, capsys):
+        assert run_cli("dump-sample", "--ensemble", "nonsense", "--n", "3") == 1
+        assert capsys.readouterr().err == "error: unknown model 'nonsense'\n"
+
+    def test_run_rejects_an_unknown_command(self):
+        with pytest.raises(ConfigError, match="unknown command 'nonsense'"):
+            run(RunConfig(command="nonsense", ensemble=None, workers=1, settings={}))
 
     def test_ensemble_keys_without_a_model_are_an_error(self, capsys):
         assert run_cli("types", "--k", "3", "--beta", "2") == 1
@@ -515,6 +551,15 @@ class TestOutputs:
         mid = lines[1 + 5].split(",")
         assert float(mid[0]) == 0.0
         assert abs(float(mid[1])) < 1e-9
+
+
+    def test_cramer_warns_where_the_supremum_hits_t_max(self, capsys):
+        # on [0, 1] the rate at x near 1 needs tilts far beyond |t| = 1
+        assert run_cli("cramer", "--law", "uniform(0,1)", "--x-min", "0.9", "--x-max", "0.99",
+                       "--points", "3", "--t-max", "1") == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["warning"] * 3
+        assert all("supremum hit |t|=1 with positive slope" in line for line in lines)
 
 
 class TestStatisticalExitCodes:

@@ -174,6 +174,10 @@ class TestEntryLaw:
 
 
 class TestSpecValidation:
+    def test_unknown_model_is_named(self):
+        with pytest.raises(InvalidArgumentError, match="unknown model 'nonsense'"):
+            EnsembleSpec("nonsense")
+
     def test_beta_hermite_forces_symmetry(self):
         with pytest.raises(InvalidArgumentError):
             EnsembleSpec(model="beta_hermite", symmetric=False, beta=2.0)
@@ -419,7 +423,7 @@ class TestSampleWindow:
         with pytest.raises(InvalidArgumentError):
             sample_window_arrays(EnsembleSpec.anderson(), 1, 0, 1, 1)
 
-    @pytest.mark.parametrize("name", [k for k, v in SPECS.items() if v.window_matrix_consistent])
+    @pytest.mark.parametrize("name", [k for k, v in SPECS.items() if v.model != "birth_death_kernel"])
     @pytest.mark.parametrize("n", [2, 3, 17, 400, 401])
     def test_matrix_is_head_of_window_bitwise(self, name, n):
         spec = SPECS[name]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -19,11 +20,11 @@ from conftest import (
 )
 from tritrace import stats
 from tritrace.circuits import (
+    RowTracer,
     TridiagonalMatrix,
     enumerate_types,
     trace_power_expansion,
     traces_for_k_list,
-    traces_for_rows,
 )
 from tritrace.ensembles import (
     EnsembleSpec,
@@ -225,10 +226,10 @@ class TestMcTraces:
         assert abs(var - 1.0) < 4 * math.sqrt(2.0 / 4000)
 
     def test_exact_centering_for_odd_symmetric(self):
-        assert exact_trace_mean(EnsembleSpec.anderson(), 100, 3) == 0.0
-        assert exact_trace_mean(EnsembleSpec.anderson(), 100, 2) is None
-        assert exact_trace_mean(EnsembleSpec.anderson(EntryLaw.uniform(0, 1)), 100, 3) is None
-        assert exact_trace_mean(EnsembleSpec.birth_death_q(), 100, 3) is None
+        assert exact_trace_mean(EnsembleSpec.anderson(), 3) == 0.0
+        assert exact_trace_mean(EnsembleSpec.anderson(), 2) is None
+        assert exact_trace_mean(EnsembleSpec.anderson(EntryLaw.uniform(0, 1)), 3) is None
+        assert exact_trace_mean(EnsembleSpec.birth_death_q(), 3) is None
 
     def test_workers_do_not_change_results(self):
         # 2100 trials are three blocks, the last one short; 8 workers are capped at 3
@@ -416,9 +417,9 @@ FLOAT_ROUTE_SPECS = {
 
 
 def float_route(spec, n, k_list, trials, rows, master_seed=41):
-    """Raw traces by the general route: sampled rows, then traces_for_rows."""
+    """Raw traces by the general route: sampled rows, then a RowTracer."""
     return np.concatenate([
-        traces_for_rows(sub * sup, diag, k_list)
+        RowTracer(n, k_list)(sub * sup, diag)
         for _, sub, diag, sup in sample_matrix_chunks(spec, n, master_seed, trials, rows)])
 
 
@@ -500,12 +501,14 @@ class TestDkIid:
         est = dk_iid(EnsembleSpec.anderson(), 2, 5000, 3)
         assert est.value == 0.0
         assert est.standard_error == 0.0
-        oracle = exhaustive_dk(2, est.dependence.m_k, EntryLaw.rademacher().atoms)
+        oracle = exhaustive_dk(2, dependence_range(2, symmetric=False).m_k,
+                              EntryLaw.rademacher().atoms)
         assert oracle == pytest.approx(0.0, abs=1e-12)
 
     def test_k3_rademacher_matches_exhaustive_support(self):
         est = dk_iid(EnsembleSpec.anderson(), 3, 200_000, 5)
-        oracle = exhaustive_dk(3, est.dependence.m_k, EntryLaw.rademacher().atoms)
+        oracle = exhaustive_dk(3, dependence_range(3, symmetric=False).m_k,
+                              EntryLaw.rademacher().atoms)
         assert oracle == pytest.approx(49.0)
         assert abs(est.value - oracle) <= 4 * est.standard_error
 
@@ -513,7 +516,7 @@ class TestDkIid:
         law = EntryLaw.bernoulli(0.25, -1.0, 2.0)
         spec = EnsembleSpec.anderson(law)
         est = dk_iid(spec, 2, 300_000, 12)
-        oracle = exhaustive_dk(2, est.dependence.m_k, law.atoms)
+        oracle = exhaustive_dk(2, dependence_range(2, spec.symmetric).m_k, law.atoms)
         assert abs(est.value - oracle) <= 4 * est.standard_error
 
     def test_rejects_non_iid_specs(self):
@@ -602,6 +605,15 @@ class TestLambdaTarget:
             with pytest.raises(InvalidArgumentError):
                 call()
 
+    def test_empty_k_list_is_an_error(self):
+        with pytest.raises(InvalidArgumentError, match="k_list must be non-empty"):
+            covariance_target((), "beta_hermite", beta=2.0)
+
+    @pytest.mark.parametrize("value", [np.ones((2, 3)), np.ones(2)], ids=["2x3", "1-d"])
+    def test_target_must_be_square(self, value):
+        with pytest.raises(InvalidArgumentError, match="covariance target must be square"):
+            CovarianceTarget(source="iid_window_formula", value=value)
+
     def test_iid_mc_diagonal_matches_dk(self):
         # one estimator: a one-power target is dk_iid's value, bit for bit
         specs = [EnsembleSpec.anderson(), EnsembleSpec.hatano_nelson(),
@@ -676,6 +688,27 @@ class TestNormalityReport:
         with pytest.raises(InvalidArgumentError):
             normality_report(np.zeros((50, 1)), self._target([1.0]), k_list=(1,), n=10,
                              scaling_exponents=(0.5,))
+
+    def test_k_list_and_columns_must_agree(self):
+        samples = np.random.default_rng(0).standard_normal((200, 2))
+        with pytest.raises(InvalidArgumentError, match="inconsistent shapes"):
+            normality_report(samples, self._target([1.0, 1.0]), k_list=(1,), n=10,
+                             scaling_exponents=(0.5,))
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda r: {"covariance": r.covariance + np.triu(np.ones((2, 2)), 1)},
+         "covariance must be exactly symmetric"),
+        (lambda r: {"variance": (2.0 * r.variance[0], r.variance[1])},
+         "covariance diagonal must equal the variances"),
+        (lambda r: {"ks_distance": (0.1, 1.5)}, r"KS distances must lie in \[0, 1\]"),
+        (lambda r: {"ks_distance": (-0.1, 0.1)}, r"KS distances must lie in \[0, 1\]"),
+    ], ids=["asymmetric", "diagonal-off-variance", "ks-above-1", "ks-below-0"])
+    def test_report_checks_name_their_fault(self, change, message):
+        samples = np.random.default_rng(3).standard_normal((500, 2))
+        report = normality_report(samples, self._target([1.0, 1.0]), k_list=(1, 2), n=10,
+                                  scaling_exponents=(0.5, 0.5))
+        with pytest.raises(InvalidArgumentError, match=message):
+            dataclasses.replace(report, **change(report))
 
     def test_covariance_diag_consistency(self):
         rng = np.random.default_rng(3)
