@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf, isfinite
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -167,6 +167,20 @@ def checked_int(name: str, value, least: int, most: int | None = None) -> int:
     elif not least <= value <= most:
         raise InvalidArgumentError(f"{name}={value} outside [{least}, {most}]")
     return int(value)
+
+
+def checked_real(name: str, value, finite: bool = True) -> float:
+    """``value`` as a float, or :class:`InvalidArgumentError` naming ``name`` unless it is a
+    Python or numpy int or float (not a bool) and finite (``finite=False``: the caller checks)."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)
+    except OverflowError:   # an int beyond the float range
+        real = inf if value > 0 else -inf
+    if finite and not isfinite(real):
+        raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
+    return real
 
 
 def enumerate_types(k: int) -> tuple[CircuitType, ...]:

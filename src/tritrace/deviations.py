@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import K_MAX, checked_int
+from .circuits import K_MAX, checked_int, checked_real
 from .ensembles import EnsembleSpec, EntryLaw, seed_int
 from .errors import DegenerateRateError, InvalidArgumentError
 from .stats import _check_trace_run, _raw_traces, _require_iid, center_and_scale, dk_iid
@@ -96,7 +96,7 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
     """
     if not spec.bounded:
         raise InvalidArgumentError("deviation checks require a bounded spec")
-    if not 0.0 < nu < 1.0:
+    if not 0.0 < (nu := checked_real("nu", nu, finite=False)) < 1.0:
         raise InvalidArgumentError("nu must lie in (0, 1)")
     k = checked_int("k", k, 1, K_MAX)
     dk_replicas = checked_int("dk_replicas", dk_replicas, 2)
@@ -105,7 +105,7 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
     if not n_list:
         raise InvalidArgumentError("n_list must be non-empty")
     if delta_list is not None:
-        delta_list = tuple(float(d) for d in delta_list)
+        delta_list = tuple(checked_real("delta_list entry", d, finite=False) for d in delta_list)
         if not delta_list:
             # a table with no threshold compares nothing, so its gate would pass
             raise InvalidArgumentError("delta_list, when given, must be non-empty")
@@ -145,7 +145,7 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
                 flags.append("empty-tail")
             else:
                 empirical = -lam * math.log(tail)
-            out.append(RateEstimate(n=n, nu=float(nu), delta=float(delta),
+            out.append(RateEstimate(n=n, nu=nu, delta=delta,
                                     tail_prob=tail, empirical_rate=empirical,
                                     predicted_rate=predicted, trials=trials,
                                     flags=tuple(flags)))
@@ -191,7 +191,7 @@ def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = CRAMER_T_MAX) -> 
     """
     if not entry_law.is_bounded:
         raise InvalidArgumentError("Cramér rate needs a compactly supported law")
-    if t_max <= 0:
+    if not (t_max := checked_real("t_max", t_max, finite=False)) > 0:   # inf: too wide below
         raise InvalidArgumentError("t_max must be positive")
     lo, hi = entry_law.support
     if not math.isfinite(t_max * (hi - lo)):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circuits import TridiagonalMatrix, checked_int
+from .circuits import TridiagonalMatrix, checked_int, checked_real
 from .errors import InvalidArgumentError
 
 KERNEL_VARIANTS = ("v", "conductance")
@@ -136,10 +136,14 @@ class EntryLaw:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        law = _KINDS.get(self.kind)
+        law = _KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if law is None:
             raise InvalidArgumentError(f"unknown law kind: {self.kind!r}")
-        params = tuple(float(p) for p in self.params)
+        if not isinstance(self.params, (tuple, list)):
+            raise InvalidArgumentError(
+                f"{self.kind} law parameters must be a tuple, got {self.params!r}")
+        params = tuple(checked_real(f"{self.kind} law parameter", p, finite=False)
+                       for p in self.params)   # the check below names a non-finite one
         if len(params) != law.arity:
             raise InvalidArgumentError(
                 f"{self.kind} law takes {law.arity} parameters, got {params}")
@@ -283,12 +287,27 @@ _MODELS = {
     "generic_iid": _Model({"symmetric": False, "a_law": None, "d_law": None, "b_law": None}),
 }
 
+_FIELD_TYPES = {"model": str, "kernel_variant": str, "symmetric": bool}   # the rest are laws
+
+
+def _spec_field(name: str, value):
+    """A given value of spec field ``name`` as the spec stores it (np.True_,
+    which JSON cannot hold, as True), or an error naming the field."""
+    if name == "beta":   # the model's check names a non-finite beta
+        return checked_real(name, value, finite=False)
+    value = bool(value) if isinstance(value, np.bool_) else value
+    kind = _FIELD_TYPES.get(name, EntryLaw)
+    if not isinstance(value, kind):
+        raise InvalidArgumentError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Declarative description of the joint law of the entry triples.  The
-    model's record in ``_MODELS`` fills and checks the fields it reads.  A
-    field set but not read is an error: it would be recorded as if it had
+    """Declarative description of the joint law of the entry triples, built as
+    ``EnsembleSpec(model, **fields)``.  The model's record in ``_MODELS`` fills
+    and checks the fields it reads, each given one typed by :func:`_spec_field`.
+    A field set but not read is an error: it would be recorded as if it had
     shaped the draws."""
 
     model: str
@@ -301,10 +320,12 @@ class EnsembleSpec:
     kernel_variant: str | None = None
 
     def __post_init__(self):
-        model = _MODELS.get(self.model)
+        model = _MODELS.get(_spec_field("model", self.model))
         if model is None:
             raise InvalidArgumentError(f"unknown model {self.model!r}")
         values = {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+        if values["symmetric"] is not None:   # read first: it decides whether b_law is read
+            values["symmetric"] = _spec_field("symmetric", values["symmetric"])
         if "symmetric" not in model.fields and values["symmetric"] == model.symmetric:
             values["symmetric"] = None   # restating the model's fixed value reads nothing
         given = values["symmetric"]
@@ -318,7 +339,9 @@ class EnsembleSpec:
         values["symmetric"] = symmetric
         for name in reads:
             default = model.fields[name]
-            if values[name] is None:
+            if values[name] is not None:
+                values[name] = _spec_field(name, values[name])
+            else:
                 values[name] = default(values) if callable(default) else default
         missing = [name for name in reads if values[name] is None]
         if missing:
@@ -328,32 +351,6 @@ class EnsembleSpec:
         for ok, message in model.checks:
             if not ok(self):
                 raise InvalidArgumentError(message)
-
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def anderson(cls, d_law: EntryLaw | None = None) -> "EnsembleSpec":
-        return cls("anderson", d_law=d_law)
-
-    @classmethod
-    def hatano_nelson(cls, a_law=None, d_law=None, b_law=None) -> "EnsembleSpec":
-        return cls("hatano_nelson", a_law=a_law, d_law=d_law, b_law=b_law)
-
-    @classmethod
-    def birth_death_kernel(cls, law: EntryLaw | None = None,
-                           variant: str | None = None) -> "EnsembleSpec":
-        return cls("birth_death_kernel", kernel_law=law, kernel_variant=variant)
-
-    @classmethod
-    def birth_death_q(cls, a_law=None, b_law=None, symmetric: bool = False) -> "EnsembleSpec":
-        return cls("birth_death_q", symmetric, a_law=a_law, b_law=b_law)
-
-    @classmethod
-    def beta_hermite(cls, beta: float) -> "EnsembleSpec":
-        return cls("beta_hermite", beta=float(beta))
-
-    @classmethod
-    def generic_iid(cls, a_law, d_law, b_law=None, symmetric: bool = False) -> "EnsembleSpec":
-        return cls("generic_iid", symmetric, a_law=a_law, d_law=d_law, b_law=b_law)
 
     # -- derived structure -------------------------------------------------
     @property

@@ -17,11 +17,12 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circuits import K_MAX, RowTracer, checked_int, class_product, enumerate_types, slot_powers
+from .circuits import (K_MAX, RowTracer, checked_int, checked_real, class_product,
+                       enumerate_types, slot_powers)
 from .ensembles import (
     MAX_TRIALS,
     EnsembleSpec,
@@ -238,17 +239,16 @@ def growth_exponents(spec: EnsembleSpec, k_list, alpha: float | None,
     """Scaling exponents ``alpha*k + 1/2 - epsilon`` for each power.
 
     Whichever of ``alpha`` and ``epsilon`` is None takes its value from the
-    spec's default growth; a given value is always kept.
+    spec's default growth; a given value, a finite real number, is always kept.
     """
     da, de = spec.default_growth
-    alpha = da if alpha is None else alpha
-    epsilon = de if epsilon is None else epsilon
+    alpha = da if alpha is None else checked_real("alpha", alpha)
+    epsilon = de if epsilon is None else checked_real("epsilon", epsilon)
     return [alpha * k + 0.5 - epsilon for k in k_list]
 
 
 def mc_traces(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
-              alpha: float | None = None, epsilon: float | None = None, *,
-              workers: int = 1) -> np.ndarray:
+              alpha: float | None, epsilon: float | None, *, workers: int = 1) -> np.ndarray:
     """Scaled, centered traces over independent trials: (trials, len(k_list)).
 
     Trial ``t`` samples its matrix from the stream keyed by
@@ -256,7 +256,7 @@ def mc_traces(spec: EnsembleSpec, n: int, k_list, trials: int, master_seed: int,
     how blocks were scheduled, so worker counts never change the result.
     Traces are centered at the exact mean when one is available in closed
     form, otherwise at the across-trial empirical mean, then multiplied by
-    ``n ** -(alpha*k + 1/2 - epsilon)``.
+    ``n ** -(alpha*k + 1/2 - epsilon)``, a None exponent taking the spec's default.
     """
     n, k_list, trials, workers = _check_trace_run(n, k_list, trials, workers)
     master_seed = seed_int(master_seed)
@@ -421,14 +421,15 @@ def covariance_target(k_list, regime: str, *, beta: float | None = None,
     if not k_list:
         raise InvalidArgumentError("k_list must be non-empty")
     if regime == "beta_hermite":
-        if beta is None or not 0 < beta < math.inf:
+        if not 0 < (beta := checked_real("beta", beta, finite=False)) < math.inf:
             raise InvalidArgumentError("beta_hermite regime requires a finite beta > 0")
         value = np.array([[_beta_hermite_entry(ki, kj, beta) for kj in k_list] for ki in k_list])
         return CovarianceTarget(source="beta_hermite_formula", value=value)
     if regime == "symmetric_degenerate":
-        if None in (a, var_eta, var_zeta, alpha, epsilon):
-            raise InvalidArgumentError("symmetric_degenerate regime parameters incomplete")
-        value = np.array([[_symmetric_degenerate_entry(ki, kj, a, var_eta, var_zeta, alpha, epsilon)
+        given = dict(a=a, var_eta=var_eta, var_zeta=var_zeta, alpha=alpha, epsilon=epsilon)
+        # a parameter left out is None, an error naming it
+        params = {name: checked_real(name, value) for name, value in given.items()}
+        value = np.array([[_symmetric_degenerate_entry(ki, kj, **params)
                            for kj in k_list] for ki in k_list])
         return CovarianceTarget(source="symmetric_degenerate_formula", value=value)
     if regime == "iid_mc":
@@ -470,22 +471,19 @@ class MomentReport:
             raise InvalidArgumentError("KS distances must lie in [0, 1]")
 
     def to_json_dict(self) -> dict:
-        se = {key: (val.tolist() if isinstance(val, np.ndarray) else list(val))
-              for key, val in self.mc_standard_errors.items()}
-        return {
-            "k_list": list(self.k_list),
-            "trials": self.trials,
-            "n": self.n,
-            "scaling_exponents": list(self.scaling_exponents),
-            "mean": list(self.mean),
-            "variance": list(self.variance),
-            "covariance": self.covariance.tolist(),
-            "skewness": list(self.skewness),
-            "excess_kurtosis": list(self.excess_kurtosis),
-            "ks_distance": list(self.ks_distance),
-            "ks_critical_1pct": self.ks_critical_1pct,
-            "mc_standard_errors": se,
-        }
+        """Every field under its name (:func:`_as_json`)."""
+        return {f.name: _as_json(getattr(self, f.name)) for f in fields(self)}
+
+
+def _as_json(value):
+    """Arrays and tuples as lists, a dict entry by entry, anything else as is."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return {key: _as_json(val) for key, val in value.items()}
+    return value
 
 
 def ks_distance_to_normal(standardized: np.ndarray) -> float:
@@ -564,15 +562,15 @@ def normality_report(samples: np.ndarray, targets: CovarianceTarget, *, k_list,
         raise InvalidArgumentError("distributional statistics need at least 100 trials")
     k_list = tuple(checked_int("k", k, 1) for k in k_list)
     n = checked_int("n", n, 2)
+    exponents = tuple(checked_real("scaling_exponents entry", e) for e in scaling_exponents)
     trials, r = samples.shape
+    if not k_list:
+        raise InvalidArgumentError("k_list must be non-empty")
     if r != len(k_list) or targets.value.shape != (r, r):
         raise InvalidArgumentError("samples, k_list and targets have inconsistent shapes")
 
     cov, cov_se = sample_covariance(samples)
-    variance = tuple(float(v) for v in np.diag(cov))
-
-    means, skews, kurts, ks = [], [], [], []
-    mean_se, var_se, skew_se, kurt_se = [], [], [], []
+    columns = []   # per power: mean, skewness, excess kurtosis, KS and four standard errors
     for j, k in enumerate(k_list):
         x = samples[:, j]
         tv = float(targets.value[j, j])
@@ -580,31 +578,20 @@ def normality_report(samples: np.ndarray, targets: CovarianceTarget, *, k_list,
             raise DegenerateTargetError(
                 f"target variance for power {k} is {tv:g}; cannot standardize")
         mu = float(x.mean())
-        means.append(mu)
         c = x - mu
-        m2 = float((c ** 2).mean())
-        m3 = float((c ** 3).mean())
-        m4 = float((c ** 4).mean())
-        skews.append(m3 / m2 ** 1.5 if m2 > 0 else 0.0)
-        kurts.append(m4 / m2 ** 2 - 3.0 if m2 > 0 else 0.0)
-        ks.append(ks_distance_to_normal(x / math.sqrt(tv)))
-        mean_se.append(float(x.std(ddof=1) / math.sqrt(trials)))
-        vse, sse, kse = _jackknife_moment_ses(x)
-        var_se.append(vse)
-        skew_se.append(sse)
-        kurt_se.append(kse)
+        m2, m3, m4 = (float((c ** p).mean()) for p in (2, 3, 4))
+        columns.append((mu, m3 / m2 ** 1.5 if m2 > 0 else 0.0,
+                        m4 / m2 ** 2 - 3.0 if m2 > 0 else 0.0,
+                        ks_distance_to_normal(x / math.sqrt(tv)),
+                        float(x.std(ddof=1) / math.sqrt(trials)), *_jackknife_moment_ses(x)))
+    means, skews, kurts, ks, mean_se, var_se, skew_se, kurt_se = zip(*columns)
 
     return MomentReport(
-        k_list=k_list, trials=trials, n=n,
-        scaling_exponents=tuple(float(e) for e in scaling_exponents),
-        mean=tuple(means), variance=variance, covariance=cov,
-        skewness=tuple(skews), excess_kurtosis=tuple(kurts),
-        ks_distance=tuple(ks), ks_critical_1pct=1.63 / math.sqrt(trials),
-        mc_standard_errors={
-            "mean": tuple(mean_se), "variance": tuple(var_se),
-            "skewness": tuple(skew_se), "excess_kurtosis": tuple(kurt_se),
-            "covariance": cov_se,
-        })
+        k_list=k_list, trials=trials, n=n, scaling_exponents=exponents, mean=means,
+        variance=tuple(float(v) for v in np.diag(cov)), covariance=cov, skewness=skews,
+        excess_kurtosis=kurts, ks_distance=ks, ks_critical_1pct=1.63 / math.sqrt(trials),
+        mc_standard_errors={"mean": mean_se, "variance": var_se, "skewness": skew_se,
+                            "excess_kurtosis": kurt_se, "covariance": cov_se})
 
 
 def ks_failures(report: MomentReport) -> list[int]:

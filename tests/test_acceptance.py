@@ -58,22 +58,22 @@ def _timed_mc(spec, n, k_list, trials, alpha=None, epsilon=None, workers=1):
 
 @pytest.fixture(scope="module")
 def anderson_4000():
-    return _timed_mc(EnsembleSpec.anderson(), 4000, (1, 2, 3), 10_000, 0.0, 0.0)
+    return _timed_mc(EnsembleSpec("anderson"), 4000, (1, 2, 3), 10_000, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
 def anderson_2000():
-    return _timed_mc(EnsembleSpec.anderson(), 2000, (1, 2, 3), 10_000, 0.0, 0.0)
+    return _timed_mc(EnsembleSpec("anderson"), 2000, (1, 2, 3), 10_000, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
 def beta_4000():
-    return _timed_mc(EnsembleSpec.beta_hermite(2.0), 4000, (1, 2, 3, 4), 10_000)
+    return _timed_mc(EnsembleSpec("beta_hermite", beta=2.0), 4000, (1, 2, 3, 4), 10_000)
 
 
 @pytest.fixture(scope="module")
 def beta_2000():
-    return _timed_mc(EnsembleSpec.beta_hermite(2.0), 2000, (1, 2, 3, 4), 10_000)
+    return _timed_mc(EnsembleSpec("beta_hermite", beta=2.0), 2000, (1, 2, 3, 4), 10_000)
 
 
 def test_criterion_01_circuit_count_regression():
@@ -124,7 +124,7 @@ def test_criterion_03_bruteforce_type_oracle():
 
 
 def test_criterion_04_clt_variance(anderson_4000):
-    spec = EnsembleSpec.anderson()
+    spec = EnsembleSpec("anderson")
     start = time.perf_counter()
     samples = anderson_4000.samples
     estimates = {k: dk_iid(spec, k, 200_000, SEED) for k in (1, 2, 3)}
@@ -212,7 +212,7 @@ def test_criterion_06_scaling_exponent(anderson_2000, anderson_4000, beta_2000, 
     "n^nu = 100 with predicted rate 0.5 puts the tail mass at exp(-50), so "
     "1e6 trials contain no tail event and the empirical rate is infinite"))
 def test_criterion_07_mdp_rate_as_stated():
-    spec = EnsembleSpec.anderson()
+    spec = EnsembleSpec("anderson")
     start = time.perf_counter()
     dk = dk_iid(spec, 1, 200_000, SEED)
     delta = math.sqrt(2.0 * dk.value * 0.5)  # predicted rate 0.5 by construction
@@ -230,7 +230,7 @@ def test_criterion_07_mdp_rate_as_stated():
 
 def test_criterion_07_companion_feasible_mdp():
     # same statistic and machinery in the regime the feasibility guard allows
-    spec = EnsembleSpec.anderson()
+    spec = EnsembleSpec("anderson")
     start = time.perf_counter()
     dk = dk_iid(spec, 1, 200_000, SEED)
     delta = math.sqrt(2.0 * dk.value * 0.4)
@@ -250,8 +250,8 @@ def test_criterion_08_boundary_term_bound():
     start = time.perf_counter()
     ok = True
     details = []
-    for spec, k in ((EnsembleSpec.anderson(), 2), (EnsembleSpec.anderson(), 3),
-                    (EnsembleSpec.birth_death_q(), 3)):
+    for spec, k in ((EnsembleSpec("anderson"), 2), (EnsembleSpec("anderson"), 3),
+                    (EnsembleSpec("birth_death_q"), 3)):
         bound = boundary_bound(spec, k)
         means = []
         for n in (100, 1000, 10_000):

@@ -341,8 +341,8 @@ class TestMonteCarloRoute:
         ids=lambda p: f"{p[0]}-n{p[1]}")
     def matrix(self, request):
         model, n = request.param
-        spec = (EnsembleSpec.beta_hermite(2.0) if model == "beta_hermite"
-                else EnsembleSpec.hatano_nelson())
+        spec = (EnsembleSpec("beta_hermite", beta=2.0) if model == "beta_hermite"
+                else EnsembleSpec("hatano_nelson"))
         return sample_matrix(spec, n, 20 + n)
 
     def test_matches_expansion_at_every_power(self, matrix):
@@ -364,8 +364,8 @@ class TestMonteCarloRoute:
     def test_unequal_off_diagonals_do_not_overflow(self, n):
         # sub*sup == 1, so every trace is finite, but sup^6 alone overflows
         # and sub^6 alone underflows
-        spec = EnsembleSpec.hatano_nelson(a_law=EntryLaw.constant(1e60),
-                                          b_law=EntryLaw.constant(1e-60))
+        spec = EnsembleSpec("hatano_nelson", a_law=EntryLaw.constant(1e60),
+                            b_law=EntryLaw.constant(1e-60))
         m = sample_matrix(spec, n, 31)
         got = circuits.traces_for_k_list(m, range(BANDED_MIN_K, 13))
         for k, value in zip(range(BANDED_MIN_K, 13), got):
@@ -459,6 +459,24 @@ class TestBandedIdentities:
         want = circuits.RowTracer(self.N, self.KS)(ab, diag)
         got = circuits.RowTracer(self.N, self.KS)(ab[:, ::-1], diag[:, ::-1])
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [5, 50, 200])
+    @pytest.mark.parametrize("c", [2.0 ** -3, 2.0, 2.0 ** 5, 3.0])
+    def test_gauge_leaves_every_trace(self, n, c):
+        # sub times c and sup over c is G Q G^-1 with G = diag(c^i): a
+        # similarity, so no trace moves, and a power of two moves no bit; the
+        # entries are positive, so no trace cancels below its terms' scale
+        law = EntryLaw.uniform(0.5, 1.5)
+        q = sample_matrix(EnsembleSpec("generic_iid", a_law=law, d_law=law, b_law=law), n, 11)
+        gauged = TridiagonalMatrix(sub=q.sub * c, diag=q.diag, sup=q.sup / c)
+        pairs = [(trace_power_direct(m, k) for m in (q, gauged)) for k in range(1, 17)]
+        pairs += [(trace_power_expansion(m, k, enumerate_types(k)) for m in (q, gauged))
+                  for k in range(1, 9)]
+        for want, got in pairs:
+            if math.log2(c).is_integer():
+                assert got.hex() == want.hex()
+            else:
+                assert abs(got - want) <= 1e-12 * abs(want)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([-1, 1, 2]))
     @settings(max_examples=5)

@@ -22,8 +22,9 @@ from tritrace.cli import (
     matrix_from_csv,
     matrix_to_csv_rows,
     run,
+    spec_from_mapping,
 )
-from tritrace.ensembles import EnsembleSpec, sample_matrix
+from tritrace.ensembles import EnsembleSpec, EntryLaw, sample_matrix
 from tritrace.errors import ConfigError
 
 
@@ -64,7 +65,7 @@ class TestTraceCommand:
         assert "expansion:" in out and "direct:" in out
 
     def test_input_file_roundtrip(self, tmp_path, capsys):
-        spec = EnsembleSpec.birth_death_q()
+        spec = EnsembleSpec("birth_death_q")
         matrix = sample_matrix(spec, 12, 5)
         path = tmp_path / "matrix.csv"
         rows = ["sub,diag,sup"] + [",".join(r) for r in matrix_to_csv_rows(matrix)]
@@ -95,6 +96,22 @@ class TestTraceCommand:
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("model, fields", [
+        ("anderson", {"d_law": EntryLaw.bernoulli(0.3, -1, 2)}),
+        ("beta_hermite", {"beta": 2}),
+        ("hatano_nelson", {"a_law": EntryLaw.uniform(0.2, 0.9), "b_law": EntryLaw.constant(3)}),
+        ("birth_death_kernel", {"kernel_variant": "conductance",
+                                "kernel_law": EntryLaw.uniform(1, 2)}),
+        ("birth_death_q", {"symmetric": True, "a_law": EntryLaw.constant(1)}),
+        ("generic_iid", {"symmetric": False, "a_law": EntryLaw.gaussian(0, 1),
+                         "d_law": EntryLaw.rademacher(), "b_law": EntryLaw.uniform(-1, 1)}),
+    ], ids=lambda value: value if isinstance(value, str) else None)
+    def test_spec_from_values_describes_as_from_text(self, model, fields):
+        # the library's spec and the CLI's, from the same values as text
+        text = {"model": model, **{key: str(value) for key, value in fields.items()}}
+        from_values = json.dumps(EnsembleSpec(model, **fields).describe(), sort_keys=True)
+        assert from_values == json.dumps(spec_from_mapping(text).describe(), sort_keys=True)
+
     def test_empty_config_file_fails(self, tmp_path, capsys):
         cfg = tmp_path / "empty.ini"
         cfg.write_text("")
@@ -513,7 +530,7 @@ class TestOutputs:
         path = tmp_path / "m.csv"
         run_cli("dump-sample", "--ensemble", "beta_hermite", "--beta", "2",
                 "--n", "6", "--seed", "9", "--output", str(path))
-        matrix = sample_matrix(EnsembleSpec.beta_hermite(2.0), 6, 9)
+        matrix = sample_matrix(EnsembleSpec("beta_hermite", beta=2.0), 6, 9)
         parsed = matrix_from_csv(str(path))
         assert np.array_equal(parsed.diag, matrix.diag)
         assert np.array_equal(parsed.sub, matrix.sub)

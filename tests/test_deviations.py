@@ -119,21 +119,21 @@ class TestCramerRate:
 
 class TestMdpCheck:
     def test_zero_threshold_trivial(self):
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         out = mdp_check(spec, 1, 0.5, [64], [0.0], 256, 5, dk_replicas=5000)
         assert out[0].tail_prob == 1.0
         assert out[0].empirical_rate == 0.0
         assert out[0].predicted_rate == 0.0
 
     def test_degenerate_diagonal_rejected(self):
-        spec = EnsembleSpec.anderson(EntryLaw.constant(0.0))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw.constant(0.0))
         with pytest.raises(DegenerateRateError):
             mdp_check(spec, 1, 0.5, [64], [0.5], 256, 5, dk_replicas=5000)
 
     def test_degenerate_diagonal_rejected_with_workers(self):
         # D_k is estimated beside the first size's blocks, so the error comes
         # after them, with every child reaped
-        spec = EnsembleSpec.anderson(EntryLaw.constant(0.0))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw.constant(0.0))
         with pytest.raises(DegenerateRateError):
             mdp_check(spec, 1, 0.5, [64], [0.5], 2100, 5, workers=2, dk_replicas=5000)
         with pytest.raises(ChildProcessError):
@@ -145,7 +145,7 @@ class TestMdpCheck:
                              ids=["rademacher-k1", "uniform-k2"])
     def test_workers_do_not_change_results(self, d_law, k, delta_list):
         # three blocks per size; D_k overlaps only the first of the two sizes
-        spec = EnsembleSpec.anderson(d_law)
+        spec = EnsembleSpec("anderson", d_law=d_law)
         one = mdp_check(spec, k, 0.5, [64, 100], delta_list, 2100, 5, dk_replicas=5000)
         assert len(one) == 2 * (4 if delta_list is None else 2)
         for workers in (2, 3):
@@ -157,10 +157,10 @@ class TestMdpCheck:
             raise AssertionError("forked before the argument checks")
 
         monkeypatch.setattr(os, "fork", fork)
-        not_iid = EnsembleSpec.birth_death_kernel(variant="conductance")
+        not_iid = EnsembleSpec("birth_death_kernel", kernel_variant="conductance")
         with pytest.raises(InvalidArgumentError, match="i.i.d.-type"):
             mdp_check(not_iid, 1, 0.5, [64], None, 2100, 5, workers=2)
-        anderson = EnsembleSpec.anderson()
+        anderson = EnsembleSpec("anderson")
         with pytest.raises(InvalidArgumentError, match="replicas must be >= 2"):
             mdp_check(anderson, 1, 0.5, [64], None, 2100, 5, workers=2, dk_replicas=1)
         with pytest.raises(InvalidArgumentError, match=r"k=0 outside \[1, 16\]"):
@@ -174,27 +174,27 @@ class TestMdpCheck:
         # NaN one predicted a NaN rate; both ran as if valid
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the checks"))
         with pytest.raises(InvalidArgumentError, match="thresholds must be finite and >= 0"):
-            mdp_check(EnsembleSpec.anderson(), 1, 0.5, [64], [delta, 0.5], 256, 5, workers=2)
+            mdp_check(EnsembleSpec("anderson"), 1, 0.5, [64], [delta, 0.5], 256, 5, workers=2)
 
     def test_empty_threshold_list_is_an_error(self, monkeypatch):
         # it once ran every trial and D_k, then returned no estimate at all,
         # so a gate over the estimates compared nothing and passed
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the checks"))
         with pytest.raises(InvalidArgumentError, match="when given, must be non-empty"):
-            mdp_check(EnsembleSpec.anderson(), 1, 0.5, [64], [], 2100, 5, workers=2)
+            mdp_check(EnsembleSpec("anderson"), 1, 0.5, [64], [], 2100, 5, workers=2)
 
     def test_empty_size_list_is_an_error(self, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the checks"))
         with pytest.raises(InvalidArgumentError, match="n_list must be non-empty"):
-            mdp_check(EnsembleSpec.anderson(), 1, 0.5, [], None, 2100, 5, workers=2)
+            mdp_check(EnsembleSpec("anderson"), 1, 0.5, [], None, 2100, 5, workers=2)
 
     def test_unbounded_spec_rejected(self):
-        spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1))
         with pytest.raises(InvalidArgumentError):
             mdp_check(spec, 1, 0.5, [64], [0.5], 256, 5)
 
     def test_nu_range_checked(self):
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         for nu in (0.0, 1.0, -0.5):
             with pytest.raises(InvalidArgumentError):
                 mdp_check(spec, 1, nu, [64], [0.5], 256, 5, dk_replicas=5000)
@@ -202,7 +202,7 @@ class TestMdpCheck:
     def test_feasible_rate_recovery_smoke(self):
         # n^nu * rate ~ 6.4: tails countable; the strict 25% recovery check
         # runs at full scale in the acceptance suite
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         delta = math.sqrt(2.0 * 0.4)
         out = mdp_check(spec, 1, 0.5, [400], [delta], 100_000, 99,
                         dk_replicas=100_000)[0]
@@ -212,7 +212,7 @@ class TestMdpCheck:
         assert "low-count" in out.flags  # ~8 expected events in 1e5 draws
 
     def test_rate_not_trending_in_n(self):
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         delta = math.sqrt(2.0 * 0.3)
         out = mdp_check(spec, 1, 0.5, [100, 200, 400], [delta], 100_000, 7,
                         dk_replicas=100_000)
@@ -280,7 +280,7 @@ class TestExponentialEquivalence:
         # once sqrt(n / lambda_n) * delta exceeds that bound the tail
         # probability is exactly zero, which is the finite-n signature of
         # exponential equivalence
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         k, n, nu = 3, 200, 0.5
         bound = boundary_bound(spec, k)
         gaps = boundary_gap_samples(spec, n, k, 400, 12)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -27,16 +28,19 @@ RADEMACHER = EntryLaw.rademacher()
 # one spec per sampling branch; the non-symmetric Rademacher spec draws odd
 # sign counts at odd n
 SPECS = {
-    "anderson": EnsembleSpec.anderson(),
-    "beta_hermite": EnsembleSpec.beta_hermite(2.0),
-    "hatano_nelson": EnsembleSpec.hatano_nelson(),
-    "generic_iid": EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, RADEMACHER),
-    "generic_iid-symmetric": EnsembleSpec.generic_iid(
-        EntryLaw.gaussian(0.0, 1.0), EntryLaw.bernoulli(0.3, -2.0, 5.0), symmetric=True),
-    "birth_death_q": EnsembleSpec.birth_death_q(),
-    "birth_death_q-symmetric": EnsembleSpec.birth_death_q(symmetric=True),
-    "birth_death_kernel-v": EnsembleSpec.birth_death_kernel(),
-    "birth_death_kernel-conductance": EnsembleSpec.birth_death_kernel(variant="conductance"),
+    "anderson": EnsembleSpec("anderson"),
+    "beta_hermite": EnsembleSpec("beta_hermite", beta=2.0),
+    "hatano_nelson": EnsembleSpec("hatano_nelson"),
+    "generic_iid": EnsembleSpec("generic_iid", a_law=RADEMACHER, d_law=RADEMACHER,
+                                b_law=RADEMACHER),
+    "generic_iid-symmetric": EnsembleSpec(
+        "generic_iid", a_law=EntryLaw.gaussian(0.0, 1.0),
+        d_law=EntryLaw.bernoulli(0.3, -2.0, 5.0), symmetric=True),
+    "birth_death_q": EnsembleSpec("birth_death_q"),
+    "birth_death_q-symmetric": EnsembleSpec("birth_death_q", symmetric=True),
+    "birth_death_kernel-v": EnsembleSpec("birth_death_kernel"),
+    "birth_death_kernel-conductance": EnsembleSpec("birth_death_kernel",
+                                                   kernel_variant="conductance"),
 }
 
 LAWS = [
@@ -121,6 +125,19 @@ class TestEntryLaw:
             EntryLaw(kind, params)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("constant", 1.0, "constant law parameters must be a tuple, got 1.0"),
+        (["uniform"], (0, 1), "unknown law kind: ['uniform']"),
+        ("uniform", ("a", "b"), "uniform law parameter must be a real number, got 'a'"),
+        ("bernoulli", (True, 0, 1), "bernoulli law parameter must be a real number, got True"),
+    ], ids=["params-not-a-tuple", "kind-not-a-string", "string-parameter", "bool-parameter"])
+    def test_direct_construction_is_typed(self, kind, params, message):
+        # each once raised a bare TypeError or ValueError, or (the bool) ran as p=1
+        with pytest.raises(InvalidArgumentError) as info:
+            EntryLaw(kind, params)
+        assert str(info.value) == message
+        assert EntryLaw("uniform", [np.float64(0.0), np.int64(1)]).params == (0.0, 1.0)
+
     @pytest.mark.parametrize("law, support, atoms, symmetric", EDGE_LAWS,
                              ids=[str(row[0]) for row in EDGE_LAWS])
     def test_exact_support_atoms_and_symmetry(self, law, support, atoms, symmetric):
@@ -178,6 +195,38 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgumentError, match="unknown model 'nonsense'"):
             EnsembleSpec("nonsense")
 
+    @pytest.mark.parametrize("model, fields, message", [
+        ("beta_hermite", {"beta": "2"}, "beta must be a real number, got '2'"),
+        ("beta_hermite", {"beta": True}, "beta must be a real number, got True"),
+        (["anderson"], {}, "model must be of type str, got ['anderson']"),
+        ("anderson", {"d_law": "rademacher"},
+         "d_law must be of type EntryLaw, got 'rademacher'"),
+        ("birth_death_kernel", {"kernel_law": "uniform(0,1)"},
+         "kernel_law must be of type EntryLaw, got 'uniform(0,1)'"),
+        ("birth_death_kernel", {"kernel_variant": 1}, "kernel_variant must be of type str, got 1"),
+        ("hatano_nelson", {"a_law": 1.0}, "a_law must be of type EntryLaw, got 1.0"),
+        ("generic_iid", {"symmetric": "yes", "a_law": RADEMACHER, "d_law": RADEMACHER},
+         "symmetric must be of type bool, got 'yes'"),
+    ], ids=["beta-string", "beta-bool", "model-list", "d_law-text", "kernel_law-text",
+            "kernel_variant-int", "a_law-float", "symmetric-string"])
+    def test_fields_are_typed_at_the_constructor(self, model, fields, message):
+        # each once raised a bare TypeError or AttributeError, failed only when
+        # sampled, ran (beta=True as beta=1) or was stored as given ("yes")
+        with pytest.raises(InvalidArgumentError) as info:
+            EnsembleSpec(model, **fields)
+        assert str(info.value) == message
+
+    def test_fields_are_stored_in_their_types(self):
+        # beta=2 describes as 2.0, as the CLI's parsed --beta 2 does, and a
+        # numpy bool is stored as a bool, which json can write
+        spec = EnsembleSpec("beta_hermite", beta=2)
+        assert type(spec.beta) is float and spec.describe()["beta"] == 2.0
+        assert EnsembleSpec("beta_hermite", beta=np.float64(2.0)) == spec
+        spec = EnsembleSpec("generic_iid", np.True_, a_law=RADEMACHER, d_law=RADEMACHER)
+        assert spec.symmetric is True
+        assert json.loads(json.dumps(spec.describe()))["symmetric"] is True
+        assert EnsembleSpec("anderson", np.True_) == EnsembleSpec("anderson")
+
     def test_beta_hermite_forces_symmetry(self):
         with pytest.raises(InvalidArgumentError):
             EnsembleSpec(model="beta_hermite", symmetric=False, beta=2.0)
@@ -188,16 +237,18 @@ class TestSpecValidation:
     def test_beta_hermite_needs_a_finite_beta(self, beta):
         # an infinite beta was once accepted and failed only when sampled
         with pytest.raises(InvalidArgumentError, match="requires a finite beta > 0"):
-            EnsembleSpec.beta_hermite(beta)
+            EnsembleSpec("beta_hermite", beta=beta)
 
     def test_bounded_follows_laws(self):
         gaussian = EntryLaw.gaussian(0, 1)
-        assert EnsembleSpec.anderson().bounded
-        assert not EnsembleSpec.anderson(gaussian).bounded
+        assert EnsembleSpec("anderson").bounded
+        assert not EnsembleSpec("anderson", d_law=gaussian).bounded
         assert not EnsembleSpec(model="anderson", symmetric=True, d_law=gaussian).bounded
-        assert not EnsembleSpec.beta_hermite(2.0).bounded
-        assert not EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, gaussian).bounded
-        assert EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, symmetric=True).bounded
+        assert not EnsembleSpec("beta_hermite", beta=2.0).bounded
+        assert not EnsembleSpec("generic_iid", a_law=RADEMACHER, d_law=RADEMACHER,
+                                b_law=gaussian).bounded
+        assert EnsembleSpec("generic_iid", a_law=RADEMACHER, d_law=RADEMACHER,
+                            symmetric=True).bounded
         assert all(SPECS[name].bounded for name in SPECS
                    if name not in ("beta_hermite", "generic_iid-symmetric"))
         for spec in SPECS.values():
@@ -205,20 +256,21 @@ class TestSpecValidation:
 
     def test_positive_offdiagonal_required(self):
         with pytest.raises(InvalidArgumentError):
-            EnsembleSpec.birth_death_q(a_law=EntryLaw.uniform(-1.0, 1.0))
+            EnsembleSpec("birth_death_q", a_law=EntryLaw.uniform(-1.0, 1.0))
         with pytest.raises(InvalidArgumentError):
-            EnsembleSpec.hatano_nelson(a_law=EntryLaw.gaussian(0, 1))
+            EnsembleSpec("hatano_nelson", a_law=EntryLaw.gaussian(0, 1))
 
     def test_kernel_law_range_checked(self):
         with pytest.raises(InvalidArgumentError):
-            EnsembleSpec.birth_death_kernel(EntryLaw.uniform(-0.5, 0.5), variant="v")
+            EnsembleSpec("birth_death_kernel", kernel_law=EntryLaw.uniform(-0.5, 0.5),
+                         kernel_variant="v")
 
     def test_iid_type_classification(self):
-        assert EnsembleSpec.anderson().is_iid_type
-        assert EnsembleSpec.birth_death_q().is_iid_type
-        assert EnsembleSpec.birth_death_kernel().is_iid_type
-        assert not EnsembleSpec.birth_death_kernel(variant="conductance").is_iid_type
-        assert not EnsembleSpec.beta_hermite(2.0).is_iid_type
+        assert EnsembleSpec("anderson").is_iid_type
+        assert EnsembleSpec("birth_death_q").is_iid_type
+        assert EnsembleSpec("birth_death_kernel").is_iid_type
+        assert not EnsembleSpec("birth_death_kernel", kernel_variant="conductance").is_iid_type
+        assert not EnsembleSpec("beta_hermite", beta=2.0).is_iid_type
 
 
 class TestModelTable:
@@ -264,8 +316,9 @@ class TestModelTable:
                 EnsembleSpec(name)
 
     def test_restating_a_fixed_symmetry_is_allowed(self):
-        assert EnsembleSpec("anderson", True) == EnsembleSpec.anderson()
-        assert EnsembleSpec("beta_hermite", True, beta=2.0) == EnsembleSpec.beta_hermite(2.0)
+        assert EnsembleSpec("anderson", True) == EnsembleSpec("anderson")
+        assert EnsembleSpec("beta_hermite", True, beta=2.0) == EnsembleSpec("beta_hermite",
+                                                                            beta=2.0)
 
     @pytest.mark.parametrize("name, symmetric", [
         ("anderson", False), ("hatano_nelson", True), ("birth_death_kernel", True)])
@@ -284,8 +337,9 @@ class TestModelTable:
             assert dataclasses.replace(spec, d_law=RADEMACHER).d_law == RADEMACHER
 
     @pytest.mark.parametrize("build", [
-        lambda law: EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, law, symmetric=True),
-        lambda law: EnsembleSpec.birth_death_q(b_law=law, symmetric=True),
+        lambda law: EnsembleSpec("generic_iid", a_law=RADEMACHER, d_law=RADEMACHER, b_law=law,
+                                 symmetric=True),
+        lambda law: EnsembleSpec("birth_death_q", b_law=law, symmetric=True),
     ], ids=["generic_iid", "birth_death_q"])
     def test_symmetric_constructor_rejects_a_b_law(self, build):
         # a symmetric spec's b is its a, so a b_law given beside it reads nothing
@@ -296,20 +350,20 @@ class TestModelTable:
 
 class TestSampleMatrix:
     def test_anderson_fixed_offdiagonals(self):
-        spec = EnsembleSpec.anderson(EntryLaw.constant(0.0))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw.constant(0.0))
         m = sample_matrix(spec, 9, 4)
         assert np.all(m.diag == 0.0)
         assert np.all(m.sub == -1.0) and np.all(m.sup == -1.0)
 
     def test_birth_death_q_constant_entries(self):
-        spec = EnsembleSpec.birth_death_q(a_law=EntryLaw.constant(1.0),
-                                          b_law=EntryLaw.constant(1.0))
+        spec = EnsembleSpec("birth_death_q", a_law=EntryLaw.constant(1.0),
+                            b_law=EntryLaw.constant(1.0))
         m = sample_matrix(spec, 6, 0)
         assert m.diag[0] == -1.0
         assert np.all(m.diag[1:] == -2.0)
 
     def test_birth_death_q_rule_exact(self):
-        spec = EnsembleSpec.birth_death_q()
+        spec = EnsembleSpec("birth_death_q")
         m = sample_matrix(spec, 40, 13)
         a_prev = np.concatenate(([0.0], m.sub))
         # rows 1..n-1 can be checked from stored entries alone
@@ -318,7 +372,7 @@ class TestSampleMatrix:
 
     def test_kernel_rows_sum_to_one(self):
         for variant in ("v", "conductance"):
-            spec = EnsembleSpec.birth_death_kernel(variant=variant)
+            spec = EnsembleSpec("birth_death_kernel", kernel_variant=variant)
             m = sample_matrix(spec, 12, 8)
             sums = m.to_dense().sum(axis=1)
             assert np.allclose(sums, 1.0, atol=1e-12)
@@ -327,14 +381,14 @@ class TestSampleMatrix:
             assert m.sup[0] == 1.0 and m.sub[-1] == 1.0
 
     def test_beta_hermite_symmetric_matrix(self):
-        spec = EnsembleSpec.beta_hermite(2.0)
+        spec = EnsembleSpec("beta_hermite", beta=2.0)
         m = sample_matrix(spec, 50, 21)
         assert np.array_equal(m.sub, m.sup)
         assert np.all(m.sub > 0)
 
     def test_beta_hermite_chi_square_scaling(self):
         # (a_i / sqrt(i))^2 averages to 1; band is three standard errors wide
-        spec = EnsembleSpec.beta_hermite(2.0)
+        spec = EnsembleSpec("beta_hermite", beta=2.0)
         n = 10_000
         m = sample_matrix(spec, n, 1234)
         i = np.arange(1, n)
@@ -344,8 +398,8 @@ class TestSampleMatrix:
         assert abs(ratios.mean() - 1.0) <= 3 * se
 
     def test_determinism_bitwise(self):
-        for spec in (EnsembleSpec.anderson(), EnsembleSpec.beta_hermite(1.5),
-                     EnsembleSpec.birth_death_kernel(), EnsembleSpec.hatano_nelson()):
+        for spec in (EnsembleSpec("anderson"), EnsembleSpec("beta_hermite", beta=1.5),
+                     EnsembleSpec("birth_death_kernel"), EnsembleSpec("hatano_nelson")):
             m1 = sample_matrix(spec, 17, 99)
             m2 = sample_matrix(spec, 17, 99)
             assert np.array_equal(m1.sub, m2.sub)
@@ -357,51 +411,51 @@ class TestSampleMatrix:
 
     def test_n_too_small(self):
         with pytest.raises(InvalidArgumentError):
-            sample_matrix(EnsembleSpec.anderson(), 1, 0)
+            sample_matrix(EnsembleSpec("anderson"), 1, 0)
 
 
 class TestSampleWindow:
     def test_first_index_one_zeroes_a_slot(self):
-        specs = [EnsembleSpec.anderson(), EnsembleSpec.birth_death_q(),
-                 EnsembleSpec.birth_death_kernel(), EnsembleSpec.beta_hermite(2.0),
-                 EnsembleSpec.hatano_nelson(),
-                 EnsembleSpec.generic_iid(EntryLaw.uniform(0.5, 1.5), EntryLaw.rademacher(),
-                                          symmetric=True)]
+        specs = [EnsembleSpec("anderson"), EnsembleSpec("birth_death_q"),
+                 EnsembleSpec("birth_death_kernel"), EnsembleSpec("beta_hermite", beta=2.0),
+                 EnsembleSpec("hatano_nelson"),
+                 EnsembleSpec("generic_iid", a_law=EntryLaw.uniform(0.5, 1.5),
+                              d_law=EntryLaw.rademacher(), symmetric=True)]
         for spec in specs:
             a, _, _ = sample_window_arrays(spec, 1, 5, 1, 3)
             assert a[0, 0] == 0.0
 
     def test_constant_generic_window(self):
-        spec = EnsembleSpec.generic_iid(EntryLaw.constant(2.0), EntryLaw.constant(-1.0),
-                                        EntryLaw.constant(3.0))
+        spec = EnsembleSpec("generic_iid", a_law=EntryLaw.constant(2.0),
+                            d_law=EntryLaw.constant(-1.0), b_law=EntryLaw.constant(3.0))
         a, d, b = sample_window_arrays(spec, 4, 6, 1, 0)
         assert np.all(a == 2.0) and np.all(d == -1.0) and np.all(b == 3.0)
 
     def test_window_determinism(self):
-        spec = EnsembleSpec.birth_death_q()
+        spec = EnsembleSpec("birth_death_q")
         w1 = sample_window_arrays(spec, 2, 8, 1, 55)
         w2 = sample_window_arrays(spec, 2, 8, 1, 55)
         for x1, x2 in zip(w1, w2):
             assert np.array_equal(x1, x2)
 
     def test_window_coupling_rules_hold(self):
-        a, d, b = sample_window_arrays(EnsembleSpec.birth_death_q(), 3, 10, 1, 7)
+        a, d, b = sample_window_arrays(EnsembleSpec("birth_death_q"), 3, 10, 1, 7)
         assert np.array_equal(d, -(a + b))
         for variant in ("v", "conductance"):
-            spec = EnsembleSpec.birth_death_kernel(variant=variant)
+            spec = EnsembleSpec("birth_death_kernel", kernel_variant=variant)
             a, d, b = sample_window_arrays(spec, 2, 10, 1, 7)
             assert np.allclose(a + d + b, 1.0, atol=1e-12)
 
     def test_symmetric_window_shares_stream(self):
-        spec = EnsembleSpec.generic_iid(EntryLaw.uniform(0.5, 1.5), EntryLaw.rademacher(),
-                                        symmetric=True)
+        spec = EnsembleSpec("generic_iid", a_law=EntryLaw.uniform(0.5, 1.5),
+                            d_law=EntryLaw.rademacher(), symmetric=True)
         a, _, b = sample_window_arrays(spec, 2, 6, 1, 19)
         # b at site s equals a-slot of site s+1 (both are the same entry)
         assert np.array_equal(b[:, :-1], a[:, 1:])
 
     def test_beta_hermite_window_matches_matrix_law(self):
         # same absolute indices must carry the same chi-square scale
-        spec = EnsembleSpec.beta_hermite(2.0)
+        spec = EnsembleSpec("beta_hermite", beta=2.0)
         reps = 4000
         a, d, b = sample_window_arrays(spec, 10, 3, reps, 5)
         # b[:, 0] collects a_10 over replicas: mean^2 ~ 10 - 1/4 for beta=2
@@ -409,7 +463,7 @@ class TestSampleWindow:
         assert abs(mean_sq - 10.0) < 0.3
 
     def test_window_matrix_marginal_means_agree(self):
-        spec = EnsembleSpec.birth_death_q()
+        spec = EnsembleSpec("birth_death_q")
         reps = 3000
         a, d, b = sample_window_arrays(spec, 2, 4, reps, 31)
         mats = [sample_matrix(spec, 8, trial_seed_sequence(31, t)) for t in range(reps)]
@@ -419,9 +473,9 @@ class TestSampleWindow:
 
     def test_window_validation(self):
         with pytest.raises(InvalidArgumentError):
-            sample_window_arrays(EnsembleSpec.anderson(), 0, 4, 1, 1)
+            sample_window_arrays(EnsembleSpec("anderson"), 0, 4, 1, 1)
         with pytest.raises(InvalidArgumentError):
-            sample_window_arrays(EnsembleSpec.anderson(), 1, 0, 1, 1)
+            sample_window_arrays(EnsembleSpec("anderson"), 1, 0, 1, 1)
 
     @pytest.mark.parametrize("name", [k for k, v in SPECS.items() if v.model != "birth_death_kernel"])
     @pytest.mark.parametrize("n", [2, 3, 17, 400, 401])
@@ -436,7 +490,7 @@ class TestSampleWindow:
     @pytest.mark.parametrize("variant", ["v", "conductance"])
     @pytest.mark.parametrize("n", [2, 3, 17, 400])
     def test_kernel_matrix_is_head_of_window_but_last_row(self, variant, n):
-        spec = EnsembleSpec.birth_death_kernel(variant=variant)
+        spec = EnsembleSpec("birth_death_kernel", kernel_variant=variant)
         for seed in (0, 5):
             m = sample_matrix(spec, n, seed)
             a, d, b = sample_window_arrays(spec, 1, n + 3, 1, seed)
@@ -509,8 +563,8 @@ class _RecordingDraws:
         return out
 
 
-@pytest.mark.parametrize("spec", [*SPECS.values(), EnsembleSpec.hatano_nelson(d_law=RADEMACHER),
-                                  EnsembleSpec.anderson(EntryLaw.uniform(-1.0, 1.0))])
+@pytest.mark.parametrize("spec", [*SPECS.values(), EnsembleSpec("hatano_nelson", d_law=RADEMACHER),
+                                  EnsembleSpec("anderson", d_law=EntryLaw.uniform(-1.0, 1.0))])
 def test_diagonal_slot_table_matches_the_site_sampler(spec):
     # A model is in the table exactly when _sample_sites returns, as the
     # diagonal, the whole draw of spec.d_law from one stream: the table's slot.

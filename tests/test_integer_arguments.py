@@ -36,8 +36,8 @@ from tritrace.stats import (
     normality_report,
 )
 
-ANDERSON = EnsembleSpec.anderson()
-HATANO = EnsembleSpec.hatano_nelson()
+ANDERSON = EnsembleSpec("anderson")
+HATANO = EnsembleSpec("hatano_nelson")
 MATRIX = sample_matrix(HATANO, 10, 3)
 AB, DIAG = (MATRIX.sub * MATRIX.sup)[None, :], MATRIX.diag[None, :]
 SAMPLES = np.random.default_rng(0).normal(size=(100, 2))
@@ -66,10 +66,10 @@ ENTRY_POINTS = [
     ("sample_window_arrays-count",
      lambda v: sample_window_arrays(HATANO, 2, 5, v, 1), "count", 2, 0),
     ("dependence_range", lambda v: dependence_range(v, True), "k", 3, 0),
-    ("mc_traces-k", lambda v: mc_traces(HATANO, 10, (1, v), 4, 9), "k", 9, 17),
-    ("mc_traces-n", lambda v: mc_traces(HATANO, v, (1, 2), 4, 9), "n", 10, 1),
-    ("mc_traces-trials", lambda v: mc_traces(HATANO, 10, (1, 2), v, 9), "trials", 4, 1),
-    ("mc_traces-workers", lambda v: mc_traces(HATANO, 10, (1, 2), 4, 9, workers=v),
+    ("mc_traces-k", lambda v: mc_traces(HATANO, 10, (1, v), 4, 9, None, None), "k", 9, 17),
+    ("mc_traces-n", lambda v: mc_traces(HATANO, v, (1, 2), 4, 9, None, None), "n", 10, 1),
+    ("mc_traces-trials", lambda v: mc_traces(HATANO, 10, (1, 2), v, 9, None, None), "trials", 4, 1),
+    ("mc_traces-workers", lambda v: mc_traces(HATANO, 10, (1, 2), 4, 9, None, None, workers=v),
      "workers", 1, 0),
     ("dk_iid-k", lambda v: dk_iid(HATANO, v, 1000, 1), "k", 2, 0),
     ("dk_iid-replicas", lambda v: dk_iid(HATANO, 2, v, 1), "replicas", 1000, 1),
@@ -124,7 +124,7 @@ def test_powers_are_read_before_any_fork(monkeypatch, run, k):
     monkeypatch.setattr(os, "fork", fork)
     with pytest.raises(InvalidArgumentError, match="^k"):
         if run == "mc_traces":
-            mc_traces(ANDERSON, 64, (k,), 2100, 5, workers=2)
+            mc_traces(ANDERSON, 64, (k,), 2100, 5, None, None, workers=2)
         else:
             mdp_check(ANDERSON, k, 0.5, [64], [0.5], 2100, 5, workers=2)
     assert forks == []

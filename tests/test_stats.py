@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import os
 import re
@@ -113,25 +114,28 @@ class TestSiteSummand:
 
 # Every model and variant, with each of the five entry laws somewhere.
 ROW_SPECS = {
-    "anderson-rademacher": EnsembleSpec.anderson(),
-    "anderson-bernoulli": EnsembleSpec.anderson(EntryLaw.bernoulli(0.3, -2.0, 5.0)),
-    "beta_hermite": EnsembleSpec.beta_hermite(2.0),
-    "hatano_nelson-uniform": EnsembleSpec.hatano_nelson(),
-    "generic_iid": EnsembleSpec.generic_iid(EntryLaw.constant(0.7), EntryLaw.gaussian(0.5, 1.5),
-                                            EntryLaw.uniform(-1.0, 2.0)),
-    "generic_iid-symmetric": EnsembleSpec.generic_iid(EntryLaw.gaussian(0.0, 1.0),
-                                                      EntryLaw.rademacher(), symmetric=True),
+    "anderson-rademacher": EnsembleSpec("anderson"),
+    "anderson-bernoulli": EnsembleSpec("anderson", d_law=EntryLaw.bernoulli(0.3, -2.0, 5.0)),
+    "beta_hermite": EnsembleSpec("beta_hermite", beta=2.0),
+    "hatano_nelson-uniform": EnsembleSpec("hatano_nelson"),
+    "generic_iid": EnsembleSpec("generic_iid", a_law=EntryLaw.constant(0.7),
+                                d_law=EntryLaw.gaussian(0.5, 1.5),
+                                b_law=EntryLaw.uniform(-1.0, 2.0)),
+    "generic_iid-symmetric": EnsembleSpec("generic_iid", a_law=EntryLaw.gaussian(0.0, 1.0),
+                                          d_law=EntryLaw.rademacher(), symmetric=True),
     # Rademacher and Bernoulli on the slot whose first column is a_0 = 0
-    "generic_iid-rademacher-a": EnsembleSpec.generic_iid(EntryLaw.rademacher(),
-                                                         EntryLaw.uniform(-1.0, 1.0),
-                                                         EntryLaw.gaussian(0.0, 1.0)),
-    "generic_iid-symmetric-rademacher-a": EnsembleSpec.generic_iid(
-        EntryLaw.rademacher(), EntryLaw.gaussian(0.0, 1.0), symmetric=True),
-    "hatano_nelson-bernoulli-a": EnsembleSpec.hatano_nelson(EntryLaw.bernoulli(0.4, 0.5, 1.5)),
-    "birth_death_q": EnsembleSpec.birth_death_q(),
-    "birth_death_q-symmetric": EnsembleSpec.birth_death_q(symmetric=True),
-    "kernel-v": EnsembleSpec.birth_death_kernel(),
-    "kernel-conductance": EnsembleSpec.birth_death_kernel(variant="conductance"),
+    "generic_iid-rademacher-a": EnsembleSpec("generic_iid", a_law=EntryLaw.rademacher(),
+                                             d_law=EntryLaw.uniform(-1.0, 1.0),
+                                             b_law=EntryLaw.gaussian(0.0, 1.0)),
+    "generic_iid-symmetric-rademacher-a": EnsembleSpec(
+        "generic_iid", a_law=EntryLaw.rademacher(), d_law=EntryLaw.gaussian(0.0, 1.0),
+        symmetric=True),
+    "hatano_nelson-bernoulli-a": EnsembleSpec("hatano_nelson",
+                                              a_law=EntryLaw.bernoulli(0.4, 0.5, 1.5)),
+    "birth_death_q": EnsembleSpec("birth_death_q"),
+    "birth_death_q-symmetric": EnsembleSpec("birth_death_q", symmetric=True),
+    "kernel-v": EnsembleSpec("birth_death_kernel"),
+    "kernel-conductance": EnsembleSpec("birth_death_kernel", kernel_variant="conductance"),
 }
 
 
@@ -203,37 +207,37 @@ class TestMcTraces:
             next(sample_matrix_chunks(spec, 5, 9, range(2 ** 32 - 1, 2 ** 32 + 1), 4))
         with pytest.raises(InvalidArgumentError,
                            match=r"trials=4294967297 outside \[2, 4294967296\]"):
-            mc_traces(spec, 5, (1,), 2 ** 32 + 1, 9)
+            mc_traces(spec, 5, (1,), 2 ** 32 + 1, 9, None, None)
 
     def test_non_finite_draw_is_an_error_on_both_paths(self):
         # sigma * z overflows to +-inf for |z| > 1.8
-        spec = EnsembleSpec.generic_iid(EntryLaw.constant(1.0), EntryLaw.gaussian(0.0, 1e308),
-                                        symmetric=True)
+        spec = EnsembleSpec("generic_iid", a_law=EntryLaw.constant(1.0),
+                            d_law=EntryLaw.gaussian(0.0, 1e308), symmetric=True)
         with pytest.raises(InvalidArgumentError, match="finite"):
             sample_matrix(spec, 200, trial_seed_sequence(5, 0))
         with pytest.raises(InvalidArgumentError, match="finite"):
-            mc_traces(spec, 200, (1,), 4, 5)
+            mc_traces(spec, 200, (1,), 4, 5, None, None)
 
     def test_zero_diagonal_anderson_is_surely_zero(self):
-        spec = EnsembleSpec.anderson(EntryLaw.constant(0.0))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw.constant(0.0))
         samples = mc_traces(spec, 50, (1,), 64, 3, alpha=0.0, epsilon=0.0)
         assert np.all(samples == 0.0)
 
     def test_rademacher_k1_variance_near_one(self):
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         samples = mc_traces(spec, 400, (1,), 4000, 11, alpha=0.0, epsilon=0.0)
         var = samples.var(ddof=1)
         assert abs(var - 1.0) < 4 * math.sqrt(2.0 / 4000)
 
     def test_exact_centering_for_odd_symmetric(self):
-        assert exact_trace_mean(EnsembleSpec.anderson(), 3) == 0.0
-        assert exact_trace_mean(EnsembleSpec.anderson(), 2) is None
-        assert exact_trace_mean(EnsembleSpec.anderson(EntryLaw.uniform(0, 1)), 3) is None
-        assert exact_trace_mean(EnsembleSpec.birth_death_q(), 3) is None
+        assert exact_trace_mean(EnsembleSpec("anderson"), 3) == 0.0
+        assert exact_trace_mean(EnsembleSpec("anderson"), 2) is None
+        assert exact_trace_mean(EnsembleSpec("anderson", d_law=EntryLaw.uniform(0, 1)), 3) is None
+        assert exact_trace_mean(EnsembleSpec("birth_death_q"), 3) is None
 
     def test_workers_do_not_change_results(self):
         # 2100 trials are three blocks, the last one short; 8 workers are capped at 3
-        spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1))
         one = mc_traces(spec, 64, (1, 2), 2100, 5, alpha=0.0, epsilon=0.0, workers=1)
         for workers in (2, 3, 8):
             many = mc_traces(spec, 64, (1, 2), 2100, 5, alpha=0.0, epsilon=0.0, workers=workers)
@@ -271,8 +275,8 @@ class TestMcTraces:
             os.waitpid(-1, os.WNOHANG)
 
     def _run(self, workers):
-        spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
-        return mc_traces(spec, 64, (1, 2), 2100, 5, workers=workers)
+        spec = EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1))
+        return mc_traces(spec, 64, (1, 2), 2100, 5, None, None, workers=workers)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_child_error_keeps_its_type_and_message(self, monkeypatch, child_started, workers):
@@ -319,7 +323,7 @@ class TestMcTraces:
             raise InvalidArgumentError("lead failed")
 
         self._patch_blocks(monkeypatch, lambda lo: None, lambda lo: time.sleep(60))
-        spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1))
         start = time.monotonic()
         with pytest.raises(InvalidArgumentError, match="^lead failed$"):
             stats._raw_traces(spec, 64, (1, 2), 2100, 5, workers, lead=fail)
@@ -328,7 +332,7 @@ class TestMcTraces:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_lead_result_is_returned_beside_the_traces(self, workers):
-        spec = EnsembleSpec.anderson(EntryLaw.gaussian(0, 1))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1))
         raw, lead = stats._raw_traces(spec, 64, (1, 2), 2100, 5, workers, lead=lambda: "led")
         plain, none = stats._raw_traces(spec, 64, (1, 2), 2100, 5, 1)
         assert (lead, none) == ("led", None)
@@ -345,7 +349,8 @@ class TestMcTraces:
 
         try:
             self._patch_blocks(monkeypatch, record, record)
-            mc_traces(EnsembleSpec.anderson(), 8, (1, 3), 10 * 1024 + 5, 5, workers=workers)
+            mc_traces(EnsembleSpec("anderson"), 8, (1, 3), 10 * 1024 + 5, 5, None, None,
+                      workers=workers)
         finally:
             os.close(log)
         starts = sorted(int(line) for line in (tmp_path / "blocks.log").read_text().split())
@@ -378,41 +383,42 @@ class TestMcTraces:
         assert self._run(1).shape == (2100, 2)
 
     def test_validation(self):
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         with pytest.raises(InvalidArgumentError):
-            mc_traces(spec, 50, (1,), 1, 0)
+            mc_traces(spec, 50, (1,), 1, 0, None, None)
         with pytest.raises(InvalidArgumentError):
-            mc_traces(spec, 2, (8,), 16, 0)
+            mc_traces(spec, 2, (8,), 16, 0, None, None)
         with pytest.raises(InvalidArgumentError):
-            mc_traces(spec, 50, (), 16, 0)
+            mc_traces(spec, 50, (), 16, 0, None, None)
 
 
 RADEMACHER = EntryLaw.rademacher()
 # Every kind of spec the sign-count route serves: a Rademacher diagonal that
 # is a stream of its own, with bounded laws elsewhere.
 SIGN_COUNT_SPECS = {
-    "anderson": EnsembleSpec.anderson(),
-    "hatano_nelson": EnsembleSpec.hatano_nelson(d_law=RADEMACHER),
-    "generic_iid": EnsembleSpec.generic_iid(EntryLaw.uniform(0.5, 1.5), RADEMACHER,
-                                            EntryLaw.bernoulli(0.3, 1.0, 2.0)),
-    "generic_iid-symmetric": EnsembleSpec.generic_iid(EntryLaw.uniform(-1.0, 1.0), RADEMACHER,
-                                                      symmetric=True),
+    "anderson": EnsembleSpec("anderson"),
+    "hatano_nelson": EnsembleSpec("hatano_nelson", d_law=RADEMACHER),
+    "generic_iid": EnsembleSpec("generic_iid", a_law=EntryLaw.uniform(0.5, 1.5), d_law=RADEMACHER,
+                                b_law=EntryLaw.bernoulli(0.3, 1.0, 2.0)),
+    "generic_iid-symmetric": EnsembleSpec("generic_iid", a_law=EntryLaw.uniform(-1.0, 1.0),
+                                          d_law=RADEMACHER, symmetric=True),
     # every stream Rademacher: the route must read the diagonal's stream
-    "generic_iid-all-rademacher": EnsembleSpec.generic_iid(RADEMACHER, RADEMACHER, RADEMACHER),
+    "generic_iid-all-rademacher": EnsembleSpec("generic_iid", a_law=RADEMACHER, d_law=RADEMACHER,
+                                               b_law=RADEMACHER),
 }
 # Specs left to the float route at k=1.
 FLOAT_ROUTE_SPECS = {
     # the same values through a different draw route
-    "bernoulli-half": EnsembleSpec.anderson(EntryLaw.bernoulli(0.5, -1.0, 1.0)),
-    "birth_death_q": EnsembleSpec.birth_death_q(),
-    "birth_death_q-symmetric": EnsembleSpec.birth_death_q(symmetric=True),
-    "kernel-v": EnsembleSpec.birth_death_kernel(),
-    "kernel-conductance": EnsembleSpec.birth_death_kernel(variant="conductance"),
-    "beta_hermite": EnsembleSpec.beta_hermite(2.0),
+    "bernoulli-half": EnsembleSpec("anderson", d_law=EntryLaw.bernoulli(0.5, -1.0, 1.0)),
+    "birth_death_q": EnsembleSpec("birth_death_q"),
+    "birth_death_q-symmetric": EnsembleSpec("birth_death_q", symmetric=True),
+    "kernel-v": EnsembleSpec("birth_death_kernel"),
+    "kernel-conductance": EnsembleSpec("birth_death_kernel", kernel_variant="conductance"),
+    "beta_hermite": EnsembleSpec("beta_hermite", beta=2.0),
     # an unbounded off-diagonal law can draw a non-finite entry, which the
     # float route rejects
-    "generic_iid-gaussian-a": EnsembleSpec.generic_iid(EntryLaw.gaussian(0.0, 1.0), RADEMACHER,
-                                                       symmetric=True),
+    "generic_iid-gaussian-a": EnsembleSpec("generic_iid", a_law=EntryLaw.gaussian(0.0, 1.0),
+                                           d_law=RADEMACHER, symmetric=True),
 }
 
 
@@ -469,36 +475,36 @@ class TestSignCountRoute:
 
     def test_non_finite_off_diagonal_still_raises_at_k1(self):
         # sigma * z overflows to +-inf for |z| > 1.8; the float route's check runs
-        spec = EnsembleSpec.generic_iid(EntryLaw.gaussian(0.0, 1e308), RADEMACHER, symmetric=True)
+        spec = EnsembleSpec("generic_iid", a_law=EntryLaw.gaussian(0.0, 1e308), d_law=RADEMACHER,
+                            symmetric=True)
         assert not counts_diagonal_signs(spec)
         with pytest.raises(InvalidArgumentError, match="finite"):
-            mc_traces(spec, 200, (1,), 4, 5)
+            mc_traces(spec, 200, (1,), 4, 5, None, None)
 
     def test_validation(self):
         spec = SIGN_COUNT_SPECS["anderson"]
         with pytest.raises(InvalidArgumentError, match="n must be"):
             diagonal_sign_sums(spec, 1, 41, range(4), 4)
         with pytest.raises(InvalidArgumentError, match="n must be"):
-            mc_traces(spec, 1, (1,), 4, 5)
+            mc_traces(spec, 1, (1,), 4, 5, None, None)
         with pytest.raises(InvalidArgumentError, match="2\\*\\*32"):
             diagonal_sign_sums(spec, 5, 9, range(2 ** 32 - 1, 2 ** 32 + 1), 4)
 
 
 class TestDkIid:
     def test_k1_gaussian_matches_entry_variance(self):
-        spec = EnsembleSpec.generic_iid(EntryLaw.uniform(0.5, 1.5),
-                                        EntryLaw.gaussian(0, 1.5),
-                                        EntryLaw.uniform(0.5, 1.5))
+        spec = EnsembleSpec("generic_iid", a_law=EntryLaw.uniform(0.5, 1.5),
+                            d_law=EntryLaw.gaussian(0, 1.5), b_law=EntryLaw.uniform(0.5, 1.5))
         est = dk_iid(spec, 1, 100_000, 7)
         assert abs(est.value - 2.25) <= 4 * est.standard_error
 
     def test_k1_rademacher_is_one(self):
-        est = dk_iid(EnsembleSpec.anderson(), 1, 100_000, 21)
+        est = dk_iid(EnsembleSpec("anderson"), 1, 100_000, 21)
         assert abs(est.value - 1.0) <= 4 * est.standard_error
 
     def test_k2_rademacher_exactly_degenerate(self):
         # the squared diagonal is constant, so the summand is constant
-        est = dk_iid(EnsembleSpec.anderson(), 2, 5000, 3)
+        est = dk_iid(EnsembleSpec("anderson"), 2, 5000, 3)
         assert est.value == 0.0
         assert est.standard_error == 0.0
         oracle = exhaustive_dk(2, dependence_range(2, symmetric=False).m_k,
@@ -506,7 +512,7 @@ class TestDkIid:
         assert oracle == pytest.approx(0.0, abs=1e-12)
 
     def test_k3_rademacher_matches_exhaustive_support(self):
-        est = dk_iid(EnsembleSpec.anderson(), 3, 200_000, 5)
+        est = dk_iid(EnsembleSpec("anderson"), 3, 200_000, 5)
         oracle = exhaustive_dk(3, dependence_range(3, symmetric=False).m_k,
                               EntryLaw.rademacher().atoms)
         assert oracle == pytest.approx(49.0)
@@ -514,18 +520,18 @@ class TestDkIid:
 
     def test_bernoulli_diagonal_matches_exhaustive_support(self):
         law = EntryLaw.bernoulli(0.25, -1.0, 2.0)
-        spec = EnsembleSpec.anderson(law)
+        spec = EnsembleSpec("anderson", d_law=law)
         est = dk_iid(spec, 2, 300_000, 12)
         oracle = exhaustive_dk(2, dependence_range(2, spec.symmetric).m_k, law.atoms)
         assert abs(est.value - oracle) <= 4 * est.standard_error
 
     def test_rejects_non_iid_specs(self):
         with pytest.raises(InvalidArgumentError):
-            dk_iid(EnsembleSpec.beta_hermite(2.0), 1, 100, 0)
+            dk_iid(EnsembleSpec("beta_hermite", beta=2.0), 1, 100, 0)
         with pytest.raises(InvalidArgumentError):
-            dk_iid(EnsembleSpec.birth_death_kernel(variant="conductance"), 1, 100, 0)
+            dk_iid(EnsembleSpec("birth_death_kernel", kernel_variant="conductance"), 1, 100, 0)
         with pytest.raises(InvalidArgumentError):
-            dk_iid(EnsembleSpec.anderson(), 1, 1, 0)
+            dk_iid(EnsembleSpec("anderson"), 1, 1, 0)
 
 
 class TestModelVarianceOracles:
@@ -534,7 +540,7 @@ class TestModelVarianceOracles:
         # uniform environment V: Var = 4 (1/9 - 1/16) = 7/36, lag-1
         # covariance = 4 (1/24 - 1/16) = -1/12, so the limit is
         # 7/36 - 2/12 = 1/36
-        spec = EnsembleSpec.birth_death_kernel()
+        spec = EnsembleSpec("birth_death_kernel")
         est = dk_iid(spec, 2, 400_000, 17)
         assert abs(est.value - 1.0 / 36.0) <= 4 * est.standard_error
         samples = mc_traces(spec, 2000, (2,), 4000, 41, alpha=0.0, epsilon=0.0)[:, 0]
@@ -544,7 +550,7 @@ class TestModelVarianceOracles:
     def test_hatano_nelson_k2_closed_form(self):
         # independent site-local streams: no lag covariance; the limit is
         # Var(d^2) + 4 Var(a b) = 4/45 + 25/36 = 47/60
-        spec = EnsembleSpec.hatano_nelson()
+        spec = EnsembleSpec("hatano_nelson")
         est = dk_iid(spec, 2, 400_000, 23)
         assert abs(est.value - 47.0 / 60.0) <= 4 * est.standard_error
         samples = mc_traces(spec, 2000, (2,), 4000, 42, alpha=0.0, epsilon=0.0)[:, 0]
@@ -597,7 +603,7 @@ class TestLambdaTarget:
             lambda: covariance_target((2,), "symmetric_degenerate", epsilon=0.75, **degenerate),
             lambda: covariance_target((2,), "symmetric_degenerate", **degenerate),
             lambda: covariance_target((2,), "iid_mc", replicas=100),
-            lambda: covariance_target((2,), "iid_mc", spec=EnsembleSpec.anderson()),
+            lambda: covariance_target((2,), "iid_mc", spec=EnsembleSpec("anderson")),
             lambda: covariance_target((2,), "nonsense"),
             lambda: covariance_target((0, 2), "beta_hermite", beta=1.0),
         ]
@@ -616,22 +622,23 @@ class TestLambdaTarget:
 
     def test_iid_mc_diagonal_matches_dk(self):
         # one estimator: a one-power target is dk_iid's value, bit for bit
-        specs = [EnsembleSpec.anderson(), EnsembleSpec.hatano_nelson(),
-                 EnsembleSpec.generic_iid(EntryLaw.gaussian(0, 1), EntryLaw.rademacher(),
-                                          EntryLaw.bernoulli(0.3, -2.0, 5.0))]
+        specs = [EnsembleSpec("anderson"), EnsembleSpec("hatano_nelson"),
+                 EnsembleSpec("generic_iid", a_law=EntryLaw.gaussian(0, 1),
+                              d_law=EntryLaw.rademacher(),
+                              b_law=EntryLaw.bernoulli(0.3, -2.0, 5.0))]
         for spec in specs:
             for k in range(1, 6):
                 val = covariance_target((k,), "iid_mc", spec=spec, replicas=20_001,
                                         seed=9).value[0, 0]
                 assert val == dk_iid(spec, k, 20_001, 9).value, (spec.model, k)
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         val = covariance_target((3,), "iid_mc", spec=spec, replicas=200_000, seed=9).value[0, 0]
         assert val == pytest.approx(49.0, rel=0.05)
 
     def test_iid_mc_cross_power_against_exhaustive(self):
         # joint law of (X_{1,i}, X_{3,i}) for Rademacher disorder:
         # X_1 = d_i, X_3 = 4 d_i + 3 d_{i+1}, lag covariances included
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         val = covariance_target((1, 3), "iid_mc", spec=spec, replicas=400_000,
                                 seed=2).value[0, 1]
         # same-site: cov(d_2, 4d_2+3d_3) = 4; lag 1: cov(d_2, 4d_3+3d_4) = 0
@@ -677,6 +684,22 @@ class TestNormalityReport:
         from scipy.special import ndtr
         expected = max(ndtr(c), 1.0 - ndtr(c))
         assert report.ks_distance[0] == pytest.approx(expected)
+
+    def test_json_dict_is_the_fields_as_json(self):
+        samples = np.random.default_rng(3).normal(size=(200, 2))
+        report = normality_report(samples, self._target([1.0, 1.0]), k_list=(1, 2), n=10,
+                                  scaling_exponents=(0.5, 1))
+        out = report.to_json_dict()
+        assert list(out) == [f.name for f in dataclasses.fields(MomentReport)]
+        assert out == json.loads(json.dumps(out))
+        assert out["covariance"] == report.covariance.tolist()
+        assert out["mc_standard_errors"]["variance"] == list(report.mc_standard_errors["variance"])
+
+    def test_empty_k_list_is_an_error(self):
+        # an empty report would pass the KS gate with nothing compared
+        with pytest.raises(InvalidArgumentError, match="k_list must be non-empty"):
+            normality_report(np.zeros((200, 0)), self._target([]), k_list=(), n=10,
+                             scaling_exponents=())
 
     def test_degenerate_target_raises(self):
         samples = np.random.default_rng(0).standard_normal((200, 1))
@@ -798,9 +821,9 @@ class TestGateVerdicts:
 
 class TestBoundaryTerms:
     @pytest.mark.parametrize("spec,k", [
-        (EnsembleSpec.anderson(), 3),
-        (EnsembleSpec.anderson(), 4),
-        (EnsembleSpec.birth_death_q(), 3),
+        (EnsembleSpec("anderson"), 3),
+        (EnsembleSpec("anderson"), 4),
+        (EnsembleSpec("birth_death_q"), 3),
     ])
     def test_summand_trace_identity_exact(self, spec, k):
         # gap == tail of per-class products over the last spans, computed
@@ -829,7 +852,7 @@ class TestBoundaryTerms:
         assert gap == pytest.approx(tail, rel=1e-9, abs=1e-9)
 
     def test_gap_bound_and_no_growth(self):
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         k = 3
         bound = boundary_bound(spec, k)
         assert bound == pytest.approx(6.0)  # two span-1 classes, count 3, entries of size 1
@@ -843,17 +866,17 @@ class TestBoundaryTerms:
 
     def test_bound_requires_bounded_spec(self):
         with pytest.raises(InvalidArgumentError):
-            boundary_bound(EnsembleSpec.anderson(EntryLaw.gaussian(0, 1)), 3)
+            boundary_bound(EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1)), 3)
         with pytest.raises(InvalidArgumentError):
-            boundary_gap_samples(EnsembleSpec.birth_death_kernel(), 50, 3, 4, 0)
+            boundary_gap_samples(EnsembleSpec("birth_death_kernel"), 50, 3, 4, 0)
 
     # sha256 of boundary_gap_samples(spec, 64, k, 5, 99), taken under numpy 2.4.6
     GAP_DIGESTS = {
-        "anderson": (EnsembleSpec.anderson(), 3,
+        "anderson": (EnsembleSpec("anderson"), 3,
                      "62f66400457dd550c9d949923e95288c857d8482242056e2532f53832124d84e"),
-        "birth_death_q": (EnsembleSpec.birth_death_q(), 4,
+        "birth_death_q": (EnsembleSpec("birth_death_q"), 4,
                           "4c779632e29bcb767a6cdab339674f7446a455f9c835203ab5f3de6e2fa12ae4"),
-        "hatano_nelson": (EnsembleSpec.hatano_nelson(), 8,
+        "hatano_nelson": (EnsembleSpec("hatano_nelson"), 8,
                           "5b6c668b043e01cc078cf91925f0c0c553c1811d6f832f57ce4e3c42814dd933"),
     }
 
@@ -868,8 +891,8 @@ class TestBoundaryTerms:
 
 class TestDistributionalProperties:
     def test_covariance_psd_up_to_jitter(self):
-        spec = EnsembleSpec.beta_hermite(2.0)
-        samples = mc_traces(spec, 400, (1, 2, 3), 3000, 31)
+        spec = EnsembleSpec("beta_hermite", beta=2.0)
+        samples = mc_traces(spec, 400, (1, 2, 3), 3000, 31, None, None)
         emp = np.cov(samples.T, ddof=1)
         centered = samples - samples.mean(axis=0)
         se = np.sqrt(np.maximum(
@@ -879,8 +902,8 @@ class TestDistributionalProperties:
         assert eigmin >= -5 * se.max()
 
     def test_mixed_parity_entries_vanish(self):
-        spec = EnsembleSpec.beta_hermite(2.0)
-        samples = mc_traces(spec, 500, (1, 2), 4000, 13)
+        spec = EnsembleSpec("beta_hermite", beta=2.0)
+        samples = mc_traces(spec, 500, (1, 2), 4000, 13, None, None)
         centered = samples - samples.mean(axis=0)
         cov = centered[:, 0] * centered[:, 1]
         se = cov.std(ddof=1) / math.sqrt(len(cov))
@@ -888,7 +911,7 @@ class TestDistributionalProperties:
 
     def test_doubling_n_scales_variance(self):
         # variance of the unscaled trace grows like n^(2 alpha k + 1 - 2 eps)
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         k = 3
         vs = []
         for n in (200, 400):
@@ -899,7 +922,7 @@ class TestDistributionalProperties:
         assert abs(ratio - 2.0) <= 4 * 2.0 * rel_se
 
     def test_report_thresholds_for_iid_sum(self):
-        spec = EnsembleSpec.anderson()
+        spec = EnsembleSpec("anderson")
         n, trials = 10_000, 10_000
         samples = mc_traces(spec, n, (1,), trials, 0x5EED, alpha=0.0, epsilon=0.0)
         target = CovarianceTarget(source="iid_window_formula", value=np.array([[1.0]]))
@@ -909,14 +932,14 @@ class TestDistributionalProperties:
         assert abs(report.excess_kurtosis[0]) < 0.2
 
 
-ANDERSON = EnsembleSpec.anderson()
+ANDERSON = EnsembleSpec("anderson")
 SEEDED_CALLS = {
     "sample_matrix": lambda seed: sample_matrix(ANDERSON, 4, seed),
     "sample_window_arrays": lambda seed: sample_window_arrays(ANDERSON, 2, 4, 3, seed),
     "dk_iid": lambda seed: dk_iid(ANDERSON, 1, 10, seed),
     "covariance_target": lambda seed: covariance_target((1,), "iid_mc", spec=ANDERSON,
                                                         replicas=10, seed=seed),
-    "mc_traces": lambda seed: mc_traces(ANDERSON, 4, (1,), 4, seed),
+    "mc_traces": lambda seed: mc_traces(ANDERSON, 4, (1,), 4, seed, None, None),
     "mdp_check": lambda seed: mdp_check(ANDERSON, 1, 0.5, (4,), (1.0,), 4, seed,
                                         dk_replicas=10),
 }
@@ -933,5 +956,5 @@ def test_numpy_integer_seeds_are_their_value():
     for seed in (np.int64(5), np.uint32(5)):
         np.testing.assert_array_equal(sample_matrix(ANDERSON, 4, seed).diag,
                                       sample_matrix(ANDERSON, 4, 5).diag)
-        np.testing.assert_array_equal(mc_traces(ANDERSON, 4, (1,), 4, seed),
-                                      mc_traces(ANDERSON, 4, (1,), 4, 5))
+        np.testing.assert_array_equal(mc_traces(ANDERSON, 4, (1,), 4, seed, None, None),
+                                      mc_traces(ANDERSON, 4, (1,), 4, 5, None, None))
