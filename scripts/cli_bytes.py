@@ -57,7 +57,9 @@ BDQ_SYM = ["--ensemble", "birth_death_q", "--symmetric", "true"]
 # the blocks of its first size only; `mdp-anderson-nlist` (two sizes, derived
 # thresholds, five blocks each) and `mdp-config` (two sizes, given
 # thresholds) also reach the sizes after it.
-# The `cramer` commands are the only ones that evaluate a law's log-MGF.
+# The `cramer` commands are the only ones that evaluate a law's log-MGF;
+# `cramer-outside-support` puts grid points outside the support and on its
+# edges, where the tilt reaches `--t-max`.
 # `clt-config` and `mdp-config` take every setting but the three added by
 # `run` from `cli_bytes.ini`, beside this script.
 COMMANDS = {
@@ -126,6 +128,8 @@ COMMANDS = {
     "cramer-rademacher": ["cramer", "--law", "rademacher"],
     "cramer-uniform": ["cramer", "--law", "uniform(-1,2)", "--points", "41"],
     "cramer-bernoulli": ["cramer", "--law", "bernoulli(0.3,-2,5)", "--points", "41"],
+    "cramer-outside-support": ["cramer", "--law", "uniform(-1,2)", "--x-min", "-2",
+                               "--x-max", "3", "--points", "11", "--t-max", "20"],
     "types-5": ["types", "--k", "5"],
     "types-8": ["types", "--k", "8"],
     "types-12": ["types", "--k", "12"],

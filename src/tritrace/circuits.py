@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from math import comb, inf, isfinite
+from math import comb, isfinite
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -169,18 +169,17 @@ def checked_int(name: str, value, least: int, most: int | None = None) -> int:
     return int(value)
 
 
-def checked_real(name: str, value, finite: bool = True) -> float:
+def checked_real(name: str, value) -> float:
     """``value`` as a float, or :class:`InvalidArgumentError` naming ``name`` unless it is a
-    Python or numpy int or float (not a bool) and finite (``finite=False``: the caller checks)."""
+    Python or numpy int or float (not a bool) and finite."""
     if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
     try:
-        real = float(value)
+        if isfinite(real := float(value)):
+            return real
     except OverflowError:   # an int beyond the float range
-        real = inf if value > 0 else -inf
-    if finite and not isfinite(real):
-        raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
-    return real
+        pass
+    raise InvalidArgumentError(f"{name} must be finite, got {value!r}")
 
 
 def enumerate_types(k: int) -> tuple[CircuitType, ...]:

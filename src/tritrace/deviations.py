@@ -96,7 +96,7 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
     """
     if not spec.bounded:
         raise InvalidArgumentError("deviation checks require a bounded spec")
-    if not 0.0 < (nu := checked_real("nu", nu, finite=False)) < 1.0:
+    if not 0.0 < (nu := checked_real("nu", nu)) < 1.0:
         raise InvalidArgumentError("nu must lie in (0, 1)")
     k = checked_int("k", k, 1, K_MAX)
     dk_replicas = checked_int("dk_replicas", dk_replicas, 2)
@@ -105,13 +105,12 @@ def mdp_check(spec: EnsembleSpec, k: int, nu: float, n_list, delta_list,
     if not n_list:
         raise InvalidArgumentError("n_list must be non-empty")
     if delta_list is not None:
-        delta_list = tuple(checked_real("delta_list entry", d, finite=False) for d in delta_list)
+        delta_list = tuple(checked_real("delta_list entry", d) for d in delta_list)
         if not delta_list:
             # a table with no threshold compares nothing, so its gate would pass
             raise InvalidArgumentError("delta_list, when given, must be non-empty")
-        if not all(0.0 <= d < math.inf for d in delta_list):
-            raise InvalidArgumentError(
-                f"thresholds must be finite and >= 0, got delta_list={delta_list}")
+        if min(delta_list) < 0:
+            raise InvalidArgumentError(f"thresholds must be >= 0, got delta_list={delta_list}")
     _, _, trials, workers = _check_trace_run(min(n_list), (k,), trials, workers)
     master_seed = seed_int(master_seed)
 
@@ -157,6 +156,8 @@ def rate_failures(estimates, tolerance: float = RATE_TOLERANCE) -> list[RateEsti
     is off it by more than ``tolerance`` times the prediction; an empty list
     passes the moderate-deviation gate.  A flagged estimate has too few tail
     events to judge."""
+    if (tolerance := checked_real("tolerance", tolerance)) < 0:
+        raise InvalidArgumentError(f"tolerance must be >= 0, got {tolerance}")
     return [e for e in estimates
             if not e.flags and e.predicted_rate != 0
             and abs(e.empirical_rate - e.predicted_rate) > tolerance * e.predicted_rate]
@@ -184,23 +185,21 @@ def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
 def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = CRAMER_T_MAX) -> CramerRate:
     """Rate function ``I(x) = sup_t (t x - log E exp(t d))`` for an i.i.d. sum.
 
-    ``entry_law`` must have compact support and the grid points must be finite.
+    ``entry_law`` must have compact support and each grid point a finite real.
     Outside the closed support hull the rate is infinite (flagged, not an
     error).  If the supremum pushes against ``t_max`` while the objective
     still climbs, a precision warning is recorded.
     """
     if not entry_law.is_bounded:
         raise InvalidArgumentError("Cramér rate needs a compactly supported law")
-    if not (t_max := checked_real("t_max", t_max, finite=False)) > 0:   # inf: too wide below
+    if (t_max := checked_real("t_max", t_max)) <= 0:
         raise InvalidArgumentError("t_max must be positive")
     lo, hi = entry_law.support
     if not math.isfinite(t_max * (hi - lo)):
         # the log-MGF at the widest tilt would overflow
         raise InvalidArgumentError(
             f"support [{lo:g}, {hi:g}] too wide for tilts up to t_max={t_max:g}")
-    grid = np.asarray(x_grid, dtype=float)
-    if not np.isfinite(grid).all():
-        raise InvalidArgumentError("grid points must be finite")
+    grid = np.array([checked_real("x_grid entry", x) for x in x_grid], dtype=float)
     rate = np.empty_like(grid)
     warnings: list[str] = []
     slope_tol = 1e-7

@@ -142,13 +142,10 @@ class EntryLaw:
         if not isinstance(self.params, (tuple, list)):
             raise InvalidArgumentError(
                 f"{self.kind} law parameters must be a tuple, got {self.params!r}")
-        params = tuple(checked_real(f"{self.kind} law parameter", p, finite=False)
-                       for p in self.params)   # the check below names a non-finite one
+        params = tuple(checked_real(f"{self.kind} law parameter", p) for p in self.params)
         if len(params) != law.arity:
-            raise InvalidArgumentError(
-                f"{self.kind} law takes {law.arity} parameters, got {params}")
-        if not all(map(math.isfinite, params)):
-            raise InvalidArgumentError(f"{self.kind} law parameters must be finite, got {params}")
+            raise InvalidArgumentError(f"{self.kind} law takes {law.arity} "
+                                       f"parameter{'s' * (law.arity != 1)}, got {params}")
         for ok, message in law.checks:
             if not ok(*params):
                 raise InvalidArgumentError(message)
@@ -156,24 +153,8 @@ class EntryLaw:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def constant(cls, c: float) -> "EntryLaw":
-        return cls("constant", (c,))
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float) -> "EntryLaw":
-        return cls("uniform", (lo, hi))
-
-    @classmethod
-    def bernoulli(cls, p: float, v0: float, v1: float) -> "EntryLaw":
-        return cls("bernoulli", (p, v0, v1))
-
-    @classmethod
-    def gaussian(cls, mu: float, sigma: float) -> "EntryLaw":
-        return cls("gaussian", (mu, sigma))
-
-    @classmethod
-    def rademacher(cls) -> "EntryLaw":
-        return cls("rademacher", ())
+    def rademacher(cls) -> "EntryLaw":   # read only by perfbench/layers.py
+        return cls("rademacher")
 
     @classmethod
     def parse(cls, text: str) -> "EntryLaw":
@@ -185,10 +166,6 @@ class EntryLaw:
             params = tuple(float(x) for x in args.split(",")) if args else ()
         except ValueError as exc:
             raise InvalidArgumentError(f"non-numeric law parameter: {text!r}") from exc
-        law = _KINDS.get(kind)
-        if law is not None and len(params) != law.arity:
-            raise InvalidArgumentError(f"wrong arity for {kind!r}: {text!r}" if law.arity
-                                       else f"{kind} takes no parameters")
         return cls(kind, params)
 
     def __str__(self) -> str:
@@ -257,20 +234,19 @@ class _Model:
     symmetric: bool = False
 
 
-_UNIT = EntryLaw.uniform(0.5, 1.5)   # the default positive off-diagonal law
+_UNIT = EntryLaw("uniform", (0.5, 1.5))   # the default positive off-diagonal law
 
 _MODELS = {
-    "anderson": _Model({"d_law": EntryLaw.rademacher()}, symmetric=True),
+    "anderson": _Model({"d_law": EntryLaw("rademacher")}, symmetric=True),
     "beta_hermite": _Model({"beta": None}, symmetric=True,
-                           checks=((lambda s: 0 < s.beta < math.inf,
-                                    "beta_hermite requires a finite beta > 0"),)),
+                           checks=((lambda s: s.beta > 0, "beta_hermite requires beta > 0"),)),
     "hatano_nelson": _Model(
-        {"a_law": _UNIT, "d_law": EntryLaw.uniform(-1.0, 1.0), "b_law": _UNIT},
+        {"a_law": _UNIT, "d_law": EntryLaw("uniform", (-1.0, 1.0)), "b_law": _UNIT},
         checks=((lambda s: _positive(s.a_law) and _positive(s.b_law),
                  "hatano_nelson off-diagonal laws must be strictly positive"),)),
     "birth_death_kernel": _Model(
         {"kernel_variant": "v",
-         "kernel_law": lambda v: EntryLaw.uniform(0.0, 1.0) if v["kernel_variant"] == "v"
+         "kernel_law": lambda v: EntryLaw("uniform", (0.0, 1.0)) if v["kernel_variant"] == "v"
          else _UNIT},
         checks=((lambda s: s.kernel_variant in KERNEL_VARIANTS,
                  f"kernel_variant must be one of {KERNEL_VARIANTS}"),
@@ -293,8 +269,8 @@ _FIELD_TYPES = {"model": str, "kernel_variant": str, "symmetric": bool}   # the 
 def _spec_field(name: str, value):
     """A given value of spec field ``name`` as the spec stores it (np.True_,
     which JSON cannot hold, as True), or an error naming the field."""
-    if name == "beta":   # the model's check names a non-finite beta
-        return checked_real(name, value, finite=False)
+    if name == "beta":
+        return checked_real(name, value)
     value = bool(value) if isinstance(value, np.bool_) else value
     kind = _FIELD_TYPES.get(name, EntryLaw)
     if not isinstance(value, kind):
@@ -568,7 +544,7 @@ def _window_draws(seed, rows: int) -> _Draws:
     return _Draws(rows, lambda i: _child(ss, i).generate_state(4).view("<u8")[None], ss)
 
 
-_ANDERSON_OFF = EntryLaw.constant(-1.0)   # Anderson's off-diagonal entries
+_ANDERSON_OFF = EntryLaw("constant", (-1.0,))   # Anderson's off-diagonal entries
 # Models whose diagonal is a stream of its own, drawn by ``spec.d_law`` from
 # this slot of :func:`_sample_sites` (tests check the table against it).
 _DIAGONAL_SLOT = {"anderson": 0, "hatano_nelson": 1, "generic_iid": 1}

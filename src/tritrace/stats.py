@@ -421,8 +421,8 @@ def covariance_target(k_list, regime: str, *, beta: float | None = None,
     if not k_list:
         raise InvalidArgumentError("k_list must be non-empty")
     if regime == "beta_hermite":
-        if not 0 < (beta := checked_real("beta", beta, finite=False)) < math.inf:
-            raise InvalidArgumentError("beta_hermite regime requires a finite beta > 0")
+        if (beta := checked_real("beta", beta)) <= 0:
+            raise InvalidArgumentError("beta_hermite regime requires beta > 0")
         value = np.array([[_beta_hermite_entry(ki, kj, beta) for kj in k_list] for ki in k_list])
         return CovarianceTarget(source="beta_hermite_formula", value=value)
     if regime == "symmetric_degenerate":
@@ -541,6 +541,8 @@ def covariance_failures(k_list, empirical: np.ndarray, se: np.ndarray, target: n
     where the powers' parities differ, else ``max(tolerance |target|, 4 se)``.
     A NaN deviation fails.
     """
+    if (tolerance := checked_real("tolerance", tolerance)) < 0:
+        raise InvalidArgumentError(f"tolerance must be >= 0, got {tolerance}")
     k_arr = np.array(k_list)
     mixed = (k_arr[:, None] % 2) != (k_arr[None, :] % 2)
     allowed = np.where(mixed, 4.0 * se, np.maximum(tolerance * np.abs(target), 4.0 * se))

@@ -137,7 +137,7 @@ def test_criterion_04_clt_variance(anderson_4000):
         details.append(f"k={k}: {var:.4f} vs {est.value:.4f}")
         if k <= 2:
             exact = exhaustive_dk(k, dependence_range(k, spec.symmetric).m_k,
-                                  EntryLaw.rademacher().atoms)
+                                  EntryLaw("rademacher").atoms)
             ok &= abs(est.value - exact) <= max(est.standard_error, 1e-15)
     ks = ks_distance_to_normal(samples[:, 0] / math.sqrt(estimates[1].value))
     critical = 1.63 / math.sqrt(samples.shape[0])
@@ -283,11 +283,11 @@ def test_criterion_09_cramer_closed_forms():
         return x * math.log(2 * x) + (1 - x) * math.log(2 * (1 - x))
 
     grid_r = np.linspace(-0.98, 0.98, 101)
-    got_r = cramer_rate_k1(EntryLaw.rademacher(), grid_r).rate
+    got_r = cramer_rate_k1(EntryLaw("rademacher"), grid_r).rate
     err_r = float(np.max(np.abs(got_r - [rademacher_rate(x) for x in grid_r])))
 
     grid_b = np.linspace(0.0, 1.0, 101)
-    got_b = cramer_rate_k1(EntryLaw.bernoulli(0.5, 0.0, 1.0), grid_b).rate
+    got_b = cramer_rate_k1(EntryLaw("bernoulli", (0.5, 0.0, 1.0)), grid_b).rate
     err_b = float(np.max(np.abs(got_b - [bernoulli_rate(x) for x in grid_b])))
 
     elapsed = time.perf_counter() - start

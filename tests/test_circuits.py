@@ -364,8 +364,8 @@ class TestMonteCarloRoute:
     def test_unequal_off_diagonals_do_not_overflow(self, n):
         # sub*sup == 1, so every trace is finite, but sup^6 alone overflows
         # and sub^6 alone underflows
-        spec = EnsembleSpec("hatano_nelson", a_law=EntryLaw.constant(1e60),
-                            b_law=EntryLaw.constant(1e-60))
+        spec = EnsembleSpec("hatano_nelson", a_law=EntryLaw("constant", (1e60,)),
+                            b_law=EntryLaw("constant", (1e-60,)))
         m = sample_matrix(spec, n, 31)
         got = circuits.traces_for_k_list(m, range(BANDED_MIN_K, 13))
         for k, value in zip(range(BANDED_MIN_K, 13), got):
@@ -466,7 +466,7 @@ class TestBandedIdentities:
         # sub times c and sup over c is G Q G^-1 with G = diag(c^i): a
         # similarity, so no trace moves, and a power of two moves no bit; the
         # entries are positive, so no trace cancels below its terms' scale
-        law = EntryLaw.uniform(0.5, 1.5)
+        law = EntryLaw("uniform", (0.5, 1.5))
         q = sample_matrix(EnsembleSpec("generic_iid", a_law=law, d_law=law, b_law=law), n, 11)
         gauged = TridiagonalMatrix(sub=q.sub * c, diag=q.diag, sup=q.sup / c)
         pairs = [(trace_power_direct(m, k) for m in (q, gauged)) for k in range(1, 17)]

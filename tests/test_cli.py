@@ -97,14 +97,15 @@ class TestTraceCommand:
 
 class TestConfigHandling:
     @pytest.mark.parametrize("model, fields", [
-        ("anderson", {"d_law": EntryLaw.bernoulli(0.3, -1, 2)}),
+        ("anderson", {"d_law": EntryLaw("bernoulli", (0.3, -1, 2))}),
         ("beta_hermite", {"beta": 2}),
-        ("hatano_nelson", {"a_law": EntryLaw.uniform(0.2, 0.9), "b_law": EntryLaw.constant(3)}),
+        ("hatano_nelson", {"a_law": EntryLaw("uniform", (0.2, 0.9)),
+                           "b_law": EntryLaw("constant", (3,))}),
         ("birth_death_kernel", {"kernel_variant": "conductance",
-                                "kernel_law": EntryLaw.uniform(1, 2)}),
-        ("birth_death_q", {"symmetric": True, "a_law": EntryLaw.constant(1)}),
-        ("generic_iid", {"symmetric": False, "a_law": EntryLaw.gaussian(0, 1),
-                         "d_law": EntryLaw.rademacher(), "b_law": EntryLaw.uniform(-1, 1)}),
+                                "kernel_law": EntryLaw("uniform", (1, 2))}),
+        ("birth_death_q", {"symmetric": True, "a_law": EntryLaw("constant", (1,))}),
+        ("generic_iid", {"symmetric": False, "a_law": EntryLaw("gaussian", (0, 1)),
+                         "d_law": EntryLaw("rademacher"), "b_law": EntryLaw("uniform", (-1, 1))}),
     ], ids=lambda value: value if isinstance(value, str) else None)
     def test_spec_from_values_describes_as_from_text(self, model, fields):
         # the library's spec and the CLI's, from the same values as text
@@ -306,7 +307,7 @@ class TestConfigHandling:
         (["mdp", "--tolerance", "nan"], "'nan'"),
         (["mdp", "--delta-list=nan"], "'nan'"),
         (["cov", "--tolerance", "-0.5"], "malformed value for tolerance: '-0.5'"),
-        (["mdp", "--delta-list=-0.5,0.5"], "thresholds must be finite and >= 0"),
+        (["mdp", "--delta-list=-0.5,0.5"], "thresholds must be >= 0"),
         (["mdp", "--delta-list", ","], "delta_list, when given, must be non-empty"),
     ], ids=["tolerance-nan", "delta-nan", "tolerance-negative", "delta-negative", "delta-empty"])
     def test_malformed_gate_setting_is_an_error(self, tmp_path, capsys, argv, bad):
@@ -363,7 +364,7 @@ class TestConfigHandling:
             assert run_cli("mdp", "--ensemble", "anderson", "--d-law", "bernoulli(0.5,inf,1)",
                            "--n", "10", "--trials", "30", "--k", "1", "--nu", "0.5") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: bernoulli law parameters must be finite"), err
+        assert err.startswith("error: bernoulli law parameter must be finite, got inf"), err
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
@@ -701,7 +702,7 @@ class TestDeterminism:
         # scripts/cli_bytes.py --check
         cli_bytes = _cli_bytes()
         names = [n for n in cli_bytes.COMMANDS if n.startswith(("types-", "cramer-"))]
-        assert len(names) == 7
+        assert len(names) == 8
         src = Path(tritrace.__file__).resolve().parents[1]
         assert cli_bytes.check(names, src) == []
 

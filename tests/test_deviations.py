@@ -28,27 +28,27 @@ def rademacher_rate(x):
 
 class TestCramerRate:
     def test_rate_vanishes_at_mean(self):
-        result = cramer_rate_k1(EntryLaw.rademacher(), [0.0])
+        result = cramer_rate_k1(EntryLaw("rademacher"), [0.0])
         assert abs(result.rate[0]) <= 1e-10
 
     def test_rademacher_half(self):
-        result = cramer_rate_k1(EntryLaw.rademacher(), [0.5])
+        result = cramer_rate_k1(EntryLaw("rademacher"), [0.5])
         assert result.rate[0] == pytest.approx(0.13081, abs=5e-6)
         assert result.rate[0] == pytest.approx(rademacher_rate(0.5), abs=1e-9)
 
     def test_bernoulli_endpoint_is_log_two(self):
-        result = cramer_rate_k1(EntryLaw.bernoulli(0.5, 0.0, 1.0), [1.0])
+        result = cramer_rate_k1(EntryLaw("bernoulli", (0.5, 0.0, 1.0)), [1.0])
         assert result.rate[0] == pytest.approx(math.log(2.0), abs=1e-9)
         assert not result.warnings
 
     def test_closed_form_grid_match(self):
         grid = np.linspace(-0.98, 0.98, 101)
-        result = cramer_rate_k1(EntryLaw.rademacher(), grid)
+        result = cramer_rate_k1(EntryLaw("rademacher"), grid)
         closed = np.array([rademacher_rate(x) for x in grid])
         assert np.max(np.abs(result.rate - closed)) <= 1e-6
 
     def test_convex_nonnegative_zero_at_mean(self):
-        law = EntryLaw.bernoulli(0.3, -1.0, 2.0)
+        law = EntryLaw("bernoulli", (0.3, -1.0, 2.0))
         grid = np.linspace(-0.95, 1.95, 59)
         result = cramer_rate_k1(law, grid)
         assert np.all(result.rate >= 0.0)
@@ -58,25 +58,25 @@ class TestCramerRate:
         assert abs(at_mean) <= 1e-10
 
     def test_outside_support_flagged_infinite(self):
-        result = cramer_rate_k1(EntryLaw.uniform(-1, 1), [-2.0, 0.0, 3.0])
+        result = cramer_rate_k1(EntryLaw("uniform", (-1, 1)), [-2.0, 0.0, 3.0])
         assert math.isinf(result.rate[0]) and math.isinf(result.rate[2])
         assert np.isfinite(result.rate[1])
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_grid_points_must_be_finite(self, x):
         # a NaN point once came back as a NaN rate
-        with pytest.raises(InvalidArgumentError, match="grid points must be finite"):
-            cramer_rate_k1(EntryLaw.rademacher(), [0.0, x])
+        with pytest.raises(InvalidArgumentError, match=f"^x_grid entry must be finite, got {x}"):
+            cramer_rate_k1(EntryLaw("rademacher"), [0.0, x])
 
     def test_unbounded_law_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            cramer_rate_k1(EntryLaw.gaussian(0, 1), [0.0])
+            cramer_rate_k1(EntryLaw("gaussian", (0, 1)), [0.0])
 
     def test_quadrature_matches_closed_form(self):
         # the Legendre transform of the quadrature oracle, on the same search
         grid = np.linspace(-0.8, 0.8, 33)
-        for law in (EntryLaw.uniform(-1.0, 1.0), EntryLaw.rademacher(),
-                    EntryLaw.bernoulli(0.4, -1.0, 1.0)):
+        for law in (EntryLaw("uniform", (-1.0, 1.0)), EntryLaw("rademacher"),
+                    EntryLaw("bernoulli", (0.4, -1.0, 1.0))):
             closed = cramer_rate_k1(law, grid).rate
             quad = [max(_golden_max(lambda t, x=x: t * x - log_mgf_quadrature(law, t),
                                     -50.0, 50.0)[1], 0.0) for x in grid]
@@ -85,34 +85,35 @@ class TestCramerRate:
     def test_wide_uniform_rates_are_finite_and_scale(self):
         # log E exp(tX) once overflowed in expm1 for widths above ~14.2 at t=50;
         # scaling: I_{LX}(x) = I_X(x/L), with the tilt range scaled by L
-        assert EntryLaw.uniform(0.0, 20.0).log_mgf(50.0) == pytest.approx(1000.0 - math.log(1000.0))
-        assert EntryLaw.uniform(0.0, 20.0).log_mgf(-50.0) == pytest.approx(-math.log(1000.0))
+        law = EntryLaw("uniform", (0.0, 20.0))
+        assert law.log_mgf(50.0) == pytest.approx(1000.0 - math.log(1000.0))
+        assert law.log_mgf(-50.0) == pytest.approx(-math.log(1000.0))
         x = np.linspace(-18.0, 18.0, 37)
-        wide = cramer_rate_k1(EntryLaw.uniform(-20.0, 20.0), x).rate
-        unit = cramer_rate_k1(EntryLaw.uniform(-1.0, 1.0), x / 20.0, t_max=1000.0).rate
+        wide = cramer_rate_k1(EntryLaw("uniform", (-20.0, 20.0)), x).rate
+        unit = cramer_rate_k1(EntryLaw("uniform", (-1.0, 1.0)), x / 20.0, t_max=1000.0).rate
         assert np.all(np.isfinite(wide))
         np.testing.assert_allclose(wide, unit, rtol=1e-9, atol=1e-12)
 
     def test_support_too_wide_for_the_tilts_is_rejected(self):
         with pytest.raises(InvalidArgumentError, match="too wide"):
-            cramer_rate_k1(EntryLaw.uniform(-1e307, 1e307), [0.0])
-        with pytest.raises(InvalidArgumentError, match="too wide"):
-            cramer_rate_k1(EntryLaw.uniform(0.0, 1.0), [0.5], t_max=math.inf)
+            cramer_rate_k1(EntryLaw("uniform", (-1e307, 1e307)), [0.0])
+        with pytest.raises(InvalidArgumentError, match="^t_max must be finite, got inf"):
+            cramer_rate_k1(EntryLaw("uniform", (0.0, 1.0)), [0.5], t_max=math.inf)
 
     @pytest.mark.parametrize("t_max", [0.0, -1.0])
     def test_tilt_range_must_be_positive(self, t_max):
         with pytest.raises(InvalidArgumentError, match="t_max must be positive"):
-            cramer_rate_k1(EntryLaw.rademacher(), [0.5], t_max=t_max)
+            cramer_rate_k1(EntryLaw("rademacher"), [0.5], t_max=t_max)
 
     def test_boundary_hit_warning(self):
         # at the support edge of a biased coin the optimal tilt diverges;
         # a small cap leaves visible slope and must be reported
-        result = cramer_rate_k1(EntryLaw.bernoulli(0.3, 0.0, 1.0), [1.0], t_max=5.0)
+        result = cramer_rate_k1(EntryLaw("bernoulli", (0.3, 0.0, 1.0)), [1.0], t_max=5.0)
         assert result.warnings
         assert result.rate[0] < math.log(1.0 / 0.3)
 
     def test_mean_grid_constant_law(self):
-        result = cramer_rate_k1(EntryLaw.constant(2.0), [2.0, 2.5])
+        result = cramer_rate_k1(EntryLaw("constant", (2.0,)), [2.0, 2.5])
         assert abs(result.rate[0]) <= 1e-10
         assert math.isinf(result.rate[1])
 
@@ -126,22 +127,22 @@ class TestMdpCheck:
         assert out[0].predicted_rate == 0.0
 
     def test_degenerate_diagonal_rejected(self):
-        spec = EnsembleSpec("anderson", d_law=EntryLaw.constant(0.0))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw("constant", (0.0,)))
         with pytest.raises(DegenerateRateError):
             mdp_check(spec, 1, 0.5, [64], [0.5], 256, 5, dk_replicas=5000)
 
     def test_degenerate_diagonal_rejected_with_workers(self):
         # D_k is estimated beside the first size's blocks, so the error comes
         # after them, with every child reaped
-        spec = EnsembleSpec("anderson", d_law=EntryLaw.constant(0.0))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw("constant", (0.0,)))
         with pytest.raises(DegenerateRateError):
             mdp_check(spec, 1, 0.5, [64], [0.5], 2100, 5, workers=2, dk_replicas=5000)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("delta_list", [None, [0.3, 0.9]], ids=["derived", "given"])
-    @pytest.mark.parametrize("d_law, k", [(EntryLaw.rademacher(), 1),
-                                          (EntryLaw.uniform(-1.0, 1.0), 2)],
+    @pytest.mark.parametrize("d_law, k", [(EntryLaw("rademacher"), 1),
+                                          (EntryLaw("uniform", (-1.0, 1.0)), 2)],
                              ids=["rademacher-k1", "uniform-k2"])
     def test_workers_do_not_change_results(self, d_law, k, delta_list):
         # three blocks per size; D_k overlaps only the first of the two sizes
@@ -168,12 +169,14 @@ class TestMdpCheck:
         with pytest.raises(InvalidArgumentError, match="n too small"):
             mdp_check(anderson, 8, 0.5, [64, 4], None, 2100, 5, workers=2)
 
-    @pytest.mark.parametrize("delta", [-0.5, math.nan, math.inf])
-    def test_threshold_must_be_finite_and_non_negative(self, monkeypatch, delta):
+    @pytest.mark.parametrize("delta, message", [
+        (-0.5, "thresholds must be >= 0"), (math.nan, "delta_list entry must be finite, got nan"),
+        (math.inf, "delta_list entry must be finite, got inf")], ids=["-0.5", "nan", "inf"])
+    def test_threshold_must_be_finite_and_non_negative(self, monkeypatch, delta, message):
         # a negative threshold once counted every trial as a tail event, and a
         # NaN one predicted a NaN rate; both ran as if valid
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the checks"))
-        with pytest.raises(InvalidArgumentError, match="thresholds must be finite and >= 0"):
+        with pytest.raises(InvalidArgumentError, match=f"^{message}"):
             mdp_check(EnsembleSpec("anderson"), 1, 0.5, [64], [delta, 0.5], 256, 5, workers=2)
 
     def test_empty_threshold_list_is_an_error(self, monkeypatch):
@@ -189,7 +192,7 @@ class TestMdpCheck:
             mdp_check(EnsembleSpec("anderson"), 1, 0.5, [], None, 2100, 5, workers=2)
 
     def test_unbounded_spec_rejected(self):
-        spec = EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw("gaussian", (0, 1)))
         with pytest.raises(InvalidArgumentError):
             mdp_check(spec, 1, 0.5, [64], [0.5], 256, 5)
 

@@ -24,7 +24,7 @@ from tritrace.ensembles import (
 )
 from tritrace.errors import InvalidArgumentError
 
-RADEMACHER = EntryLaw.rademacher()
+RADEMACHER = EntryLaw("rademacher")
 # one spec per sampling branch; the non-symmetric Rademacher spec draws odd
 # sign counts at odd n
 SPECS = {
@@ -34,8 +34,8 @@ SPECS = {
     "generic_iid": EnsembleSpec("generic_iid", a_law=RADEMACHER, d_law=RADEMACHER,
                                 b_law=RADEMACHER),
     "generic_iid-symmetric": EnsembleSpec(
-        "generic_iid", a_law=EntryLaw.gaussian(0.0, 1.0),
-        d_law=EntryLaw.bernoulli(0.3, -2.0, 5.0), symmetric=True),
+        "generic_iid", a_law=EntryLaw("gaussian", (0.0, 1.0)),
+        d_law=EntryLaw("bernoulli", (0.3, -2.0, 5.0)), symmetric=True),
     "birth_death_q": EnsembleSpec("birth_death_q"),
     "birth_death_q-symmetric": EnsembleSpec("birth_death_q", symmetric=True),
     "birth_death_kernel-v": EnsembleSpec("birth_death_kernel"),
@@ -44,44 +44,54 @@ SPECS = {
 }
 
 LAWS = [
-    EntryLaw.constant(0.7),
-    EntryLaw.uniform(-1.0, 2.0),
-    EntryLaw.bernoulli(0.3, -2.0, 5.0),
-    EntryLaw.gaussian(0.5, 1.5),
-    EntryLaw.rademacher(),
+    EntryLaw("constant", (0.7,)),
+    EntryLaw("uniform", (-1.0, 2.0)),
+    EntryLaw("bernoulli", (0.3, -2.0, 5.0)),
+    EntryLaw("gaussian", (0.5, 1.5)),
+    EntryLaw("rademacher"),
 ]
 # (law, exact support, atoms and symmetric_zero_mean) at edge parameters;
 # repr tells -0.0 from 0.0
 EDGE_LAWS = [
-    (EntryLaw.bernoulli(0.0, 1.0, 2.0), (1.0, 2.0), ((1.0, 1.0), (2.0, 0.0)), False),
-    (EntryLaw.bernoulli(1.0, 2.0, 1.0), (1.0, 2.0), ((2.0, 0.0), (1.0, 1.0)), False),
-    (EntryLaw.bernoulli(0.5, -1.0, 1.0), (-1.0, 1.0), ((-1.0, 0.5), (1.0, 0.5)), True),
-    (EntryLaw.bernoulli(0.5, 2.0, 2.0), (2.0, 2.0), ((2.0, 0.5), (2.0, 0.5)), False),
-    (EntryLaw.bernoulli(0.5, -0.0, 0.0), (-0.0, -0.0), ((-0.0, 0.5), (0.0, 0.5)), True),
-    (EntryLaw.uniform(-3.0, 3.0), (-3.0, 3.0), None, True),
-    (EntryLaw.uniform(0.0, 1.0), (0.0, 1.0), None, False),
-    (EntryLaw.constant(-0.0), (-0.0, -0.0), ((-0.0, 1.0),), True),
-    (EntryLaw.gaussian(0.0, 0.0), None, None, True),
-    (EntryLaw.rademacher(), (-1.0, 1.0), ((-1.0, 0.5), (1.0, 0.5)), True),
+    (EntryLaw("bernoulli", (0.0, 1.0, 2.0)), (1.0, 2.0), ((1.0, 1.0), (2.0, 0.0)), False),
+    (EntryLaw("bernoulli", (1.0, 2.0, 1.0)), (1.0, 2.0), ((2.0, 0.0), (1.0, 1.0)), False),
+    (EntryLaw("bernoulli", (0.5, -1.0, 1.0)), (-1.0, 1.0), ((-1.0, 0.5), (1.0, 0.5)), True),
+    (EntryLaw("bernoulli", (0.5, 2.0, 2.0)), (2.0, 2.0), ((2.0, 0.5), (2.0, 0.5)), False),
+    (EntryLaw("bernoulli", (0.5, -0.0, 0.0)), (-0.0, -0.0), ((-0.0, 0.5), (0.0, 0.5)), True),
+    (EntryLaw("uniform", (-3.0, 3.0)), (-3.0, 3.0), None, True),
+    (EntryLaw("uniform", (0.0, 1.0)), (0.0, 1.0), None, False),
+    (EntryLaw("constant", (-0.0,)), (-0.0, -0.0), ((-0.0, 1.0),), True),
+    (EntryLaw("gaussian", (0.0, 0.0)), None, None, True),
+    (EntryLaw("rademacher"), (-1.0, 1.0), ((-1.0, 0.5), (1.0, 0.5)), True),
 ]
-# every parse or validation failure, with its exact message
-BAD_LAW_TEXTS = {
-    "": "unparseable law: ''",
-    "uniform(1,": "unparseable law: 'uniform(1,'",
-    "uniform(a,b)": "non-numeric law parameter: 'uniform(a,b)'",
-    "nosuch(1)": "unknown law kind: 'nosuch'",
-    "rademacher(3)": "rademacher takes no parameters",
-    "uniform(1)": "wrong arity for 'uniform': 'uniform(1)'",
-    "Constant": "wrong arity for 'constant': 'Constant'",
-    "bernoulli(0.5,1)": "wrong arity for 'bernoulli': 'bernoulli(0.5,1)'",
-    "gaussian(0,1,2)": "wrong arity for 'gaussian': 'gaussian(0,1,2)'",
-    "constant(inf)": "constant law parameters must be finite, got (inf,)",
-    "uniform(2,1)": "uniform law needs hi > lo",
-    "uniform(-0.0,0.0)": "uniform law needs hi > lo",
-    "uniform(-1e308,1e308)": "uniform law needs a finite width hi - lo",
-    "bernoulli(1.5,0,1)": "bernoulli p outside [0, 1]",
-    "gaussian(0,-1)": "gaussian sigma must be >= 0",
-}
+# every malformed law with its exact message: (id, text, the kind and numbers
+# it parses to, or None where it parses to none, message)
+BAD_LAWS = [
+    ("empty", "", None, "unparseable law: ''"),
+    ("unclosed", "uniform(1,", None, "unparseable law: 'uniform(1,'"),
+    ("non-numeric", "uniform(a,b)", None, "non-numeric law parameter: 'uniform(a,b)'"),
+    ("unknown-kind", "nosuch(1)", ("nosuch", (1.0,)), "unknown law kind: 'nosuch'"),
+    ("rademacher-arity", "rademacher(3)", ("rademacher", (3.0,)),
+     "rademacher law takes 0 parameters, got (3.0,)"),
+    ("arity", "uniform(1)", ("uniform", (1.0,)), "uniform law takes 2 parameters, got (1.0,)"),
+    ("constant-arity", "Constant", ("constant", ()), "constant law takes 1 parameter, got ()"),
+    ("bernoulli-arity", "bernoulli(0.5,1)", ("bernoulli", (0.5, 1.0)),
+     "bernoulli law takes 3 parameters, got (0.5, 1.0)"),
+    ("gaussian-arity", "gaussian(0,1,2)", ("gaussian", (0.0, 1.0, 2.0)),
+     "gaussian law takes 2 parameters, got (0.0, 1.0, 2.0)"),
+    ("non-finite", "gaussian(0,nan)", ("gaussian", (0.0, math.nan)),
+     "gaussian law parameter must be finite, got nan"),
+    ("infinite", "constant(inf)", ("constant", (math.inf,)),
+     "constant law parameter must be finite, got inf"),
+    ("hi-below-lo", "uniform(2,1)", ("uniform", (2.0, 1.0)), "uniform law needs hi > lo"),
+    ("empty-interval", "uniform(-0.0,0.0)", ("uniform", (-0.0, 0.0)), "uniform law needs hi > lo"),
+    ("infinite-width", "uniform(-1e308,1e308)", ("uniform", (-1e308, 1e308)),
+     "uniform law needs a finite width hi - lo"),
+    ("p-above-one", "bernoulli(1.5,0,1)", ("bernoulli", (1.5, 0.0, 1.0)),
+     "bernoulli p outside [0, 1]"),
+    ("negative-sigma", "gaussian(0,-1)", ("gaussian", (0.0, -1.0)), "gaussian sigma must be >= 0"),
+]
+PARSED_BAD_LAWS = [row for row in BAD_LAWS if row[2] is not None]
 
 
 class TestEntryLaw:
@@ -108,22 +118,21 @@ class TestEntryLaw:
         assert EntryLaw.parse(str(law)) == law
 
     def test_parse_rejects_garbage(self):
-        for text, message in BAD_LAW_TEXTS.items():
-            with pytest.raises(InvalidArgumentError) as info:
-                EntryLaw.parse(text)
-            assert str(info.value) == message
+        for _, text, parsed, message in BAD_LAWS:
+            if parsed is None:
+                with pytest.raises(InvalidArgumentError) as info:
+                    EntryLaw.parse(text)
+                assert str(info.value) == message
 
-    @pytest.mark.parametrize("kind, params, message", [
-        ("uniform", (2, 1), "uniform law needs hi > lo"),
-        ("nosuch", (), "unknown law kind: 'nosuch'"),
-        ("uniform", (1,), "uniform law takes 2 parameters, got (1.0,)"),
-        ("rademacher", (0,), "rademacher law takes 0 parameters, got (0.0,)"),
-        ("gaussian", (0, math.nan), "gaussian law parameters must be finite, got (0.0, nan)"),
-    ], ids=["hi-below-lo", "unknown-kind", "arity", "rademacher-arity", "non-finite"])
-    def test_direct_construction_is_validated(self, kind, params, message):
-        with pytest.raises(InvalidArgumentError) as info:
-            EntryLaw(kind, params)
-        assert str(info.value) == message
+    @pytest.mark.parametrize("text, parsed, message", [row[1:] for row in PARSED_BAD_LAWS],
+                             ids=[row[0] for row in PARSED_BAD_LAWS])
+    def test_direct_construction_is_validated(self, text, parsed, message):
+        # a law that parses to a kind and its numbers fails as the constructor
+        # fails on them, with the one message
+        for build in (lambda: EntryLaw.parse(text), lambda: EntryLaw(*parsed)):
+            with pytest.raises(InvalidArgumentError) as info:
+                build()
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("kind, params, message", [
         ("constant", 1.0, "constant law parameters must be a tuple, got 1.0"),
@@ -150,7 +159,7 @@ class TestEntryLaw:
     def test_non_finite_parameters_are_rejected(self, text):
         # bernoulli(0.5,inf,1) once became a "bounded" law with support (1, inf)
         kind = text.split("(")[0]
-        with pytest.raises(InvalidArgumentError, match=f"{kind} law parameters must be finite"):
+        with pytest.raises(InvalidArgumentError, match=f"^{kind} law parameter must be finite"):
             EntryLaw.parse(text)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 400, 401, (3, 5), (7, 9), (1, 401)])
@@ -158,7 +167,7 @@ class TestEntryLaw:
         # EntryLaw.sample is the integers(0, 2) definition that the draw hook's
         # raw-word signs are pinned against (test_hook_signs_match_integers);
         # the draw after the first starts on the half word an odd count leaves
-        law = EntryLaw.rademacher()
+        law = EntryLaw("rademacher")
         for seed in range(4):
             got = np.random.Generator(np.random.Philox(seed))
             want = np.random.Generator(np.random.Philox(seed))
@@ -182,12 +191,12 @@ class TestEntryLaw:
                 assert abs(law.log_mgf(t) - estimate) < 0.05
 
     def test_symmetric_zero_mean_flags(self):
-        assert EntryLaw.rademacher().symmetric_zero_mean
-        assert EntryLaw.uniform(-2, 2).symmetric_zero_mean
-        assert EntryLaw.gaussian(0, 3).symmetric_zero_mean
-        assert EntryLaw.bernoulli(0.5, -1, 1).symmetric_zero_mean
-        assert not EntryLaw.uniform(0, 1).symmetric_zero_mean
-        assert not EntryLaw.bernoulli(0.4, -1, 1).symmetric_zero_mean
+        assert EntryLaw("rademacher").symmetric_zero_mean
+        assert EntryLaw("uniform", (-2, 2)).symmetric_zero_mean
+        assert EntryLaw("gaussian", (0, 3)).symmetric_zero_mean
+        assert EntryLaw("bernoulli", (0.5, -1, 1)).symmetric_zero_mean
+        assert not EntryLaw("uniform", (0, 1)).symmetric_zero_mean
+        assert not EntryLaw("bernoulli", (0.4, -1, 1)).symmetric_zero_mean
 
 
 class TestSpecValidation:
@@ -236,11 +245,11 @@ class TestSpecValidation:
     @pytest.mark.parametrize("beta", [math.inf, math.nan])
     def test_beta_hermite_needs_a_finite_beta(self, beta):
         # an infinite beta was once accepted and failed only when sampled
-        with pytest.raises(InvalidArgumentError, match="requires a finite beta > 0"):
+        with pytest.raises(InvalidArgumentError, match=f"^beta must be finite, got {beta}"):
             EnsembleSpec("beta_hermite", beta=beta)
 
     def test_bounded_follows_laws(self):
-        gaussian = EntryLaw.gaussian(0, 1)
+        gaussian = EntryLaw("gaussian", (0, 1))
         assert EnsembleSpec("anderson").bounded
         assert not EnsembleSpec("anderson", d_law=gaussian).bounded
         assert not EnsembleSpec(model="anderson", symmetric=True, d_law=gaussian).bounded
@@ -256,13 +265,13 @@ class TestSpecValidation:
 
     def test_positive_offdiagonal_required(self):
         with pytest.raises(InvalidArgumentError):
-            EnsembleSpec("birth_death_q", a_law=EntryLaw.uniform(-1.0, 1.0))
+            EnsembleSpec("birth_death_q", a_law=EntryLaw("uniform", (-1.0, 1.0)))
         with pytest.raises(InvalidArgumentError):
-            EnsembleSpec("hatano_nelson", a_law=EntryLaw.gaussian(0, 1))
+            EnsembleSpec("hatano_nelson", a_law=EntryLaw("gaussian", (0, 1)))
 
     def test_kernel_law_range_checked(self):
         with pytest.raises(InvalidArgumentError):
-            EnsembleSpec("birth_death_kernel", kernel_law=EntryLaw.uniform(-0.5, 0.5),
+            EnsembleSpec("birth_death_kernel", kernel_law=EntryLaw("uniform", (-0.5, 0.5)),
                          kernel_variant="v")
 
     def test_iid_type_classification(self):
@@ -276,8 +285,8 @@ class TestSpecValidation:
 class TestModelTable:
     @pytest.mark.parametrize("kwargs, unread", [
         ({"model": "anderson", "symmetric": True, "d_law": RADEMACHER,
-          "a_law": EntryLaw.uniform(0.0, 1.0)}, "a_law"),
-        ({"model": "hatano_nelson", "symmetric": True, "b_law": EntryLaw.uniform(2.0, 3.0)},
+          "a_law": EntryLaw("uniform", (0.0, 1.0))}, "a_law"),
+        ({"model": "hatano_nelson", "symmetric": True, "b_law": EntryLaw("uniform", (2.0, 3.0))},
          "symmetric"),
         ({"model": "birth_death_kernel", "symmetric": True}, "symmetric"),
         ({"model": "beta_hermite", "symmetric": False, "beta": 2.0}, "symmetric"),
@@ -344,20 +353,20 @@ class TestModelTable:
     def test_symmetric_constructor_rejects_a_b_law(self, build):
         # a symmetric spec's b is its a, so a b_law given beside it reads nothing
         with pytest.raises(InvalidArgumentError, match="does not read b_law"):
-            build(EntryLaw.uniform(0.5, 1.5))
+            build(EntryLaw("uniform", (0.5, 1.5)))
         assert build(None).b_law is None
 
 
 class TestSampleMatrix:
     def test_anderson_fixed_offdiagonals(self):
-        spec = EnsembleSpec("anderson", d_law=EntryLaw.constant(0.0))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw("constant", (0.0,)))
         m = sample_matrix(spec, 9, 4)
         assert np.all(m.diag == 0.0)
         assert np.all(m.sub == -1.0) and np.all(m.sup == -1.0)
 
     def test_birth_death_q_constant_entries(self):
-        spec = EnsembleSpec("birth_death_q", a_law=EntryLaw.constant(1.0),
-                            b_law=EntryLaw.constant(1.0))
+        spec = EnsembleSpec("birth_death_q", a_law=EntryLaw("constant", (1.0,)),
+                            b_law=EntryLaw("constant", (1.0,)))
         m = sample_matrix(spec, 6, 0)
         assert m.diag[0] == -1.0
         assert np.all(m.diag[1:] == -2.0)
@@ -419,15 +428,16 @@ class TestSampleWindow:
         specs = [EnsembleSpec("anderson"), EnsembleSpec("birth_death_q"),
                  EnsembleSpec("birth_death_kernel"), EnsembleSpec("beta_hermite", beta=2.0),
                  EnsembleSpec("hatano_nelson"),
-                 EnsembleSpec("generic_iid", a_law=EntryLaw.uniform(0.5, 1.5),
-                              d_law=EntryLaw.rademacher(), symmetric=True)]
+                 EnsembleSpec("generic_iid", a_law=EntryLaw("uniform", (0.5, 1.5)),
+                              d_law=EntryLaw("rademacher"), symmetric=True)]
         for spec in specs:
             a, _, _ = sample_window_arrays(spec, 1, 5, 1, 3)
             assert a[0, 0] == 0.0
 
     def test_constant_generic_window(self):
-        spec = EnsembleSpec("generic_iid", a_law=EntryLaw.constant(2.0),
-                            d_law=EntryLaw.constant(-1.0), b_law=EntryLaw.constant(3.0))
+        spec = EnsembleSpec("generic_iid", a_law=EntryLaw("constant", (2.0,)),
+                            d_law=EntryLaw("constant", (-1.0,)),
+                            b_law=EntryLaw("constant", (3.0,)))
         a, d, b = sample_window_arrays(spec, 4, 6, 1, 0)
         assert np.all(a == 2.0) and np.all(d == -1.0) and np.all(b == 3.0)
 
@@ -447,8 +457,8 @@ class TestSampleWindow:
             assert np.allclose(a + d + b, 1.0, atol=1e-12)
 
     def test_symmetric_window_shares_stream(self):
-        spec = EnsembleSpec("generic_iid", a_law=EntryLaw.uniform(0.5, 1.5),
-                            d_law=EntryLaw.rademacher(), symmetric=True)
+        spec = EnsembleSpec("generic_iid", a_law=EntryLaw("uniform", (0.5, 1.5)),
+                            d_law=EntryLaw("rademacher"), symmetric=True)
         a, _, b = sample_window_arrays(spec, 2, 6, 1, 19)
         # b at site s equals a-slot of site s+1 (both are the same entry)
         assert np.array_equal(b[:, :-1], a[:, 1:])
@@ -563,8 +573,9 @@ class _RecordingDraws:
         return out
 
 
-@pytest.mark.parametrize("spec", [*SPECS.values(), EnsembleSpec("hatano_nelson", d_law=RADEMACHER),
-                                  EnsembleSpec("anderson", d_law=EntryLaw.uniform(-1.0, 1.0))])
+@pytest.mark.parametrize("spec", [
+    *SPECS.values(), EnsembleSpec("hatano_nelson", d_law=RADEMACHER),
+    EnsembleSpec("anderson", d_law=EntryLaw("uniform", (-1.0, 1.0)))])
 def test_diagonal_slot_table_matches_the_site_sampler(spec):
     # A model is in the table exactly when _sample_sites returns, as the
     # diagonal, the whole draw of spec.d_law from one stream: the table's slot.

@@ -115,23 +115,23 @@ class TestSiteSummand:
 # Every model and variant, with each of the five entry laws somewhere.
 ROW_SPECS = {
     "anderson-rademacher": EnsembleSpec("anderson"),
-    "anderson-bernoulli": EnsembleSpec("anderson", d_law=EntryLaw.bernoulli(0.3, -2.0, 5.0)),
+    "anderson-bernoulli": EnsembleSpec("anderson", d_law=EntryLaw("bernoulli", (0.3, -2.0, 5.0))),
     "beta_hermite": EnsembleSpec("beta_hermite", beta=2.0),
     "hatano_nelson-uniform": EnsembleSpec("hatano_nelson"),
-    "generic_iid": EnsembleSpec("generic_iid", a_law=EntryLaw.constant(0.7),
-                                d_law=EntryLaw.gaussian(0.5, 1.5),
-                                b_law=EntryLaw.uniform(-1.0, 2.0)),
-    "generic_iid-symmetric": EnsembleSpec("generic_iid", a_law=EntryLaw.gaussian(0.0, 1.0),
-                                          d_law=EntryLaw.rademacher(), symmetric=True),
+    "generic_iid": EnsembleSpec("generic_iid", a_law=EntryLaw("constant", (0.7,)),
+                                d_law=EntryLaw("gaussian", (0.5, 1.5)),
+                                b_law=EntryLaw("uniform", (-1.0, 2.0))),
+    "generic_iid-symmetric": EnsembleSpec("generic_iid", a_law=EntryLaw("gaussian", (0.0, 1.0)),
+                                          d_law=EntryLaw("rademacher"), symmetric=True),
     # Rademacher and Bernoulli on the slot whose first column is a_0 = 0
-    "generic_iid-rademacher-a": EnsembleSpec("generic_iid", a_law=EntryLaw.rademacher(),
-                                             d_law=EntryLaw.uniform(-1.0, 1.0),
-                                             b_law=EntryLaw.gaussian(0.0, 1.0)),
+    "generic_iid-rademacher-a": EnsembleSpec("generic_iid", a_law=EntryLaw("rademacher"),
+                                             d_law=EntryLaw("uniform", (-1.0, 1.0)),
+                                             b_law=EntryLaw("gaussian", (0.0, 1.0))),
     "generic_iid-symmetric-rademacher-a": EnsembleSpec(
-        "generic_iid", a_law=EntryLaw.rademacher(), d_law=EntryLaw.gaussian(0.0, 1.0),
+        "generic_iid", a_law=EntryLaw("rademacher"), d_law=EntryLaw("gaussian", (0.0, 1.0)),
         symmetric=True),
     "hatano_nelson-bernoulli-a": EnsembleSpec("hatano_nelson",
-                                              a_law=EntryLaw.bernoulli(0.4, 0.5, 1.5)),
+                                              a_law=EntryLaw("bernoulli", (0.4, 0.5, 1.5))),
     "birth_death_q": EnsembleSpec("birth_death_q"),
     "birth_death_q-symmetric": EnsembleSpec("birth_death_q", symmetric=True),
     "kernel-v": EnsembleSpec("birth_death_kernel"),
@@ -211,15 +211,15 @@ class TestMcTraces:
 
     def test_non_finite_draw_is_an_error_on_both_paths(self):
         # sigma * z overflows to +-inf for |z| > 1.8
-        spec = EnsembleSpec("generic_iid", a_law=EntryLaw.constant(1.0),
-                            d_law=EntryLaw.gaussian(0.0, 1e308), symmetric=True)
+        spec = EnsembleSpec("generic_iid", a_law=EntryLaw("constant", (1.0,)),
+                            d_law=EntryLaw("gaussian", (0.0, 1e308)), symmetric=True)
         with pytest.raises(InvalidArgumentError, match="finite"):
             sample_matrix(spec, 200, trial_seed_sequence(5, 0))
         with pytest.raises(InvalidArgumentError, match="finite"):
             mc_traces(spec, 200, (1,), 4, 5, None, None)
 
     def test_zero_diagonal_anderson_is_surely_zero(self):
-        spec = EnsembleSpec("anderson", d_law=EntryLaw.constant(0.0))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw("constant", (0.0,)))
         samples = mc_traces(spec, 50, (1,), 64, 3, alpha=0.0, epsilon=0.0)
         assert np.all(samples == 0.0)
 
@@ -232,12 +232,13 @@ class TestMcTraces:
     def test_exact_centering_for_odd_symmetric(self):
         assert exact_trace_mean(EnsembleSpec("anderson"), 3) == 0.0
         assert exact_trace_mean(EnsembleSpec("anderson"), 2) is None
-        assert exact_trace_mean(EnsembleSpec("anderson", d_law=EntryLaw.uniform(0, 1)), 3) is None
+        uniform = EnsembleSpec("anderson", d_law=EntryLaw("uniform", (0, 1)))
+        assert exact_trace_mean(uniform, 3) is None
         assert exact_trace_mean(EnsembleSpec("birth_death_q"), 3) is None
 
     def test_workers_do_not_change_results(self):
         # 2100 trials are three blocks, the last one short; 8 workers are capped at 3
-        spec = EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw("gaussian", (0, 1)))
         one = mc_traces(spec, 64, (1, 2), 2100, 5, alpha=0.0, epsilon=0.0, workers=1)
         for workers in (2, 3, 8):
             many = mc_traces(spec, 64, (1, 2), 2100, 5, alpha=0.0, epsilon=0.0, workers=workers)
@@ -275,7 +276,7 @@ class TestMcTraces:
             os.waitpid(-1, os.WNOHANG)
 
     def _run(self, workers):
-        spec = EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw("gaussian", (0, 1)))
         return mc_traces(spec, 64, (1, 2), 2100, 5, None, None, workers=workers)
 
     @pytest.mark.parametrize("workers", [2, 3])
@@ -323,7 +324,7 @@ class TestMcTraces:
             raise InvalidArgumentError("lead failed")
 
         self._patch_blocks(monkeypatch, lambda lo: None, lambda lo: time.sleep(60))
-        spec = EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw("gaussian", (0, 1)))
         start = time.monotonic()
         with pytest.raises(InvalidArgumentError, match="^lead failed$"):
             stats._raw_traces(spec, 64, (1, 2), 2100, 5, workers, lead=fail)
@@ -332,7 +333,7 @@ class TestMcTraces:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_lead_result_is_returned_beside_the_traces(self, workers):
-        spec = EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1))
+        spec = EnsembleSpec("anderson", d_law=EntryLaw("gaussian", (0, 1)))
         raw, lead = stats._raw_traces(spec, 64, (1, 2), 2100, 5, workers, lead=lambda: "led")
         plain, none = stats._raw_traces(spec, 64, (1, 2), 2100, 5, 1)
         assert (lead, none) == ("led", None)
@@ -392,15 +393,15 @@ class TestMcTraces:
             mc_traces(spec, 50, (), 16, 0, None, None)
 
 
-RADEMACHER = EntryLaw.rademacher()
+RADEMACHER = EntryLaw("rademacher")
 # Every kind of spec the sign-count route serves: a Rademacher diagonal that
 # is a stream of its own, with bounded laws elsewhere.
 SIGN_COUNT_SPECS = {
     "anderson": EnsembleSpec("anderson"),
     "hatano_nelson": EnsembleSpec("hatano_nelson", d_law=RADEMACHER),
-    "generic_iid": EnsembleSpec("generic_iid", a_law=EntryLaw.uniform(0.5, 1.5), d_law=RADEMACHER,
-                                b_law=EntryLaw.bernoulli(0.3, 1.0, 2.0)),
-    "generic_iid-symmetric": EnsembleSpec("generic_iid", a_law=EntryLaw.uniform(-1.0, 1.0),
+    "generic_iid": EnsembleSpec("generic_iid", a_law=EntryLaw("uniform", (0.5, 1.5)),
+                                d_law=RADEMACHER, b_law=EntryLaw("bernoulli", (0.3, 1.0, 2.0))),
+    "generic_iid-symmetric": EnsembleSpec("generic_iid", a_law=EntryLaw("uniform", (-1.0, 1.0)),
                                           d_law=RADEMACHER, symmetric=True),
     # every stream Rademacher: the route must read the diagonal's stream
     "generic_iid-all-rademacher": EnsembleSpec("generic_iid", a_law=RADEMACHER, d_law=RADEMACHER,
@@ -409,7 +410,7 @@ SIGN_COUNT_SPECS = {
 # Specs left to the float route at k=1.
 FLOAT_ROUTE_SPECS = {
     # the same values through a different draw route
-    "bernoulli-half": EnsembleSpec("anderson", d_law=EntryLaw.bernoulli(0.5, -1.0, 1.0)),
+    "bernoulli-half": EnsembleSpec("anderson", d_law=EntryLaw("bernoulli", (0.5, -1.0, 1.0))),
     "birth_death_q": EnsembleSpec("birth_death_q"),
     "birth_death_q-symmetric": EnsembleSpec("birth_death_q", symmetric=True),
     "kernel-v": EnsembleSpec("birth_death_kernel"),
@@ -417,7 +418,7 @@ FLOAT_ROUTE_SPECS = {
     "beta_hermite": EnsembleSpec("beta_hermite", beta=2.0),
     # an unbounded off-diagonal law can draw a non-finite entry, which the
     # float route rejects
-    "generic_iid-gaussian-a": EnsembleSpec("generic_iid", a_law=EntryLaw.gaussian(0.0, 1.0),
+    "generic_iid-gaussian-a": EnsembleSpec("generic_iid", a_law=EntryLaw("gaussian", (0.0, 1.0)),
                                            d_law=RADEMACHER, symmetric=True),
 }
 
@@ -475,8 +476,8 @@ class TestSignCountRoute:
 
     def test_non_finite_off_diagonal_still_raises_at_k1(self):
         # sigma * z overflows to +-inf for |z| > 1.8; the float route's check runs
-        spec = EnsembleSpec("generic_iid", a_law=EntryLaw.gaussian(0.0, 1e308), d_law=RADEMACHER,
-                            symmetric=True)
+        spec = EnsembleSpec("generic_iid", a_law=EntryLaw("gaussian", (0.0, 1e308)),
+                            d_law=RADEMACHER, symmetric=True)
         assert not counts_diagonal_signs(spec)
         with pytest.raises(InvalidArgumentError, match="finite"):
             mc_traces(spec, 200, (1,), 4, 5, None, None)
@@ -493,8 +494,9 @@ class TestSignCountRoute:
 
 class TestDkIid:
     def test_k1_gaussian_matches_entry_variance(self):
-        spec = EnsembleSpec("generic_iid", a_law=EntryLaw.uniform(0.5, 1.5),
-                            d_law=EntryLaw.gaussian(0, 1.5), b_law=EntryLaw.uniform(0.5, 1.5))
+        spec = EnsembleSpec("generic_iid", a_law=EntryLaw("uniform", (0.5, 1.5)),
+                            d_law=EntryLaw("gaussian", (0, 1.5)),
+                            b_law=EntryLaw("uniform", (0.5, 1.5)))
         est = dk_iid(spec, 1, 100_000, 7)
         assert abs(est.value - 2.25) <= 4 * est.standard_error
 
@@ -508,18 +510,18 @@ class TestDkIid:
         assert est.value == 0.0
         assert est.standard_error == 0.0
         oracle = exhaustive_dk(2, dependence_range(2, symmetric=False).m_k,
-                              EntryLaw.rademacher().atoms)
+                              EntryLaw("rademacher").atoms)
         assert oracle == pytest.approx(0.0, abs=1e-12)
 
     def test_k3_rademacher_matches_exhaustive_support(self):
         est = dk_iid(EnsembleSpec("anderson"), 3, 200_000, 5)
         oracle = exhaustive_dk(3, dependence_range(3, symmetric=False).m_k,
-                              EntryLaw.rademacher().atoms)
+                              EntryLaw("rademacher").atoms)
         assert oracle == pytest.approx(49.0)
         assert abs(est.value - oracle) <= 4 * est.standard_error
 
     def test_bernoulli_diagonal_matches_exhaustive_support(self):
-        law = EntryLaw.bernoulli(0.25, -1.0, 2.0)
+        law = EntryLaw("bernoulli", (0.25, -1.0, 2.0))
         spec = EnsembleSpec("anderson", d_law=law)
         est = dk_iid(spec, 2, 300_000, 12)
         oracle = exhaustive_dk(2, dependence_range(2, spec.symmetric).m_k, law.atoms)
@@ -592,7 +594,7 @@ class TestLambdaTarget:
     def test_beta_hermite_regime_needs_a_finite_beta(self, beta):
         # an infinite beta once gave a zero matrix, a NaN one a misleading
         # "must be symmetric"
-        with pytest.raises(InvalidArgumentError, match="requires a finite beta > 0"):
+        with pytest.raises(InvalidArgumentError, match=f"^beta must be finite, got {beta}"):
             covariance_target((2, 4), "beta_hermite", beta=beta)
 
     def test_parameter_validation(self):
@@ -623,9 +625,9 @@ class TestLambdaTarget:
     def test_iid_mc_diagonal_matches_dk(self):
         # one estimator: a one-power target is dk_iid's value, bit for bit
         specs = [EnsembleSpec("anderson"), EnsembleSpec("hatano_nelson"),
-                 EnsembleSpec("generic_iid", a_law=EntryLaw.gaussian(0, 1),
-                              d_law=EntryLaw.rademacher(),
-                              b_law=EntryLaw.bernoulli(0.3, -2.0, 5.0))]
+                 EnsembleSpec("generic_iid", a_law=EntryLaw("gaussian", (0, 1)),
+                              d_law=EntryLaw("rademacher"),
+                              b_law=EntryLaw("bernoulli", (0.3, -2.0, 5.0)))]
         for spec in specs:
             for k in range(1, 6):
                 val = covariance_target((k,), "iid_mc", spec=spec, replicas=20_001,
@@ -866,7 +868,7 @@ class TestBoundaryTerms:
 
     def test_bound_requires_bounded_spec(self):
         with pytest.raises(InvalidArgumentError):
-            boundary_bound(EnsembleSpec("anderson", d_law=EntryLaw.gaussian(0, 1)), 3)
+            boundary_bound(EnsembleSpec("anderson", d_law=EntryLaw("gaussian", (0, 1))), 3)
         with pytest.raises(InvalidArgumentError):
             boundary_gap_samples(EnsembleSpec("birth_death_kernel"), 50, 3, 4, 0)
 
