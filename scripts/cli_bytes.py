@@ -49,6 +49,8 @@ BDQ_SYM = ["--ensemble", "birth_death_q", "--symmetric", "true"]
 # last sign is the low half of a raw word.
 # `cov-generic-laws` draws Gaussian, Rademacher and Bernoulli windows; its odd
 # replica count gives the Rademacher window an odd sign count behind one key.
+# `cov-generic-constant` has constant off-diagonal laws, whose window slots
+# after site 1 are read-only views of one value rather than filled arrays.
 # `types-12` and `types-16` pin the class tables at the largest powers.
 # Monte Carlo at k=1 alone on a Rademacher diagonal of its own counts sign
 # bits instead of summing rows (`stats._trace_block`).  `mdp-anderson-k1`,
@@ -107,6 +109,10 @@ COMMANDS = {
                          "--d-law", "rademacher", "--b-law", "bernoulli(0.3,-2,5)",
                          "--k-list", "1,2,3", "--n", "64", "--trials", "1100",
                          "--replicas", "20001"],
+    "cov-generic-constant": ["cov", "--ensemble", "generic_iid", "--a-law", "constant(0.5)",
+                             "--d-law", "uniform(-1,1)", "--b-law", "constant(2)",
+                             "--k-list", "1,2,3", "--n", "64", "--trials", "1100",
+                             "--replicas", "20001"],
     "mdp-anderson-k3": ["mdp", *ANDERSON, "--k", "3", "--nu", "0.5", "--n", "100",
                         "--trials", "3000"],
     "mdp-anderson-k1": ["mdp", *ANDERSON, "--k", "1", "--nu", "0.5", "--n", "400",

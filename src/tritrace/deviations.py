@@ -216,8 +216,8 @@ def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = CRAMER_T_MAX) -> 
         if t_max - abs(t_opt) < 1e-6 * t_max:
             eps = 1e-6 * t_max
             edge = math.copysign(t_max, t_opt)
-            slope = (objective(edge) - objective(edge - math.copysign(eps, t_opt))) \
-                / math.copysign(eps, t_opt)
+            # outward slope: positive while the objective still climbs past the edge
+            slope = (objective(edge) - objective(edge - math.copysign(eps, t_opt))) / eps
             if slope > slope_tol:
                 warnings.append(
                     f"x={x:g}: supremum hit |t|={t_max:g} with positive slope; "

@@ -463,8 +463,9 @@ class _Draws:
     of stream ``i`` in each segment, a ``(segments, 2)`` array.  A segment's
     stream starts at counter zero and draws the segment's entries of a slot
     row-major with the law's sampler.  Keys are asked for only for streams
-    that draw: a constant law draws nothing.  One generator is re-keyed for
-    every segment.
+    that draw: a constant law draws nothing.  One generator serves every
+    segment, and one loop, :meth:`_rekeyed`, re-keys it for each segment
+    before that segment draws, whether through a sampler or :meth:`words`.
 
     Rademacher signs bypass the sampler.  ``integers(0, 2)`` never rejects:
     each sign is the top bit of one 32-bit word, and Philox serves the low,
@@ -476,13 +477,15 @@ class _Draws:
 
     Each slot has one buffer, allocated at the first call's ``rows`` and
     reused by every later call, so an array is overwritten by the next call
-    for its slot.  Set ``rows`` (at most the first call's) and ``keys``
-    before each chunk.
+    for its slot.  A constant law without a head column fills no buffer: its
+    array is a read-only view of the one value.  Set ``rows`` (at most the
+    first call's) and ``keys`` before each chunk.
     """
 
     def __init__(self, rows: int, keys=None, seed=0):
-        self.rows, self.keys, self.bufs, self.gen = rows, keys, {}, None
-        self.seed = seed   # builds the generator; every segment re-keys it before drawing
+        self.rows, self.keys, self.bufs = rows, keys, {}
+        # ``seed`` only builds the generator: every segment re-keys it before drawing
+        self.gen = np.random.Generator(np.random.Philox(seed))
         # Philox is counter-based: a key with the counter and output buffer at
         # zero, set on the reused generator, draws what a new one would.
         self.fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
@@ -494,31 +497,31 @@ class _Draws:
             buf = self.bufs[slot, dtype] = np.empty(shape, dtype)
         return buf[:shape[0]]
 
-    def _segments(self, keys: np.ndarray):
-        """The generator, keyed in turn for each segment."""
-        if self.gen is None:
-            self.gen = np.random.Generator(np.random.Philox(self.seed))
+    def _rekeyed(self, dest: np.ndarray, keys: np.ndarray, draw, *args) -> np.ndarray:
+        """``dest[s] = draw(*args)`` with the generator keyed by ``keys[s]``."""
         bits, fresh = self.gen.bit_generator, self.fresh
-        for key in keys.tolist():
-            fresh["state"]["key"] = key
+        state = fresh["state"]
+        for s, key in enumerate(keys.tolist()):
+            state["key"] = key
             bits.state = fresh
-            yield self.gen
+            dest[s] = draw(*args)
+        return dest
 
     def words(self, slot: int, keys: np.ndarray, signs: int) -> np.ndarray:
         """The first ``ceil(signs / 2)`` raw words of stream ``slot`` of each
         segment, one row per key of ``keys``: the words whose half-words
         carry the segment's first ``signs`` Rademacher signs."""
         words = self._buffer(slot, (len(keys), (signs + 1) // 2), "<u8")
-        for s, gen in enumerate(self._segments(keys)):
-            words[s] = gen.bit_generator.random_raw(words.shape[1])
-        return words
+        return self._rekeyed(words, keys, self.gen.bit_generator.random_raw, words.shape[1])
 
     def __call__(self, slot: int, law, width: int, head: float | None = None) -> np.ndarray:
+        kind = getattr(law, "kind", None)
+        if kind == "constant" and head is None:
+            return np.broadcast_to(law.params[0], (self.rows, width))
         out = self._buffer(slot, (self.rows, width))
         h = int(head is not None)
         if h:
             out[:, 0] = head
-        kind = getattr(law, "kind", None)
         if kind == "constant":
             out[:, h:] = law.params[0]
         elif law is not None:
@@ -529,9 +532,7 @@ class _Draws:
                 words = self.words(slot, keys, signs)
                 _signs(words.view("<u4")[:, :signs].reshape(dest.shape), dest)
             else:
-                sample = law.sample if kind else law
-                for s, gen in enumerate(self._segments(keys)):
-                    dest[s] = sample(gen, dest.shape[1:])
+                self._rekeyed(dest, keys, law.sample if kind else law, self.gen, dest.shape[1:])
         return out
 
 
@@ -564,7 +565,8 @@ def _sample_sites(spec: EnsembleSpec, first_index: int, length: int,
     is None.  With ``law`` None nothing is drawn and the array is scratch
     space.  Constant laws draw nothing either, so their slots and scratch
     slots are any slot no stream of the model uses.  The array is the hook's
-    own, overwritten by its next call for the slot.  The one hook,
+    own, overwritten by its next call for the slot; a constant law's array
+    without a head column is a read-only view of its one value.  The one hook,
     :class:`_Draws`, serves windows as one segment of rows and Monte Carlo
     chunks as one segment per trial; a segment's stream draws its rows
     row-major.
@@ -719,6 +721,8 @@ def sample_window_arrays(spec: EnsembleSpec, first_index: int, length: int,
                          count: int, seed) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``count`` independent windows as (count, length) slot arrays (a, d, b)
     in the layout of :func:`_sample_sites`; ``a`` and ``b`` may share memory.
+    A slot of a constant law is a read-only view of its one value, unless it
+    holds the head column that site 1 fixes.
     From site 1 a one-row window heads ``sample_matrix`` (module docstring);
     from later sites i.i.d.-type specs share its marginal law."""
     first_index = checked_int("first_index", first_index, 1)

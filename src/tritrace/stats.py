@@ -70,14 +70,21 @@ def dependence_range(k: int, symmetric: bool) -> DependenceRange:
 def _summand_block(a: np.ndarray, d: np.ndarray, b: np.ndarray, start: int,
                    width: int, k: int) -> np.ndarray:
     """Summands ``X_k`` of the ``width`` sites from slot ``start`` of batched
-    windows (slot arrays of :func:`sample_window_arrays`): (replicas, width)."""
+    windows (slot arrays of :func:`sample_window_arrays`): (replicas, width).
+
+    At k=1, whose one class has count 1, the result is that class's product
+    itself, a view of ``d`` that must not be written."""
     if start < 0 or start + width + k // 2 > d.shape[1]:
         raise InvalidArgumentError("window too short for requested site")
     # for windows from site f, ab[:, t] = a_{f+t} * b_{f+t} (the a-slot of
     # site s holds a_{s-1}); k=1's one class reads only the diagonal
     pows = slot_powers(a[:, 1:] * b[:, :-1] if k > 1 else None, d)
-    out = np.zeros((d.shape[0], width))
-    for t in enumerate_types(k):
+    first, *rest = enumerate_types(k)
+    if not rest and first.count == 1:
+        return class_product(pows, first, start, width)
+    out = first.count * class_product(pows, first, start, width)
+    out += 0.0   # the bits of 0 + term, so a -0.0 term sums to +0.0
+    for t in rest:
         out += t.count * class_product(pows, t, start, width)
     return out
 

@@ -112,6 +112,14 @@ class TestCramerRate:
         assert result.warnings
         assert result.rate[0] < math.log(1.0 / 0.3)
 
+    def test_boundary_hit_warning_at_both_tilt_edges(self):
+        # x=0 presses against -t_max and x=1 against +t_max; the interior
+        # point 0.5 peaks inside the tilt range
+        result = cramer_rate_k1(EntryLaw("bernoulli", (0.3, 0.0, 1.0)), [0.0, 1.0, 0.5],
+                                t_max=5.0)
+        assert [w.split(":")[0] for w in result.warnings] == ["x=0", "x=1"]
+        assert result.rate[0] < math.log(1.0 / 0.7)
+
     def test_mean_grid_constant_law(self):
         result = cramer_rate_k1(EntryLaw("constant", (2.0,)), [2.0, 2.5])
         assert abs(result.rate[0]) <= 1e-10

@@ -6,6 +6,7 @@ import os
 import re
 import select
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -534,6 +535,79 @@ class TestDkIid:
             dk_iid(EnsembleSpec("birth_death_kernel", kernel_variant="conductance"), 1, 100, 0)
         with pytest.raises(InvalidArgumentError):
             dk_iid(EnsembleSpec("anderson"), 1, 1, 0)
+
+
+# float.hex of (value, standard error) of each entry (i, j), i <= j, of
+# stats._window_covariance(spec, k_list, 20_001, 20240611), taken under numpy 2.4.6
+WINDOW_COVARIANCE_SPECS = {
+    "anderson": (EnsembleSpec("anderson"), (1, 3)),
+    "hatano_nelson": (EnsembleSpec("hatano_nelson"), (1, 2)),
+    "generic-constant": (EnsembleSpec("generic_iid", a_law=EntryLaw("constant", (0.5,)),
+                                      d_law=EntryLaw("uniform", (-1, 1)),
+                                      b_law=EntryLaw("constant", (2,))), (1, 2, 3)),
+    # the spec of scripts/cli_bytes.py's cov-generic-laws
+    "cov-generic-laws": (EnsembleSpec("generic_iid", a_law=EntryLaw("gaussian", (0, 1)),
+                                      d_law=EntryLaw("rademacher"),
+                                      b_law=EntryLaw("bernoulli", (0.3, -2, 5))), (1, 2, 3)),
+}
+WINDOW_COVARIANCE_BITS = {
+    "anderson": [
+        ("0x1.fdb575627ddccp-1", "0x1.cf6843dc78dffp-7"),
+        ("0x1.bc5d562754e60p+2", "0x1.d21b988da5767p-4"),
+        ("0x1.8468d6ae32030p+5", "0x1.5531bee29613bp-1"),
+    ],
+    "hatano_nelson": [
+        ("0x1.5a81821a2b871p-2", "0x1.15532c67567bdp-9"),
+        ("-0x1.96874e072f239p-7", "0x1.9db8298dbcafdp-8"),
+        ("0x1.93e8df35fa387p-1", "0x1.b7334f0e022c3p-7"),
+    ],
+    "generic-constant": [
+        ("0x1.5a81821a2b871p-2", "0x1.15532c67567bdp-9"),
+        ("0x1.52c077e405cecp-9", "0x1.3164f2c7b442bp-9"),
+        ("0x1.1e0ff40e93fdfp+1", "0x1.bf4c0c4b76199p-6"),
+        ("0x1.6d6054e04ad59p-4", "0x1.700c1a518af69p-10"),
+        ("0x1.ce1eea4d26fdfp-9", "0x1.9a24fdd589ad8p-7"),
+        ("0x1.d4f24e94c7356p+3", "0x1.35cd66aeecbfap-3"),
+    ],
+    "cov-generic-laws": [
+        ("0x1.0002b4dd47d96p+0", "0x1.5df2a5475b514p-15"),
+        ("-0x1.e09bb7dc98518p-5", "0x1.41f6484d04706p-4"),
+        ("0x1.51b8561103aaap+0", "0x1.baae2c1103888p-3"),
+        ("0x1.482d4720e507dp+5", "0x1.b8741883a70b3p-1"),
+        ("-0x1.74daceaeee9efp-4", "0x1.da90087c4c1efp+0"),
+        ("0x1.79b10ffd37632p+7", "0x1.4688995721b36p+2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(WINDOW_COVARIANCE_SPECS))
+def test_window_covariance_bits_are_pinned(name):
+    spec, k_list = WINDOW_COVARIANCE_SPECS[name]
+    value, se = stats._window_covariance(spec, k_list, 20_001, 20240611)
+    assert np.array_equal(value, value.T) and np.array_equal(se, se.T)
+    upper = np.triu_indices(len(k_list))
+    got = [(float(v).hex(), float(e).hex()) for v, e in zip(value[upper], se[upper])]
+    assert got == WINDOW_COVARIANCE_BITS[name], (
+        f"window covariance bits of {name} changed under numpy {np.__version__}; "
+        "the table was taken under numpy 2.4.6")
+
+
+def test_k1_dk_builds_no_unread_window():
+    # Anderson's off-diagonal slots after site 1 are read-only views of -1,
+    # and the k=1 summands a view of the diagonal, so D_1 from 200,000
+    # windows fills no 4.8 MB off-diagonal window and no 3.2 MB summand array
+    spec = EnsembleSpec("anderson")
+    a, d, b = sample_window_arrays(spec, 2, 3, 5, 1)
+    for off in (a, b):
+        assert not off.flags.writeable
+        assert np.array_equal(off, np.full((5, 3), -1.0))
+    tracemalloc.start()
+    try:
+        dk_iid(spec, 1, 200_000, 20240611)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2 ** 20
 
 
 class TestModelVarianceOracles:
