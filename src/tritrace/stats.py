@@ -79,12 +79,11 @@ def _summand_block(a: np.ndarray, d: np.ndarray, b: np.ndarray, start: int,
     # for windows from site f, ab[:, t] = a_{f+t} * b_{f+t} (the a-slot of
     # site s holds a_{s-1}); k=1's one class reads only the diagonal
     pows = slot_powers(a[:, 1:] * b[:, :-1] if k > 1 else None, d)
-    first, *rest = enumerate_types(k)
-    if not rest and first.count == 1:
-        return class_product(pows, first, start, width)
-    out = first.count * class_product(pows, first, start, width)
-    out += 0.0   # the bits of 0 + term, so a -0.0 term sums to +0.0
-    for t in rest:
+    types = enumerate_types(k)
+    if k == 1:
+        return class_product(pows, types[0], start, width)
+    out = np.zeros((d.shape[0], width))
+    for t in types:
         out += t.count * class_product(pows, t, start, width)
     return out
 
