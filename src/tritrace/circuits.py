@@ -15,7 +15,8 @@ This module builds the class tables from a closed form and evaluates
 traces both through the expansion and through banded matrix powering, two
 routes that are independent oracles for each other.  Monte Carlo traces take, for each
 power, whichever of the expansion and a separate half-power banded kernel
-is cheaper.
+is cheaper; that kernel stores only the upper diagonals of each half power
+and reads the lower ones through the walk-reversal identity.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from math import comb, isfinite
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .accumulate import compensated_sum, compensated_sum_rows, fsum
 from .errors import InvalidArgumentError, TriTraceError
@@ -34,12 +34,15 @@ from .errors import InvalidArgumentError, TriTraceError
 K_MAX = 16
 DENSE_CHECK_MAX = 128
 # Smallest power that Monte Carlo traces evaluate by banded powering rather
-# than the class expansion.  Since :class:`_BandedPlan`, banded takes 0.60-0.76x
-# the expansion's time at k=6 and 7 (n = 400 to 4000, one 2^14-entry chunk,
-# 2 vCPU; a tie at n=400, k=6) and 1.58-1.64x at k=5 below n=4000.  Lowering
-# the bound changes the last bits of those traces, so it waits for a change
-# that moves output bytes on purpose (the simulate-hatano lines of the listing).
-BANDED_MIN_K = 8
+# than the class expansion.  Banded over expansion time for one 2^14-entry
+# Hatano-Nelson chunk (warm process, 2 vCPU; median of three runs, each the
+# median of 7 timings; k=6 at n=400 ranged 0.90-1.01):
+#
+#     n:     100    400    1000   4000
+#     k=5:   0.26   1.70   0.84   1.00
+#     k=6:   0.16   0.92   0.63   0.54
+#     k=7:   0.11   0.60   0.36   0.38
+BANDED_MIN_K = 6
 
 
 @dataclass(frozen=True)
@@ -300,9 +303,10 @@ def trace_power_expansion(matrix: TridiagonalMatrix, k: int, types) -> float:
 
 
 def _work_size(n: int, p_max: int) -> int:
-    """Entries of a :class:`_BandedPlan` workspace: its scratch stack and
-    stacks ``1 .. p_max``, then room at the end for the product a trace sums."""
-    return (2 * p_max - 1 + (p_max + 2) * p_max) * (n + 2 * p_max) + (2 * p_max + 1) * n
+    """Entries of a :class:`_BandedPlan` workspace: its scratch rows and stacks
+    ``1 .. p_max``, ``n + 1`` columns each, then the weights of a trace and the
+    product it sums, ``p_max + 1`` rows of ``n`` each."""
+    return (p_max * (p_max + 5) // 2 - 1) * (n + 1) + 2 * (p_max + 1) * n
 
 
 class _BandedPlan:
@@ -314,74 +318,94 @@ class _BandedPlan:
     the expansion, the kernel then never forms a power of ``sub`` or ``sup``
     alone, which could overflow or underflow when the two are very unequal.
 
-    With ``p_max = ceil(max(k_list)/2)``, for each matrix the plan builds the
-    diagonal stacks of ``S^0 .. S^p_max`` in one banded pass.  Stack ``j``
-    has shape ``(2j+1, n + 2*p_max)``: row ``j + o`` holds ``S^j[c-o, c]`` in
-    column ``p_max + c``, and every other slot is zero, including rows with
-    ``|o| >= n`` when the band is wider than the matrix.  Column ``c`` of
-    ``S^j S`` mixes columns ``c-1, c, c+1`` of ``S^j``, each scaled by one
-    entry of ``S`` chosen by the source column.  So each step is two
-    whole-stack products and the stack itself (the entries of ``S`` above the
-    diagonal are ones), each added at a fixed shift of the flattened stack;
-    entries a shift carries across a row end fall on zero padding.  The unscaled shift also carries
-    column ``n-1``, which has no column to its right, onto padding column
-    ``n``, so that column is zeroed after the step.
+    Reversing a walk from ``c-o`` to ``c`` turns its net ``o`` up-steps into
+    down-steps, so ``S^j[c, c-o] = P_o(c) S^j[c-o, c]`` exactly, with
+    ``P_o(c) = ab_{c-o+1} ... ab_c`` (``ab_s = S[s, s-1]``).  So with
+    ``p_max = ceil(max(k_list)/2)``, for each matrix the plan builds only the
+    upper diagonals of ``S^0 .. S^p_max`` in one banded pass.  Stack ``j``
+    has shape ``(j+1, n+1)``: row ``o`` holds ``C^j[o, c] = S^j[c-o, c]`` in
+    column ``c``, and every other slot is zero (padding column ``n``, and
+    ``c < o``).  ``S^{j+1} = S^j S`` gives
 
-    Then ``trace(S^k) = sum_{r,c} (S^p)_{rc} (S^q)_{cr}`` with ``p =
-    ceil(k/2)``, ``q = floor(k/2)``.  The ``S^q`` factor is read row-indexed
-    (row ``q + o`` holds ``S^q[r, r+o]`` at column ``r``): on the flattened
-    stack that is a row stride one longer than the stack's, which the
-    ``p_max`` zero columns on each side keep inside the stack.  Both factors
-    then line up elementwise, their product goes to the end of the
-    workspace, and one compensated sum gives the trace.
+        C^{j+1}[o, c] = C^j[o-1, c-1] + d_c C^j[o, c] + ab_{c+1} C^j[o+1, c+1]
+
+    where row 0 reads the reflected ``S^j[c, c-1] = ab_c C^j[1, c]`` as its
+    first term.  On the flattened stacks each term is one product (none for
+    the ones above the diagonal) and one add at a fixed shift; what a shift
+    carries across a row end lands on the padding column, zeroed after the
+    step.  ``C^1`` is ``diag`` over shifted ones, so a matrix's diagonal is
+    written straight into its row 0.
+
+    With ``p = ceil(k/2)`` and ``q = floor(k/2)``, ``trace(S^k) = sum_{r,c}
+    (S^p)_{rc} (S^q)_{cr}``, where the diagonals ``+o`` and ``-o`` add alike:
+
+        trace(S^k) = sum_c C^p[0, c] C^q[0, c]
+                     + sum_{o=1..q} sum_c 2 P_o(c) C^q[o, c] C^p[o, c].
+
+    Each matrix fills the weights ``1, 2 P_1, .., 2 P_{q_max}`` (one doubling,
+    exact on ``object`` entries too, and ``q_max - 1`` row products); a power
+    multiplies the weights by ``C^q`` (the lower diagonals of ``S^q``), then
+    by ``C^p``, and sums the product once, compensated.
 
     Nothing of this layout depends on the matrix.  So the plan allocates one
     workspace of ``_work_size(n, p_max)`` entries of ``dtype`` and builds
-    every view of it once: the zero rows, products and shifted adds of each
-    step, the padding columns, and the two factors and product slot of each
-    power of ``k_list``.  A matrix then costs two row copies and the ufunc calls alone, in
-    the same order for every matrix, so a trace has the same bits whichever
-    rows or calls it shares the plan with.  One workspace for every matrix
-    also keeps the allocator from handing memory back and faulting it in
-    again.  ``stacks`` holds the stacks of the last matrix evaluated.
+    every view of it once: the products, shifted adds and zeroed slots of
+    each step, the weights, and the factors and product slot of each power.
+    A matrix then costs two row copies and the ufunc calls alone, in the
+    same order for every matrix, so a trace has the same bits whichever rows
+    or calls it shares the plan with.  One workspace for every matrix also
+    keeps the allocator from handing memory back and faulting it in again.
+    ``stacks`` holds the stacks of the last matrix evaluated.
     """
 
     def __init__(self, n: int, k_list, dtype):
-        p_max = (max(k_list) + 1) // 2
-        width, pad = n + 2 * p_max, p_max
+        p_max, q_max = (max(k_list) + 1) // 2, max(k_list) // 2
+        width = n + 1
         work = np.empty(_work_size(n, p_max), dtype=dtype)
-        self._to_left, self._stay = np.zeros(width, dtype=dtype), np.zeros(width, dtype=dtype)
-        self._ab = self._to_left[pad + 1:pad + n]    # S[s, s-1] feeds column s-1
-        self._diag = self._stay[pad:pad + n]         # S[s, s]
+        scratch, store = work[:(p_max - 1) * width], work[(p_max - 1) * width:]
+        self._to_left = np.zeros(width, dtype=dtype)
+        self._ab = self._to_left[1:n]                  # S[c, c-1] = ab_c in column c
         stack = np.zeros((1, width), dtype=dtype)
-        stack[0, pad:pad + n] = 1
+        stack[0, :n] = 1
         self.stacks = [stack]
+        flat, store = store[:2 * width], store[2 * width:]
+        flat.fill(0)
+        stack = flat.reshape(2, width)
+        stack[1, 1:n] = 1                              # C^1[1, c] = S[c-1, c]
+        self._stay = stack[0]                          # C^1[0, c] = d_c, then 0 in column n
+        self._diag = self._stay[:n]
+        self.stacks.append(stack)
         self._steps = []
-        scratch = work[:(2 * p_max - 1) * width]
-        store = work[(2 * p_max - 1) * width:work.size - (2 * p_max + 1) * n]
-        for _ in range(p_max):
+        for j in range(1, p_max):
             size = stack.size
-            flat, store = store[:size + 2 * width], store[size + 2 * width:]
+            flat, store = store[:size + width], store[size + width:]
+            new = flat.reshape(-1, width)
+            term = scratch[:size - width].reshape(j, width)   # ab_c C^j[o, c], o = 1 .. j
             self._steps.append((
-                flat[:width], flat[width + size:],    # the two rows the product leaves unwritten
-                stack, flat[width:width + size].reshape(stack.shape),
-                flat[2 * width + 1:], stack.ravel()[:size - 1],  # one row down, one column right
-                scratch[:size].reshape(stack.shape),
-                flat[:size - 1], scratch[1:size],                # one column left
-                flat.reshape(-1, width)[:, pad + n],             # column n-1 has no right neighbour
+                stack, new[:j + 1],                            # d_c C^j[o, c]
+                new[j + 1],                                    # the row the product leaves unwritten
+                flat[width + 1:], stack.ravel()[:size - 1],    # one row down, one column right
+                stack[1:], term,                               # rows 1 .. j, the off-diagonals
+                flat[:size - width - 1], term.ravel()[1:],     # one row up, one column left
+                new[0], term[0],                               # row 0's reflected term
+                new[:, n],                                     # column n-1 has no right neighbour
             ))
-            stack = flat.reshape(-1, width)
+            stack = new
             self.stacks.append(stack)
+        weights = store[:(q_max + 1) * n].reshape(q_max + 1, n)
+        weights.fill(0)
+        weights[0] = 1
+        edges = self._to_left[:n]
+        self._weights = [(np.add, edges, edges, weights[1])] if q_max else []
+        self._weights += [(np.multiply, weights[o - 1, :n - 1], self._ab, weights[o, 1:])
+                          for o in range(2, q_max + 1)]
+        prod = store[store.size - (q_max + 1) * n:]
         self._factors = []
         for k in k_list:
             p, q = (k + 1) // 2, k // 2
-            flat = self.stacks[q].ravel()[pad - q:]
-            row = as_strided(flat, shape=(2 * q + 1, n),                 # S^q[r, r+o]
-                             strides=((width + 1) * flat.itemsize, flat.itemsize),
-                             writeable=False)
-            prod = work[work.size - (2 * q + 1) * n:]
-            self._factors.append((self.stacks[p][p - q:p + q + 1, pad:pad + n],  # S^p[c-o, c]
-                                  row[::-1], prod.reshape(2 * q + 1, n), prod))
+            part = prod[:(q + 1) * n]
+            self._factors.append((weights[:q + 1], self.stacks[q][:, :n],
+                                  self.stacks[p][:q + 1, :n], part.reshape(q + 1, n), part))
 
     def traces(self, ab: np.ndarray, diag: np.ndarray) -> list[list]:
         """``trace(M^k)`` of the matrix in each row of ``ab`` and ``diag``, at each
@@ -393,18 +417,21 @@ class _BandedPlan:
             for a, d in zip(ab, diag):
                 self._ab[...] = a
                 self._diag[...] = d
-                for (zero_top, zero_end, stack, stayed, down, down_src, term,
-                     left, left_src, pad_col) in self._steps:
-                    zero_top.fill(0)
-                    zero_end.fill(0)
+                for (stack, stayed, zero_end, down, down_src, off_diag, term,
+                     left, left_src, top, reflected, pad_col) in self._steps:
                     multiply(stack, stay, out=stayed)
+                    zero_end.fill(0)
                     add(down, down_src, out=down)
-                    multiply(stack, to_left, out=term)
+                    multiply(off_diag, to_left, out=term)
                     add(left, left_src, out=left)
+                    add(top, reflected, out=top)
                     pad_col.fill(0)
+                for op, x, y, weight in self._weights:
+                    op(x, y, out=weight)
                 traces = []
-                for col, row, prod2d, prod in self._factors:
-                    multiply(col, row, out=prod2d)
+                for weights, lower, upper, prod2d, prod in self._factors:
+                    multiply(weights, lower, out=prod2d)
+                    multiply(prod2d, upper, out=prod2d)
                     traces.append(compensated_sum(prod))
                 out.append(traces)
         return out
@@ -489,7 +516,9 @@ class RowTracer:
     Powers below :data:`BANDED_MIN_K` use the class expansion over all rows at
     once and share its power caches; higher powers go row by row through one
     :class:`_BandedPlan`, which the tracer keeps, so every call reuses its
-    workspace and views.  Each value is bitwise the one a lone row would give.
+    workspace and views.  The plan builds the upper diagonals of the half
+    powers only and weights them by the edge products of the reversed walks.
+    Each value is bitwise the one a lone row would give.
     """
 
     def __init__(self, n: int, k_list):

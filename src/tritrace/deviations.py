@@ -220,6 +220,6 @@ def cramer_rate_k1(entry_law: EntryLaw, x_grid, t_max: float = CRAMER_T_MAX) -> 
             slope = (objective(edge) - objective(edge - math.copysign(eps, t_opt))) / eps
             if slope > slope_tol:
                 warnings.append(
-                    f"x={x:g}: supremum hit |t|={t_max:g} with positive slope; "
-                    "rate is a lower bound")
+                    f"x={x:g}: supremum hit |t|={t_max:g} while the objective still "
+                    "climbs outward; rate is a lower bound")
     return CramerRate(grid=grid, rate=rate, warnings=tuple(warnings))

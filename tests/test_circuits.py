@@ -167,6 +167,14 @@ def ones_matrix(n, dtype=float):
     return TridiagonalMatrix(sub=off, diag=diag, sup=off.copy())
 
 
+def signed_integer_matrix(n):
+    """Distinct, signed, non-symmetric integer entries, exact (object dtype)."""
+    values = [(-1) ** v * v for v in range(2, 3 * n)]
+    return TridiagonalMatrix(sub=np.array(values[n:2 * n - 1], dtype=object),
+                             diag=np.array(values[:n], dtype=object),
+                             sup=np.array(values[2 * n - 1:], dtype=object))
+
+
 class TestTraceExpansion:
     def test_all_ones_k2(self):
         m = ones_matrix(3)
@@ -374,12 +382,8 @@ class TestMonteCarloRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_exact_integer_kernel_matches_dense_power(self, n):
-        # distinct, signed, non-symmetric entries; at n <= 3 the band of the
-        # half powers is wider than the matrix
-        values = [(-1) ** v * v for v in range(2, 3 * n)]
-        m = TridiagonalMatrix(sub=np.array(values[n:2 * n - 1], dtype=object),
-                              diag=np.array(values[:n], dtype=object),
-                              sup=np.array(values[2 * n - 1:], dtype=object))
+        # at n <= 3 the band of the half powers is wider than the matrix
+        m = signed_integer_matrix(n)
         plan = circuits._BandedPlan(n, range(1, 13), object)
         banded = plan.traces((m.sub * m.sup)[None, :], m.diag[None, :])[0]
         for k in range(1, 13):
@@ -404,19 +408,35 @@ class TestMonteCarloRoute:
         stacks = plan.stacks
         assert len(stacks) == p_max + 1
         s = np.diag(m.diag) + np.diag(np.ones(n - 1), 1) + np.diag(ab, -1)
-        col = np.arange(n + 2 * p_max) - p_max            # the matrix column of each slot
+        col = np.arange(n + 1)                              # column n is padding
         for j, stack in enumerate(stacks):
-            assert stack.shape == (2 * j + 1, n + 2 * p_max)
-            o = np.arange(-j, j + 1)[:, None]               # row j + o holds S^j[c-o, c]
-            inside = (col >= 0) & (col < n) & (col - o >= 0) & (col - o < n)
+            assert stack.shape == (j + 1, n + 1)
+            o = np.arange(j + 1)[:, None]                   # row o holds S^j[c-o, c]
+            inside = (col < n) & (col - o >= 0)
             assert np.all(stack[~inside] == 0)
             if n <= 9:
                 rows, cols = np.nonzero(inside)
-                want = np.linalg.matrix_power(s, j)[col[cols] - (rows - j), col[cols]]
+                want = np.linalg.matrix_power(s, j)[cols - rows, cols]
                 np.testing.assert_allclose(stack[rows, cols], want, rtol=1e-12, atol=1e-12)
         for k, got in zip(ks, banded):
             want = trace_power_direct(m, k)
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("n", [2, 3, 9])
+    def test_reversal_identity_of_the_half_powers(self, n):
+        # the kernel stores only the upper diagonals S^j[c-o, c] and reads
+        # S^j[c, c-o] = P_o(c) S^j[c-o, c], P_o(c) = ab_{c-o+1} .. ab_c;
+        # signed, non-symmetric integers make it exact and leave no symmetry
+        m = signed_integer_matrix(n)
+        ab = [0, *(m.sub * m.sup)]                         # ab[s] = S[s, s-1]
+        s = np.diag(m.diag) + np.diag(np.full(n - 1, 1, dtype=object), 1) + np.diag(ab[1:], -1)
+        power = np.identity(n, dtype=object)
+        for j in range(1, 9):
+            power = power.dot(s)
+            for o in range(n):
+                for c in range(o, n):
+                    weight = math.prod(ab[c - o + 1:c + 1])
+                    assert power[c, c - o] == weight * power[c - o, c]
 
     @pytest.mark.parametrize("k_list", [[0], [17], [8, 17], [12, 0], [8, 9.0], [True]])
     def test_power_validation(self, k_list):

@@ -577,7 +577,16 @@ class TestOutputs:
                        "--points", "3", "--t-max", "1") == 0
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(":")[0] for line in lines] == ["warning"] * 3
-        assert all("supremum hit |t|=1 with positive slope" in line for line in lines)
+        assert all("supremum hit |t|=1 while the objective still climbs outward" in line
+                   for line in lines)
+
+    def test_cramer_warns_at_both_tilt_edges(self, capsys):
+        # x=-1 presses against -t_max and x=2 against +t_max, the ends of the support
+        assert run_cli("cramer", "--law", "uniform(-1,2)", "--x-min", "-2", "--x-max", "3",
+                       "--points", "11", "--t-max", "20") == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"warning: x={x}: supremum hit |t|=20 while the objective still "
+                         "climbs outward; rate is a lower bound" for x in (-1, 2)]
 
 
 class TestStatisticalExitCodes:
