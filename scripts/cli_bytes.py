@@ -62,6 +62,9 @@ BDQ_SYM = ["--ensemble", "birth_death_q", "--symmetric", "true"]
 # The `cramer` commands are the only ones that evaluate a law's log-MGF;
 # `cramer-outside-support` puts grid points outside the support and on its
 # edges, where the tilt reaches `--t-max`.
+# In `trace-hatano-narrow` (k=9, n=5) both oracles reach the matrix's corners:
+# the reference's band spans all n-1 = 4 diagonals on each side at the fourth
+# and fifth powers, and the widest walk classes fill all five sites.
 # `clt-config` and `mdp-config` take every setting but the three added by
 # `run` from `cli_bytes.ini`, beside this script.
 COMMANDS = {
@@ -131,6 +134,7 @@ COMMANDS = {
     "mdp-config": ["mdp", *CONFIG],
     "trace-anderson": ["trace", *ANDERSON, "--k", "6", "--n", "50"],
     "trace-beta": ["trace", *BETA2, "--k", "12", "--n", "60"],
+    "trace-hatano-narrow": ["trace", *HATANO, "--k", "9", "--n", "5"],
     "cramer-rademacher": ["cramer", "--law", "rademacher"],
     "cramer-uniform": ["cramer", "--law", "uniform(-1,2)", "--points", "41"],
     "cramer-bernoulli": ["cramer", "--law", "bernoulli(0.3,-2,5)", "--points", "41"],

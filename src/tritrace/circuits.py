@@ -437,68 +437,49 @@ class _BandedPlan:
         return out
 
 
-def _shifted(vec: np.ndarray, s: int, zero: np.ndarray) -> np.ndarray:
-    # w[r] = vec[r+s], zero-padded outside [0, n)
-    n = vec.shape[0]
-    if s == 0:
-        return vec
-    w = zero.copy()
-    if s > 0:
-        if s < n:
-            w[:n - s] = vec[s:]
-    else:
-        if -s < n:
-            w[-s:] = vec[:n + s]
-    return w
-
-
 def trace_power_direct(matrix: TridiagonalMatrix, k: int) -> float:
     """Evaluate trace(M^k) by repeated banded multiplication.
 
-    The j-th power is kept as its min(j, n-1) nonzero diagonals, so the cost
-    is O(n k^2) and no dense n-by-n array is built.  For small matrices
-    (n <= DENSE_CHECK_MAX, float entries) a dense matrix power is computed
-    as a second cross-check.  This is the reference the other routes are
-    checked against, so it shares no code with the Monte Carlo kernel
-    (:class:`_BandedPlan`).
+    The j-th power is one zero-padded band array whose row ``w+1+o``,
+    ``w = min(k//2, n-1)``, holds the diagonal ``(M^j)[r, r+o]`` by row ``r``
+    for ``|o| <= min(j, k-j, n-1)``, the only ones trace(M^k) reads.  A step
+    sums three row-shifted products, ``(M^j)[r, r+s] * M[r+s, r+o]`` for
+    ``s = o-1, o, o+1``, so the cost is O(n k^2) and no dense n-by-n array
+    is built.  For small matrices (n <= DENSE_CHECK_MAX, float entries)
+    a dense matrix power is computed as a second cross-check.  This is the
+    reference the other routes are checked against, so it shares no code
+    with the Monte Carlo kernel (:class:`_BandedPlan`).
     """
     k = checked_int("k", k, 1)
-    n = matrix.n
-    exact = matrix.is_exact
-    if k == 1:
-        total = compensated_sum(matrix.diag)
-        return total if exact else float(total)
+    n, exact = matrix.n, matrix.is_exact
+    w, dtype = min(k // 2, n - 1), object if exact else float
+    # Row w+1+s of each factor view holds, by row r, the entry of M that the
+    # diagonal s of a power meets, zero outside M: up[w+1+s][r] = M[r+s, r+s+1].
+    up, dg, dn = (np.full(n + 2 * w + 2, 0, dtype=dtype) for _ in range(3))
+    up[w + 1:w + n] = matrix.sup
+    dg[w + 1:w + n + 1] = matrix.diag
+    dn[w + 2:w + n + 1] = matrix.sub
+    up, dg, dn = (np.lib.stride_tricks.sliding_window_view(q, n) for q in (up, dg, dn))
+    power, nxt = (np.full((2 * w + 3, n), 0, dtype=dtype) for _ in range(2))
+    power[w:w + 3] = dn[w + 1], dg[w + 1], up[w + 1]   # M itself: zero steps at k = 1
+    term = np.empty((2 * w + 1, n), dtype=dtype)
+    for j in range(2, k + 1):
+        # the widths rise, hold and then only fall, so the rows a step reads
+        # beyond the last power's width are still zero
+        lo, hi = w + 1 - min(j, k - j, n - 1), w + 2 + min(j, k - j, n - 1)
+        out, t = nxt[lo:hi], term[:hi - lo]
+        np.multiply(power[lo - 1:hi - 1], up[lo - 1:hi - 1], out=out)
+        np.multiply(power[lo:hi], dg[lo:hi], out=t)
+        np.add(out, t, out=out)
+        np.multiply(power[lo + 1:hi + 1], dn[lo + 1:hi + 1], out=t)
+        np.add(out, t, out=out)
+        power, nxt = nxt, power
 
-    zero = np.full(n, 0, dtype=object) if exact else np.zeros(n)
-    # Row-indexed padded diagonals of the tridiagonal factor.
-    q_up = zero.copy()
-    q_up[:n - 1] = matrix.sup      # q_up[r] = M[r, r+1]
-    q_dg = zero.copy()
-    q_dg[:] = matrix.diag
-    q_dn = zero.copy()
-    q_dn[1:] = matrix.sub          # q_dn[r] = M[r, r-1]
-
-    power = {0: q_dg.copy(), 1: q_up.copy(), -1: q_dn.copy()}
-    width = 1
-    for _ in range(k - 1):
-        width = min(width + 1, n - 1)
-        nxt = {}
-        for off in range(-width, width + 1):
-            acc = None
-            for src, q in ((off - 1, q_up), (off, q_dg), (off + 1, q_dn)):
-                prev = power.get(src)
-                if prev is None:
-                    continue
-                term = prev * _shifted(q, src, zero)
-                acc = term if acc is None else acc + term
-            nxt[off] = acc
-        power = nxt
-
-    total = compensated_sum(power[0])
+    total = compensated_sum(power[w + 1])
     if exact:
         return total
     total = float(total)
-    if n <= DENSE_CHECK_MAX:
+    if 1 < k and n <= DENSE_CHECK_MAX:
         dense = np.trace(np.linalg.matrix_power(matrix.to_dense(), k))
         if abs(dense - total) > 1e-8 * (1.0 + abs(dense)):
             raise TriTraceError(

@@ -43,9 +43,10 @@ from .circuits import (
 from .deviations import (CRAMER_T_MAX, RATE_TOLERANCE, RateEstimate, cramer_rate_k1,
                          mdp_check, rate_failures)
 from .ensembles import EnsembleSpec, EntryLaw, sample_matrix
-from .errors import ConfigError, TriTraceError
+from .errors import ConfigError, InvalidArgumentError, TriTraceError
 from .stats import (
     COV_TOLERANCE,
+    MIN_REPORT_TRIALS,
     covariance_failures,
     covariance_target,
     growth_exponents,
@@ -392,6 +393,9 @@ def _clt_target(config: RunConfig, spec: EnsembleSpec, k_list, replicas: int):
 
 def _cmd_clt(config: RunConfig, ensemble, k_list, n, trials, alpha=None, epsilon=None,
              replicas=100_000) -> int:
+    if trials < MIN_REPORT_TRIALS:   # before any draw
+        raise InvalidArgumentError(
+            f"distributional statistics need at least {MIN_REPORT_TRIALS} trials")
     target = _clt_target(config, ensemble, k_list, replicas)   # its own seed: order-free
     samples = mc_traces(ensemble, n, k_list, trials, config.master_seed, alpha, epsilon,
                         workers=config.workers)

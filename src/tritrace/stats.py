@@ -46,6 +46,8 @@ CHUNK_ENTRIES = 1 << 14
 
 # relative part of the covariance gate's allowance (:func:`covariance_failures`)
 COV_TOLERANCE = 0.10
+# fewest trials whose distributional statistics :func:`normality_report` reports
+MIN_REPORT_TRIALS = 100
 
 COVARIANCE_SOURCES = ("iid_window_formula", "symmetric_degenerate_formula",
                       "beta_hermite_formula")
@@ -566,8 +568,9 @@ def normality_report(samples: np.ndarray, targets: CovarianceTarget, *, k_list,
     instead of producing meaningless distances.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] < 100:
-        raise InvalidArgumentError("distributional statistics need at least 100 trials")
+    if samples.shape[0] < MIN_REPORT_TRIALS:
+        raise InvalidArgumentError(
+            f"distributional statistics need at least {MIN_REPORT_TRIALS} trials")
     k_list = tuple(checked_int("k", k, 1) for k in k_list)
     n = checked_int("n", n, 2)
     exponents = tuple(checked_real("scaling_exponents entry", e) for e in scaling_exponents)

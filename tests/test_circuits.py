@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -281,6 +282,9 @@ class TestCompensatedSum:
             compensated_sum_rows(rows)
 
 
+DIRECT_DIGEST = "1a26a00e18e097f786ab4aa7d531c4eab86bb1b8b5504ca434e768ba9f69b67c"
+
+
 class TestTraceDirect:
     def test_identity_matrix(self):
         m = TridiagonalMatrix(sub=np.zeros(6), diag=np.ones(7), sup=np.zeros(6))
@@ -307,6 +311,25 @@ class TestTraceDirect:
                               sup=rng.uniform(-2, 2, n - 1))
         dense = float(np.trace(np.linalg.matrix_power(m.to_dense(), k)))
         assert trace_power_direct(m, k) == pytest.approx(dense, rel=1e-10, abs=1e-10)
+
+    def test_reference_bits_are_pinned(self):
+        # the reference's floats, bit for bit: seeded matrices at every power,
+        # and integer-valued ones with a zero diagonal at odd powers, whose
+        # traces are exactly zero and so pin the sign of zero
+        digest = hashlib.sha256()
+        for n in (1, 2, 5, 9, 64, 300):
+            rng = np.random.default_rng(n)
+            m = TridiagonalMatrix(sub=rng.uniform(-2, 2, n - 1), diag=rng.uniform(-2, 2, n),
+                                  sup=rng.uniform(-2, 2, n - 1))
+            z = TridiagonalMatrix(sub=rng.integers(-3, 4, n - 1).astype(float),
+                                  diag=np.zeros(n),
+                                  sup=rng.integers(-3, 4, n - 1).astype(float))
+            values = [trace_power_direct(m, k) for k in range(1, 17)]
+            values += [trace_power_direct(z, k) for k in range(1, 17, 2)]
+            digest.update(repr(values).encode())
+        assert digest.hexdigest() == DIRECT_DIGEST, (
+            f"trace_power_direct's bits changed under numpy {np.__version__}; "
+            "the digest was taken under numpy 2.4.6")
 
 
 class TestOracleEquivalence:
@@ -380,16 +403,17 @@ class TestMonteCarloRoute:
             want = trace_power_expansion(m, k, enumerate_types(k))
             assert abs(value - want) <= 1e-9 * (1.0 + abs(want))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_exact_integer_kernel_matches_dense_power(self, n):
-        # at n <= 3 the band of the half powers is wider than the matrix
+        # at n <= 3 the band of the half powers is wider than the matrix; the
+        # reference's band stops at n-1 from k = 2(n-1) on: n = 7 at k >= 12
         m = signed_integer_matrix(n)
         plan = circuits._BandedPlan(n, range(1, 13), object)
         banded = plan.traces((m.sub * m.sup)[None, :], m.diag[None, :])[0]
-        for k in range(1, 13):
+        for k in range(1, 17):
             # object-dtype dense power: Python integer arithmetic throughout
             want = np.trace(np.linalg.matrix_power(m.to_dense(), k))
-            for got in (banded[k - 1], trace_power_direct(m, k)):
+            for got in (*banded[k - 1:k], trace_power_direct(m, k)):   # the plan stops at 12
                 assert isinstance(got, int)
                 assert got == want
 

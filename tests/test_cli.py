@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import tritrace
-from tritrace import __version__
+from tritrace import __version__, cli
 from tritrace.circuits import enumerate_types, trace_power_direct, trace_power_expansion
 from tritrace.cli import (
     COMMANDS,
@@ -596,6 +596,17 @@ class TestStatisticalExitCodes:
                        "--k-list", "2", "--n", "64", "--trials", "256",
                        "--replicas", "2000", "--seed", "1") == 1
         assert "variance" in capsys.readouterr().err
+
+    def test_clt_too_few_trials_fails_before_any_draw(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("drew before checking the trial count")
+
+        monkeypatch.setattr(cli, "mc_traces", never)
+        monkeypatch.setattr(cli, "covariance_target", never)
+        assert run_cli("clt", "--ensemble", "hatano_nelson", "--k-list", "1,8", "--n", "4000",
+                       "--trials", "99", "--seed", "1") == 1
+        assert capsys.readouterr().err == (
+            "error: distributional statistics need at least 100 trials\n")
 
     def test_clt_ks_threshold_exceeded_exits_2(self, tmp_path, capsys):
         # a deliberately wrong scaling shrinks the samples far below the
