@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb, isfinite, prod
 
 import numpy as np
 
@@ -35,13 +35,13 @@ K_MAX = 16
 DENSE_CHECK_MAX = 128
 # Smallest power that Monte Carlo traces evaluate by banded powering rather
 # than the class expansion.  Banded over expansion time for one 2^14-entry
-# Hatano-Nelson chunk (warm process, 2 vCPU; median of three runs, each the
-# median of 7 timings; k=6 at n=400 ranged 0.90-1.01):
+# Hatano-Nelson chunk (warm tracers, 2 vCPU; median of three runs, each the
+# median of 7 timings; k=6 at n=400 ranged 1.07-1.10, at n=4000 0.61-1.04):
 #
 #     n:     100    400    1000   4000
-#     k=5:   0.26   1.70   0.84   1.00
-#     k=6:   0.16   0.92   0.63   0.54
-#     k=7:   0.11   0.60   0.36   0.38
+#     k=5:   0.23   1.82   1.23   0.98
+#     k=6:   0.13   1.09   0.75   0.63
+#     k=7:   0.09   0.81   0.50   0.44
 BANDED_MIN_K = 6
 
 
@@ -238,30 +238,50 @@ def enumerate_types(k: int) -> tuple[CircuitType, ...]:
     return types
 
 
+def _buffer(work: dict, key, shape: tuple[int, ...]) -> np.ndarray:
+    """A float array of ``shape`` over ``work[key]``, a flat buffer allocated
+    (zeroed) at the first call for ``key`` and again only when a later call
+    needs more."""
+    size = prod(shape)
+    buf = work.get(key)
+    if buf is None or buf.size < size:
+        buf = work[key] = np.zeros(size)
+    return buf[:size].reshape(shape)
+
+
 class _Powers(dict):
     """Powers of one slot array keyed by exponent, ``{1: base}`` at the start.
 
     A missing power is built as ``self[e - 1] * base`` and kept: entries may
     be negative or zero and exponents never exceed k/2, so repeated
-    multiplication beats exp/log tricks.
+    multiplication beats exp/log tricks.  With a ``work`` dict, power ``e``
+    is written into its buffer ``(name, e)`` there (:func:`_buffer`).
     """
 
+    def __init__(self, base: np.ndarray, work: dict | None, name: str):
+        super().__init__({1: base})
+        self.work, self.name = work, name
+
     def __missing__(self, exponent: int) -> np.ndarray:
-        arr = self[exponent - 1] * self[1]
-        self[exponent] = arr
+        base = self[1]
+        out = None if self.work is None else _buffer(self.work, (self.name, exponent), base.shape)
+        arr = self[exponent] = np.multiply(self[exponent - 1], base, out=out)
         return arr
 
 
-def slot_powers(ab: np.ndarray, diag: np.ndarray) -> tuple[dict, dict]:
+def slot_powers(ab: np.ndarray, diag: np.ndarray, work: dict | None = None) -> tuple[dict, dict]:
     """Power caches ``({1: ab}, {1: diag})`` for :func:`class_product`.
 
     Higher powers are filled in on first use and shared by every class and
-    every power evaluated from the same caches.
+    every power evaluated from the same caches.  With ``work``, a dict the
+    caller keeps, they are written into float buffers kept there, which the
+    next caches built on the same ``work`` overwrite.
     """
-    return _Powers({1: ab}), _Powers({1: diag})
+    return _Powers(ab, work, "ab"), _Powers(diag, work, "diag")
 
 
-def class_product(pows: tuple[dict, dict], t: CircuitType, start: int, width: int):
+def class_product(pows: tuple[dict, dict], t: CircuitType, start: int, width: int,
+                  out: np.ndarray | None = None):
     """Windowed entry product of one class at ``width`` consecutive left ends.
 
     Slot ``s`` of the result is
@@ -269,17 +289,19 @@ def class_product(pows: tuple[dict, dict], t: CircuitType, start: int, width: in
     with edge factors first, then the nonzero loop factors.  Slots run along
     the last axis, so 1-d diagonals and ``(replicas, slots)`` window arrays
     share this code.  The caller checks that every slot lies inside the
-    arrays; the result may be a view into the caches and must not be written.
+    arrays.  A product of two or more factors is written into ``out`` when
+    it is given (of the result's shape), else into a new array; a lone
+    factor is returned as a view into the caches, which must not be written.
     """
     ab_pows, d_pows = pows
     acc = None
     for j, m in enumerate(t.half_edges, start):
         f = ab_pows[m][..., j:j + width]
-        acc = f if acc is None else acc * f
+        acc = f if acc is None else np.multiply(acc, f, out=out)
     for h, e in enumerate(t.loops, start):
         if e:
             f = d_pows[e][..., h:h + width]
-            acc = f if acc is None else acc * f
+            acc = f if acc is None else np.multiply(acc, f, out=out)
     return acc
 
 
@@ -351,11 +373,15 @@ class _BandedPlan:
     workspace of ``_work_size(n, p_max)`` entries of ``dtype`` and builds
     every view of it once: the products, shifted adds and zeroed slots of
     each step, the weights, and the factors and product slot of each power.
-    A matrix then costs two row copies and the ufunc calls alone, in the
-    same order for every matrix, so a trace has the same bits whichever rows
-    or calls it shares the plan with.  One workspace for every matrix also
-    keeps the allocator from handing memory back and faulting it in again.
-    ``stacks`` holds the stacks of the last matrix evaluated.
+    Beside it, ``d`` and ``ab`` are tiled to as many rows as a step
+    multiplies (``p_max`` and ``p_max - 1``), so both products of a step
+    take two arrays of one shape, which numpy runs faster than a row
+    broadcast.  A matrix then costs the copies of its two rows (``d`` into
+    ``C^1`` and its tile, ``ab`` into its tile) and the ufunc calls alone, in
+    the same order for every matrix, so a trace has the same bits whichever
+    rows or calls it shares the plan with.  One workspace for every matrix
+    also keeps the allocator from handing memory back and faulting it in
+    again.  ``stacks`` holds the stacks of the last matrix evaluated.
     """
 
     def __init__(self, n: int, k_list, dtype):
@@ -363,8 +389,10 @@ class _BandedPlan:
         width = n + 1
         work = np.empty(_work_size(n, p_max), dtype=dtype)
         scratch, store = work[:(p_max - 1) * width], work[(p_max - 1) * width:]
-        self._to_left = np.zeros(width, dtype=dtype)
-        self._ab = self._to_left[1:n]                  # S[c, c-1] = ab_c in column c
+        # the tiles: each row holds d_c, or S[c, c-1] = ab_c, in column c,
+        # and zero in the other columns
+        self._stays = np.zeros((p_max, width), dtype=dtype)
+        self._lefts = np.zeros((max(p_max - 1, 1), width), dtype=dtype)
         stack = np.zeros((1, width), dtype=dtype)
         stack[0, :n] = 1
         self.stacks = [stack]
@@ -372,8 +400,7 @@ class _BandedPlan:
         flat.fill(0)
         stack = flat.reshape(2, width)
         stack[1, 1:n] = 1                              # C^1[1, c] = S[c-1, c]
-        self._stay = stack[0]                          # C^1[0, c] = d_c, then 0 in column n
-        self._diag = self._stay[:n]
+        self._diag = stack[0, :n]                      # C^1[0, c] = d_c, then 0 in column n
         self.stacks.append(stack)
         self._steps = []
         for j in range(1, p_max):
@@ -382,10 +409,10 @@ class _BandedPlan:
             new = flat.reshape(-1, width)
             term = scratch[:size - width].reshape(j, width)   # ab_c C^j[o, c], o = 1 .. j
             self._steps.append((
-                stack, new[:j + 1],                            # d_c C^j[o, c]
+                stack, self._stays[:j + 1], new[:j + 1],       # d_c C^j[o, c]
                 new[j + 1],                                    # the row the product leaves unwritten
                 flat[width + 1:], stack.ravel()[:size - 1],    # one row down, one column right
-                stack[1:], term,                               # rows 1 .. j, the off-diagonals
+                stack[1:], self._lefts[:j], term,              # rows 1 .. j, the off-diagonals
                 flat[:size - width - 1], term.ravel()[1:],     # one row up, one column left
                 new[0], term[0],                               # row 0's reflected term
                 new[:, n],                                     # column n-1 has no right neighbour
@@ -395,9 +422,9 @@ class _BandedPlan:
         weights = store[:(q_max + 1) * n].reshape(q_max + 1, n)
         weights.fill(0)
         weights[0] = 1
-        edges = self._to_left[:n]
+        edges = self._lefts[0, :n]                     # 0, then ab_c in column c
         self._weights = [(np.add, edges, edges, weights[1])] if q_max else []
-        self._weights += [(np.multiply, weights[o - 1, :n - 1], self._ab, weights[o, 1:])
+        self._weights += [(np.multiply, weights[o - 1, :n - 1], edges[1:], weights[o, 1:])
                           for o in range(2, q_max + 1)]
         prod = store[store.size - (q_max + 1) * n:]
         self._factors = []
@@ -411,18 +438,19 @@ class _BandedPlan:
         """``trace(M^k)`` of the matrix in each row of ``ab`` and ``diag``, at each
         power of the plan's ``k_list``."""
         multiply, add = np.multiply, np.add
-        to_left, stay = self._to_left, self._stay
+        stays, lefts = self._stays[:, :-1], self._lefts[:, 1:-1]
         out = []
         with np.errstate(over="ignore", invalid="ignore"):  # the trace sum reports it
             for a, d in zip(ab, diag):
-                self._ab[...] = a
                 self._diag[...] = d
-                for (stack, stayed, zero_end, down, down_src, off_diag, term,
+                stays[...] = d
+                lefts[...] = a
+                for (stack, stay, stayed, zero_end, down, down_src, off_diag, left_ab, term,
                      left, left_src, top, reflected, pad_col) in self._steps:
                     multiply(stack, stay, out=stayed)
                     zero_end.fill(0)
                     add(down, down_src, out=down)
-                    multiply(off_diag, to_left, out=term)
+                    multiply(off_diag, left_ab, out=term)
                     add(left, left_src, out=left)
                     add(top, reflected, out=top)
                     pad_col.fill(0)
@@ -493,34 +521,59 @@ class RowTracer:
     Calling it with the ``(rows, n-1)`` edge products ``ab = sub*sup`` and the
     ``(rows, n)`` diagonals ``diag`` gives the ``(rows, len(k_list))`` float
     traces, each power by its cheaper route.  Only powers above 1 read
-    ``ab``, so it may be None when every power is 1.
-    Powers below :data:`BANDED_MIN_K` use the class expansion over all rows at
-    once and share its power caches; higher powers go row by row through one
-    :class:`_BandedPlan`, which the tracer keeps, so every call reuses its
-    workspace and views.  The plan builds the upper diagonals of the half
-    powers only and weights them by the edge products of the reversed walks.
-    Each value is bitwise the one a lone row would give.
+    ``ab``, so it may be None when every power is 1.  Each value is bitwise
+    the one a lone row would give.
+
+    Powers of :data:`BANDED_MIN_K` and above go row by row through one
+    :class:`_BandedPlan`, which builds the upper diagonals of the half powers
+    only and weights them by the edge products of the reversed walks.  Lower
+    powers use the class expansion over all rows at once, on flat copies of
+    ``ab`` and ``diag`` that give each row ``n`` slots (``ab`` has one slot of
+    padding): slot ``c`` of row ``r`` is entry ``r*n + c``, so a class
+    product at every left end of every row is one :func:`class_product` of
+    1-d slices, and row ``r``'s sum reads its first ``n - span`` slots.  A
+    product that runs past a row's end lands on slots no sum reads.  The
+    tracer keeps the plan and the expansion's workspace (those copies, their
+    powers and the class product, :func:`_buffer`), so every call after the
+    first reuses their memory.
     """
 
     def __init__(self, n: int, k_list):
         self.k_list = [checked_int("k", k, 1, K_MAX) for k in k_list]
         self._high = [j for j, k in enumerate(self.k_list) if k >= BANDED_MIN_K]
+        self._low = [j for j, k in enumerate(self.k_list) if k < BANDED_MIN_K]
         self._plan = None
         if self._high:
             self._plan = _BandedPlan(n, [self.k_list[j] for j in self._high], float)
+        # slots past the last row for the widest span a class product reads
+        self._pad = max((self.k_list[j] // 2 for j in self._low), default=0)
+        self._work = {}
 
     def __call__(self, ab: np.ndarray, diag: np.ndarray) -> np.ndarray:
-        k_list = self.k_list
+        k_list, work = self.k_list, self._work
         rows, n = diag.shape
         out = np.empty((rows, len(k_list)))
         if self._high:
             out[:, self._high] = self._plan.traces(ab, diag)
-        pows = slot_powers(ab, diag)
-        for j, k in enumerate(k_list):
-            if k < BANDED_MIN_K:
-                totals = [[t.count * s for s in
-                           compensated_sum_rows(class_product(pows, t, 0, n - t.span))]
-                          for t in enumerate_types(k)]
+        if not self._low:
+            return out
+        size = rows * n
+        if self._pad:   # a power above 1, whose classes read ab and past a row's end
+            flat_ab = _buffer(work, ("ab", 1), (size + self._pad,))
+            flat_ab[:size].reshape(rows, n)[:, :n - 1] = ab
+            flat_d = _buffer(work, ("diag", 1), (size + self._pad,))
+            flat_d[:size].reshape(rows, n)[...] = diag
+        else:           # k=1 alone, whose one class is diag itself
+            flat_ab, flat_d = None, diag.reshape(size)
+        pows = slot_powers(flat_ab, flat_d, work)
+        product = _buffer(work, "product", (size,))
+        with np.errstate(over="ignore", invalid="ignore"):   # the row sums report it
+            for j in self._low:
+                totals = []
+                for t in enumerate_types(k_list[j]):
+                    slots = class_product(pows, t, 0, size, product).reshape(rows, n)
+                    totals.append([t.count * s for s in
+                                   compensated_sum_rows(slots[:, :max(n - t.span, 0)])])
                 out[:, j] = [fsum(row) for row in zip(*totals)]
         return out
 

@@ -105,9 +105,12 @@ def exact_trace_mean(spec: EnsembleSpec, k: int) -> float | None:
     return None
 
 
-def _trace_block(spec: EnsembleSpec, n: int, k_list, master_seed: int,
+def _trace_block(spec: EnsembleSpec, n: int, tracer: RowTracer, master_seed: int,
                  lo: int, hi: int) -> np.ndarray:
-    """Raw traces of trials ``lo .. hi-1``, sampled and evaluated in row chunks.
+    """Raw traces of trials ``lo .. hi-1`` at the powers ``tracer.k_list``,
+    sampled and evaluated in row chunks.  ``tracer`` serves every block its
+    process evaluates, so the workspaces of both trace routes are allocated
+    once per run and process, not once per block.
 
     The route follows from the spec and ``k_list``, never from the run's
     size.  When every power is 1 and the diagonal is a Rademacher stream of
@@ -116,12 +119,11 @@ def _trace_block(spec: EnsembleSpec, n: int, k_list, master_seed: int,
     bits a :class:`RowTracer` gives, whose compensated sum of ``+-1``
     entries is exact.
     """
-    rows = max(1, CHUNK_ENTRIES // n)
+    rows, k_list = max(1, CHUNK_ENTRIES // n), tracer.k_list
     if set(k_list) == {1} and counts_diagonal_signs(spec):
         sums = diagonal_sign_sums(spec, n, master_seed, range(lo, hi), rows)
         return np.repeat(sums[:, None], len(k_list), axis=1)
     out = np.empty((hi - lo, len(k_list)))
-    tracer = RowTracer(n, k_list)   # one banded workspace for every chunk of the block
     reads_edges = max(k_list) > 1   # k=1's one class reads only the diagonal
     ab_rows = np.empty((rows, n - 1)) if reads_edges else None
     for chunk, sub, diag, sup in sample_matrix_chunks(spec, n, master_seed, range(lo, hi), rows):
@@ -205,7 +207,8 @@ def _raw_traces(spec, n, k_list, trials, master_seed, workers, lead=None):
     import numpy.random  # noqa: F401 -- imported once here, not once per child
 
     def evaluate():
-        return [(i, _trace_block(spec, n, k_list, master_seed, *ranges[i]))
+        tracer = RowTracer(n, k_list)   # one per process: its blocks share the workspaces
+        return [(i, _trace_block(spec, n, tracer, master_seed, *ranges[i]))
                 for i in _claims(counter, len(ranges))]
 
     counter = os.pipe()

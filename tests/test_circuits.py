@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,14 +422,16 @@ class TestMonteCarloRoute:
     def test_power_stacks_are_zero_off_the_band(self, n, p_max):
         # each step adds the stack unscaled one column to the right and zeroes
         # only padding column n, so any other stray slot would reach the traces;
-        # at n <= 9 the band of S^8 is wider than the matrix
+        # at n <= 9 the band of S^8 is wider than the matrix.  Two matrices go
+        # through one plan and the stacks are checked after the second, so a
+        # row of d or ab left from the first, or a lost zero, would show.
         rng = np.random.default_rng(n)
-        m = TridiagonalMatrix(sub=rng.normal(size=n - 1), diag=rng.normal(size=n),
-                              sup=rng.normal(size=n - 1))
+        first, m = (TridiagonalMatrix(sub=rng.normal(size=n - 1), diag=rng.normal(size=n),
+                                      sup=rng.normal(size=n - 1)) for _ in range(2))
         ab = m.sub * m.sup
         ks = range(1, 2 * p_max + 1)
         plan = circuits._BandedPlan(n, ks, float)
-        banded = plan.traces(ab[None, :], m.diag[None, :])[0]
+        both = plan.traces([first.sub * first.sup, ab], [first.diag, m.diag])
         stacks = plan.stacks
         assert len(stacks) == p_max + 1
         s = np.diag(m.diag) + np.diag(np.ones(n - 1), 1) + np.diag(ab, -1)
@@ -442,9 +445,10 @@ class TestMonteCarloRoute:
                 rows, cols = np.nonzero(inside)
                 want = np.linalg.matrix_power(s, j)[cols - rows, cols]
                 np.testing.assert_allclose(stack[rows, cols], want, rtol=1e-12, atol=1e-12)
-        for k, got in zip(ks, banded):
-            want = trace_power_direct(m, k)
-            assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
+        for matrix, banded in zip((first, m), both):
+            for k, got in zip(ks, banded):
+                want = trace_power_direct(matrix, k)
+                assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
     @pytest.mark.parametrize("n", [2, 3, 9])
     def test_reversal_identity_of_the_half_powers(self, n):
@@ -470,17 +474,40 @@ class TestMonteCarloRoute:
 
     @pytest.mark.parametrize("n", [5, 1000])
     def test_one_tracer_gives_each_chunk_row_its_lone_bits(self, n):
-        # a block's tracer serves every chunk, the last one short, and a chunk
-        # after a shorter one; no row may see what an earlier one left behind
+        # a run's tracer serves every chunk, the last one short, and a chunk
+        # after a shorter one, even when the first chunk is the short one and
+        # the workspace grows; no row may see what an earlier one left behind
         rng = np.random.default_rng(n)
         ab, diag = rng.normal(size=(16, n - 1)), rng.normal(size=(16, n))
         ks = (12, 4, 8, 1, 9)
         tracer = circuits.RowTracer(n, ks)
-        for rows in (slice(0, 16), slice(16 - 3, 16), slice(0, 16)):
+        for rows in (slice(16 - 3, 16), slice(0, 16), slice(16 - 3, 16), slice(0, 16)):
             got = tracer(ab[rows], diag[rows])
             for r, (a, d) in enumerate(zip(ab[rows], diag[rows])):
                 lone = circuits.RowTracer(n, ks)(a[None, :], d[None, :])[0]
                 assert got[r].tobytes() == lone.tobytes()
+
+    def test_warm_tracer_allocates_no_row_sized_array(self):
+        # the class expansion writes its row copies, slot powers and class
+        # products into the tracer's workspace, sized at the first call; each
+        # row keeps the bits of the one-matrix expansion
+        n, ks = 1000, (3, 4, 5)
+        rng = np.random.default_rng(29)
+        sub, diag, sup = (rng.normal(size=(16, size)) for size in (n - 1, n, n - 1))
+        ab = sub * sup
+        tracer = circuits.RowTracer(n, ks)
+        tracer(ab, diag)
+        tracemalloc.start()
+        try:
+            got = tracer(ab, diag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < diag.nbytes
+        for r in range(16):
+            m = TridiagonalMatrix(sub=sub[r], diag=diag[r], sup=sup[r])
+            want = [trace_power_expansion(m, k, enumerate_types(k)) for k in ks]
+            assert got[r].tobytes() == np.array(want).tobytes()
 
 
 class TestBandedIdentities:

@@ -560,6 +560,30 @@ def test_hook_signs_match_integers(width, segments, rows, head):
                                       gen.integers(0, 2, (per, width)) * 2.0 - 1.0)
 
 
+@pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("first_index", [1, 2])
+def test_beta_hermite_rows_match_spelled_out_draws(beta, first_index):
+    # Stream 0 of each segment draws its rows' chi^2 entries row-major as
+    # gamma(shape, scale=2.0) on a fresh generator, and stream 1 the normal
+    # diagonal.  At beta = 2 (the pinned digests' beta) a rewrite that scales
+    # by 2/beta in one step keeps every bit; at beta = 1.5 and 3 it cannot.
+    keys = np.random.default_rng(29).integers(0, 2 ** 64, (2, 2, 2), dtype=np.uint64)
+    length, per = 9, 3
+    a, d, b = _sample_sites(EnsembleSpec("beta_hermite", beta=beta), first_index, length,
+                            _Draws(2 * per, lambda i: keys[:, i]))
+    shape = np.arange(first_index - 1, first_index + length) * beta / 2.0
+    for s in range(2):
+        rows = slice(s * per, (s + 1) * per)
+        gen = np.random.Generator(np.random.Philox(key=keys[s, 0]))
+        off = np.sqrt(gen.gamma(shape, scale=2.0, size=(per, length + 1)) / beta)
+        assert a[rows].tobytes() == off[:, :length].tobytes()
+        assert b[rows].tobytes() == off[:, 1:].tobytes()
+        gen = np.random.Generator(np.random.Philox(key=keys[s, 1]))
+        assert d[rows].tobytes() == gen.normal(0.0, math.sqrt(2.0 / beta), (per, length)).tobytes()
+    if first_index == 1:
+        assert not a[:, 0].any()
+
+
 class _RecordingDraws:
     """A stand-in hook for ``_sample_sites`` that records each call's slot,
     law and returned array."""

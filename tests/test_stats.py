@@ -162,7 +162,7 @@ class TestMcTraces:
         spec = ROW_SPECS[name]
         k_list = [k for k in (1, 4, 7, 8, 12) if k // 2 + 1 <= n]
         lo, hi = 5, (25 if n == 1000 else 75)
-        got = stats._trace_block(spec, n, k_list, 41, lo, hi)
+        got = stats._trace_block(spec, n, RowTracer(n, k_list), 41, lo, hi)
         want = [traces_for_k_list(sample_matrix(spec, n, trial_seed_sequence(41, t)), k_list)
                 for t in range(lo, hi)]
         np.testing.assert_array_equal(got, want)
@@ -254,9 +254,9 @@ class TestMcTraces:
         block = stats._trace_block
         parent = os.getpid()
 
-        def patched(spec, n, k_list, master_seed, lo, hi):
+        def patched(spec, n, tracer, master_seed, lo, hi):
             (in_parent if os.getpid() == parent else in_child)(lo)
-            return block(spec, n, k_list, master_seed, lo, hi)
+            return block(spec, n, tracer, master_seed, lo, hi)
 
         monkeypatch.setattr(stats, "_trace_block", patched)
 
@@ -451,7 +451,7 @@ class TestSignCountRoute:
         # _trace_block takes the route at its own chunk size, for repeated
         # powers too, and samples no matrix
         monkeypatch.setattr(stats, "sample_matrix_chunks", _refuse)
-        block = stats._trace_block(spec, n, (1, 1), 41, trials.start, trials.stop)
+        block = stats._trace_block(spec, n, RowTracer(n, (1, 1)), 41, trials.start, trials.stop)
         assert block.tobytes() == np.repeat(want, 2, axis=1).tobytes()
 
     @pytest.mark.parametrize("name", SIGN_COUNT_SPECS)
@@ -472,7 +472,7 @@ class TestSignCountRoute:
     ])
     def test_route_does_not_engage(self, spec, k_list, monkeypatch):
         monkeypatch.setattr(stats, "diagonal_sign_sums", _refuse)
-        got = stats._trace_block(spec, 9, k_list, 41, 3, 20)
+        got = stats._trace_block(spec, 9, RowTracer(9, k_list), 41, 3, 20)
         np.testing.assert_array_equal(got, float_route(spec, 9, k_list, range(3, 20), 20))
 
     def test_non_finite_off_diagonal_still_raises_at_k1(self):
