@@ -240,8 +240,9 @@ def enumerate_types(k: int) -> tuple[CircuitType, ...]:
 
 def _buffer(work: dict, key, shape: tuple[int, ...]) -> np.ndarray:
     """A float array of ``shape`` over ``work[key]``, a flat buffer allocated
-    (zeroed) at the first call for ``key`` and again only when a later call
-    needs more."""
+    at the first call for ``key`` and again only when a later call needs
+    more.  It starts zeroed, so slots that nothing writes, such as padding,
+    hold finite numbers."""
     size = prod(shape)
     buf = work.get(key)
     if buf is None or buf.size < size:
@@ -529,13 +530,15 @@ class RowTracer:
     only and weights them by the edge products of the reversed walks.  Lower
     powers use the class expansion over all rows at once, on flat copies of
     ``ab`` and ``diag`` that give each row ``n`` slots (``ab`` has one slot of
-    padding): slot ``c`` of row ``r`` is entry ``r*n + c``, so a class
-    product at every left end of every row is one :func:`class_product` of
-    1-d slices, and row ``r``'s sum reads its first ``n - span`` slots.  A
-    product that runs past a row's end lands on slots no sum reads.  The
-    tracer keeps the plan and the expansion's workspace (those copies, their
-    powers and the class product, :func:`_buffer`), so every call after the
-    first reuses their memory.
+    padding) and end in a few slots of padding: slot ``c`` of row ``r`` is
+    entry ``r*n + c``, so a class product at every left end of every row is
+    one :func:`class_product` of 1-d slices, and row ``r``'s sum reads its
+    first ``n - span`` slots.  A product that runs past a row's end lands on
+    slots no sum reads.  (With k=1 alone, whose one class is ``diag``
+    itself, ``diag`` is read in place.)  The tracer keeps the plan and the
+    expansion's workspace (those copies, their powers and the class
+    product, :func:`_buffer`), so every call after the first reuses their
+    memory.
     """
 
     def __init__(self, n: int, k_list):
