@@ -238,68 +238,59 @@ def enumerate_types(k: int) -> tuple[CircuitType, ...]:
     return types
 
 
-def _buffer(work: dict, key, shape: tuple[int, ...]) -> np.ndarray:
-    """A float array of ``shape`` over ``work[key]``, a flat buffer allocated
-    at the first call for ``key`` and again only when a later call needs
-    more.  It starts zeroed, so slots that nothing writes, such as padding,
-    hold finite numbers."""
+def _buffer(work: dict, key, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """An array of ``shape`` and ``dtype`` over ``work[key]``, a flat buffer
+    allocated at the first call for ``key`` and again only when a later call
+    needs more.  It starts zeroed, so slots that nothing writes, such as
+    padding, hold finite numbers."""
     size = prod(shape)
     buf = work.get(key)
     if buf is None or buf.size < size:
-        buf = work[key] = np.zeros(size)
+        buf = work[key] = np.zeros(size, dtype)
     return buf[:size].reshape(shape)
 
 
-class _Powers(dict):
-    """Powers of one slot array keyed by exponent, ``{1: base}`` at the start.
+def slot_powers(ab: np.ndarray, diag: np.ndarray, k: int,
+                work: dict | None = None) -> tuple[list, list]:
+    """The powers of the slot arrays that the classes of power ``k`` read:
+    ``ab^0 .. ab^(k//2)`` and ``diag^0 .. diag^k``, indexed by exponent.
 
-    A missing power is built as ``self[e - 1] * base`` and kept: entries may
-    be negative or zero and exponents never exceed k/2, so repeated
-    multiplication beats exp/log tricks.  With a ``work`` dict, power ``e``
-    is written into its buffer ``(name, e)`` there (:func:`_buffer`).
+    Exponent 0 is None, as no class reads it, and power 1 is the array
+    itself, so ``ab`` may be None at k=1.  Each higher power is the one
+    before times the base: entries may be negative or zero and exponents
+    stay small, so repeated multiplication beats exp/log tricks.  With
+    ``work``, a dict the caller keeps, power ``e`` is written into the buffer
+    ``(name, e)`` there (:func:`_buffer`), which the next powers built on the
+    same ``work`` overwrite.
     """
-
-    def __init__(self, base: np.ndarray, work: dict | None, name: str):
-        super().__init__({1: base})
-        self.work, self.name = work, name
-
-    def __missing__(self, exponent: int) -> np.ndarray:
-        base = self[1]
-        out = None if self.work is None else _buffer(self.work, (self.name, exponent), base.shape)
-        arr = self[exponent] = np.multiply(self[exponent - 1], base, out=out)
-        return arr
+    pows = ([None, ab], [None, diag])
+    for name, powers, top in (("ab", pows[0], k // 2), ("diag", pows[1], k)):
+        for e in range(2, top + 1):
+            out = None if work is None else _buffer(work, (name, e), powers[1].shape)
+            powers.append(np.multiply(powers[-1], powers[1], out=out))
+    return pows
 
 
-def slot_powers(ab: np.ndarray, diag: np.ndarray, work: dict | None = None) -> tuple[dict, dict]:
-    """Power caches ``({1: ab}, {1: diag})`` for :func:`class_product`.
-
-    Higher powers are filled in on first use and shared by every class and
-    every power evaluated from the same caches.  With ``work``, a dict the
-    caller keeps, they are written into float buffers kept there, which the
-    next caches built on the same ``work`` overwrite.
-    """
-    return _Powers(ab, work, "ab"), _Powers(diag, work, "diag")
-
-
-def class_product(pows: tuple[dict, dict], t: CircuitType, start: int, width: int,
+def class_product(pows: tuple[list, list], t: CircuitType, width: int,
                   out: np.ndarray | None = None):
     """Windowed entry product of one class at ``width`` consecutive left ends.
 
     Slot ``s`` of the result is
-    ``prod_j ab[start+s+j]^half_edges[j] * prod_h diag[start+s+h]^loops[h]``,
-    with edge factors first, then the nonzero loop factors.  Slots run along
-    the last axis, so 1-d diagonals and ``(replicas, slots)`` window arrays
-    share this code.  The caller checks that every slot lies inside the
-    arrays.  A product of two or more factors is written into ``out`` when
-    it is given (of the result's shape), else into a new array; a lone
-    factor is returned as a view into the caches, which must not be written.
+    ``prod_j ab[s+j]^half_edges[j] * prod_h diag[s+h]^loops[h]``, with edge
+    factors first, then the nonzero loop factors, read from the powers of
+    :func:`slot_powers`.  Slots run along the last axis, so 1-d diagonals and
+    ``(replicas, slots)`` window arrays share this code.  The caller checks
+    that every slot lies inside the arrays.  A product of two or more factors
+    is written into ``out`` when it is given (of the result's shape), else
+    into a new array; a lone factor is returned as a view into the powers,
+    which must not be written.
     """
     ab_pows, d_pows = pows
     acc = None
-    for j, m in enumerate(t.half_edges, start):
+    for j, m in enumerate(t.half_edges):
         f = ab_pows[m][..., j:j + width]
         acc = f if acc is None else np.multiply(acc, f, out=out)
-    for h, e in enumerate(t.loops, start):
+    for h, e in enumerate(t.loops):
         if e:
             f = d_pows[e][..., h:h + width]
             acc = f if acc is None else np.multiply(acc, f, out=out)
@@ -319,8 +310,8 @@ def trace_power_expansion(matrix: TridiagonalMatrix, k: int, types) -> float:
     if n < k // 2 + 1:
         raise InvalidArgumentError(f"dimension {n} too small for power {k}")
     with np.errstate(over="ignore", invalid="ignore"):
-        pows = slot_powers(matrix.sub * matrix.sup, matrix.diag)
-        totals = [t.count * compensated_sum(class_product(pows, t, 0, n - t.span))
+        pows = slot_powers(matrix.sub * matrix.sup, matrix.diag, k)
+        totals = [t.count * compensated_sum(class_product(pows, t, n - t.span))
                   for t in types]
     return sum(totals) if matrix.is_exact else fsum(totals)
 
@@ -519,11 +510,13 @@ def trace_power_direct(matrix: TridiagonalMatrix, k: int) -> float:
 class RowTracer:
     """Traces of the powers ``k_list`` of ``n``-by-``n`` matrices given as rows.
 
-    Calling it with the ``(rows, n-1)`` edge products ``ab = sub*sup`` and the
-    ``(rows, n)`` diagonals ``diag`` gives the ``(rows, len(k_list))`` float
-    traces, each power by its cheaper route.  Only powers above 1 read
-    ``ab``, so it may be None when every power is 1.  Each value is bitwise
-    the one a lone row would give.
+    Calling it with the ``(rows, n-1)`` off-diagonals ``sub`` and ``sup``
+    and the ``(rows, n)`` diagonals ``diag`` gives the ``(rows, len(k_list))``
+    float traces, each power by its cheaper route.  Each value is bitwise the
+    one a lone row would give.  The tracer forms the edge products
+    ``ab = sub*sup`` into a ``(rows, n-1)`` buffer of its own, and only when
+    some power is above 1: k=1's one class is ``diag`` itself, so a run of
+    k=1 alone forms no product that could overflow.
 
     Powers of :data:`BANDED_MIN_K` and above go row by row through one
     :class:`_BandedPlan`, which builds the upper diagonals of the half powers
@@ -534,11 +527,10 @@ class RowTracer:
     entry ``r*n + c``, so a class product at every left end of every row is
     one :func:`class_product` of 1-d slices, and row ``r``'s sum reads its
     first ``n - span`` slots.  A product that runs past a row's end lands on
-    slots no sum reads.  (With k=1 alone, whose one class is ``diag``
-    itself, ``diag`` is read in place.)  The tracer keeps the plan and the
-    expansion's workspace (those copies, their powers and the class
-    product, :func:`_buffer`), so every call after the first reuses their
-    memory.
+    slots no sum reads.  (With k=1 alone, ``diag`` is read in place and
+    nothing is copied.)  The tracer keeps the plan and its workspace (the
+    edge products, the flat copies, their powers and the class product,
+    :func:`_buffer`), so every call after the first reuses their memory.
     """
 
     def __init__(self, n: int, k_list):
@@ -552,29 +544,33 @@ class RowTracer:
         self._pad = max((self.k_list[j] // 2 for j in self._low), default=0)
         self._work = {}
 
-    def __call__(self, ab: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    def __call__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
         k_list, work = self.k_list, self._work
         rows, n = diag.shape
         out = np.empty((rows, len(k_list)))
+        ab = None
+        if max(k_list, default=1) > 1:
+            # exact (object) entries multiply exactly, then round to float once
+            ab = np.multiply(sub, sup, out=_buffer(work, "edges", (rows, n - 1)),
+                             casting="unsafe")
         if self._high:
             out[:, self._high] = self._plan.traces(ab, diag)
         if not self._low:
             return out
         size = rows * n
-        if self._pad:   # a power above 1, whose classes read ab and past a row's end
+        flat_ab, flat_d, product = None, diag.reshape(size), None
+        if self._pad:   # classes that read ab, past a row's end, and multiply
             flat_ab = _buffer(work, ("ab", 1), (size + self._pad,))
             flat_ab[:size].reshape(rows, n)[:, :n - 1] = ab
             flat_d = _buffer(work, ("diag", 1), (size + self._pad,))
             flat_d[:size].reshape(rows, n)[...] = diag
-        else:           # k=1 alone, whose one class is diag itself
-            flat_ab, flat_d = None, diag.reshape(size)
-        pows = slot_powers(flat_ab, flat_d, work)
-        product = _buffer(work, "product", (size,))
+            product = _buffer(work, "product", (size,))
+        pows = slot_powers(flat_ab, flat_d, max(k_list[j] for j in self._low), work)
         with np.errstate(over="ignore", invalid="ignore"):   # the row sums report it
             for j in self._low:
                 totals = []
                 for t in enumerate_types(k_list[j]):
-                    slots = class_product(pows, t, 0, size, product).reshape(rows, n)
+                    slots = class_product(pows, t, size, product).reshape(rows, n)
                     totals.append([t.count * s for s in
                                    compensated_sum_rows(slots[:, :max(n - t.span, 0)])])
                 out[:, j] = [fsum(row) for row in zip(*totals)]
@@ -583,7 +579,8 @@ class RowTracer:
 
 def traces_for_k_list(matrix: TridiagonalMatrix, k_list) -> np.ndarray:
     """Traces of several powers of one matrix: a :class:`RowTracer` on one row."""
-    return RowTracer(matrix.n, k_list)((matrix.sub * matrix.sup)[None, :], matrix.diag[None, :])[0]
+    return RowTracer(matrix.n, k_list)(matrix.sub[None, :], matrix.diag[None, :],
+                                       matrix.sup[None, :])[0]
 
 
 def types_as_json_lines(types) -> str:

@@ -308,7 +308,8 @@ def matrix_from_csv(path: str) -> TridiagonalMatrix:
     if rows and rows[0][:2] == ["sub", "diag"]:
         rows = rows[1:]
     for idx, row in enumerate(rows):
-        if len(row) < 2:
+        unused = row[3:] + (row[:1] if idx == 0 else [])   # must be blank: past sup, row 1's sub
+        if len(row) < 2 or any(cell.strip() for cell in unused):
             raise ConfigError(f"matrix row {idx + 1} malformed: {row!r}")
         where = f"matrix row {idx + 1}"
         if idx > 0:

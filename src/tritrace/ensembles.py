@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .circuits import TridiagonalMatrix, checked_int, checked_real
+from .circuits import TridiagonalMatrix, _buffer, checked_int, checked_real
 from .errors import InvalidArgumentError
 
 KERNEL_VARIANTS = ("v", "conductance")
@@ -475,11 +475,11 @@ class _Draws:
     words of all segments at once.  :meth:`words` draws those words alone;
     :func:`diagonal_sign_sums` counts their sign bits.
 
-    Each slot has one buffer, allocated at the first call's ``rows`` and
-    reused by every later call, so an array is overwritten by the next call
-    for its slot.  A constant law without a head column fills no buffer: its
-    array is a read-only view of the one value.  Set ``rows`` (at most the
-    first call's) and ``keys`` before each chunk.
+    Each slot has one buffer in ``bufs`` (:func:`circuits._buffer`), reused
+    by every later call and grown when a call needs more, so an array is
+    overwritten by the next call for its slot.  A constant law without a
+    head column fills no buffer: its array is a read-only view of the one
+    value.  Set ``rows`` and ``keys`` before each chunk.
     """
 
     def __init__(self, rows: int, keys=None, seed=0):
@@ -490,12 +490,6 @@ class _Draws:
         # zero, set on the reused generator, draws what a new one would.
         self.fresh = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-    def _buffer(self, slot: int, shape: tuple[int, int], dtype=float) -> np.ndarray:
-        buf = self.bufs.get((slot, dtype))
-        if buf is None:   # a slot's width is the same for every call
-            buf = self.bufs[slot, dtype] = np.empty(shape, dtype)
-        return buf[:shape[0]]
 
     def _rekeyed(self, dest: np.ndarray, keys: np.ndarray, draw, *args) -> np.ndarray:
         """``dest[s] = draw(*args)`` with the generator keyed by ``keys[s]``."""
@@ -511,14 +505,14 @@ class _Draws:
         """The first ``ceil(signs / 2)`` raw words of stream ``slot`` of each
         segment, one row per key of ``keys``: the words whose half-words
         carry the segment's first ``signs`` Rademacher signs."""
-        words = self._buffer(slot, (len(keys), (signs + 1) // 2), "<u8")
+        words = _buffer(self.bufs, (slot, "<u8"), (len(keys), (signs + 1) // 2), "<u8")
         return self._rekeyed(words, keys, self.gen.bit_generator.random_raw, words.shape[1])
 
     def __call__(self, slot: int, law, width: int, head: float | None = None) -> np.ndarray:
         kind = getattr(law, "kind", None)
         if kind == "constant" and head is None:
             return np.broadcast_to(law.params[0], (self.rows, width))
-        out = self._buffer(slot, (self.rows, width))
+        out = _buffer(self.bufs, slot, (self.rows, width))
         h = int(head is not None)
         if h:
             out[:, 0] = head

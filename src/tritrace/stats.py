@@ -69,24 +69,24 @@ def dependence_range(k: int, symmetric: bool) -> DependenceRange:
 # Site summands
 
 
-def _summand_block(a: np.ndarray, d: np.ndarray, b: np.ndarray, start: int,
-                   width: int, k: int) -> np.ndarray:
-    """Summands ``X_k`` of the ``width`` sites from slot ``start`` of batched
-    windows (slot arrays of :func:`sample_window_arrays`): (replicas, width).
+def _summand_block(a: np.ndarray, d: np.ndarray, b: np.ndarray, width: int,
+                   k: int) -> np.ndarray:
+    """Summands ``X_k`` of the first ``width`` sites of batched windows (slot
+    arrays of :func:`sample_window_arrays`): (replicas, width).
 
-    At k=1, whose one class has count 1, the result is that class's product
-    itself, a view of ``d`` that must not be written."""
-    if start < 0 or start + width + k // 2 > d.shape[1]:
+    At k=1 the one class, of count 1, is the diagonal entry itself: the
+    result is a view of ``d`` that must not be written, and no edge product
+    is formed."""
+    if width + k // 2 > d.shape[1]:
         raise InvalidArgumentError("window too short for requested site")
-    # for windows from site f, ab[:, t] = a_{f+t} * b_{f+t} (the a-slot of
-    # site s holds a_{s-1}); k=1's one class reads only the diagonal
-    pows = slot_powers(a[:, 1:] * b[:, :-1] if k > 1 else None, d)
-    types = enumerate_types(k)
     if k == 1:
-        return class_product(pows, types[0], start, width)
+        return d[:, :width]
+    # for windows from site f, ab[:, t] = a_{f+t} * b_{f+t} (the a-slot of
+    # site s holds a_{s-1})
+    pows = slot_powers(a[:, 1:] * b[:, :-1], d, k)
     out = np.zeros((d.shape[0], width))
-    for t in types:
-        out += t.count * class_product(pows, t, start, width)
+    for t in enumerate_types(k):
+        out += t.count * class_product(pows, t, width)
     return out
 
 
@@ -124,11 +124,8 @@ def _trace_block(spec: EnsembleSpec, n: int, tracer: RowTracer, master_seed: int
         sums = diagonal_sign_sums(spec, n, master_seed, range(lo, hi), rows)
         return np.repeat(sums[:, None], len(k_list), axis=1)
     out = np.empty((hi - lo, len(k_list)))
-    reads_edges = max(k_list) > 1   # k=1's one class reads only the diagonal
-    ab_rows = np.empty((rows, n - 1)) if reads_edges else None
     for chunk, sub, diag, sup in sample_matrix_chunks(spec, n, master_seed, range(lo, hi), rows):
-        ab = np.multiply(sub, sup, out=ab_rows[:len(chunk)]) if reads_edges else None
-        out[chunk.start - lo:chunk.stop - lo] = tracer(ab, diag)
+        out[chunk.start - lo:chunk.stop - lo] = tracer(sub, diag, sup)
     return out
 
 
@@ -343,7 +340,7 @@ def _window_covariance(spec: EnsembleSpec, k_list, replicas: int,
     deps = [dependence_range(k, spec.symmetric).m_k for k in k_list]
     m_star = max(deps)
     arrays = sample_window_arrays(spec, 2, m_star + max(k_list) // 2 + 1, replicas, seed)
-    summands = [_summand_block(*arrays, 0, m_star + 1, k) for k in k_list]
+    summands = [_summand_block(*arrays, m_star + 1, k) for k in k_list]
 
     def centred(x, m):
         y = x[:, 0]

@@ -88,8 +88,9 @@ def site_summand(a, d, b, first_index, i, k):
     """The per-site summand ``X_{k,i}`` of one window's 1-d slot arrays from
     site ``first_index`` (``a[t] = a_{f+t-1}``, ``d[t] = d_{f+t}``,
     ``b[t] = b_{f+t}``), through the batched kernel ``_summand_block`` at one
-    replica and one site."""
-    return float(_summand_block(a[None, :], d[None, :], b[None, :], i - first_index, 1, k)[0, 0])
+    replica and one site: the window sliced at site ``i``."""
+    s = i - first_index
+    return float(_summand_block(a[None, s:], d[None, s:], b[None, s:], 1, k)[0, 0])
 
 
 def exhaustive_dk(k, m_k, d_atoms, ab_value=1.0):
@@ -256,6 +257,6 @@ def boundary_gap_samples(spec, n: int, k: int, trials: int, master_seed: int) ->
         seed = trial_seed_sequence(master_seed, t)
         a, d, b = sample_window_arrays(spec, 1, n + k // 2, 1, seed)
         matrix = TridiagonalMatrix(sub=a[0, 1:n], diag=d[0, :n], sup=b[0, :n - 1])
-        x = _summand_block(a, d, b, 0, n, k)[0]
+        x = _summand_block(a, d, b, n, k)[0]
         gaps[t] = compensated_sum(x) - trace_power_expansion(matrix, k, types)
     return gaps

@@ -404,6 +404,14 @@ class TestMonteCarloRoute:
             want = trace_power_expansion(m, k, enumerate_types(k))
             assert abs(value - want) <= 1e-9 * (1.0 + abs(want))
 
+    def test_exact_matrix_gives_float_traces(self):
+        # object entries are multiplied exactly and rounded to float once;
+        # every value here is an integer below 2**53, so each trace is exact
+        m = signed_integer_matrix(7)
+        ks = (1, 2, 3, 6, 8)
+        got = circuits.traces_for_k_list(m, ks)
+        assert got.tolist() == [trace_power_direct(m, k) for k in ks]
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_exact_integer_kernel_matches_dense_power(self, n):
         # at n <= 3 the band of the half powers is wider than the matrix; the
@@ -482,9 +490,9 @@ class TestMonteCarloRoute:
         ks = (12, 4, 8, 1, 9)
         tracer = circuits.RowTracer(n, ks)
         for rows in (slice(16 - 3, 16), slice(0, 16), slice(16 - 3, 16), slice(0, 16)):
-            got = tracer(ab[rows], diag[rows])
+            got = tracer(ab[rows], diag[rows], 1)
             for r, (a, d) in enumerate(zip(ab[rows], diag[rows])):
-                lone = circuits.RowTracer(n, ks)(a[None, :], d[None, :])[0]
+                lone = circuits.RowTracer(n, ks)(a[None, :], d[None, :], 1)[0]
                 assert got[r].tobytes() == lone.tobytes()
 
     def test_warm_tracer_allocates_no_row_sized_array(self):
@@ -494,12 +502,11 @@ class TestMonteCarloRoute:
         n, ks = 1000, (3, 4, 5)
         rng = np.random.default_rng(29)
         sub, diag, sup = (rng.normal(size=(16, size)) for size in (n - 1, n, n - 1))
-        ab = sub * sup
         tracer = circuits.RowTracer(n, ks)
-        tracer(ab, diag)
+        tracer(sub, diag, sup)
         tracemalloc.start()
         try:
-            got = tracer(ab, diag)
+            got = tracer(sub, diag, sup)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -508,6 +515,25 @@ class TestMonteCarloRoute:
             m = TridiagonalMatrix(sub=sub[r], diag=diag[r], sup=sup[r])
             want = [trace_power_expansion(m, k, enumerate_types(k)) for k in ks]
             assert got[r].tobytes() == np.array(want).tobytes()
+
+
+    def test_k1_tracer_forms_no_edge_product(self):
+        # k=1's one class is the diagonal, so a tracer of k=1 alone never
+        # multiplies sub by sup (here it would overflow) and allocates no
+        # row-sized edge array, even on its first call
+        rows, n = 16, 1000
+        diag = np.random.default_rng(30).normal(size=(rows, n))
+        huge = np.full((rows, n - 1), 1e200)
+        tracer = circuits.RowTracer(n, (1,))
+        tracemalloc.start()
+        try:
+            with np.errstate(over="raise"):
+                got = tracer(huge, diag, huge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < huge.nbytes
+        assert got[:, 0].tobytes() == np.array(compensated_sum_rows(diag)).tobytes()
 
 
 class TestBandedIdentities:
@@ -527,8 +553,8 @@ class TestBandedIdentities:
     def test_reversal_leaves_every_trace(self, seed):
         # reversing the index path maps each closed walk to one of the same weight
         ab, diag = self.rows(seed)
-        want = circuits.RowTracer(self.N, self.KS)(ab, diag)
-        got = circuits.RowTracer(self.N, self.KS)(ab[:, ::-1], diag[:, ::-1])
+        want = circuits.RowTracer(self.N, self.KS)(ab, diag, 1)
+        got = circuits.RowTracer(self.N, self.KS)(ab[:, ::-1], diag[:, ::-1], 1)
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [5, 50, 200])
@@ -554,8 +580,8 @@ class TestBandedIdentities:
     def test_diagonal_shift_is_the_binomial_sum(self, seed, c):
         # tr((Q + cI)^k) = sum_j C(k, j) c^(k-j) tr(Q^j), with tr(Q^0) = n
         ab, diag = self.rows(seed)
-        shifted = circuits.RowTracer(self.N, self.KS)(ab, diag + c)
-        powers = circuits.RowTracer(self.N, range(1, circuits.K_MAX + 1))(ab, diag)
+        shifted = circuits.RowTracer(self.N, self.KS)(ab, diag + c, 1)
+        powers = circuits.RowTracer(self.N, range(1, circuits.K_MAX + 1))(ab, diag, 1)
         for got, row in zip(shifted, powers):
             tr = [self.N] + [int(t) for t in row]
             for k, value in zip(self.KS, got):

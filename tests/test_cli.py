@@ -397,15 +397,22 @@ class TestConfigHandling:
         (["trace", "--k", "2", "--input", "one-column"], "matrix row 2 malformed: ['3']"),
         (["trace", "--k", "2", "--input", "ragged"],
          "matrix CSV has inconsistent column lengths"),
+        (["trace", "--k", "2", "--input", "first-row-sub"],
+         "matrix row 1 malformed: ['7', '1', '2']"),
+        (["trace", "--k", "2", "--input", "fourth-cell"],
+         "matrix row 1 malformed: ['', '1', '2', '9']"),
         (["cramer", "--law", "gaussian(0,1)"], "cramer: entry law must have compact support"),
         # a given empty law reaches the law parser instead of reading as missing
         (["cramer", "--law", ""], "unparseable law: ''"),
-    ], ids=["symmetric-maybe", "csv-one-column", "csv-ragged", "cramer-unbounded",
-            "cramer-empty-law"])
+    ], ids=["symmetric-maybe", "csv-one-column", "csv-ragged", "csv-first-row-sub",
+            "csv-fourth-cell", "cramer-unbounded", "cramer-empty-law"])
     def test_malformed_input_is_named(self, tmp_path, capsys, argv, message):
-        # in "ragged" the second row has no sup, so sup is one short of sub
+        # in "ragged" the second row has no sup, so sup is one short of sub;
+        # the first row has no sub entry, and no row has a fourth cell
         files = {"one-column": "sub,diag,sup\n,1,2\n3\n",
-                 "ragged": "sub,diag,sup\n,1,2\n3,4,\n5,6,\n"}
+                 "ragged": "sub,diag,sup\n,1,2\n3,4,\n5,6,\n",
+                 "first-row-sub": "sub,diag,sup\n7,1,2\n3,4,\n",
+                 "fourth-cell": "sub,diag,sup\n,1,2,9\n3,4,\n"}
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]

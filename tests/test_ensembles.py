@@ -584,6 +584,21 @@ def test_beta_hermite_rows_match_spelled_out_draws(beta, first_index):
         assert not a[:, 0].any()
 
 
+@pytest.mark.parametrize("name", SPECS)
+def test_hook_grows_for_a_later_call_with_more_rows(name):
+    # a hook's slot buffers grow when a later call has more rows than its
+    # first; each row still has the bits a fresh one-row hook draws for it
+    keys = np.random.default_rng(30).integers(0, 2 ** 64, (5, 4, 2), dtype=np.uint64)
+    draw = _Draws(2, lambda i: keys[:2, i])
+    _sample_sites(SPECS[name], 1, 7, draw)
+    draw.rows, draw.keys = 5, lambda i: keys[:, i]
+    got = _sample_sites(SPECS[name], 1, 7, draw)
+    for r in range(5):
+        want = _sample_sites(SPECS[name], 1, 7, _Draws(1, lambda i: keys[r:r + 1, i]))
+        for g, w in zip(got, want):
+            assert g.shape == (5, 7) and g[r].tobytes() == w[0].tobytes()
+
+
 class _RecordingDraws:
     """A stand-in hook for ``_sample_sites`` that records each call's slot,
     law and returned array."""

@@ -48,7 +48,7 @@ TARGET = covariance_target((1, 2), "beta_hermite", beta=2.0)
 ENTRY_POINTS = [
     ("enumerate_types", enumerate_types, "k", 4, 17),
     ("count_circuits_bruteforce", count_circuits_bruteforce, "k", 4, 13),
-    ("RowTracer-k", lambda v: RowTracer(10, (2, v))(AB, DIAG), "k", 9, 17),
+    ("RowTracer-k", lambda v: RowTracer(10, (2, v))(AB, DIAG, 1), "k", 9, 17),
     ("trace_power_direct", lambda v: trace_power_direct(MATRIX, v), "k", 3, 0),
     ("trace_power_expansion",
      lambda v: trace_power_expansion(MATRIX, v, enumerate_types(4)), "k", 4, 17),
