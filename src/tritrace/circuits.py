@@ -316,13 +316,6 @@ def trace_power_expansion(matrix: TridiagonalMatrix, k: int, types) -> float:
     return sum(totals) if matrix.is_exact else fsum(totals)
 
 
-def _work_size(n: int, p_max: int) -> int:
-    """Entries of a :class:`_BandedPlan` workspace: its scratch rows and stacks
-    ``1 .. p_max``, ``n + 1`` columns each, then the weights of a trace and the
-    product it sums, ``p_max + 1`` rows of ``n`` each."""
-    return (p_max * (p_max + 5) // 2 - 1) * (n + 1) + 2 * (p_max + 1) * n
-
-
 class _BandedPlan:
     """Half-power banded traces of ``n``-by-``n`` matrices at the powers ``k_list``.
 
@@ -361,45 +354,37 @@ class _BandedPlan:
     multiplies the weights by ``C^q`` (the lower diagonals of ``S^q``), then
     by ``C^p``, and sums the product once, compensated.
 
-    Nothing of this layout depends on the matrix.  So the plan allocates one
-    workspace of ``_work_size(n, p_max)`` entries of ``dtype`` and builds
-    every view of it once: the products, shifted adds and zeroed slots of
-    each step, the weights, and the factors and product slot of each power.
-    Beside it, ``d`` and ``ab`` are tiled to as many rows as a step
+    Nothing of this layout depends on the matrix.  So the plan allocates its
+    arrays, and builds every view of them, once: the products, shifted adds
+    and zeroed slots of each step, the weights, and the factors and product
+    of each power.  ``d`` and ``ab`` are tiled to as many rows as a step
     multiplies (``p_max`` and ``p_max - 1``), so both products of a step
     take two arrays of one shape, which numpy runs faster than a row
     broadcast.  A matrix then costs the copies of its two rows (``d`` into
     ``C^1`` and its tile, ``ab`` into its tile) and the ufunc calls alone, in
     the same order for every matrix, so a trace has the same bits whichever
-    rows or calls it shares the plan with.  One workspace for every matrix
-    also keeps the allocator from handing memory back and faulting it in
-    again.  ``stacks`` holds the stacks of the last matrix evaluated.
+    rows or calls it shares the plan with.  ``stacks`` holds the stacks of
+    the last matrix evaluated.
     """
 
     def __init__(self, n: int, k_list, dtype):
         p_max, q_max = (max(k_list) + 1) // 2, max(k_list) // 2
         width = n + 1
-        work = np.empty(_work_size(n, p_max), dtype=dtype)
-        scratch, store = work[:(p_max - 1) * width], work[(p_max - 1) * width:]
         # the tiles: each row holds d_c, or S[c, c-1] = ab_c, in column c,
         # and zero in the other columns
         self._stays = np.zeros((p_max, width), dtype=dtype)
         self._lefts = np.zeros((max(p_max - 1, 1), width), dtype=dtype)
-        stack = np.zeros((1, width), dtype=dtype)
-        stack[0, :n] = 1
-        self.stacks = [stack]
-        flat, store = store[:2 * width], store[2 * width:]
-        flat.fill(0)
-        stack = flat.reshape(2, width)
-        stack[1, 1:n] = 1                              # C^1[1, c] = S[c-1, c]
-        self._diag = stack[0, :n]                      # C^1[0, c] = d_c, then 0 in column n
-        self.stacks.append(stack)
+        self.stacks = [np.zeros((j + 1, width), dtype=dtype) for j in range(p_max + 1)]
+        self.stacks[0][0, :n] = 1
+        c1 = self.stacks[1]
+        c1[1, 1:n] = 1                                 # C^1[1, c] = S[c-1, c]
+        self._diag = c1[0, :n]                         # C^1[0, c] = d_c, then 0 in column n
+        scratch = np.zeros((p_max - 1, width), dtype=dtype)
         self._steps = []
         for j in range(1, p_max):
-            size = stack.size
-            flat, store = store[:size + width], store[size + width:]
-            new = flat.reshape(-1, width)
-            term = scratch[:size - width].reshape(j, width)   # ab_c C^j[o, c], o = 1 .. j
+            stack, new = self.stacks[j], self.stacks[j + 1]
+            size, flat = stack.size, new.ravel()
+            term = scratch[:j]                                 # ab_c C^j[o, c], o = 1 .. j
             self._steps.append((
                 stack, self._stays[:j + 1], new[:j + 1],       # d_c C^j[o, c]
                 new[j + 1],                                    # the row the product leaves unwritten
@@ -409,16 +394,13 @@ class _BandedPlan:
                 new[0], term[0],                               # row 0's reflected term
                 new[:, n],                                     # column n-1 has no right neighbour
             ))
-            stack = new
-            self.stacks.append(stack)
-        weights = store[:(q_max + 1) * n].reshape(q_max + 1, n)
-        weights.fill(0)
+        weights = np.zeros((q_max + 1, n), dtype=dtype)
         weights[0] = 1
         edges = self._lefts[0, :n]                     # 0, then ab_c in column c
         self._weights = [(np.add, edges, edges, weights[1])] if q_max else []
         self._weights += [(np.multiply, weights[o - 1, :n - 1], edges[1:], weights[o, 1:])
                           for o in range(2, q_max + 1)]
-        prod = store[store.size - (q_max + 1) * n:]
+        prod = np.zeros((q_max + 1) * n, dtype=dtype)
         self._factors = []
         for k in k_list:
             p, q = (k + 1) // 2, k // 2
@@ -528,9 +510,10 @@ class RowTracer:
     one :func:`class_product` of 1-d slices, and row ``r``'s sum reads its
     first ``n - span`` slots.  A product that runs past a row's end lands on
     slots no sum reads.  (With k=1 alone, ``diag`` is read in place and
-    nothing is copied.)  The tracer keeps the plan and its workspace (the
-    edge products, the flat copies, their powers and the class product,
-    :func:`_buffer`), so every call after the first reuses their memory.
+    nothing is copied.)  The tracer keeps the plan, whose arrays are
+    allocated once with it, and its own workspace (the edge products, the
+    flat copies, their powers and the class product, :func:`_buffer`), so
+    every call after the first reuses their memory.
     """
 
     def __init__(self, n: int, k_list):

@@ -199,7 +199,7 @@ def _parse(text: dict, section: str) -> dict:
 def _read_config_file(path: str) -> dict[str, dict[str, str]]:
     import configparser  # only --config reads one; keep it off the import path
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
@@ -213,7 +213,8 @@ def _read_config_file(path: str) -> dict[str, dict[str, str]]:
     if not sections:
         raise ConfigError(f"config file {path!r} is empty (no sections)")
     for name, keys in sections.items():
-        if name not in ("run", "ensemble") and name.replace("_", "-") not in COMMANDS:
+        # a command's section spells its name with "_" for "-", as keys do
+        if name not in ("run", "ensemble", *(c.replace("-", "_") for c in COMMANDS)):
             raise ConfigError(f"unknown config section [{name}]")
         for key in keys:
             _setting(key, "ensemble" if name == "ensemble" else "run", name)
@@ -262,6 +263,13 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
+
+
 def write_json(path: str | None, results: dict, config: RunConfig) -> str:
     payload = {
         "artifact": {"name": "tritrace", "version": __version__},
@@ -270,7 +278,7 @@ def write_json(path: str | None, results: dict, config: RunConfig) -> str:
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        _write(path, text)
     return text
 
 
@@ -285,7 +293,7 @@ def write_csv(path: str | None, header: list[str], rows, config: RunConfig) -> s
         writer.writerow([cell if isinstance(cell, str) else _fmt(cell) for cell in row])
     text = buf.getvalue()
     if path:
-        Path(path).write_text(text, encoding="utf-8")
+        _write(path, text)
     return text
 
 
@@ -339,7 +347,7 @@ def _cmd_types(config: RunConfig, k) -> int:
     for t in types:
         print(f"{t.span:>3} {str(list(t.half_edges)):>18} {str(list(t.loops)):>22} {t.count:>8}")
     if path := config.get("output"):
-        Path(path).write_text(types_as_json_lines(types), encoding="utf-8")
+        _write(path, types_as_json_lines(types))
     return 0
 
 

@@ -129,8 +129,8 @@ def _trace_block(spec: EnsembleSpec, n: int, tracer: RowTracer, master_seed: int
     return out
 
 
-def _fork(job, *args):
-    """Run ``job(*args)`` in a forked child; returns its pid and the read end of its pipe.
+def _fork(job):
+    """Run ``job()`` in a forked child; returns its pid and the read end of its pipe.
 
     The child writes one pickle to the pipe, ``(True, result)`` or
     ``(False, exception)``, and leaves through ``os._exit``, so it neither
@@ -149,7 +149,7 @@ def _fork(job, *args):
     status = 1
     try:
         try:
-            result = (True, job(*args))
+            result = (True, job())
         except Exception as exc:
             result = (False, exc)
         data = pickle.dumps(result)

@@ -284,6 +284,7 @@ class TestCompensatedSum:
 
 
 DIRECT_DIGEST = "1a26a00e18e097f786ab4aa7d531c4eab86bb1b8b5504ca434e768ba9f69b67c"
+KERNEL_DIGEST = "dea65bdb6c9a25e72386c521f61c6509573ebc3f6ab50db60fab4228ab291061"
 
 
 class TestTraceDirect:
@@ -534,6 +535,19 @@ class TestMonteCarloRoute:
             tracemalloc.stop()
         assert peak < huge.nbytes
         assert got[:, 0].tobytes() == np.array(compensated_sum_rows(diag)).tobytes()
+
+    def test_kernel_bits_are_pinned(self):
+        # the Monte Carlo kernel's floats, bit for bit: both routes at every
+        # power, and k=1 alone, which reads the diagonal in place
+        digest = hashlib.sha256()
+        for n in (2, 3, 5, 64, 300, 1000):
+            rng = np.random.default_rng(n)
+            sub, diag, sup = (rng.uniform(-2, 2, size=(3, size)) for size in (n - 1, n, n - 1))
+            for ks in (range(1, 17), (1,)):
+                digest.update(circuits.RowTracer(n, ks)(sub, diag, sup).tobytes())
+        assert digest.hexdigest() == KERNEL_DIGEST, (
+            f"RowTracer's bits changed under numpy {np.__version__}; "
+            "the digest was taken under numpy 2.4.6")
 
 
 class TestBandedIdentities:

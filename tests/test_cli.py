@@ -463,6 +463,8 @@ class TestConfigHandling:
         ("[ensemble]\nk_list = 1\n", "'k_list'"),
         ("[ensembel]\nmodel = anderson\n", "[ensembel]"),
         ("[DEFAULT]\nn = 8\n\n[ensemble]\nmodel = anderson\n", "[DEFAULT]"),
+        # once accepted, then ignored: build_config reads only [dump_sample]
+        ("[run]\nn = 5\n\n[dump-sample]\nn = 3\n", "[dump-sample]"),
     ])
     def test_unknown_config_key_is_an_error(self, tmp_path, capsys, config_text, name):
         cfg = tmp_path / "run.ini"
@@ -470,6 +472,14 @@ class TestConfigHandling:
         assert run_cli("clt", "--config", str(cfg)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unknown config") and name in err, err
+
+    def test_config_values_are_read_literally(self, tmp_path):
+        # a % once raised configparser's interpolation error as a traceback
+        cfg, path = tmp_path / "run.ini", tmp_path / "x%(n)s%.csv"
+        cfg.write_text(f"[dump_sample]\nn = 3\noutput = {path}\n")
+        assert run_cli("dump-sample", "--config", str(cfg), "--ensemble", "anderson") == 0
+        lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+        assert len(lines) == 1 + 3
 
     @pytest.mark.parametrize("flag", ["--replicates", "--format", "--coupling"])
     def test_unknown_flag_exits_1(self, capsys, flag):
@@ -533,6 +543,15 @@ class TestOutputs:
         assert len(body) == 6
         assert body[0][0] == ""      # no sub-diagonal entry in the first row
         assert body[-1][2] == ""     # no super-diagonal entry in the last row
+
+    @pytest.mark.parametrize("argv", [
+        ["types", "--k", "3"], ["dump-sample", "--ensemble", "anderson", "--n", "3"]])
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "x.out"
+        assert run_cli(*argv, "--output", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and str(path) in err, err
+        assert err.count("\n") == 1
 
     def test_csv_floats_roundtrip_17_digits(self, tmp_path):
         path = tmp_path / "m.csv"
